@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,12 +16,13 @@ import (
 	"nocmap/internal/traffic"
 )
 
-// MapRequest is the wire form of one mapping request. Design embeds the
-// standard design interchange JSON (the format nocgen writes and nocmap
-// reads) unchanged; the remaining fields override the engine defaults.
-// Pointer fields distinguish "absent" from an explicit zero.
+// MapRequest is the wire form of one mapping request. Design is the
+// standard design interchange form (the format nocgen writes and nocmap
+// reads), decoded in the same pass as the rest of the request; the
+// remaining fields override the engine defaults. Pointer fields
+// distinguish "absent" from an explicit zero.
 type MapRequest struct {
-	Design json.RawMessage `json:"design"`
+	Design *traffic.DesignJSON `json:"design"`
 	// Engine picks the search engine (default "greedy").
 	Engine string `json:"engine,omitempty"`
 	// Topology picks the interconnect family: "mesh" (default) or "torus".
@@ -75,10 +75,10 @@ func (mr *MapRequest) streaming() bool {
 // ToRequest validates the wire form into a service Request.
 func (mr *MapRequest) ToRequest() (Request, error) {
 	var req Request
-	if len(mr.Design) == 0 {
+	if mr.Design == nil {
 		return req, fmt.Errorf("service: request has no design")
 	}
-	d, err := traffic.ReadJSON(bytes.NewReader(mr.Design))
+	d, err := mr.Design.Design()
 	if err != nil {
 		return req, err
 	}
@@ -230,8 +230,7 @@ func NewHandler(s *Service) http.Handler {
 
 	handle("POST", "/map", func(w http.ResponseWriter, r *http.Request) {
 		var mr MapRequest
-		if err := json.NewDecoder(r.Body).Decode(&mr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &mr) {
 			return
 		}
 		req, err := mr.ToRequest()
@@ -286,8 +285,7 @@ func NewHandler(s *Service) http.Handler {
 
 	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
 		var br BatchRequest
-		if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		if !decodeBody(w, r, &br) {
 			return
 		}
 		if len(br.Requests) == 0 {
@@ -400,6 +398,32 @@ func (r *statusRecorder) Flush() {
 	if f, ok := r.ResponseWriter.(http.Flusher); ok {
 		f.Flush()
 	}
+}
+
+// maxBodyBytes bounds a POST body. It sits far above any real request (a
+// 20-use-case design of ~900 flows is ~55 KB) yet keeps one request from
+// pinning the heap.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes a POST body (a MapRequest or a BatchRequest, design
+// included) in one strict pass: unknown fields at every level of nesting
+// are rejected, and the body is bounded by maxBodyBytes. On failure it
+// writes the reply — 413 for an oversize body, 400 otherwise — and returns
+// false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
+	default:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+	}
+	return false
 }
 
 // statusOf maps service errors to HTTP status codes. Unrecognized errors map

@@ -4,22 +4,37 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
+
+	"nocmap/internal/traffic"
 )
 
-// d1JSON loads the checked-in D1 example design — the same file the CLI
+// d1Raw loads the checked-in D1 example design — the same file the CLI
 // documentation exercises.
-func d1JSON(t *testing.T) json.RawMessage {
+func d1Raw(t *testing.T) []byte {
 	t.Helper()
 	raw, err := os.ReadFile("../../examples/designs/d1.json")
 	if err != nil {
 		t.Fatal(err)
 	}
 	return raw
+}
+
+// d1JSON is the D1 example design in its interchange form.
+func d1JSON(t *testing.T) *traffic.DesignJSON {
+	t.Helper()
+	var d traffic.DesignJSON
+	if err := json.Unmarshal(d1Raw(t), &d); err != nil {
+		t.Fatal(err)
+	}
+	return &d
 }
 
 func newTestServer(t *testing.T) (*httptest.Server, *Service) {
@@ -49,6 +64,20 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, out.Bytes()
+}
+
+func postRaw(t *testing.T, url, body string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, out
 }
 
 func getJSON(t *testing.T, url string, v any) int {
@@ -216,8 +245,8 @@ func TestServerErrorPaths(t *testing.T) {
 	}{
 		{"malformed JSON", "{", http.StatusBadRequest},
 		{"no design", `{"engine":"greedy"}`, http.StatusBadRequest},
-		{"unknown engine", fmt.Sprintf(`{"design":%s,"engine":"quantum"}`, d1JSON(t)), http.StatusBadRequest},
-		{"bad budget", fmt.Sprintf(`{"design":%s,"budget":"soon"}`, d1JSON(t)), http.StatusBadRequest},
+		{"unknown engine", fmt.Sprintf(`{"design":%s,"engine":"quantum"}`, d1Raw(t)), http.StatusBadRequest},
+		{"bad budget", fmt.Sprintf(`{"design":%s,"budget":"soon"}`, d1Raw(t)), http.StatusBadRequest},
 		{"invalid design", `{"design":{"name":"x","num_cores":0,"use_cases":[]}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
@@ -228,6 +257,27 @@ func TestServerErrorPaths(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != c.want {
 			t.Errorf("%s: HTTP %d, want %d", c.name, resp.StatusCode, c.want)
+		}
+	}
+
+	// The body is decoded strictly as a whole: an unknown field inside the
+	// design and a misspelt top-level field (which would otherwise run the
+	// default silently) are both rejected with a 400 that names the field,
+	// on /v1/map and inside a /v1/batch element alike.
+	unknown := []struct{ route, body, field string }{
+		{"/v1/map", fmt.Sprintf(`{"design":%s,"engine":"anneal","iter":300}`, d1Raw(t)), "iter"},
+		{"/v1/map", `{"design":{"name":"x","num_cores":2,"bogus":1,"use_cases":[{"name":"u","flows":[]}]}}`, "bogus"},
+		{"/v1/map", `{"design":{"name":"x","num_cores":2,"use_cases":[{"name":"u","flows":[{"src":0,"dst":1,"bandwidth_mbs":1,"burst":2}]}]}}`, "burst"},
+		{"/v1/batch", fmt.Sprintf(`{"requests":[{"design":%s,"seeds":2,"iters":5,"enigne":"anneal"}]}`, d1Raw(t)), "enigne"},
+	}
+	for _, c := range unknown {
+		resp, body := postRaw(t, ts.URL+c.route, c.body)
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: error body %s: %v", c.route, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `unknown field "`+c.field+`"`) {
+			t.Errorf("unknown field %q on %s: HTTP %d %q, want 400 naming it", c.field, c.route, resp.StatusCode, e.Error)
 		}
 	}
 
@@ -298,17 +348,10 @@ func TestServerMapTopologyField(t *testing.T) {
 func TestServerDesignTopologyTag(t *testing.T) {
 	ts, _ := newTestServer(t)
 	design := d1JSON(t)
-	var tagged map[string]any
-	if err := json.Unmarshal(design, &tagged); err != nil {
-		t.Fatal(err)
-	}
-	tagged["topology"] = "torus"
-	taggedRaw, err := json.Marshal(tagged)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tagged := *design
+	tagged.Topology = "torus"
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: taggedRaw})
+	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: &tagged})
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("tagged design: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -323,5 +366,35 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	}
 	if torusResp.Key == meshResp.Key {
 		t.Error("design-tagged torus request shares the mesh cache key")
+	}
+}
+
+// TestServerBodyLimit pins the request-body bound: a body past maxBodyBytes
+// is refused with 413 naming the limit, on both POST routes, before the
+// service decodes a design from it.
+func TestServerBodyLimit(t *testing.T) {
+	ts, s := newTestServer(t)
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, c := range []struct{ route, body string }{
+		{"/v1/map", `{"design":` + pad + `{}}`},
+		{"/v1/batch", `{"requests":[` + pad + `]}`},
+	} {
+		resp, body := postRaw(t, ts.URL+c.route, c.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversize body got HTTP %d, want 413: %s", c.route, resp.StatusCode, body)
+		}
+		if !bytes.Contains(body, []byte(strconv.Itoa(maxBodyBytes))) {
+			t.Errorf("%s: 413 body %s does not name the %d-byte limit", c.route, body, maxBodyBytes)
+		}
+	}
+	if st := s.Stats(); st.CacheMisses != 0 || st.JobsDone != 0 {
+		t.Errorf("oversize bodies reached the service: %+v", st)
+	}
+
+	// A padded body far above any real request but within the limit is
+	// decoded as usual.
+	resp, body := postRaw(t, ts.URL+"/v1/map", `{"design":`+string(d1Raw(t))+pad[:maxBodyBytes/2]+`}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("body under the limit: HTTP %d: %s", resp.StatusCode, body)
 	}
 }

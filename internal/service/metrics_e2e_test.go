@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -56,13 +55,9 @@ func wantMetric(t *testing.T, body, name, want string) {
 	}
 }
 
-func designJSON(t *testing.T, d *traffic.Design) []byte {
+func designJSON(t *testing.T, d *traffic.Design) *traffic.DesignJSON {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return d.JSON()
 }
 
 // TestMetricsEndToEnd drives the service through a map, a cache hit, and a

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -462,6 +463,28 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 	}
 	if _, err := s.Map(context.Background(), testRequest("gate-close", testDesign("close-d"))); !errors.Is(err, ErrClosed) {
 		t.Errorf("map after Close returned %v, want ErrClosed", err)
+	}
+}
+
+// TestRequestKeyGolden pins the cache key of the checked-in D1 example
+// mapped by greedy with every default, as POST /v1/map receives it. Durable
+// stores and the sharded ring are keyed by it.
+func TestRequestKeyGolden(t *testing.T) {
+	raw, err := os.ReadFile("../../examples/designs/d1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mr MapRequest
+	if err := json.Unmarshal([]byte(`{"design":`+string(raw)+`,"engine":"greedy"}`), &mr); err != nil {
+		t.Fatal(err)
+	}
+	req, err := mr.ToRequest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "043fd81cfb0564f911af2777018e111e58043695d64e0b50c7667a8509b42f1d"
+	if got, err := req.Key(); err != nil || got != want {
+		t.Errorf("D1/greedy key = %s (err %v), want %s", got, err, want)
 	}
 }
 

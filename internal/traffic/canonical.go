@@ -3,8 +3,6 @@ package traffic
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
-	"io"
 	"sort"
 	"strconv"
 )
@@ -103,35 +101,82 @@ func (u *UseCase) SortByPair() {
 // Bandwidth and latency values are encoded as exact hexadecimal floats — no
 // rounding, no locale, no float-printing ambiguity.
 func (d *Design) Digest() string {
-	c := d.Canonicalize()
-	h := sha256.New()
-	writeCanonical(h, c)
-	return hex.EncodeToString(h.Sum(nil))
+	sum := sha256.Sum256(appendCanonical(nil, d.Canonicalize()))
+	return hex.EncodeToString(sum[:])
 }
 
-// writeCanonical streams the canonical byte encoding of an
-// already-canonicalized design. The format is versioned (v2 added the
+// appendCanonical appends the canonical byte encoding of an
+// already-canonicalized design to b; a nil b is allocated at about the
+// encoding's size, so the encoding is written without regrowth. The format is versioned (v2 added the
 // topology tag) so an encoding change invalidates old digests instead of
-// colliding with them.
-func writeCanonical(w io.Writer, c *Design) {
-	fmt.Fprintf(w, "nocmap-design-v2\nname %q\ntopology %q\ncores %d\n", c.Name, c.Topology, len(c.Cores))
+// colliding with them. Strings are quoted by strconv.Quote and lists
+// written as "[a b c]": the bytes fmt's %q and %v produced when the format
+// was defined. They must never change within a version, because durable
+// result stores and the sharded ring are keyed by the digest
+// (TestDigestGolden pins it).
+func appendCanonical(b []byte, c *Design) []byte {
+	if b == nil {
+		flows := 0
+		for _, u := range c.UseCases {
+			flows += len(u.Flows)
+		}
+		b = make([]byte, 0, 64+32*len(c.Cores)+64*len(c.UseCases)+48*flows)
+	}
+	b = append(b, "nocmap-design-v2\nname "...)
+	b = strconv.AppendQuote(b, c.Name)
+	b = append(b, "\ntopology "...)
+	b = strconv.AppendQuote(b, c.Topology)
+	b = append(b, "\ncores "...)
+	b = strconv.AppendInt(b, int64(len(c.Cores)), 10)
+	b = append(b, '\n')
 	for _, core := range c.Cores {
-		fmt.Fprintf(w, "core %d %q\n", core.ID, core.Name)
+		b = append(b, "core "...)
+		b = strconv.AppendInt(b, int64(core.ID), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, core.Name)
+		b = append(b, '\n')
 	}
 	for _, u := range c.UseCases {
-		fmt.Fprintf(w, "usecase %q compound=%t parts=%q\n", u.Name, u.Compound, u.Parts)
+		b = append(b, "usecase "...)
+		b = strconv.AppendQuote(b, u.Name)
+		b = append(b, " compound="...)
+		b = strconv.AppendBool(b, u.Compound)
+		b = append(b, " parts=["...)
+		for i, p := range u.Parts {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendQuote(b, p)
+		}
+		b = append(b, "]\n"...)
 		for _, f := range u.Flows {
-			fmt.Fprintf(w, "flow %d %d %s %s\n", f.Src, f.Dst,
-				hexFloat(f.BandwidthMBs), hexFloat(f.MaxLatencyNS))
+			b = append(b, "flow "...)
+			b = strconv.AppendInt(b, int64(f.Src), 10)
+			b = append(b, ' ')
+			b = strconv.AppendInt(b, int64(f.Dst), 10)
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, f.BandwidthMBs, 'x', -1, 64)
+			b = append(b, ' ')
+			b = strconv.AppendFloat(b, f.MaxLatencyNS, 'x', -1, 64)
+			b = append(b, '\n')
 		}
 	}
 	for _, set := range c.ParallelSets {
-		fmt.Fprintf(w, "parallel %v\n", set)
+		b = append(b, "parallel ["...)
+		for i, idx := range set {
+			if i > 0 {
+				b = append(b, ' ')
+			}
+			b = strconv.AppendInt(b, int64(idx), 10)
+		}
+		b = append(b, "]\n"...)
 	}
 	for _, p := range c.SmoothPairs {
-		fmt.Fprintf(w, "smooth %d %d\n", p[0], p[1])
+		b = append(b, "smooth "...)
+		b = strconv.AppendInt(b, int64(p[0]), 10)
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(p[1]), 10)
+		b = append(b, '\n')
 	}
+	return b
 }
-
-// hexFloat renders a float64 exactly (hexadecimal mantissa/exponent form).
-func hexFloat(f float64) string { return strconv.FormatFloat(f, 'x', -1, 64) }

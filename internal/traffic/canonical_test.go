@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 )
 
@@ -113,11 +112,9 @@ func TestCanonicalizePreservesMeaning(t *testing.T) {
 		t.Fatalf("canonical form invalid: %v", err)
 	}
 	// Canonical forms of the two permutations must be structurally equal.
-	var wa, wb strings.Builder
-	writeCanonical(&wa, ca)
-	writeCanonical(&wb, cb)
-	if wa.String() != wb.String() {
-		t.Errorf("canonical encodings differ:\n%s\nvs\n%s", wa.String(), wb.String())
+	wa, wb := appendCanonical(nil, ca), appendCanonical(nil, cb)
+	if string(wa) != string(wb) {
+		t.Errorf("canonical encodings differ:\n%s\nvs\n%s", wa, wb)
 	}
 	// Canonicalize must not mutate its receiver.
 	if a.UseCases[0].Name != "alpha" || a.UseCases[0].Flows[0].Src != 0 {

@@ -11,33 +11,38 @@ import (
 // parsing a hostile count cannot exhaust memory.
 const MaxCores = 1 << 16
 
-// designJSON is the on-disk representation of a Design. Core names are
-// optional; cores may be given either as a count or as a name list.
-type designJSON struct {
+// DesignJSON is the interchange representation of a Design: the format
+// nocgen writes, nocmap reads and the mapping service embeds in its
+// requests. Core names are optional; cores may be given either as a count
+// or as a name list. Design converts it into a validated Design.
+type DesignJSON struct {
 	Name         string        `json:"name"`
 	NumCores     int           `json:"num_cores,omitempty"`
 	CoreNames    []string      `json:"core_names,omitempty"`
-	UseCases     []useCaseJSON `json:"use_cases"`
+	UseCases     []UseCaseJSON `json:"use_cases"`
 	ParallelSets [][]int       `json:"parallel_sets,omitempty"`
 	SmoothPairs  [][2]int      `json:"smooth_pairs,omitempty"`
 	Topology     string        `json:"topology,omitempty"`
 }
 
-type useCaseJSON struct {
+// UseCaseJSON is the interchange representation of a UseCase.
+type UseCaseJSON struct {
 	Name  string     `json:"name"`
-	Flows []flowJSON `json:"flows"`
+	Flows []FlowJSON `json:"flows"`
 }
 
-type flowJSON struct {
+// FlowJSON is the interchange representation of a Flow.
+type FlowJSON struct {
 	Src       int     `json:"src"`
 	Dst       int     `json:"dst"`
 	Bandwidth float64 `json:"bandwidth_mbs"`
 	Latency   float64 `json:"max_latency_ns,omitempty"`
 }
 
-// WriteJSON serializes the design in the tool interchange format.
-func (d *Design) WriteJSON(w io.Writer) error {
-	out := designJSON{
+// JSON returns the design in the interchange representation, with every
+// core named. The result shares the design's declaration slices.
+func (d *Design) JSON() *DesignJSON {
+	out := &DesignJSON{
 		Name:         d.Name,
 		ParallelSets: d.ParallelSets,
 		SmoothPairs:  d.SmoothPairs,
@@ -47,28 +52,21 @@ func (d *Design) WriteJSON(w io.Writer) error {
 		out.CoreNames = append(out.CoreNames, c.Name)
 	}
 	for _, u := range d.UseCases {
-		uj := useCaseJSON{Name: u.Name}
+		uj := UseCaseJSON{Name: u.Name}
 		for _, f := range u.Flows {
-			uj.Flows = append(uj.Flows, flowJSON{
+			uj.Flows = append(uj.Flows, FlowJSON{
 				Src: int(f.Src), Dst: int(f.Dst),
 				Bandwidth: f.BandwidthMBs, Latency: f.MaxLatencyNS,
 			})
 		}
 		out.UseCases = append(out.UseCases, uj)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
+	return out
 }
 
-// ReadJSON parses a design from the tool interchange format and validates it.
-func ReadJSON(r io.Reader) (*Design, error) {
-	var in designJSON
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&in); err != nil {
-		return nil, fmt.Errorf("traffic: decode design: %w", err)
-	}
+// Design converts the interchange representation into a validated Design.
+// The result shares the receiver's declaration slices.
+func (in *DesignJSON) Design() (*Design, error) {
 	d := &Design{
 		Name:         in.Name,
 		ParallelSets: in.ParallelSets,
@@ -105,4 +103,23 @@ func ReadJSON(r io.Reader) (*Design, error) {
 		return nil, err
 	}
 	return d, nil
+}
+
+// WriteJSON serializes the design in the tool interchange format.
+func (d *Design) WriteJSON(w io.Writer) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(d.JSON())
+}
+
+// ReadJSON parses a design from the tool interchange format, rejecting
+// unknown fields, and validates it.
+func ReadJSON(r io.Reader) (*Design, error) {
+	var in DesignJSON
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&in); err != nil {
+		return nil, fmt.Errorf("traffic: decode design: %w", err)
+	}
+	return in.Design()
 }

@@ -198,11 +198,7 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	case strings.HasPrefix(cfg.topology, "@"):
 		return mr, fmt.Errorf("noc: custom fabrics (%s) carry their link lists and run locally; use Map instead", cfg.topology)
 	}
-	var buf bytes.Buffer
-	if err := d.WriteJSON(&buf); err != nil {
-		return mr, err
-	}
-	mr.Design = json.RawMessage(buf.Bytes())
+	mr.Design = d.JSON()
 	mr.Engine = cfg.engine
 	mr.Topology = cfg.topology
 	mr.Seed = cfg.seed
