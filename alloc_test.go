@@ -137,6 +137,46 @@ func TestSessionMoveZeroAlloc(t *testing.T) {
 	}
 }
 
+// mapAllocCeiling bounds the allocations of one greedy core.Map of D4: two
+// fabrics (1x3 fails, 2x2 maps) plus the result's mapping and
+// configurations. The measured count is 1567 (go1.24, linux/amd64); the
+// ceiling leaves about 25% headroom for incidental churn while failing
+// long before a return to per-reservation allocation (the allocating
+// reservation path and the map-based templates cost 47437).
+const mapAllocCeiling = 8000
+
+// TestMapAllocs is the greedy allocation gate: the constructive growth loop
+// builds the design's templates once and reserves through the
+// non-allocating primitives, cloning only granted reservations. Skipped
+// under NOCMAP_SKIP_ALLOC_GATE and coverage instrumentation, like the
+// session gate.
+func TestMapAllocs(t *testing.T) {
+	if os.Getenv("NOCMAP_SKIP_ALLOC_GATE") != "" {
+		t.Skip("NOCMAP_SKIP_ALLOC_GATE set")
+	}
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates inside the measured path")
+	}
+	d, err := bench.D4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := usecase.Prepare(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := core.Map(prep, d.NumCores(), p); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("core.Map(D4): %.0f allocs/op (ceiling %d)", allocs, mapAllocCeiling)
+	if allocs > mapAllocCeiling {
+		t.Fatalf("core.Map(D4) allocates %.0f times per run, ceiling %d", allocs, mapAllocCeiling)
+	}
+}
+
 // BenchmarkSessionMove measures the steady-state session move path with
 // caller-owned buffers; run with -benchmem to see the 0 allocs/op the gate
 // above enforces.

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nocmap/internal/route"
@@ -21,7 +22,9 @@ import (
 //
 //   - inputs (params, use-cases, topology) are validated at construction;
 //   - the flow work list, per-pair routing plans (group order, reservation
-//     bandwidth and latency) and NI demand projections are precomputed;
+//     bandwidth and latency) and NI demand projections are precomputed —
+//     they do not depend on the fabric, so evaluators of one design on
+//     different fabrics share them (see On);
 //   - candidate mesh paths are cached per switch pair (route.Table);
 //   - TDMA states and flow lists live in a scratch arena that is reset
 //     between evaluations instead of reallocated.
@@ -31,30 +34,42 @@ import (
 // portfolio's workers share one Evaluator (and its precomputation) per
 // topology. Delta evaluation of single moves is layered on top via Session.
 type Evaluator struct {
-	prep     *usecase.Prepared
-	numCores int
-	top      *topology.Topology
-	p        Params
+	*templates
+	top *topology.Topology
 
 	meshLinks  int
 	totalLinks int
 
+	// paths caches candidate mesh paths per switch pair.
+	paths *route.Table
+
+	pool sync.Pool // *evalScratch
+}
+
+// templates is the topology-independent precomputation of one (prepared
+// design, params) pair. It is immutable once built and shared by every
+// evaluator of the design: the growth loop builds it once per request and
+// derives a cheap per-fabric evaluator for each mesh size it tries.
+type templates struct {
+	prep     *usecase.Prepared
+	numCores int
+	p        Params
+
 	// flowsTpl is the bandwidth-sorted global flow list (Algorithm 2 step
 	// 2); evaluations copy it instead of re-sorting.
 	flowsTpl []flowInst
-	// byPair indexes flowsTpl by directed core pair.
-	byPair map[traffic.PairKey][]int
 	// pairList holds the distinct pairs in first-occurrence (descending
 	// bandwidth) order — the order the fully-fixed configuration phase
-	// routes them in.
+	// routes them in. A pair's position in it is its dense index, which
+	// every per-pair table below is indexed by.
 	pairList []traffic.PairKey
-	// plans precomputes, per pair, everything the routing step derives from
+	// planOf precomputes, per pair, everything the routing step derives from
 	// the flow list alone: the group order and each group's reservation
 	// size and latency bound.
-	plans map[traffic.PairKey]*pairPlan
-	// pairSlots caches, per group and pair, the slot demand of the group's
-	// heaviest same-pair flow (immutable; evaluations read it).
-	pairSlots []map[traffic.PairKey]int
+	planOf []pairPlan
+	// pairSlots holds, per group and pair, the slot demand of the group's
+	// heaviest same-pair flow (zero where the group does not use the pair).
+	pairSlots [][]int
 	// remOutTpl/remInTpl are the initial per-group, per-core not-yet-routed
 	// slot demands; partial-placement evaluations copy and consume them.
 	remOutTpl, remInTpl [][]int
@@ -66,24 +81,13 @@ type Evaluator struct {
 	groupPairs [][]pairDemand
 	// ucPairs lists, per use-case, its distinct pairs with the flow
 	// bandwidth — the iteration computeStats performs over Config maps,
-	// precomputed so sessions can recompute stats without building Configs.
-	ucPairs [][]ucPairStat
-
-	// Dense pair indexing for the session hot path: pairIdx numbers the
-	// distinct pairs in pairList order, planOf mirrors plans by that index,
-	// pairsOf lists per core the (ascending) indices of the pairs touching
-	// it, and ucPairIdx mirrors ucPairs as indices. Together they let a move
-	// evaluation find and walk its affected pairs with array indexing where
-	// the one-shot path uses map lookups.
-	pairIdx   map[traffic.PairKey]int32
-	planOf    []*pairPlan
-	pairsOf   [][]int32
+	// precomputed so sessions can recompute stats without building Configs;
+	// ucPairIdx mirrors it as pair indices.
+	ucPairs   [][]ucPairStat
 	ucPairIdx [][]int32
-
-	// paths caches candidate mesh paths per switch pair.
-	paths *route.Table
-
-	pool sync.Pool // *evalScratch
+	// pairsOf lists per core the (ascending) indices of the pairs touching
+	// it, so a move evaluation finds its affected pairs without scanning.
+	pairsOf [][]int32
 }
 
 // pairPlan is the placement-independent routing plan of one directed pair:
@@ -119,6 +123,11 @@ type evalScratch struct {
 	flows         []flowInst
 	remOut, remIn [][]int
 	journal       []resRecord
+	// res and rec are the reservation primitive's working state: the
+	// route-query scratch and the probe record whose buffers a granted
+	// reservation is cloned out of.
+	res reserveScratch
+	rec resRecord
 }
 
 // NewEvaluator validates the inputs once and precomputes the shared
@@ -132,137 +141,186 @@ func NewEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, 
 		return nil, err
 	}
 	if top == nil {
-		return nil, fmt.Errorf("core: evaluator needs a topology")
+		return nil, errNoTopology
 	}
-	return newEvaluator(prep, numCores, top, p), nil
+	return newTemplates(prep, numCores, p).on(top), nil
 }
 
-// newEvaluator builds the evaluator without re-validating (the growth loop
-// validates once up front).
-func newEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, p Params) *Evaluator {
-	ev := &Evaluator{prep: prep, numCores: numCores, top: top, p: p}
+var errNoTopology = fmt.Errorf("core: evaluator needs a topology")
+
+// On returns an evaluator of the same design and params on another fabric.
+// It shares the receiver's topology-independent tables, so only the
+// fabric-specific part — link counts, the candidate-path table and the
+// scratch pool — is built.
+func (ev *Evaluator) On(top *topology.Topology) (*Evaluator, error) {
+	if top == nil {
+		return nil, errNoTopology
+	}
+	return ev.templates.on(top), nil
+}
+
+// on builds the per-fabric evaluator over the (validated) templates.
+func (t *templates) on(top *topology.Topology) *Evaluator {
+	ev := &Evaluator{templates: t, top: top}
 	ev.meshLinks = top.NumLinks()
-	ev.totalLinks = ev.meshLinks + 2*top.NumSwitches()*p.NIsPerSwitch
-	ev.paths = route.NewTable(top, p.Cost)
-	ev.buildTemplates()
+	ev.totalLinks = ev.meshLinks + 2*top.NumSwitches()*t.p.NIsPerSwitch
+	ev.paths = route.NewTable(top, t.p.Cost)
 	return ev
 }
 
 // Topology returns the fabric the evaluator scores placements on.
 func (ev *Evaluator) Topology() *topology.Topology { return ev.top }
 
-// buildTemplates assembles the sorted flow list, pair index, routing plans
+// flowOrder is the global work-list order: descending bandwidth, then
+// ascending pair, then ascending use-case.
+func flowOrder(a, b flowInst) int {
+	if a.bw != b.bw {
+		if a.bw > b.bw {
+			return -1
+		}
+		return 1
+	}
+	if c := cmp.Compare(a.key.Src, b.key.Src); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.key.Dst, b.key.Dst); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.uc, b.uc)
+}
+
+// groupStat accumulates one group's heaviest bandwidth and tightest latency
+// bound over the instances of one pair.
+type groupStat struct {
+	g      int
+	maxBW  float64
+	minLat float64 // -1 = unconstrained
+}
+
+// newTemplates assembles the sorted flow list, pair index, routing plans
 // and demand projections (the work buildFlows used to redo per attempt).
-func (ev *Evaluator) buildTemplates() {
-	for uc, u := range ev.prep.UseCases {
+// The inputs must be validated. Every per-pair, per-group, per-core and
+// per-use-case table is carved out of one backing array (buckets, grid),
+// so the build costs a few dozen allocations whatever the design's size.
+func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
+	t := &templates{prep: prep, numCores: numCores, p: p}
+	ucFlows := make([]int, len(prep.UseCases))
+	for uc, u := range prep.UseCases {
+		ucFlows[uc] = len(u.Flows)
+	}
+	t.flowsTpl = make([]flowInst, 0, sum(ucFlows))
+	for uc, u := range prep.UseCases {
 		for idx, f := range u.Flows {
-			ev.flowsTpl = append(ev.flowsTpl, flowInst{
+			t.flowsTpl = append(t.flowsTpl, flowInst{
 				uc: uc, idx: idx, bw: f.BandwidthMBs, lat: f.MaxLatencyNS, key: f.Key(),
 			})
 		}
 	}
-	sort.SliceStable(ev.flowsTpl, func(i, j int) bool {
-		a, b := ev.flowsTpl[i], ev.flowsTpl[j]
-		if a.bw != b.bw {
-			return a.bw > b.bw
+	slices.SortStableFunc(t.flowsTpl, flowOrder)
+	pairIdx := make(map[traffic.PairKey]int32)
+	var pairInsts []int
+	for i := range t.flowsTpl {
+		f := &t.flowsTpl[i]
+		pi, seen := pairIdx[f.key]
+		if !seen {
+			pi = int32(len(t.pairList))
+			pairIdx[f.key] = pi
+			t.pairList = append(t.pairList, f.key)
+			pairInsts = append(pairInsts, 0)
 		}
-		if a.key.Src != b.key.Src {
-			return a.key.Src < b.key.Src
-		}
-		if a.key.Dst != b.key.Dst {
-			return a.key.Dst < b.key.Dst
-		}
-		return a.uc < b.uc
-	})
-	ev.byPair = make(map[traffic.PairKey][]int)
-	for i, f := range ev.flowsTpl {
-		if _, seen := ev.byPair[f.key]; !seen {
-			ev.pairList = append(ev.pairList, f.key)
-		}
-		ev.byPair[f.key] = append(ev.byPair[f.key], i)
+		f.pair = pi
+		pairInsts[pi]++
+	}
+	numPairs := len(t.pairList)
+	t.planOf = make([]pairPlan, numPairs)
+	insts := buckets[int](pairInsts)
+	for i, f := range t.flowsTpl {
+		insts[f.pair] = append(insts[f.pair], i)
 	}
 	// Demand projection templates: per group, the heaviest flow per pair
 	// determines the reservation size; each core's remaining demand is the
 	// sum over its pairs.
-	numGroups := len(ev.prep.Groups)
-	ev.pairSlots = make([]map[traffic.PairKey]int, numGroups)
-	ev.remOutTpl = make([][]int, numGroups)
-	ev.remInTpl = make([][]int, numGroups)
-	for g := 0; g < numGroups; g++ {
-		ev.pairSlots[g] = make(map[traffic.PairKey]int)
-		ev.remOutTpl[g] = make([]int, ev.numCores)
-		ev.remInTpl[g] = make([]int, ev.numCores)
-	}
-	for _, f := range ev.flowsTpl {
-		g := ev.prep.GroupOf[f.uc]
-		n := tdma.SlotsNeeded(f.bw, ev.p.SlotBandwidthMBs())
-		if n > ev.pairSlots[g][f.key] {
-			ev.pairSlots[g][f.key] = n
+	numGroups := len(prep.Groups)
+	t.pairSlots = grid[int](numGroups, numPairs)
+	t.remOutTpl = grid[int](numGroups, numCores)
+	t.remInTpl = grid[int](numGroups, numCores)
+	for _, f := range t.flowsTpl {
+		g := prep.GroupOf[f.uc]
+		if n := tdma.SlotsNeeded(f.bw, p.SlotBandwidthMBs()); n > t.pairSlots[g][f.pair] {
+			t.pairSlots[g][f.pair] = n
 		}
 	}
 	for g := 0; g < numGroups; g++ {
-		for key, n := range ev.pairSlots[g] {
-			ev.remOutTpl[g][key.Src] += n
-			ev.remInTpl[g][key.Dst] += n
+		for pi, n := range t.pairSlots[g] {
+			t.remOutTpl[g][t.pairList[pi].Src] += n
+			t.remInTpl[g][t.pairList[pi].Dst] += n
 		}
 	}
 	// Routing plans. The driving group is the group of the pair's heaviest
 	// instance (the flow chooseNext selects — same-pair flows share a
 	// preference tier, so the sorted list's first instance always drives);
 	// the remaining groups follow in descending order of their heaviest
-	// same-pair flow, matching Algorithm 2 step 6.
-	ev.plans = make(map[traffic.PairKey]*pairPlan, len(ev.pairList))
-	for _, key := range ev.pairList {
-		insts := ev.byPair[key]
-		maxBW := make(map[int]float64)
-		minLat := make(map[int]float64)
-		for _, i := range insts {
-			f := ev.flowsTpl[i]
-			g := ev.prep.GroupOf[f.uc]
-			if _, ok := maxBW[g]; !ok {
-				minLat[g] = -1
+	// same-pair flow, matching Algorithm 2 step 6. A pair has at most one
+	// plan entry per instance, so the flat backing arrays never regrow.
+	groups := make([]int, 0, len(t.flowsTpl))
+	bws := make([]float64, 0, len(t.flowsTpl))
+	lats := make([]float64, 0, len(t.flowsTpl))
+	groupPairs := make([]int, numGroups)
+	var stats []groupStat
+	for pi := range t.planOf {
+		stats = stats[:0]
+		for _, i := range insts[pi] {
+			f := t.flowsTpl[i]
+			g := prep.GroupOf[f.uc]
+			k := 0
+			for k < len(stats) && stats[k].g != g {
+				k++
 			}
-			if f.bw > maxBW[g] {
-				maxBW[g] = f.bw
+			if k == len(stats) {
+				stats = append(stats, groupStat{g: g, minLat: -1})
 			}
-			if f.lat > 0 && (minLat[g] < 0 || f.lat < minLat[g]) {
-				minLat[g] = f.lat
+			s := &stats[k]
+			if f.bw > s.maxBW {
+				s.maxBW = f.bw
+			}
+			if f.lat > 0 && (s.minLat < 0 || f.lat < s.minLat) {
+				s.minLat = f.lat
 			}
 		}
-		drive := ev.prep.GroupOf[ev.flowsTpl[insts[0]].uc]
-		var rest []int
-		for g := range maxBW {
-			if g != drive {
-				rest = append(rest, g)
+		// The first instance is the heaviest, so its group is stats[0].
+		slices.SortFunc(stats[1:], func(a, b groupStat) int {
+			if a.maxBW != b.maxBW {
+				if a.maxBW > b.maxBW {
+					return -1
+				}
+				return 1
 			}
-		}
-		sort.Slice(rest, func(a, b int) bool {
-			if maxBW[rest[a]] != maxBW[rest[b]] {
-				return maxBW[rest[a]] > maxBW[rest[b]]
-			}
-			return rest[a] < rest[b]
+			return cmp.Compare(a.g, b.g)
 		})
-		plan := &pairPlan{allInsts: insts}
-		for _, g := range append([]int{drive}, rest...) {
-			plan.groups = append(plan.groups, g)
-			plan.bw = append(plan.bw, maxBW[g])
-			plan.lat = append(plan.lat, minLat[g])
+		from := len(groups)
+		for _, s := range stats {
+			groups = append(groups, s.g)
+			bws = append(bws, s.maxBW)
+			lats = append(lats, s.minLat)
+			groupPairs[s.g]++
 		}
-		ev.plans[key] = plan
+		to := len(groups)
+		t.planOf[pi] = pairPlan{groups: groups[from:to:to], bw: bws[from:to:to], lat: lats[from:to:to], allInsts: insts[pi]}
 	}
-	// Dense pair index in pairList order, with the per-core incidence lists
-	// the session's move evaluation walks instead of scanning every pair.
-	ev.pairIdx = make(map[traffic.PairKey]int32, len(ev.pairList))
-	ev.planOf = make([]*pairPlan, len(ev.pairList))
-	for i, key := range ev.pairList {
-		ev.pairIdx[key] = int32(i)
-		ev.planOf[i] = ev.plans[key]
-	}
-	ev.pairsOf = make([][]int32, ev.numCores)
-	for i, key := range ev.pairList {
-		ev.pairsOf[key.Src] = append(ev.pairsOf[key.Src], int32(i))
+	// Per-core incidence lists the session's move evaluation walks instead
+	// of scanning every pair.
+	corePairs := make([]int, numCores)
+	for _, key := range t.pairList {
+		corePairs[key.Src]++
 		if key.Dst != key.Src {
-			ev.pairsOf[key.Dst] = append(ev.pairsOf[key.Dst], int32(i))
+			corePairs[key.Dst]++
+		}
+	}
+	t.pairsOf = buckets[int32](corePairs)
+	for i, key := range t.pairList {
+		t.pairsOf[key.Src] = append(t.pairsOf[key.Src], int32(i))
+		if key.Dst != key.Src {
+			t.pairsOf[key.Dst] = append(t.pairsOf[key.Dst], int32(i))
 		}
 	}
 	// Per-group routing worklists in global (bandwidth-sorted) pair order.
@@ -271,36 +329,68 @@ func (ev *Evaluator) buildTemplates() {
 	// group against this list alone reproduces exactly what a full pass
 	// would grant it. The session's per-group rebuild fallback rests on
 	// this decomposition.
-	ev.groupPairs = make([][]pairDemand, numGroups)
-	for _, key := range ev.pairList {
-		plan := ev.plans[key]
+	t.groupPairs = buckets[pairDemand](groupPairs)
+	for pi, key := range t.pairList {
+		plan := &t.planOf[pi]
 		for i, g := range plan.groups {
-			ev.groupPairs[g] = append(ev.groupPairs[g], pairDemand{
-				key: key, idx: ev.pairIdx[key], slots: ev.pairSlots[g][key], bw: plan.bw[i], lat: plan.lat[i],
+			t.groupPairs[g] = append(t.groupPairs[g], pairDemand{
+				key: key, idx: int32(pi), slots: t.pairSlots[g][pi], bw: plan.bw[i], lat: plan.lat[i],
 			})
 		}
 	}
 	// Per-use-case stat iteration: distinct pairs with the flow bandwidth
 	// (use-case validation forbids duplicate pairs, so flows ≡ pairs).
-	ev.ucPairs = make([][]ucPairStat, len(ev.prep.UseCases))
-	ev.ucPairIdx = make([][]int32, len(ev.prep.UseCases))
-	for uc, u := range ev.prep.UseCases {
+	t.ucPairs = buckets[ucPairStat](ucFlows)
+	t.ucPairIdx = buckets[int32](ucFlows)
+	for uc, u := range prep.UseCases {
 		for _, f := range u.Flows {
-			ev.ucPairs[uc] = append(ev.ucPairs[uc], ucPairStat{key: f.Key(), bw: f.BandwidthMBs})
-			ev.ucPairIdx[uc] = append(ev.ucPairIdx[uc], ev.pairIdx[f.Key()])
+			t.ucPairs[uc] = append(t.ucPairs[uc], ucPairStat{key: f.Key(), bw: f.BandwidthMBs})
+			t.ucPairIdx[uc] = append(t.ucPairIdx[uc], pairIdx[f.Key()])
 		}
 	}
-	ev.active = make([]int, 0, ev.numCores)
-	seen := make([]bool, ev.numCores)
-	for _, f := range ev.flowsTpl {
-		for _, c := range []traffic.CoreID{f.key.Src, f.key.Dst} {
-			if !seen[c] {
-				seen[c] = true
-				ev.active = append(ev.active, int(c))
-			}
+	seen := make([]bool, numCores)
+	for _, f := range t.flowsTpl {
+		seen[f.key.Src] = true
+		seen[f.key.Dst] = true
+	}
+	for c, ok := range seen {
+		if ok {
+			t.active = append(t.active, c)
 		}
 	}
-	sort.Ints(ev.active)
+	return t
+}
+
+// buckets returns len(counts) empty slices over one backing array, bucket
+// i with room for exactly counts[i] elements: appends up to that count
+// never reallocate, and an append past it cannot run into a neighbour.
+func buckets[T any](counts []int) [][]T {
+	flat := make([]T, sum(counts))
+	out := make([][]T, len(counts))
+	off := 0
+	for i, n := range counts {
+		out[i] = flat[off : off : off+n]
+		off += n
+	}
+	return out
+}
+
+// grid returns a rows×cols zero matrix over one backing array.
+func grid[T any](rows, cols int) [][]T {
+	flat := make([]T, rows*cols)
+	out := make([][]T, rows)
+	for r := range out {
+		out[r] = flat[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return out
+}
+
+func sum(xs []int) int {
+	n := 0
+	for _, x := range xs {
+		n += x
+	}
+	return n
 }
 
 // ValidatePlacement checks a fixed placement against the evaluator's
@@ -361,6 +451,7 @@ func (ev *Evaluator) getScratch() *evalScratch {
 		sc.states[g] = st
 	}
 	sc.flows = make([]flowInst, len(ev.flowsTpl))
+	sc.res.route = route.NewScratch()
 	return sc
 }
 
@@ -378,25 +469,14 @@ func (ev *Evaluator) putScratch(sc *evalScratch) {
 
 // mapperFor assembles a mapper over the scratch arena. Immutable tables are
 // shared with the evaluator; mutable ones are copied from the templates.
-func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) (*mapper, error) {
-	m := &mapper{
-		ev: ev, prep: ev.prep, p: ev.p, top: ev.top,
-		meshLinks: ev.meshLinks, totalLinks: ev.totalLinks,
-		states:    sc.states,
-		byPair:    ev.byPair,
-		pairSlots: ev.pairSlots,
-		journal:   sc.journal[:0],
-	}
+func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
+	m := &mapper{Evaluator: ev, states: sc.states, journal: sc.journal[:0], res: &sc.res, rec: &sc.rec}
 	copy(sc.flows, ev.flowsTpl)
 	m.flows = sc.flows
 	if !ev.covered(fix) {
 		if sc.remOut == nil {
-			sc.remOut = make([][]int, len(ev.prep.Groups))
-			sc.remIn = make([][]int, len(ev.prep.Groups))
-			for g := range sc.remOut {
-				sc.remOut[g] = make([]int, ev.numCores)
-				sc.remIn[g] = make([]int, ev.numCores)
-			}
+			sc.remOut = grid[int](len(ev.prep.Groups), ev.numCores)
+			sc.remIn = grid[int](len(ev.prep.Groups), ev.numCores)
 		}
 		for g := range sc.remOut {
 			copy(sc.remOut[g], ev.remOutTpl[g])
@@ -404,14 +484,9 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) (*mapper, err
 		}
 		m.remOut, m.remIn = sc.remOut, sc.remIn
 	}
-	m.configs = make([]map[traffic.PairKey]*Assignment, len(ev.prep.Groups))
-	for g := range m.configs {
-		m.configs[g] = make(map[traffic.PairKey]*Assignment)
-	}
-	if err := m.placeFixed(fix); err != nil {
-		return nil, err
-	}
-	return m, nil
+	m.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
+	m.placeFixed(fix)
+	return m
 }
 
 // Evaluate runs the configuration phase on a fixed core placement using the
@@ -423,11 +498,7 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 		return nil, err
 	}
 	sc := ev.getScratch()
-	m, err := ev.mapperFor(sc, &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI})
-	if err != nil {
-		ev.putScratch(sc)
-		return nil, err
-	}
+	m := ev.mapperFor(sc, &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI})
 	mapping, err := m.run()
 	res := (*Result)(nil)
 	if err == nil {
@@ -447,11 +518,7 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 // saturated fabric (infeasible) costs no state allocation at all.
 func (ev *Evaluator) attempt(fix *placementFix) (*Mapping, []*tdma.State, []resRecord, error) {
 	sc := ev.getScratch()
-	m, err := ev.mapperFor(sc, fix)
-	if err != nil {
-		ev.putScratch(sc)
-		return nil, nil, nil, err
-	}
+	m := ev.mapperFor(sc, fix)
 	mapping, err := m.run()
 	if err != nil {
 		sc.journal = m.journal
@@ -461,89 +528,33 @@ func (ev *Evaluator) attempt(fix *placementFix) (*Mapping, []*tdma.State, []resR
 	return mapping, m.states, m.journal, nil
 }
 
-// reserveSlots selects a path and aligned slots for one pair on one state:
-// candidate paths cheapest-first (from the per-pair cache), slot count
-// escalating past the bandwidth requirement when the latency bound needs a
-// smaller gap. On success the reservation is committed to st under owner
-// and the full path, starts and slot count are returned.
-func (ev *Evaluator) reserveSlots(st *tdma.State, owner int32, key traffic.PairKey,
-	srcS, dstS, egress, ingress int, bw, latencyNS float64) (path []int, starts []int, n int, err error) {
-	T := ev.p.SlotTableSize
-	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
-	if slots0 > T {
-		return nil, nil, 0, fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
-			key.Src, key.Dst, slots0, T, bw, ev.p.LinkBandwidthMBs())
-	}
-	latBudget := ev.p.LatencyBudgetSlots(latencyNS)
-	var meshCands []route.Path
-	if srcS == dstS {
-		meshCands = []route.Path{nil}
-	} else {
-		meshCands = ev.paths.Candidates(st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0, ev.p.Cost)
-		if len(meshCands) == 0 {
-			return nil, nil, 0, fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
-		}
-		if ev.p.DisableUnifiedSlots {
-			// Ablation A2: path selection ignores slot alignment — commit to
-			// the single cheapest bandwidth-feasible path.
-			meshCands = meshCands[:1]
-		}
-	}
-	maxLen := 2
-	for _, cand := range meshCands {
-		if len(cand)+2 > maxLen {
-			maxLen = len(cand) + 2
-		}
-	}
-	full := make([]int, 0, maxLen) // shared probe buffer; cloned only on success
-	for _, cand := range meshCands {
-		full = full[:0]
-		full = append(full, egress)
-		for _, l := range cand {
-			full = append(full, int(l))
-		}
-		full = append(full, ingress)
-		for n := slots0; n <= T; n++ {
-			starts, ok := st.FindAligned(full, n)
-			if !ok {
-				break // more slots cannot become available
-			}
-			if latBudget >= 0 && tdma.WorstCaseLatencySlotsSorted(starts, len(full), T) > latBudget {
-				continue // spread more slots to shrink the gap
-			}
-			if err := st.Reserve(owner, full, starts); err != nil {
-				return nil, nil, 0, fmt.Errorf("internal: reserve after FindAligned: %w", err)
-			}
-			return append([]int(nil), full...), starts, n, nil
-		}
-	}
-	return nil, nil, 0, fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
-		key.Src, key.Dst, slots0, latBudget, len(meshCands))
-}
-
-// Infeasibility sentinels of the session's delta re-route. The move loop of
-// a search engine probes thousands of placements whose rejections are
-// ordinary control flow, so the hot path reports them without formatting;
-// the one-shot entry points keep their descriptive errors.
+// Infeasibility sentinels of the reservation primitive. The move loop of a
+// search engine probes thousands of placements whose rejections are
+// ordinary control flow, so the primitive reports them without formatting;
+// the constructive pass expands them with reserveError.
 var (
 	errOverCapacity = fmt.Errorf("core: flow bandwidth exceeds link capacity")
 	errNoPath       = fmt.Errorf("core: no bandwidth-feasible path")
 	errNoAligned    = fmt.Errorf("core: no aligned slots on any candidate path")
 )
 
-// reserveScratch is the per-session working state of reserveSlotsInto: the
-// route-query scratch and the shared path probe buffer.
+// reserveScratch is the working state of reserveSlotsInto: the route-query
+// scratch, the shared path probe buffer, and the number of candidate paths
+// the last call probed (for the failure text).
 type reserveScratch struct {
 	route *route.Scratch
 	full  []int
+	cands int
 }
 
-// reserveSlotsInto is reserveSlots for the session hot path: path and start
-// buffers come from (and are retained by) the record, route queries reuse
-// the session's scratch, and infeasibility is reported through shared
-// sentinel errors. The selected path, starts and slot count are identical
-// to reserveSlots' on the same state — both probe the same candidates in
-// the same order.
+// reserveSlotsInto selects a path and aligned slots for one pair on one
+// state: candidate paths cheapest-first (from the per-pair cache), slot
+// count escalating past the bandwidth requirement when the latency bound
+// needs a smaller gap. On success the reservation is committed to st under
+// owner and recorded in rec — path and start buffers come from (and are
+// retained by) the record, so callers that keep the reservation beyond the
+// record's next use must clone them. Route queries reuse the scratch, and
+// infeasibility is reported through shared sentinel errors.
 func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner int32, key traffic.PairKey,
 	srcS, dstS, egress, ingress int, bw, latencyNS float64, rec *resRecord) error {
 	T := ev.p.SlotTableSize
@@ -565,11 +576,14 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 			return errNoPath
 		}
 		if ev.p.DisableUnifiedSlots {
+			// Ablation A2: path selection ignores slot alignment — commit to
+			// the single cheapest bandwidth-feasible path.
 			meshCands = meshCands[:1]
 		}
 	} else {
 		meshCands = sameSwitchCands
 	}
+	sc.cands = len(meshCands)
 	for _, cand := range meshCands {
 		full := sc.full[:0]
 		full = append(full, egress)
@@ -588,17 +602,11 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 				continue // spread more slots to shrink the gap
 			}
 			if err := st.Reserve(owner, full, starts); err != nil {
-				return fmt.Errorf("internal: reserve after FindAligned: %w", err)
+				return fmt.Errorf("internal: reserve after FindAlignedInto: %w", err)
 			}
 			rec.path = append(rec.path[:0], full...)
 			rec.start = starts
-			hops := 0
-			for _, l := range rec.path {
-				if l < ev.meshLinks {
-					hops++
-				}
-			}
-			rec.hops = int32(hops)
+			rec.hops = ev.pathHops(rec.path)
 			return nil
 		}
 	}
@@ -607,3 +615,21 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 
 // sameSwitchCands is the single empty mesh path of a src==dst reservation.
 var sameSwitchCands = []route.Path{nil}
+
+// reserveError expands a reserveSlotsInto sentinel into the descriptive
+// error the constructive pass reports; cands is the number of candidate
+// paths the failed call probed.
+func (ev *Evaluator) reserveError(cause error, cands int, key traffic.PairKey, srcS, dstS int, bw, latencyNS float64) error {
+	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
+	switch cause {
+	case errOverCapacity:
+		return fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
+			key.Src, key.Dst, slots0, ev.p.SlotTableSize, bw, ev.p.LinkBandwidthMBs())
+	case errNoPath:
+		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
+	case errNoAligned:
+		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
+			key.Src, key.Dst, slots0, ev.p.LatencyBudgetSlots(latencyNS), cands)
+	}
+	return cause
+}

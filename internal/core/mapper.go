@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"nocmap/internal/route"
 	"nocmap/internal/tdma"
@@ -32,7 +33,10 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	if err := validateInput(prep, numCores); err != nil {
 		return nil, err
 	}
-	active := activeCores(prep, numCores)
+	// The flow list, routing plans and demand projections do not depend on
+	// the fabric: build them once and share them across every fabric tried.
+	tpl := newTemplates(prep, numCores, p)
+	active := len(tpl.active)
 	// A custom fabric is a single fixed instance: no growth loop, one
 	// attempt on the loaded topology.
 	if !p.Topology.Grows() {
@@ -45,7 +49,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 			err := fmt.Errorf("core: %s hosts %d cores, design needs %d", top, top.MaxCores(), active)
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Skipped: true}}, Last: err}
 		}
-		ev := newEvaluator(prep, numCores, top, p)
+		ev := tpl.on(top)
 		m, states, _, err := ev.attempt(nil)
 		if err != nil {
 			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Err: err.Error()}}, Last: err}
@@ -70,7 +74,10 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 		if err != nil {
 			return nil, err
 		}
-		ev := newEvaluator(prep, numCores, top, p)
+		ev := tpl.on(top)
+		if fabricHook != nil {
+			fabricHook(ev)
+		}
 		m, states, _, err := ev.attempt(nil)
 		if err != nil {
 			attempts = append(attempts, Attempt{Dim: dim, Err: err.Error()})
@@ -86,6 +93,10 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	}
 	return nil, &InfeasibleError{MaxDim: p.MaxMeshDim, Attempts: attempts, Last: lastErr}
 }
+
+// fabricHook, when set, observes every per-fabric evaluator the growth loop
+// derives; tests use it to check that the fabrics share one template set.
+var fabricHook func(*Evaluator)
 
 // ConfigureFixed re-runs only the configuration phase (path selection and
 // slot reservation) on an existing placement, typically at a different
@@ -156,24 +167,6 @@ func validateInput(prep *usecase.Prepared, numCores int) error {
 	return nil
 }
 
-// activeCores counts cores that appear in at least one flow; only they need
-// NI attachment.
-func activeCores(prep *usecase.Prepared, numCores int) int {
-	seen := make([]bool, numCores)
-	n := 0
-	for _, u := range prep.UseCases {
-		for _, f := range u.Flows {
-			for _, c := range []traffic.CoreID{f.Src, f.Dst} {
-				if !seen[c] {
-					seen[c] = true
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // placementFix pins the core placement for configuration-only runs.
 type placementFix struct {
 	CoreSwitch []int
@@ -187,49 +180,47 @@ type flowInst struct {
 	bw   float64
 	lat  float64
 	key  traffic.PairKey
+	pair int32 // dense pair index (templates.pairList)
 	done bool
 }
 
 // mapper carries the working state of one attempt on one topology. The
-// immutable tables (byPair, pairSlots, the routing plans reached through
-// ev) are shared with the owning Evaluator; the mutable ones are per
-// attempt, drawn from the evaluator's scratch pool or freshly allocated.
+// immutable tables (pair slot demands, routing plans) are the embedded
+// Evaluator's; the mutable ones are per attempt, drawn from the
+// evaluator's scratch pool or freshly allocated.
 type mapper struct {
-	ev   *Evaluator
-	prep *usecase.Prepared
-	p    Params
-	top  *topology.Topology
-
-	meshLinks  int
-	totalLinks int
+	*Evaluator
 
 	// One residual state and one configuration per smooth-switching group:
 	// group members share a single NoC configuration (paper Section 4), so a
 	// reservation made for any member occupies slots for all of them. With
 	// no smooth-switching constraints every group is a singleton and this
 	// degenerates to the per-use-case data structures of Algorithm 2.
-	states  []*tdma.State
-	configs []map[traffic.PairKey]*Assignment
+	states []*tdma.State
+	// configs holds each group's assignments by dense pair index.
+	configs [][]*Assignment
 
 	coreSwitch  []int
 	coreNI      []int
 	switchCores []int
 	niCores     []int
 
-	flows  []flowInst
-	byPair map[traffic.PairKey][]int
+	flows []flowInst
 
-	// pairSlots caches, per group and pair, the bandwidth-driven slot count
-	// of the group's heaviest same-pair flow. remOut/remIn hold, per group
-	// and core, the not-yet-reserved slot demand the core will still source
-	// or sink. Projected NI occupancy (current reservations + remaining
-	// demand of the NI's cores) steers placement: greedy per-flow decisions
-	// would otherwise co-locate cores whose later flows overrun the NI.
-	// Both rem tables are nil when the fix places every communicating core
-	// — no placement decisions remain, so no projection is ever read.
-	pairSlots []map[traffic.PairKey]int
-	remOut    [][]int
-	remIn     [][]int
+	// remOut/remIn hold, per group and core, the not-yet-reserved slot
+	// demand the core will still source or sink. Projected NI occupancy
+	// (current reservations + remaining demand of the NI's cores) steers
+	// placement: greedy per-flow decisions would otherwise co-locate cores
+	// whose later flows overrun the NI. Both tables are nil when the fix
+	// places every communicating core — no placement decisions remain, so
+	// no projection is ever read.
+	remOut [][]int
+	remIn  [][]int
+
+	// res and rec are the reservation primitive's scratch: every probe
+	// runs in rec's buffers, and a granted reservation is cloned out.
+	res *reserveScratch
+	rec *resRecord
 
 	journal   []resRecord
 	nextOwner int32
@@ -246,8 +237,7 @@ type resRecord struct {
 	key    traffic.PairKey
 	demand int
 	// idx and hops serve the session's dense bookkeeping: the pair's index
-	// in the evaluator's pairList and the mesh-hop count of path. The
-	// mapper's journal leaves them zero; sessions fill them on adoption.
+	// in the evaluator's pairList and the mesh-hop count of path.
 	idx  int32
 	hops int32
 }
@@ -259,11 +249,11 @@ type placement struct {
 	src, dst           traffic.CoreID
 }
 
-// placeFixed initializes the placement arrays and applies the fix, if any.
-func (m *mapper) placeFixed(fix *placementFix) error {
-	numCores := m.ev.numCores
-	m.coreSwitch = make([]int, numCores)
-	m.coreNI = make([]int, numCores)
+// placeFixed initializes the placement arrays and applies the fix, if any
+// (validated by the caller through ValidatePlacement).
+func (m *mapper) placeFixed(fix *placementFix) {
+	m.coreSwitch = make([]int, m.numCores)
+	m.coreNI = make([]int, m.numCores)
 	for i := range m.coreSwitch {
 		m.coreSwitch[i] = -1
 		m.coreNI[i] = -1
@@ -271,25 +261,18 @@ func (m *mapper) placeFixed(fix *placementFix) error {
 	m.switchCores = make([]int, m.top.NumSwitches())
 	m.niCores = make([]int, m.top.NumSwitches()*m.p.NIsPerSwitch)
 	if fix == nil {
-		return nil
+		return
 	}
-	if len(fix.CoreSwitch) != numCores || len(fix.CoreNI) != numCores {
-		return fmt.Errorf("core: fixed placement has wrong length")
-	}
-	for c := 0; c < numCores; c++ {
-		s, ni := fix.CoreSwitch[c], fix.CoreNI[c]
+	for c, s := range fix.CoreSwitch {
 		if s < 0 {
 			continue
 		}
-		if s >= m.top.NumSwitches() || ni < 0 || ni >= len(m.niCores) || ni/m.p.NIsPerSwitch != s {
-			return fmt.Errorf("core: fixed placement of core %d (switch %d, NI %d) invalid", c, s, ni)
-		}
+		ni := fix.CoreNI[c]
 		m.coreSwitch[c] = s
 		m.coreNI[c] = ni
 		m.switchCores[s]++
 		m.niCores[ni]++
 	}
-	return nil
 }
 
 // run performs Algorithm 2 steps 3-7: repeatedly choose the heaviest
@@ -316,15 +299,15 @@ func (m *mapper) run() (*Mapping, error) {
 	// Per-use-case configurations are restrictions of the group
 	// configuration to the use-case's own flows; assignments are shared.
 	mapping.Configs = make([]*Config, len(m.prep.UseCases))
-	for uc, u := range m.prep.UseCases {
-		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(u.Flows))}
+	for uc, pairs := range m.ucPairs {
+		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(pairs))}
 		g := m.prep.GroupOf[uc]
-		for _, f := range u.Flows {
-			a, ok := m.configs[g][f.Key()]
-			if !ok {
-				return nil, fmt.Errorf("core: internal: flow %d->%d of use-case %d unassigned", f.Src, f.Dst, uc)
+		for i, ps := range pairs {
+			a := m.configs[g][m.ucPairIdx[uc][i]]
+			if a == nil {
+				return nil, fmt.Errorf("core: internal: flow %d->%d of use-case %d unassigned", ps.key.Src, ps.key.Dst, uc)
 			}
-			cfg.Assignments[f.Key()] = a
+			cfg.Assignments[ps.key] = a
 		}
 		mapping.Configs[uc] = cfg
 	}
@@ -418,7 +401,7 @@ func (m *mapper) chooseNext() int {
 // committed.
 func (m *mapper) placeAndRoute(fi int) error {
 	f := m.flows[fi]
-	plan := m.ev.plans[f.key]
+	plan := &m.planOf[f.pair]
 
 	placements, err := m.candidatePlacements(f)
 	if err != nil {
@@ -431,7 +414,7 @@ func (m *mapper) placeAndRoute(fi int) error {
 			continue
 		}
 		mark := len(m.journal)
-		err := m.routeGroups(f.key, plan)
+		err := m.routeGroups(f.key, f.pair, plan)
 		if err == nil {
 			for _, i := range plan.allInsts {
 				m.flows[i].done = true
@@ -554,6 +537,24 @@ func (m *mapper) attachPenalty(worst int) float64 {
 	return m.p.Cost.LoadWeight * occ * occ
 }
 
+// switchCand is a candidate switch for an unmapped core with its placement
+// score.
+type switchCand struct {
+	s int
+	d float64
+}
+
+// byDistance orders candidate switches by ascending score, then switch.
+func byDistance(a, b switchCand) int {
+	if a.d != b.d {
+		if a.d < b.d {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.s, b.s)
+}
+
 // rankPlacements orders candidate switches for an unmapped endpoint: only
 // switches with an NI that can absorb the core's projected demand qualify,
 // scored by least-cost-tree distance from the mapped endpoint's switch under
@@ -567,11 +568,7 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 	if err != nil {
 		return nil
 	}
-	type cand struct {
-		s int
-		d float64
-	}
-	var cands []cand
+	var cands []switchCand
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		free := m.p.CoresPerSwitch() - m.switchCores[s]
 		need := 1
@@ -592,14 +589,9 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 		if d < 0 {
 			continue // unreachable under current load
 		}
-		cands = append(cands, cand{s, d + m.attachPenalty(worst)})
+		cands = append(cands, switchCand{s, d + m.attachPenalty(worst)})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].s < cands[j].s
-	})
+	slices.SortStableFunc(cands, byDistance)
 	if len(cands) > m.p.PlacementCandidates {
 		cands = cands[:m.p.PlacementCandidates]
 	}
@@ -615,11 +607,7 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 // load penalty (deterministic seed order for flows with no mapped endpoint).
 func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
 	centre := m.top.Centre()
-	type cand struct {
-		s int
-		d float64
-	}
-	var cands []cand
+	var cands []switchCand
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		if m.switchCores[s] >= m.p.CoresPerSwitch() {
 			continue
@@ -630,14 +618,9 @@ func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
 		}
 		d := float64(m.top.HopDistance(topology.SwitchID(s), centre))*m.p.Cost.HopCost +
 			m.attachPenalty(worst)
-		cands = append(cands, cand{s, d})
+		cands = append(cands, switchCand{s, d})
 	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		if cands[i].d != cands[j].d {
-			return cands[i].d < cands[j].d
-		}
-		return cands[i].s < cands[j].s
-	})
+	slices.SortStableFunc(cands, byDistance)
 	if len(cands) > n {
 		cands = cands[:n]
 	}
@@ -701,9 +684,9 @@ func (m *mapper) undoPlacement(pl placement) {
 // reservation is sized by the group's heaviest same-pair flow and must
 // satisfy the group's tightest latency constraint; it is recorded once in
 // the group's shared state (Algorithm 2 steps 4-6).
-func (m *mapper) routeGroups(key traffic.PairKey, plan *pairPlan) error {
+func (m *mapper) routeGroups(key traffic.PairKey, pi int32, plan *pairPlan) error {
 	for i, g := range plan.groups {
-		if err := m.reservePair(g, key, plan.bw[i], plan.lat[i]); err != nil {
+		if err := m.reservePair(g, key, pi, plan.bw[i], plan.lat[i]); err != nil {
 			return fmt.Errorf("group %d: %w", g, err)
 		}
 	}
@@ -712,26 +695,32 @@ func (m *mapper) routeGroups(key traffic.PairKey, plan *pairPlan) error {
 
 // reservePair selects a path and aligned slots for one pair in one group's
 // state (via the evaluator's shared reservation primitive) and journals the
-// result.
-func (m *mapper) reservePair(g int, key traffic.PairKey, bw float64, latencyNS float64) error {
+// result. The probe runs in the attempt's scratch record; only a granted
+// reservation's path and starts are copied out of it.
+func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, latencyNS float64) error {
 	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
 	egress := m.niEgress(m.coreNI[key.Src])
 	ingress := m.niIngress(m.coreNI[key.Dst])
-	path, starts, n, err := m.ev.reserveSlots(m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS)
-	if err != nil {
-		return err
+	if err := m.reserveSlotsInto(m.res, m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS, m.rec); err != nil {
+		return m.reserveError(err, m.res.cands, key, srcS, dstS, bw, latencyNS)
 	}
+	// One buffer holds both copies; the capped path cannot grow into starts.
+	buf := make([]int, len(m.rec.path)+len(m.rec.start))
+	np := copy(buf, m.rec.path)
+	copy(buf[np:], m.rec.start)
+	path, starts := buf[:np:np], buf[np:]
 	owner := m.nextOwner
 	m.nextOwner++
-	m.configs[g][key] = &Assignment{Path: path, Starts: starts, SlotCount: n}
+	m.configs[g][pi] = &Assignment{Path: path, Starts: starts, SlotCount: len(starts)}
 	// The pair's projected demand is now realized.
 	demand := 0
 	if m.remOut != nil {
-		demand = m.pairSlots[g][key]
+		demand = m.pairSlots[g][pi]
 		m.remOut[g][key.Src] -= demand
 		m.remIn[g][key.Dst] -= demand
 	}
-	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key, demand: demand})
+	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key,
+		demand: demand, idx: pi, hops: m.rec.hops})
 	return nil
 }
 
@@ -739,7 +728,7 @@ func (m *mapper) rollback(mark int) {
 	for i := len(m.journal) - 1; i >= mark; i-- {
 		r := m.journal[i]
 		m.states[r.group].Release(r.owner, r.path, r.start)
-		delete(m.configs[r.group], r.key)
+		m.configs[r.group][r.idx] = nil
 		if m.remOut != nil {
 			m.remOut[r.group][r.key.Src] += r.demand
 			m.remIn[r.group][r.key.Dst] += r.demand
@@ -747,6 +736,3 @@ func (m *mapper) rollback(mark int) {
 	}
 	m.journal = m.journal[:mark]
 }
-
-func (m *mapper) niEgress(globalNI int) int  { return m.meshLinks + 2*globalNI }
-func (m *mapper) niIngress(globalNI int) int { return m.meshLinks + 2*globalNI + 1 }

@@ -185,8 +185,6 @@ func (ev *Evaluator) NewSession(coreSwitch, coreNI []int) (*Session, error) {
 	// exclusively this session's and can enter the recycling pool.
 	for i := range journal {
 		r := &journal[i]
-		r.idx = ev.pairIdx[r.key]
-		r.hops = ev.pathHops(r.path)
 		s.recs[r.group][r.idx] = r
 	}
 	s.nextOwner = int32(len(journal))
@@ -419,7 +417,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 			key := s.ev.pairList[idx]
 			rec := s.getRec()
 			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
-				s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
+				s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
 				plan.bw[gi], plan.lat[gi], rec)
 			if err != nil {
 				s.putRec(rec)
@@ -479,7 +477,7 @@ func (s *Session) rebuildGroup(g int) error {
 		key := pd.key
 		rec := s.getRec()
 		err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
-			s.cs[key.Src], s.cs[key.Dst], s.niEgress(s.cn[key.Src]), s.niIngress(s.cn[key.Dst]),
+			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
 			pd.bw, pd.lat, rec)
 		if err != nil {
 			s.putRec(rec)
@@ -787,5 +785,5 @@ func (s *Session) statsFromRecs() Stats {
 	return st
 }
 
-func (s *Session) niEgress(globalNI int) int  { return s.ev.meshLinks + 2*globalNI }
-func (s *Session) niIngress(globalNI int) int { return s.ev.meshLinks + 2*globalNI + 1 }
+func (ev *Evaluator) niEgress(globalNI int) int  { return ev.meshLinks + 2*globalNI }
+func (ev *Evaluator) niIngress(globalNI int) int { return ev.meshLinks + 2*globalNI + 1 }

@@ -25,7 +25,6 @@ package route
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"nocmap/internal/graph"
@@ -263,16 +262,8 @@ func dimDirs(n, a, b int, wrap bool) (steps int, dirs []int) {
 	return steps, dirs
 }
 
-// Candidates assembles a deterministic, deduplicated list of candidate paths
-// for a flow, cheapest first: the Dijkstra least-cost path (which may detour
-// around saturated links), then minimal paths ordered by residual cost. At
-// most p.MaxCandidates paths are returned; infeasible (infinite-cost) paths
-// are dropped.
-func Candidates(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
-	max := maxCandidates(p)
-	return assemble(top, st, src, dst, neededSlots, p, MinimalPaths(top, src, dst, 2*max), max)
-}
-
+// maxCandidates is the candidate cap of a query: p.MaxCandidates, or 8 when
+// unset.
 func maxCandidates(p CostParams) int {
 	if p.MaxCandidates <= 0 {
 		return 8
@@ -286,9 +277,8 @@ func maxCandidates(p CostParams) int {
 // same fabric (core.Evaluator under the annealer) pays the staircase-path
 // recursion once per pair instead of once per flow per candidate placement.
 // The state-dependent half (the Dijkstra least-cost path and the residual
-// cost ordering) is still computed per query, so Table.Candidates returns
-// exactly what Candidates would for the same inputs. A Table is safe for
-// concurrent use; the portfolio's workers share one per topology.
+// cost ordering) is still computed per query (CandidatesInto). A Table is
+// safe for concurrent use; the portfolio's workers share one per topology.
 type Table struct {
 	top *topology.Topology
 	max int // candidate cap the cached enumeration was sized for
@@ -304,12 +294,6 @@ type pairIndex struct{ src, dst topology.SwitchID }
 // evaluator owns both, so this holds by construction).
 func NewTable(top *topology.Topology, p CostParams) *Table {
 	return &Table{top: top, max: maxCandidates(p), minimal: make(map[pairIndex][]Path)}
-}
-
-// Candidates is Candidates computed against the cached minimal-path
-// enumeration. Results are identical to the package-level function.
-func (t *Table) Candidates(st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
-	return assemble(t.top, st, src, dst, neededSlots, p, t.minimalFor(src, dst), t.max)
 }
 
 // minimalFor returns (computing and caching on first use) the minimal-path
@@ -359,11 +343,18 @@ func NewScratch() *Scratch {
 	return sc
 }
 
-// CandidatesInto is Table.Candidates with every working allocation drawn
-// from the scratch. The returned slice — and the least-cost path it may
-// contain — are owned by the scratch and overwritten by the next call;
-// minimal paths in the slice alias the table's immutable cache. Results are
-// identical to Candidates.
+// CandidatesInto assembles a deterministic, deduplicated list of candidate
+// paths for a flow, cheapest first: the Dijkstra least-cost path (which may
+// detour around saturated links), then the cached minimal paths, ordered by
+// residual cost. At most MaxCandidates paths are returned; infeasible
+// (infinite-cost) paths are dropped. The minimal enumeration never repeats
+// a path, so the only possible duplicate is the least-cost path reappearing
+// among the minimals — one slice comparison per minimal.
+//
+// Every working allocation is drawn from the scratch. The returned slice —
+// and the least-cost path it may contain — are owned by the scratch and
+// overwritten by the next call; minimal paths in the slice alias the
+// table's immutable cache.
 func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
 	minimal := t.minimalFor(src, dst)
 	sc.st, sc.needed, sc.cp = st, neededSlots, p
@@ -391,8 +382,7 @@ func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.Sw
 		sc.scored = append(sc.scored, scoredPath{m, c})
 	}
 	// Stable insertion sort by cost: equal-cost candidates keep their
-	// insertion order, matching assemble's sort.SliceStable without its
-	// reflection allocations (the candidate set is at most 2*max+1 paths).
+	// insertion order (the candidate set is at most 2*max+1 paths).
 	cands := sc.scored
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && cands[j].cost < cands[j-1].cost; j-- {
@@ -408,55 +398,6 @@ func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.Sw
 	}
 	sc.out = out
 	return out
-}
-
-// assemble scores, deduplicates, orders and trims the candidate set from the
-// Dijkstra least-cost path plus the supplied minimal paths. The minimal
-// enumeration never repeats a path, so the only possible duplicate is the
-// least-cost path reappearing among the minimals — one slice comparison per
-// minimal, no keying allocation on this very hot call.
-func assemble(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams, minimal []Path, max int) []Path {
-	type scored struct {
-		path Path
-		cost float64
-	}
-	cands := make([]scored, 0, len(minimal)+1)
-	var lc Path
-	if path, _, err := LeastCost(top, st, src, dst, neededSlots, p); err == nil {
-		if c := PathCost(st, path, neededSlots, p); !math.IsInf(c, 1) {
-			lc = path
-			cands = append(cands, scored{path, c})
-		}
-	}
-	for _, m := range minimal {
-		if lc != nil && pathEqual(m, lc) {
-			continue
-		}
-		c := PathCost(st, m, neededSlots, p)
-		if math.IsInf(c, 1) {
-			continue
-		}
-		cands = append(cands, scored{m, c})
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]Path, len(cands))
-	for i, c := range cands {
-		out[i] = c.path
-	}
-	return out
-}
-
-// pathKey is a comparable encoding of a path (used by tests to assert
-// candidate-set equality).
-func pathKey(p Path) string {
-	b := make([]byte, 0, 4*len(p))
-	for _, l := range p {
-		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
-	}
-	return string(b)
 }
 
 func pathEqual(a, b Path) bool {

@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -266,7 +267,7 @@ func TestCandidatesOrderingAndDedup(t *testing.T) {
 	top := mesh(t, 3, 3)
 	st := state(t, top, 8)
 	p := DefaultCostParams()
-	cands := Candidates(top, st, top.At(0, 0), top.At(2, 2), 1, p)
+	cands := candidates(top, st, top.At(0, 0), top.At(2, 2), 1, p)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on a fresh mesh")
 	}
@@ -298,7 +299,7 @@ func TestCandidatesSkipInfeasible(t *testing.T) {
 	if err := st.Reserve(1, []int{0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if cands := Candidates(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
+	if cands := candidates(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
 		t.Errorf("saturated mesh candidates = %v, want none", cands)
 	}
 }
@@ -403,8 +404,8 @@ func max(a, b int) int {
 }
 
 // TestTableMatchesCandidates: the cached table must return exactly what the
-// package-level Candidates returns, on fresh and on loaded states, across
-// mesh, torus and repeated queries (cache hits).
+// from-scratch candidates oracle returns, on fresh and on loaded states,
+// across mesh, torus and repeated queries (cache hits).
 func TestTableMatchesCandidates(t *testing.T) {
 	tops := []*topology.Topology{}
 	if m, err := topology.NewMesh(3, 4, 1); err == nil {
@@ -430,8 +431,8 @@ func TestTableMatchesCandidates(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					want := Candidates(top, st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
-					got := tab.Candidates(st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
+					want := candidates(top, st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
+					got := tab.CandidatesInto(NewScratch(), st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
 					if len(got) != len(want) {
 						t.Fatalf("%s %d->%d: table returned %d candidates, want %d", top, src, dst, len(got), len(want))
 					}
@@ -466,7 +467,7 @@ func TestTableConcurrent(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				if got := tab.Candidates(st, src, dst, 1, p); len(got) == 0 {
+				if got := tab.CandidatesInto(NewScratch(), st, src, dst, 1, p); len(got) == 0 {
 					t.Errorf("no candidates %d->%d on empty state", src, dst)
 					return
 				}
@@ -476,4 +477,52 @@ func TestTableConcurrent(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		<-done
 	}
+}
+
+// candidates is the from-scratch reference for Table.CandidatesInto: the
+// Dijkstra least-cost path plus a fresh minimal-path enumeration, scored,
+// deduplicated, stably sorted by cost and trimmed to the candidate cap.
+func candidates(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
+	max := maxCandidates(p)
+	type scored struct {
+		path Path
+		cost float64
+	}
+	var cands []scored
+	var lc Path
+	if path, _, err := LeastCost(top, st, src, dst, neededSlots, p); err == nil {
+		if c := PathCost(st, path, neededSlots, p); !math.IsInf(c, 1) {
+			lc = path
+			cands = append(cands, scored{path, c})
+		}
+	}
+	for _, m := range MinimalPaths(top, src, dst, 2*max) {
+		if lc != nil && pathEqual(m, lc) {
+			continue
+		}
+		c := PathCost(st, m, neededSlots, p)
+		if math.IsInf(c, 1) {
+			continue
+		}
+		cands = append(cands, scored{m, c})
+	}
+	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
+	if len(cands) > max {
+		cands = cands[:max]
+	}
+	out := make([]Path, len(cands))
+	for i, c := range cands {
+		out[i] = c.path
+	}
+	return out
+}
+
+// pathKey is a comparable encoding of a path (asserts candidate-set
+// equality).
+func pathKey(p Path) string {
+	b := make([]byte, 0, 4*len(p))
+	for _, l := range p {
+		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
+	}
+	return string(b)
 }

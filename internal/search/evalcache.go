@@ -12,8 +12,10 @@ import (
 // single annealer reuses the evaluator between its move chain and its
 // shrink probes on the same fabric; the portfolio shares one cache across
 // every member, so N annealers probing the same smaller mesh build its
-// validation, flow templates and candidate-path tables once. Evaluators are
-// safe for concurrent use, so handing one to multiple workers is sound.
+// candidate-path table once. The design's flow templates do not depend on
+// the fabric: they are built (and the inputs validated) with the first
+// evaluator, and every later topology derives from it. Evaluators are safe
+// for concurrent use, so handing one to multiple workers is sound.
 // Engine subpackages (population, exact) build their own cache per Search
 // call through NewEvalCache.
 type EvalCache struct {
@@ -21,8 +23,9 @@ type EvalCache struct {
 	numCores int
 	p        core.Params
 
-	mu sync.Mutex
-	m  map[string]*core.Evaluator
+	mu    sync.Mutex
+	m     map[string]*core.Evaluator
+	first *core.Evaluator // template donor for every later topology
 }
 
 // NewEvalCache returns an empty evaluator cache over the prepared design.
@@ -42,7 +45,14 @@ func (c *EvalCache) For(top *topology.Topology) (*core.Evaluator, error) {
 	if ev, ok := c.m[key]; ok {
 		return ev, nil
 	}
-	ev, err := core.NewEvaluator(c.prep, c.numCores, top, c.p)
+	var ev *core.Evaluator
+	var err error
+	if c.first == nil {
+		ev, err = core.NewEvaluator(c.prep, c.numCores, top, c.p)
+		c.first = ev
+	} else {
+		ev, err = c.first.On(top)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -613,7 +613,7 @@ func (s *Service) run(j *Job) {
 		req.Opts.Progress = s.streamTap(j)
 	}
 	req.Opts.Progress = s.met.progressTap(req.Opts.Progress)
-	resp, tm, err := solve(ctx, req)
+	resp, tm, err := solve(ctx, j.Key, req)
 	if j.streamed && err != nil && isExpiry(err) {
 		// A streamed job's deadline expiring is not a failure: the stream
 		// already served its incumbents, and the engines return their best
@@ -715,8 +715,9 @@ func (s *Service) outcome(j *Job) (*Response, error) {
 // solve runs the full pipeline for one request: pre-process, search, verify,
 // summarize. It is deliberately free of service state — the pure function
 // the pool executes — and reports where the wall clock went, stage by stage,
-// even on failure (so a timeout shows which stage ate the budget).
-func solve(ctx context.Context, req Request) (_ *Response, tm Timings, _ error) {
+// even on failure (so a timeout shows which stage ate the budget). key is
+// the request's digest, computed once at admission.
+func solve(ctx context.Context, key string, req Request) (_ *Response, tm Timings, _ error) {
 	start := time.Now()
 	defer func() { tm.TotalMS = ms(time.Since(start)) }()
 	eng, err := search.New(req.Engine)
@@ -735,7 +736,7 @@ func solve(ctx context.Context, req Request) (_ *Response, tm Timings, _ error) 
 		return nil, tm, err
 	}
 	sumStart := time.Now()
-	resp := summarize(req, prep, res)
+	resp := summarize(key, req, prep, res)
 	tm.SummarizeMS = ms(time.Since(sumStart))
 	return resp, tm, nil
 }
@@ -809,9 +810,9 @@ type UseCaseResult struct {
 	Group    int    `json:"group"`
 }
 
-// summarize flattens an engine result into the wire form.
-func summarize(req Request, prep *usecase.Prepared, res *core.Result) *Response {
-	key, _ := req.Key() // validated at admission; cannot fail here
+// summarize flattens an engine result into the wire form under the
+// request's admission key.
+func summarize(key string, req Request, prep *usecase.Prepared, res *core.Result) *Response {
 	return &Response{Key: key, Engine: req.Engine, Result: SummarizeResult(req.Design.Name, prep, res)}
 }
 

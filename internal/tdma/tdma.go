@@ -205,20 +205,14 @@ func (s *State) AvailableStarts(path []int) []int {
 	return starts
 }
 
-// FindAligned selects n starting slots for a reservation along path,
+// FindAlignedInto selects n starting slots for a reservation along path,
 // spreading them as evenly as possible around the table to minimize the
-// worst-case waiting gap. It returns nil, false if fewer than n aligned
-// starts exist. The path must be non-empty.
-func (s *State) FindAligned(path []int, n int) ([]int, bool) {
-	return s.FindAlignedInto(path, n, nil)
-}
-
-// FindAlignedInto is FindAligned writing the chosen starts into buf
-// (append semantics from buf[:0]; pass nil to allocate). With a word-sized
-// table (slots <= 64) a successful probe performs no heap allocation beyond
-// buf's one-time growth — the hot evaluation path reuses one buffer per
-// record. The returned starts are sorted ascending, identical to
-// FindAligned's.
+// worst-case waiting gap, and writes them into buf (append semantics from
+// buf[:0]; pass nil to allocate). It returns nil, false if fewer than n
+// aligned starts exist; the path must be non-empty. With a word-sized
+// table (slots <= 64) a successful probe performs no heap allocation
+// beyond buf's one-time growth — the evaluation paths reuse one buffer per
+// reservation record. The returned starts are sorted ascending.
 func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	if n <= 0 || len(path) == 0 {
 		return nil, false
@@ -297,7 +291,7 @@ func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 }
 
 // Reserve claims the aligned slots for owner along path. The starts must be
-// free (as returned by FindAligned); otherwise an error is returned and the
+// free (as returned by FindAlignedInto); otherwise an error is returned and the
 // state is left unchanged.
 func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if owner < 0 {
@@ -371,7 +365,7 @@ func MaxGap(starts []int, slots int) int {
 }
 
 // MaxGapSorted is MaxGap for starts already sorted ascending (the form
-// FindAligned returns), skipping the defensive copy-and-sort.
+// FindAlignedInto returns), skipping the defensive copy-and-sort.
 func MaxGapSorted(starts []int, slots int) int {
 	if len(starts) == 0 {
 		return slots

@@ -133,9 +133,9 @@ func TestAvailableStarts(t *testing.T) {
 
 func TestFindAlignedSpacing(t *testing.T) {
 	s := mustState(t, 1, 8)
-	starts, ok := s.FindAligned([]int{0}, 2)
+	starts, ok := s.FindAlignedInto([]int{0}, 2, nil)
 	if !ok || len(starts) != 2 {
-		t.Fatalf("FindAligned = %v,%v", starts, ok)
+		t.Fatalf("FindAlignedInto = %v,%v", starts, ok)
 	}
 	// Two slots on an empty table of 8 should be spread ~4 apart.
 	if MaxGap(starts, 8) > 4 {
@@ -148,17 +148,17 @@ func TestFindAlignedExactAndFail(t *testing.T) {
 	if err := s.Reserve(1, []int{0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	starts, ok := s.FindAligned([]int{0}, 2)
+	starts, ok := s.FindAlignedInto([]int{0}, 2, nil)
 	if !ok || !reflect.DeepEqual(starts, []int{2, 3}) {
-		t.Errorf("exact-fit FindAligned = %v,%v", starts, ok)
+		t.Errorf("exact-fit FindAlignedInto = %v,%v", starts, ok)
 	}
-	if _, ok := s.FindAligned([]int{0}, 3); ok {
-		t.Error("FindAligned found more slots than free")
+	if _, ok := s.FindAlignedInto([]int{0}, 3, nil); ok {
+		t.Error("FindAlignedInto found more slots than free")
 	}
-	if _, ok := s.FindAligned([]int{0}, 0); ok {
+	if _, ok := s.FindAlignedInto([]int{0}, 0, nil); ok {
 		t.Error("n=0 should fail")
 	}
-	if _, ok := s.FindAligned(nil, 1); ok {
+	if _, ok := s.FindAlignedInto(nil, 1, nil); ok {
 		t.Error("empty path should fail")
 	}
 }
@@ -253,12 +253,12 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 			plen := 1 + rng.Intn(links)
 			path := rng.Perm(links)[:plen]
 			n := 1 + rng.Intn(3)
-			starts, ok := s.FindAligned(path, n)
+			starts, ok := s.FindAlignedInto(path, n, nil)
 			if !ok {
 				continue
 			}
 			if err := s.Reserve(owner, path, starts); err != nil {
-				return false // FindAligned result must always be reservable
+				return false // FindAlignedInto result must always be reservable
 			}
 			made = append(made, res{owner, path, starts})
 		}
@@ -289,7 +289,7 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 	}
 }
 
-// Property: FindAligned returns sorted, distinct, in-range starts and the
+// Property: FindAlignedInto returns sorted, distinct, in-range starts and the
 // count requested.
 func TestFindAlignedShapeProperty(t *testing.T) {
 	f := func(seed int64) bool {
@@ -306,7 +306,7 @@ func TestFindAlignedShapeProperty(t *testing.T) {
 		}
 		path := []int{0, 1, 2}
 		n := 1 + rng.Intn(4)
-		starts, ok := s.FindAligned(path, n)
+		starts, ok := s.FindAlignedInto(path, n, nil)
 		if !ok {
 			return len(s.AvailableStarts(path)) < n
 		}
@@ -350,17 +350,17 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := []int{0, 1, 2}
-	starts, ok := s.FindAligned(path, 3)
+	starts, ok := s.FindAlignedInto(path, 3, nil)
 	if !ok {
-		t.Fatal("FindAligned failed on empty state")
+		t.Fatal("FindAlignedInto failed on empty state")
 	}
 	if err := s.Reserve(7, path, starts); err != nil {
 		t.Fatal(err)
 	}
 	path2 := []int{1, 3}
-	starts2, ok := s.FindAligned(path2, 2)
+	starts2, ok := s.FindAlignedInto(path2, 2, nil)
 	if !ok {
-		t.Fatal("second FindAligned failed")
+		t.Fatal("second FindAlignedInto failed")
 	}
 	if err := s.Reserve(8, path2, starts2); err != nil {
 		t.Fatal(err)
@@ -384,9 +384,9 @@ func TestResetRestoresNewState(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := []int{0, 2}
-	starts, ok := s.FindAligned(path, 4)
+	starts, ok := s.FindAlignedInto(path, 4, nil)
 	if !ok {
-		t.Fatal("FindAligned failed")
+		t.Fatal("FindAlignedInto failed")
 	}
 	if err := s.Reserve(1, path, starts); err != nil {
 		t.Fatal(err)
@@ -408,7 +408,7 @@ func TestResetRestoresNewState(t *testing.T) {
 func TestCloneCopiesFreeCounts(t *testing.T) {
 	s, _ := NewState(2, 4)
 	path := []int{0}
-	starts, _ := s.FindAligned(path, 2)
+	starts, _ := s.FindAlignedInto(path, 2, nil)
 	if err := s.Reserve(3, path, starts); err != nil {
 		t.Fatal(err)
 	}

@@ -196,20 +196,34 @@ func checkGroupSharing(m *core.Mapping) []Violation {
 }
 
 // checkContention rebuilds the slot tables of every group configuration
-// from scratch and reports any (link, slot) claimed twice.
+// from scratch and reports any (link, slot) claimed twice. The tables are
+// one dense links×T owner array, cleared per group; cells outside it —
+// link indices or slots a corrupt mapping puts beyond the fabric — go to a
+// map instead, so they are judged exactly like in-range cells.
 func checkContention(m *core.Mapping) []Violation {
 	var out []Violation
 	T := m.Params.SlotTableSize
+	links := m.TotalLinks()
+	// A cell holds 1 + the index in keys of the pair that last claimed it,
+	// 0 while unclaimed.
+	owner := make([]int32, links*max(T, 0))
+	var stray map[[2]int]int32
+	walked := make(map[traffic.PairKey]bool)
+	var keys []traffic.PairKey
 	for gi, group := range m.Prep.Groups {
-		owner := make(map[[2]int]traffic.PairKey) // (link, slot) -> pair
-		claimed := make(map[traffic.PairKey]bool)
+		clear(owner)
+		clear(stray)
+		clear(walked)
+		keys = keys[:0]
 		for _, uc := range group {
 			for _, f := range m.Prep.UseCases[uc].Flows {
 				key := f.Key()
-				if claimed[key] {
+				if walked[key] {
 					continue // shared assignment, already walked
 				}
-				claimed[key] = true
+				walked[key] = true
+				keys = append(keys, key)
+				id := int32(len(keys))
 				a := m.Configs[uc].Assignments[key]
 				if a == nil {
 					continue
@@ -217,13 +231,22 @@ func checkContention(m *core.Mapping) []Violation {
 				for _, st := range a.Starts {
 					for h, link := range a.Path {
 						slot := (st + h) % T
-						cell := [2]int{link, slot}
-						if other, dup := owner[cell]; dup && other != key {
+						var prev int32
+						if link >= 0 && link < links && slot >= 0 && slot < T {
+							prev, owner[link*T+slot] = owner[link*T+slot], id
+						} else {
+							if stray == nil {
+								stray = make(map[[2]int]int32)
+							}
+							cell := [2]int{link, slot}
+							prev, stray[cell] = stray[cell], id
+						}
+						if prev != 0 && prev != id {
+							other := keys[prev-1]
 							out = append(out, Violation{UseCase: uc, Pair: key,
 								Reason: fmt.Sprintf("group %d: link %d slot %d also claimed by %d->%d",
 									gi, link, slot, other.Src, other.Dst)})
 						}
-						owner[cell] = key
 					}
 				}
 			}

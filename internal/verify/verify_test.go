@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -172,5 +173,65 @@ func TestViolationString(t *testing.T) {
 	s := v.String()
 	if !strings.Contains(s, "use-case 2") || !strings.Contains(s, "1->3") || !strings.Contains(s, "boom") {
 		t.Errorf("String = %q", s)
+	}
+}
+
+// TestCheckCorruptLinkIndices: a corrupt mapping may name links outside
+// the fabric. Check must not panic on them and must report them exactly as
+// before — including contention between two pairs that claim the same
+// out-of-range (link, slot) cell.
+func TestCheckCorruptLinkIndices(t *testing.T) {
+	// claims lists the contention verdicts: 1->2 collides with 0->1 on every
+	// slot of the shared corrupt first link, and 4->5 with 1->2 on link 3.
+	claims := func(link string) []string {
+		var out []string
+		for _, slot := range []int{1, 4, 9, 14, 18, 24, 29, 34, 39, 43, 49, 54, 59} {
+			out = append(out, fmt.Sprintf("use-case 0 flow 1->2: group 0: link %s slot %d also claimed by 0->1", link, slot))
+		}
+		for _, slot := range []int{5, 25, 40, 60} {
+			out = append(out, fmt.Sprintf("use-case 1 flow 4->5: group 0: link 3 slot %d also claimed by 1->2", slot))
+		}
+		return out
+	}
+	k1 := traffic.PairKey{Src: 0, Dst: 1}
+	k2 := traffic.PairKey{Src: 1, Dst: 2}
+	cases := []struct {
+		name    string
+		corrupt func(m *core.Mapping, a1, a2 *core.Assignment)
+		want    []string
+	}{
+		{"beyond link count", func(m *core.Mapping, a1, a2 *core.Assignment) {
+			a2.Starts = append([]int(nil), a1.Starts...)
+			a2.SlotCount = a1.SlotCount
+			a1.Path[0] = m.TotalLinks() + 7
+			a2.Path[0] = m.TotalLinks() + 7
+		}, append([]string{
+			"use-case 0 flow 0->1: path starts at link 11, want NI egress 2",
+			"use-case 0 flow 1->2: path starts at link 11, want NI egress 0",
+			"use-case 1 flow 0->1: path starts at link 11, want NI egress 2",
+		}, claims("11")...)},
+		{"negative link", func(m *core.Mapping, a1, a2 *core.Assignment) {
+			a2.Starts = append([]int(nil), a1.Starts...)
+			a2.SlotCount = a1.SlotCount
+			a1.Path[0] = -1
+			a2.Path[0] = -1
+		}, append([]string{
+			"use-case 0 flow 0->1: path starts at link -1, want NI egress 2",
+			"use-case 0 flow 1->2: path starts at link -1, want NI egress 0",
+			"use-case 1 flow 0->1: path starts at link -1, want NI egress 2",
+		}, claims("-1")...)},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mapped(t, sampleDesign())
+			tc.corrupt(m, m.Configs[0].Assignments[k1], m.Configs[0].Assignments[k2])
+			var got []string
+			for _, v := range Check(m) {
+				got = append(got, v.String())
+			}
+			if strings.Join(got, "\n") != strings.Join(tc.want, "\n") {
+				t.Errorf("violations:\n got %q\nwant %q", got, tc.want)
+			}
+		})
 	}
 }
