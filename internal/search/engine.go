@@ -6,18 +6,21 @@
 // core.Stats, and three engines:
 //
 //   - greedy:    the paper's Algorithm 2, unchanged (core.Map).
-//   - anneal:    simulated annealing over core placements, re-routing and
-//     re-reserving slots for every candidate via core.EvaluateFixed,
-//     including attempts to shrink below the greedy mesh size.
+//   - anneal:    simulated annealing over core placements, scoring every
+//     candidate through an incremental core.Session move, including
+//     attempts to shrink below the greedy mesh size.
 //   - portfolio: a parallel multi-start portfolio that races the greedy
 //     engine against N deterministically-seeded annealers under a shared
 //     context and wall-clock budget and returns the best feasible result.
 //
 // The population subpackage registers three metaheuristic engines over the
-// same encoding (ga, pso, abc), and the exact subpackage registers a
-// branch-and-bound engine that computes provable switch-count lower bounds
-// on small designs. Every future strategy plugs in by registering another
-// Engine.
+// same placement encoding (ga, pso, abc), and the exact subpackage
+// registers a branch-and-bound engine that computes provable switch-count
+// lower bounds on small designs. The annealer and the population engines
+// share one Kit (kit.go): the greedy base, the restart probes of smaller
+// fabrics, the incumbent bookkeeping and the swap/relocate neighbourhood,
+// so they differ only in how they search one fabric. Every future strategy
+// plugs in by registering another Engine.
 package search
 
 import (
@@ -72,8 +75,10 @@ type Options struct {
 	// past that the replay synchronization outweighs any conceivable core
 	// count.
 	SpecK int
-	// Restarts is how many random placements the annealer tries per
-	// smaller-than-greedy mesh size when probing for a feasible start.
+	// Restarts is how many random placements the improvement engines
+	// (anneal, ga, pso, abc) try per smaller-than-greedy mesh size when
+	// probing for a feasible start; abc's scouts draw as many (at least one)
+	// when abandoning a food source.
 	Restarts int
 	// Population is the number of candidate placements the population-based
 	// engines (ga, pso, abc) carry per generation. Zero means the engine
@@ -91,15 +96,15 @@ type Options struct {
 	Weights CostWeights
 	// Progress, when set, receives streaming events while the search runs:
 	// the constructive base (StageMapped), every strict improvement of an
-	// annealer's incumbent (StageImproved), and the final result (StageDone).
+	// engine's incumbent (StageImproved), and the final result (StageDone).
 	// The callback runs synchronously on the searching goroutine and is
 	// never invoked concurrently with itself — the portfolio serializes its
 	// members — so a slow callback slows the search. Progress does not
 	// affect the result and is excluded from service cache keys.
 	Progress func(Event)
 
-	// base, when set, is a precomputed greedy result the annealer starts
-	// from instead of running core.Map itself. The portfolio uses it to run
+	// base, when set, is a precomputed greedy result Improve starts from
+	// instead of running core.Map itself. The portfolio uses it to run
 	// the deterministic greedy pass once for all members.
 	base *core.Result
 	// evals, when set, is a shared per-topology evaluator cache. The
@@ -176,9 +181,8 @@ func (w CostWeights) Of(r *core.Result) float64 {
 }
 
 // OfParts scores a candidate from its switch count and statistics alone.
-// The annealer's incremental evaluation produces Stats without
-// materializing a Result, so the move loop scores candidates through this
-// form.
+// The engines' incremental evaluation produces Stats without materializing
+// a Result, so their move loops score candidates through this form.
 func (w CostWeights) OfParts(switches int, s core.Stats) float64 {
 	return w.SwitchCount*float64(switches) +
 		w.MeanHops*s.AvgMeshHops +

@@ -16,8 +16,8 @@ import (
 // the fabric: they are built (and the inputs validated) with the first
 // evaluator, and every later topology derives from it. Evaluators are safe
 // for concurrent use, so handing one to multiple workers is sound.
-// Engine subpackages (population, exact) build their own cache per Search
-// call through NewEvalCache.
+// Improve builds one per Search call unless the portfolio hands its own
+// down; the exact engine builds its own through NewEvalCache.
 type EvalCache struct {
 	prep     *usecase.Prepared
 	numCores int

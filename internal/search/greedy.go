@@ -34,6 +34,6 @@ func (g Greedy) Search(ctx context.Context, prep *usecase.Prepared, numCores int
 	}
 	o := opts
 	o.Seed = 0 // deterministic: no PRNG stream to report
-	o.emit(g.Name(), StageDone, res)
+	o.Emit(g.Name(), StageDone, res, Counts{})
 	return res, nil
 }

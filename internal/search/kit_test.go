@@ -1,0 +1,94 @@
+package search
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"nocmap/internal/core"
+	"nocmap/internal/verify"
+)
+
+// TestProposeInvariants drives the Kit's proposal over the greedy D1 and D2
+// sessions, keeping every other feasible candidate. A failed proposal must
+// leave the session's placement unchanged and no proposal may seat more
+// than CoresPerNI cores on an NI. A kept proposal must verify clean, and
+// its reported stats must equal those recomputed from its reservations
+// replayed into a fresh session. (A from-scratch Evaluate of the placement
+// is no oracle for the stats: the session re-routes only the moved cores'
+// flows, so its reservations may legitimately differ from the ones a full
+// configuration pass would choose.)
+func TestProposeInvariants(t *testing.T) {
+	for _, name := range []string{"D1", "D2"} {
+		t.Run(name, func(t *testing.T) {
+			prep, n := prepared(t, name)
+			p := core.DefaultParams()
+			base, err := core.Map(prep, n, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := &Kit{
+				NumCores: n, P: p, Opts: DefaultOptions(),
+				Rng:   rand.New(rand.NewSource(1)),
+				Evals: NewEvalCache(prep, n, p),
+				cs:    make([]int, n),
+				cn:    make([]int, n),
+			}
+			k.fit(base)
+			ev, err := k.Evals.For(base.Mapping.Topology)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, err := ev.SessionFrom(base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			attached := attachedCores(base.Mapping.CoreSwitch)
+			var feasible, failed int
+			for i := 0; i < 400; i++ {
+				beforeCS, beforeCN := sess.Placement()
+				stats, _, ok := k.Propose(sess, attached)
+				cs, cn := sess.Placement()
+				if !ok {
+					failed++
+					if !slices.Equal(cs, beforeCS) || !slices.Equal(cn, beforeCN) {
+						t.Fatalf("proposal %d failed but moved the session", i)
+					}
+					continue
+				}
+				feasible++
+				load := make([]int, len(k.niLoad))
+				for _, ni := range cn {
+					if ni < 0 {
+						continue
+					}
+					if load[ni]++; load[ni] > p.CoresPerNI {
+						t.Fatalf("proposal %d seats %d cores on NI %d, limit %d", i, load[ni], ni, p.CoresPerNI)
+					}
+				}
+				if i%2 == 1 {
+					sess.Undo()
+					if cs, cn := sess.Placement(); !slices.Equal(cs, beforeCS) || !slices.Equal(cn, beforeCN) {
+						t.Fatalf("proposal %d: Undo did not restore the placement", i)
+					}
+					continue
+				}
+				sess.Keep()
+				res := sess.Result()
+				if vs := verify.Check(res.Mapping); len(vs) != 0 {
+					t.Fatalf("proposal %d: kept configuration has violations: %v", i, vs)
+				}
+				replay, err := ev.SessionFrom(res)
+				if err != nil {
+					t.Fatalf("proposal %d: kept configuration does not replay: %v", i, err)
+				}
+				if replay.Stats() != stats {
+					t.Fatalf("proposal %d: stats %+v, replayed reservations %+v", i, stats, replay.Stats())
+				}
+			}
+			if feasible == 0 || failed == 0 {
+				t.Fatalf("%d feasible and %d failed proposals; the test needs both", feasible, failed)
+			}
+		})
+	}
+}

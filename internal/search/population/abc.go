@@ -15,7 +15,7 @@ import (
 // abandons the source with the most consecutive failures once it exceeds
 // the abandonment limit, reseeding it from a fresh random placement (or
 // re-diversifying it with random moves when no random placement
-// configures). Neighbours are the annealer's swap/relocate moves evaluated
+// configures). Neighbours are the search.Kit's swap/relocate moves evaluated
 // incrementally on the source's session.
 type ABC struct{}
 
@@ -53,7 +53,7 @@ func (abcEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			total += fitness[i]
 		}
 		for t := 0; t < len(pop); t++ {
-			draw := d.rng.Float64() * total
+			draw := d.Rng.Float64() * total
 			pick := len(pop) - 1
 			for i, f := range fitness {
 				if draw < f {
@@ -86,13 +86,13 @@ func (d *driver) probeSource(m *indiv, switches int, attached []int) {
 		m.trial++
 		return
 	}
-	cost := d.opts.Weights.OfParts(switches, stats)
+	cost := d.Opts.Weights.OfParts(switches, stats)
 	if cost < m.cost-1e-12 {
 		m.sess.Keep()
-		d.counts.Accepted++
+		d.Counts.Accepted++
 		m.cost = cost
 		m.trial = 0
-		d.considerMember(m)
+		d.ConsiderSession(m.sess, m.cost)
 		return
 	}
 	m.sess.Undo()
@@ -101,50 +101,26 @@ func (d *driver) probeSource(m *indiv, switches int, attached []int) {
 
 // scout replaces an abandoned source with a fresh random placement on the
 // same fabric, falling back to re-diversifying the existing source when no
-// random placement configures within Options.Restarts draws.
+// random placement configures within Options.Restarts draws (at least one).
 func (d *driver) scout(ctx context.Context, m *indiv, ev *core.Evaluator, switches int, attached []int) {
-	numNIs := ev.Topology().NumSwitches() * d.p.NIsPerSwitch
-	seats := make([]int, 0, numNIs*d.p.CoresPerNI)
-	for ni := 0; ni < numNIs; ni++ {
-		for k := 0; k < d.p.CoresPerNI; k++ {
-			seats = append(seats, ni)
-		}
-	}
-	tries := max(1, d.opts.Restarts)
-	for r := 0; r < tries; r++ {
-		if ctx.Err() != nil {
+	if res := d.Probe(ctx, ev, attached, max(1, d.Opts.Restarts)); res != nil {
+		// A placement the evaluator just configured always replays.
+		if sess, err := ev.SessionFrom(res); err == nil {
+			m.sess = sess
+			m.cost = d.Opts.Weights.OfParts(switches, sess.Stats())
+			m.trial = 0
+			d.ConsiderSession(m.sess, m.cost)
 			return
 		}
-		d.counts.Restarts++
-		d.rng.Shuffle(len(seats), func(i, j int) { seats[i], seats[j] = seats[j], seats[i] })
-		cs := make([]int, d.numCores)
-		cn := make([]int, d.numCores)
-		for i := range cs {
-			cs[i], cn[i] = -1, -1
-		}
-		for i, c := range attached {
-			cn[c] = seats[i]
-			cs[c] = seats[i] / d.p.NIsPerSwitch
-		}
-		res, err := ev.Evaluate(cs, cn)
-		if err != nil {
-			continue
-		}
-		sess, err := ev.SessionFrom(res)
-		if err != nil {
-			continue
-		}
-		m.sess = sess
-		m.cost = d.opts.Weights.OfParts(switches, sess.Stats())
-		m.trial = 0
-		d.considerMember(m)
+	}
+	if ctx.Err() != nil {
 		return
 	}
 	// No random placement configured: shake the source instead.
 	for k := 0; k < 3; k++ {
 		d.randomMove(m.sess, attached)
 	}
-	m.cost = d.opts.Weights.OfParts(switches, m.sess.Stats())
+	m.cost = d.Opts.Weights.OfParts(switches, m.sess.Stats())
 	m.trial = 0
-	d.considerMember(m)
+	d.ConsiderSession(m.sess, m.cost)
 }

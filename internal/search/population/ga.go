@@ -49,12 +49,12 @@ func (gaEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			pa.sess.PlacementInto(d.csBuf, d.paBuf) // csBuf is scratch here
 			pb.sess.PlacementInto(d.csBuf, d.pbBuf)
 			d.crossover(attached, d.paBuf, d.pbBuf)
-			if d.rng.Float64() < mutationRate {
+			if d.Rng.Float64() < mutationRate {
 				d.mutateSwap(attached)
 			}
 			m := pop[slot]
 			if d.adopt(m, switches, d.csBuf, d.cnBuf) {
-				d.considerMember(m)
+				d.ConsiderSession(m.sess, m.cost)
 			}
 		}
 	}
@@ -63,9 +63,9 @@ func (gaEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 // tournament returns the index of the best of k uniformly drawn members
 // (ties toward the earlier draw).
 func (d *driver) tournament(pop []*indiv, k int) int {
-	best := d.rng.Intn(len(pop))
+	best := d.Rng.Intn(len(pop))
 	for i := 1; i < k; i++ {
-		c := d.rng.Intn(len(pop))
+		c := d.Rng.Intn(len(pop))
 		if pop[c].cost < pop[best].cost-1e-12 {
 			best = c
 		}
@@ -80,20 +80,20 @@ func (d *driver) tournament(pop []*indiv, k int) int {
 // The single greedy pass keeps every child seat-feasible by construction.
 func (d *driver) crossover(attached []int, paCN, pbCN []int) {
 	cn, cs := d.cnBuf, d.csBuf
-	for c := 0; c < d.numCores; c++ {
+	for c := 0; c < d.NumCores; c++ {
 		cn[c], cs[c] = -1, -1
 	}
-	load := niOccupancyInto(d.niLoad, cn)
+	load := d.Occupancy(cn)
 	for _, c := range attached {
 		pick, alt := paCN[c], pbCN[c]
-		if d.rng.Intn(2) == 1 {
+		if d.Rng.Intn(2) == 1 {
 			pick, alt = alt, pick
 		}
-		if load[pick] >= d.p.CoresPerNI {
+		if load[pick] >= d.P.CoresPerNI {
 			pick = alt
 		}
-		if load[pick] >= d.p.CoresPerNI {
-			pick = emptiestNI(load, -1, -1, d.p.CoresPerNI)
+		if load[pick] >= d.P.CoresPerNI {
+			pick = search.EmptiestNI(load, -1, -1, d.P.CoresPerNI)
 			if pick < 0 {
 				// No seat anywhere — impossible on a fabric that seated the
 				// parents, but keep the child well-formed regardless.
@@ -102,7 +102,7 @@ func (d *driver) crossover(attached []int, paCN, pbCN []int) {
 		}
 		load[pick]++
 		cn[c] = pick
-		cs[c] = pick / d.p.NIsPerSwitch
+		cs[c] = pick / d.P.NIsPerSwitch
 	}
 }
 
@@ -110,8 +110,8 @@ func (d *driver) crossover(attached []int, paCN, pbCN []int) {
 // buffers.
 func (d *driver) mutateSwap(attached []int) {
 	cn, cs := d.cnBuf, d.csBuf
-	x := attached[d.rng.Intn(len(attached))]
-	y := attached[d.rng.Intn(len(attached))]
+	x := attached[d.Rng.Intn(len(attached))]
+	y := attached[d.Rng.Intn(len(attached))]
 	if x == y || cn[x] == cn[y] {
 		return
 	}

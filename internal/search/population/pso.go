@@ -64,8 +64,8 @@ func (psoEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			// Build the iteration's target placement in cnBuf/csBuf.
 			m.sess.PlacementInto(d.csBuf, d.cnBuf)
 			changed := false
-			if d.rng.Float64() < psoInertia {
-				changed = d.perturbTarget(attached) || changed
+			if d.Rng.Float64() < psoInertia {
+				_, _, changed = d.Move(d.csBuf, d.cnBuf, attached)
 			}
 			changed = d.alignTarget(attached, pbestCN[i], psoCognitive) || changed
 			changed = d.alignTarget(attached, gbestCN, psoSocial) || changed
@@ -82,37 +82,10 @@ func (psoEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			if m.cost < gbestCost-1e-12 {
 				gbestCost = m.cost
 				gbestCN = append(gbestCN[:0], pbestCN[i]...)
-				d.considerMember(m)
+				d.ConsiderSession(m.sess, m.cost)
 			}
 		}
 	}
-}
-
-// perturbTarget applies one random swap or relocation to the target buffers
-// (the inertial component of the velocity). Returns whether anything moved.
-func (d *driver) perturbTarget(attached []int) bool {
-	cn, cs := d.cnBuf, d.csBuf
-	if d.rng.Float64() < 0.7 {
-		x := attached[d.rng.Intn(len(attached))]
-		y := attached[d.rng.Intn(len(attached))]
-		if x == y || cn[x] == cn[y] {
-			return false
-		}
-		cn[x], cn[y] = cn[y], cn[x]
-		cs[x], cs[y] = cs[y], cs[x]
-		return true
-	}
-	load := niOccupancyInto(d.niLoad, cn)
-	x := attached[d.rng.Intn(len(attached))]
-	free := freeNIsInto(d.freeBuf[:0], load, cn[x], d.p.CoresPerNI)
-	d.freeBuf = free
-	if len(free) == 0 {
-		return false
-	}
-	ni := free[d.rng.Intn(len(free))]
-	cn[x] = ni
-	cs[x] = ni / d.p.NIsPerSwitch
-	return true
 }
 
 // alignTarget pulls up to psoMaxAlign differing attached cores of the
@@ -122,20 +95,20 @@ func (d *driver) perturbTarget(attached []int) bool {
 // deterministic order so the pull does not always favour low-indexed cores.
 func (d *driver) alignTarget(attached []int, attractor []int, prob float64) bool {
 	cn, cs := d.cnBuf, d.csBuf
-	load := niOccupancyInto(d.niLoad, cn)
+	load := d.Occupancy(cn)
 	moved, changed := 0, false
-	off := d.rng.Intn(len(attached))
+	off := d.Rng.Intn(len(attached))
 	for k := 0; k < len(attached) && moved < psoMaxAlign; k++ {
 		c := attached[(k+off)%len(attached)]
 		want := attractor[c]
-		if want < 0 || cn[c] == want || d.rng.Float64() >= prob {
+		if want < 0 || cn[c] == want || d.Rng.Float64() >= prob {
 			continue
 		}
-		if load[want] < d.p.CoresPerNI {
+		if load[want] < d.P.CoresPerNI {
 			load[cn[c]]--
 			load[want]++
 			cn[c] = want
-			cs[c] = want / d.p.NIsPerSwitch
+			cs[c] = want / d.P.NIsPerSwitch
 		} else {
 			// Seat full: swap with the lowest-indexed core on the wanted NI.
 			partner := -1

@@ -53,7 +53,7 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	if err != nil {
 		return nil, err
 	}
-	opts.emit(pf.Name(), StageMapped, base)
+	opts.Emit(pf.Name(), StageMapped, base, Counts{})
 	if opts.Budget > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
@@ -115,7 +115,7 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	wg.Wait()
 
 	best := pickBest(base, results, opts.Weights)
-	opts.emit(pf.Name(), StageDone, best)
+	opts.Emit(pf.Name(), StageDone, best, Counts{})
 	return best, nil
 }
 

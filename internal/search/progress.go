@@ -16,8 +16,8 @@ const (
 	// a probed smaller fabric).
 	StageMapped Stage = "mapped"
 	// StageImproved announces a new best-so-far under the cost weights.
-	// Every strict improvement of an annealer's incumbent emits exactly one
-	// event with this stage.
+	// Every strict improvement of an improvement engine's incumbent emits
+	// exactly one event with this stage.
 	StageImproved Stage = "improved"
 	// StageDone announces the engine's final result.
 	StageDone Stage = "done"
@@ -28,13 +28,15 @@ const (
 // the portfolio serializes its members' callbacks, so a callback never runs
 // concurrently with itself.
 type Event struct {
-	// Engine names the emitting engine ("greedy", "anneal", "portfolio").
-	// Portfolio members report as "anneal" with their derived Seed, followed
-	// by one final "portfolio" StageDone event for the pool's winner.
+	// Engine names the emitting engine: a registered engine name ("greedy",
+	// "anneal", "portfolio", "ga", "pso", "abc", "exact", or any engine
+	// registered later). Portfolio members report as "anneal" with their
+	// derived Seed, followed by one final "portfolio" StageDone event for the
+	// pool's winner.
 	Engine string `json:"engine"`
 	Stage  Stage  `json:"stage"`
-	// Seed is the PRNG seed of the emitting annealer (0 for deterministic
-	// engines), distinguishing portfolio members.
+	// Seed is the emitting run's Options.Seed (greedy, which draws no
+	// randomness, reports 0); it distinguishes portfolio members.
 	Seed int64 `json:"seed,omitempty"`
 	// Switches and Dim describe the candidate's fabric size.
 	Switches int    `json:"switches"`
@@ -65,7 +67,7 @@ type Event struct {
 	Counts
 
 	// Result is the engine's incumbent snapshot at the event: a fully
-	// materialized result, safe to retain past the callback (the annealer's
+	// materialized result, safe to retain past the callback (the engines'
 	// Session.Result copies every reservation out of the session's recycled
 	// buffers). It never serializes — wire consumers receive the summarized
 	// form — and is what lets the mapping service turn progress events into
@@ -86,17 +88,6 @@ type Counts struct {
 	Restarts     int64 `json:"restarts,omitempty"`
 	Speculated   int64 `json:"speculated,omitempty"`
 	SpecAccepted int64 `json:"spec_accepted,omitempty"`
-}
-
-// emit delivers an event for the given result when a progress callback is
-// configured.
-func (o Options) emit(engine string, stage Stage, r *core.Result) {
-	o.Emit(engine, stage, r, Counts{})
-}
-
-// emitCounts is emit with the engine's cumulative effort counters attached.
-func (o Options) emitCounts(engine string, stage Stage, r *core.Result, c Counts) {
-	o.Emit(engine, stage, r, c)
 }
 
 // Emit delivers a progress event for the given result with the engine's

@@ -271,7 +271,8 @@ func TestEnginesExploreTorus(t *testing.T) {
 
 // TestFeasibleStartShrinkProbeTooSmall is the regression test for the
 // seats-index panic: probing a dim with fewer NI seats than attached cores
-// must return nil instead of panicking on seats[i].
+// must return nil instead of panicking on seats[i]. The probe is the Kit's,
+// so this covers every improvement engine (anneal, ga, pso, abc).
 func TestFeasibleStartShrinkProbeTooSmall(t *testing.T) {
 	prep, n := fig5(t)
 	p := core.DefaultParams()
@@ -279,19 +280,22 @@ func TestFeasibleStartShrinkProbeTooSmall(t *testing.T) {
 	p.CoresPerNI = 1 // a 1x1 mesh seats exactly one core
 	opts := DefaultOptions()
 	opts.Restarts = 2
-	a := &annealer{
-		prep: prep, numCores: n, p: p, opts: opts,
-		rng:   rand.New(rand.NewSource(1)),
-		evals: NewEvalCache(prep, n, p),
+	k := &Kit{
+		NumCores: n, P: p, Opts: opts,
+		Rng:   rand.New(rand.NewSource(1)),
+		Evals: NewEvalCache(prep, n, p),
 	}
 	attached := []int{0, 1, 2, 3} // four cores, one seat
 	defer func() {
 		if r := recover(); r != nil {
-			t.Fatalf("feasibleStart panicked on a too-small probe: %v", r)
+			t.Fatalf("FeasibleStart panicked on a too-small probe: %v", r)
 		}
 	}()
-	if res := a.feasibleStart(context.Background(), topology.Dim{Rows: 1, Cols: 1}, attached); res != nil {
-		t.Fatalf("feasibleStart produced a start on a 1-seat mesh for 4 cores: %v", res.Mapping.Topology)
+	if res := k.FeasibleStart(context.Background(), topology.Dim{Rows: 1, Cols: 1}, attached); res != nil {
+		t.Fatalf("FeasibleStart produced a start on a 1-seat mesh for 4 cores: %v", res.Mapping.Topology)
+	}
+	if k.Counts.Restarts != 0 {
+		t.Fatalf("a too-small size cost %d restart probes, want none", k.Counts.Restarts)
 	}
 }
 

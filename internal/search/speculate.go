@@ -70,65 +70,58 @@ func newSpecWorker(sess *core.Session, numCores, numNIs int) *specWorker {
 }
 
 // evaluate scores one candidate on the worker's session: apply the
-// perturbation, TryMove, and on rejection repair once (relocate the
-// pre-picked disturbed core to the emptiest NI) — the same policy as the
-// serial chain's propose. On ok the move is left pending on the session
-// for the selection step to Keep or Undo.
-func (w *specWorker) evaluate(a *annealer, switches int, cand specCand) specResult {
+// perturbation, TryMove, and on rejection the Kit's repair of the
+// pre-picked disturbed core — the same policy as the serial Propose. On ok
+// the move is left pending on the session for the selection step to Keep
+// or Undo.
+func (w *specWorker) evaluate(a annealer, switches int, cand specCand) specResult {
 	w.sess.PlacementInto(w.cs, w.cn)
 	cs, cn := w.cs, w.cn
-	forbidden := -1
+	from := -1
 	switch cand.kind {
 	case candSwap:
 		cs[cand.x], cs[cand.y] = cs[cand.y], cs[cand.x]
 		cn[cand.x], cn[cand.y] = cn[cand.y], cn[cand.x]
 		w.moved = [2]int{cand.x, cand.y}
 	case candReloc:
-		forbidden = cn[cand.x]
+		from = cn[cand.x]
 		cn[cand.x] = cand.ni
-		cs[cand.x] = cand.ni / a.p.NIsPerSwitch
+		cs[cand.x] = cand.ni / a.P.NIsPerSwitch
 		w.moved = [2]int{cand.x, cand.x}
 	}
 	stats, err := w.sess.TryMove(cs, cn, w.moved[0], w.moved[1])
 	if err != nil {
-		x := w.moved[cand.repairPick]
+		var ok bool
 		niLoad := niOccupancyInto(w.niLoad, cn)
-		ni := emptiestNI(niLoad, cn[x], forbidden, a.p.CoresPerNI)
-		if ni < 0 {
-			return specResult{}
-		}
-		cn[x] = ni
-		cs[x] = ni / a.p.NIsPerSwitch
-		stats, err = w.sess.TryMove(cs, cn, w.moved[0], w.moved[1])
-		if err != nil {
+		if stats, ok = a.repair(w.sess, cs, cn, niLoad, w.moved, w.moved[cand.repairPick], from); !ok {
 			return specResult{}
 		}
 	}
-	return specResult{ok: true, stats: stats, cost: a.opts.Weights.OfParts(switches, stats)}
+	return specResult{ok: true, stats: stats, cost: a.Opts.Weights.OfParts(switches, stats)}
 }
 
 // generateCand draws one move proposal from the chain PRNG against the
-// current placement (cs/cn/niLoad are the batch-shared snapshots). The
-// draw structure mirrors the serial propose, plus one pre-drawn repair
-// pick per proposal so the concurrent evaluations stay PRNG-free.
-func (a *annealer) generateCand(cn, niLoad []int, attached []int) specCand {
-	if a.rng.Float64() < 0.7 {
-		x := attached[a.rng.Intn(len(attached))]
-		y := attached[a.rng.Intn(len(attached))]
-		pick := a.rng.Intn(2)
+// current placement (cn/niLoad are the batch-shared snapshots). The draw
+// structure mirrors Kit.Move, plus one pre-drawn repair pick per proposal
+// so the concurrent evaluations stay PRNG-free.
+func (a annealer) generateCand(cn, niLoad []int, attached []int) specCand {
+	if a.Rng.Float64() < 0.7 {
+		x := attached[a.Rng.Intn(len(attached))]
+		y := attached[a.Rng.Intn(len(attached))]
+		pick := a.Rng.Intn(2)
 		if x == y || cn[x] == cn[y] {
 			return specCand{}
 		}
 		return specCand{valid: true, kind: candSwap, x: x, y: y, repairPick: pick}
 	}
-	x := attached[a.rng.Intn(len(attached))]
-	free := freeNIsInto(a.freeBuf[:0], niLoad, cn[x], a.p.CoresPerNI)
+	x := attached[a.Rng.Intn(len(attached))]
+	free := freeNIsInto(a.freeBuf[:0], niLoad, cn[x], a.P.CoresPerNI)
 	a.freeBuf = free
 	if len(free) == 0 {
 		return specCand{}
 	}
-	ni := free[a.rng.Intn(len(free))]
-	pick := a.rng.Intn(2)
+	ni := free[a.Rng.Intn(len(free))]
+	pick := a.Rng.Intn(2)
 	return specCand{valid: true, kind: candReloc, x: x, ni: ni, repairPick: pick}
 }
 
@@ -137,37 +130,37 @@ func (a *annealer) generateCand(cn, niLoad []int, attached []int) specCand {
 // cloned sessions, best-improving acceptance with a Metropolis fallback.
 // sess arrives positioned at the chain's start and becomes worker 0's
 // session.
-func (a *annealer) annealBatch(ctx context.Context, sess *core.Session, switches int, attached []int, curCost, t0, alpha float64) {
-	K := a.opts.SpecK
+func (a annealer) annealBatch(ctx context.Context, sess *core.Session, switches int, attached []int, curCost, t0, alpha float64) {
+	K := a.Opts.SpecK
 	workers := make([]*specWorker, K)
-	workers[0] = newSpecWorker(sess, a.numCores, len(a.niLoad))
+	workers[0] = newSpecWorker(sess, a.NumCores, len(a.niLoad))
 	for i := 1; i < K; i++ {
 		c, err := sess.Clone()
 		if err != nil {
 			return
 		}
-		workers[i] = newSpecWorker(c, a.numCores, len(a.niLoad))
+		workers[i] = newSpecWorker(c, a.NumCores, len(a.niLoad))
 	}
 	cands := make([]specCand, K)
 	results := make([]specResult, K)
 	temp := t0
-	for done := 0; done < a.opts.Iters; {
+	for done := 0; done < a.Opts.Iters; {
 		if ctx.Err() != nil {
 			break
 		}
-		batch := min(K, a.opts.Iters-done)
+		batch := min(K, a.Opts.Iters-done)
 		done += batch
 
 		// Generation: serial, PRNG-driven, against the shared current
 		// placement (all sessions are in lockstep — worker 0 is as good a
 		// source as any).
-		workers[0].sess.PlacementInto(a.csBuf, a.cnBuf)
-		niLoad := niOccupancyInto(a.niLoad, a.cnBuf)
+		workers[0].sess.PlacementInto(a.cs, a.cn)
+		niLoad := a.Occupancy(a.cn)
 		for k := 0; k < batch; k++ {
-			cands[k] = a.generateCand(a.cnBuf, niLoad, attached)
+			cands[k] = a.generateCand(a.cn, niLoad, attached)
 		}
-		a.counts.Moves += int64(batch)
-		a.counts.Speculated += int64(batch)
+		a.Counts.Moves += int64(batch)
+		a.Counts.Speculated += int64(batch)
 
 		// Evaluation: one candidate per cloned session, concurrently. A
 		// worker that sees the context cancelled reports a miss without
@@ -203,18 +196,16 @@ func (a *annealer) annealBatch(ctx context.Context, sess *core.Session, switches
 		accept := false
 		if bestK >= 0 {
 			delta := results[bestK].cost - curCost
-			accept = delta <= 0 || a.rng.Float64() < math.Exp(-delta/temp)
+			accept = delta <= 0 || a.Rng.Float64() < math.Exp(-delta/temp)
 		}
 		if accept {
 			winner := workers[bestK]
 			winner.sess.Keep()
 			a.syncLosers(workers, results, batch, bestK)
 			curCost = results[bestK].cost
-			a.counts.Accepted++
-			a.counts.SpecAccepted++
-			if curCost < a.bestCost-1e-12 {
-				a.consider(winner.sess.Result())
-			}
+			a.Counts.Accepted++
+			a.Counts.SpecAccepted++
+			a.ConsiderSession(winner.sess, curCost)
 		} else {
 			for k := 0; k < batch; k++ {
 				if results[k].ok {
@@ -236,7 +227,7 @@ func (a *annealer) annealBatch(ctx context.Context, sess *core.Session, switches
 // move. The replay is a deterministic re-route of identical state, so it
 // cannot fail; if it ever does, the session is replaced by a fresh clone
 // of the winner rather than left diverged.
-func (a *annealer) syncLosers(workers []*specWorker, results []specResult, batch, bestK int) {
+func (a annealer) syncLosers(workers []*specWorker, results []specResult, batch, bestK int) {
 	winner := workers[bestK]
 	for k, w := range workers {
 		if k == bestK {
@@ -255,24 +246,24 @@ func (a *annealer) syncLosers(workers []*specWorker, results []specResult, batch
 	}
 }
 
-// feasibleStartSpec is the speculative restart prober: it draws the same
-// shuffled placements the serial prober would, in waves of SpecK, scores
+// probeSpec is the speculative restart prober: it draws the same shuffled
+// placements the serial Probe would, in waves of SpecK, scores
 // each wave concurrently (core.Evaluator is safe for concurrent use) and
 // returns the lowest-indexed feasible probe — the one the serial prober
 // would have returned had it evaluated that far.
-func (a *annealer) feasibleStartSpec(ctx context.Context, ev *core.Evaluator, seats []int, attached []int) *core.Result {
+func (k *Kit) probeSpec(ctx context.Context, ev *core.Evaluator, seats []int, attached []int, tries int) *core.Result {
 	type probe struct{ cs, cn []int }
-	probes := make([]probe, a.opts.SpecK)
-	results := make([]*core.Result, a.opts.SpecK)
-	for r := 0; r < a.opts.Restarts; {
+	probes := make([]probe, k.specK)
+	results := make([]*core.Result, k.specK)
+	for r := 0; r < tries; {
 		if ctx.Err() != nil {
 			return nil
 		}
-		wave := min(a.opts.SpecK, a.opts.Restarts-r)
+		wave := min(k.specK, tries-r)
 		r += wave
 		for i := 0; i < wave; i++ {
-			a.counts.Restarts++
-			probes[i].cs, probes[i].cn = a.shuffledPlacement(seats, attached)
+			k.Counts.Restarts++
+			probes[i].cs, probes[i].cn = k.shuffledPlacement(seats, attached)
 			results[i] = nil
 		}
 		var wg sync.WaitGroup

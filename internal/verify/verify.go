@@ -10,8 +10,9 @@
 //     source switch to the destination switch, and ends at the destination
 //     core's NI ingress link.
 //  2. Bandwidth — the reserved slot count grants at least the flow's
-//     bandwidth at the configured frequency; group-shared assignments grant
-//     the group's maximum.
+//     bandwidth at the configured frequency, with one start slot per
+//     reserved slot, each inside the slot table; group-shared assignments
+//     grant the group's maximum.
 //  3. Contention freedom — within one configuration (equivalently, one
 //     smooth-switching group) no two flows claim the same (link, slot) when
 //     slot alignment along paths is applied.
@@ -147,6 +148,11 @@ func checkUseCase(m *core.Mapping, uc int) []Violation {
 		}
 		if len(a.Starts) != a.SlotCount {
 			bad(key, "slot count %d != starts %d", a.SlotCount, len(a.Starts))
+		}
+		for _, st := range a.Starts {
+			if st < 0 || st >= m.Params.SlotTableSize {
+				bad(key, "start slot %d outside the %d-slot table", st, m.Params.SlotTableSize)
+			}
 		}
 		// 4. Latency.
 		if f.MaxLatencyNS > 0 {

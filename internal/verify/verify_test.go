@@ -235,3 +235,36 @@ func TestCheckCorruptLinkIndices(t *testing.T) {
 		})
 	}
 }
+
+// TestCheckStartSlotRange: a start slot outside [0, SlotTableSize) is
+// reported once per use-case holding the assignment, whether it is negative
+// or at the table size, where (start+hop) mod T would silently wrap it.
+func TestCheckStartSlotRange(t *testing.T) {
+	k1 := traffic.PairKey{Src: 0, Dst: 1}
+	for _, tc := range []struct {
+		name  string
+		start func(T int) int
+	}{
+		{"negative", func(int) int { return -5 }},
+		{"table size", func(T int) int { return T }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := mapped(t, sampleDesign())
+			T := m.Params.SlotTableSize
+			st := tc.start(T)
+			m.Configs[0].Assignments[k1].Starts[0] = st
+			want := fmt.Sprintf("start slot %d outside the %d-slot table", st, T)
+			var hits []int
+			for _, v := range Check(m) {
+				if v.Pair == k1 && v.Reason == want {
+					hits = append(hits, v.UseCase)
+				}
+			}
+			// Use-cases 0 and 1 form one smooth-switching group and share the
+			// 0->1 assignment.
+			if fmt.Sprint(hits) != "[0 1]" {
+				t.Fatalf("%q reported for use-cases %v, want [0 1]\n%v", want, hits, Check(m))
+			}
+		})
+	}
+}
