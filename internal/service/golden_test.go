@@ -142,6 +142,33 @@ var goldenCases = []goldenCase{
 		result: "032fe9d65bc275b2c5d9304bc7cbd323b589216a05b542cbabff26afa1329359",
 		trace:  "122aa512d199aeddec8fb67288bf529431ed14d3dbda3a9689791ce640a45634",
 		events: "031b44fc4067a7c53444879132e4792aeef7f9a72d5136e4e6ebb1fb7added33"},
+	// Every improvement engine on D1 under search.DefaultOptions(): the runs
+	// whose switches, peak link utilization and lower bound the committed
+	// BENCH_*.json engine rows record.
+	{name: "D1/anneal/defaults", design: bench.D1, engine: "anneal", opts: search.DefaultOptions(),
+		result: "af86ee34e0251e21c4090d7ee54fa88fb6f2a791ff2e27afe3942f52efeb878e",
+		trace:  "122aa512d199aeddec8fb67288bf529431ed14d3dbda3a9689791ce640a45634",
+		events: "ce5d44d841a6e9dcd851b2e3f88bf8f4bbc9514914bee4271cef22faf4411c95"},
+	{name: "D1/portfolio/defaults", design: bench.D1, engine: "portfolio", opts: search.DefaultOptions(),
+		result: "af86ee34e0251e21c4090d7ee54fa88fb6f2a791ff2e27afe3942f52efeb878e",
+		trace:  "122aa512d199aeddec8fb67288bf529431ed14d3dbda3a9689791ce640a45634",
+		events: "d6619172d0e38ab03da9395d231dc3946ff07f070589450ba4eef4cd2526fb7c"},
+	{name: "D1/ga/defaults", design: bench.D1, engine: "ga", opts: search.DefaultOptions(),
+		result: "2afcf09774a5a5a015bf1e25eeeb28db0076050727bfaeca42bf136da87d2162",
+		trace:  "8b4ca62a1cd9434343870c3bb8956a62647b5e720aeb860290d286f4d8bb39ba",
+		events: "0db1a286de942f606ee66e6afe94d4e43a156547f5d4c3db6750b18c3f0044c3"},
+	{name: "D1/pso/defaults", design: bench.D1, engine: "pso", opts: search.DefaultOptions(),
+		result: "fba878e1e6997bc11fe375bb55a5cfa81ef7d0c333aa9a4aac77c2fa606406d8",
+		trace:  "8b4ca62a1cd9434343870c3bb8956a62647b5e720aeb860290d286f4d8bb39ba",
+		events: "9eccfd87f67d6b2f282c101a6cfb01895ecdd1684fc186920739abf5178946ef"},
+	{name: "D1/abc/defaults", design: bench.D1, engine: "abc", opts: search.DefaultOptions(),
+		result: "3564dae34fed34714a0a5a12451644ab2505ab7fb16a762a9c8e668cdce8093b",
+		trace:  "8b4ca62a1cd9434343870c3bb8956a62647b5e720aeb860290d286f4d8bb39ba",
+		events: "00b0f6fc003dd8bb953262a757a2f1ab585bc5aa3e39d7bb9105c8f6ef7f7084"},
+	{name: "D1/exact/defaults", design: bench.D1, engine: "exact", opts: search.DefaultOptions(),
+		result: "032fe9d65bc275b2c5d9304bc7cbd323b589216a05b542cbabff26afa1329359",
+		trace:  "122aa512d199aeddec8fb67288bf529431ed14d3dbda3a9689791ce640a45634",
+		events: "1cda5c42adb8c3d5d4af011bfa441a5e160367aa3559702e7728053b17331073"},
 }
 
 func sha(b []byte) string {
