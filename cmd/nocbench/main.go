@@ -1,19 +1,13 @@
 // Command nocbench regenerates the tables and figures of the paper's
 // evaluation (Section 6). Each figure prints as an aligned text table whose
-// rows correspond to the points/bars of the original plot.
-//
-// It is also the benchmark-regression harness: -out runs a named workload
-// and writes a machine-readable BENCH_*.json record, and -compare diffs a
-// fresh run of the same workload against a committed record, failing (exit
-// 1) on hot-path regressions beyond -threshold or on any engine-result
-// drift. The CI bench-regression job runs `nocbench -compare BENCH_pr10.json`.
+// rows correspond to the points/bars of the original plot. The benchmark
+// that times the mapper and pins these figures is perfbench
+// (bash perfbench/run.sh).
 //
 // Usage:
 //
-//	nocbench                             # all figures
-//	nocbench -fig 6a                     # one of: 6a 6b 6c 7a 7b 7c 62 headline engines
-//	nocbench -workload quick -out b.json # measure and record
-//	nocbench -compare BENCH_pr10.json    # regression gate against a record
+//	nocbench          # all figures
+//	nocbench -fig 6a  # one of: 6a 6b 6c 7a 7b 7c 62 headline engines topology
 package main
 
 import (
@@ -25,36 +19,22 @@ import (
 	"strings"
 	"time"
 
-	"nocmap/internal/bench/harness"
 	"nocmap/internal/experiments"
 	"nocmap/pkg/noc"
 )
 
 var (
-	seed      = flag.Int64("seed", 1, "base PRNG seed for the engines table")
-	seeds     = flag.Int("seeds", 4, "multi-start annealers in the portfolio engine")
-	budget    = flag.Duration("budget", 0, "per-search wall-clock budget for the engines table (0 = unbounded)")
-	moves     = flag.Int("moves", 200, "candidate moves per design for the perf figure")
-	workload  = flag.String("workload", "quick", "harness workload for -out/-compare: "+strings.Join(harness.WorkloadNames(), "|"))
-	outFile   = flag.String("out", "", "run the -workload harness and write its record to this JSON file")
-	compareTo = flag.String("compare", "", "run the -workload harness and diff it against this committed BENCH_*.json record")
-	threshold = flag.Float64("threshold", 0.25, "relative hot-path regression tolerated by -compare (0.25 = 25%)")
+	seed   = flag.Int64("seed", 1, "base PRNG seed for the engines table")
+	seeds  = flag.Int("seeds", 4, "multi-start annealers in the portfolio engine")
+	budget = flag.Duration("budget", 0, "per-search wall-clock budget for the engines table (0 = unbounded)")
 )
 
 // figures lists the valid -fig values in presentation order.
-var figures = []string{"6a", "6b", "6c", "7a", "7b", "7c", "62", "headline", "engines", "topology", "perf"}
+var figures = []string{"6a", "6b", "6c", "7a", "7b", "7c", "62", "headline", "engines", "topology"}
 
 func main() {
 	fig := flag.String("fig", "all", "figure to regenerate: "+strings.Join(figures, "|")+"|all")
 	flag.Parse()
-
-	if *outFile != "" || *compareTo != "" {
-		if err := runHarness(*workload, *outFile, *compareTo, *threshold); err != nil {
-			fmt.Fprintf(os.Stderr, "nocbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
 
 	if *fig != "all" && !slices.Contains(figures, *fig) {
 		fmt.Fprintf(os.Stderr, "nocbench: unknown -fig %q; valid figures: %s, all\n",
@@ -82,49 +62,6 @@ func main() {
 	run("headline", headline)
 	run("engines", engines)
 	run("topology", topologyFigure)
-	run("perf", perfFigure)
-}
-
-// runHarness runs the named measurement workload, optionally records it, and
-// optionally gates it against a committed baseline record.
-func runHarness(workload, outFile, compareTo string, threshold float64) error {
-	w, err := harness.WorkloadByName(workload)
-	if err != nil {
-		return err
-	}
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "harness: "+format+"\n", args...)
-	}
-	fresh, err := harness.Run(context.Background(), w, logf)
-	if err != nil {
-		return err
-	}
-	if outFile != "" {
-		if err := fresh.WriteFile(outFile); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s (workload %s)\n", outFile, w.Name)
-	}
-	if compareTo == "" {
-		return nil
-	}
-	baseline, err := harness.ReadFile(compareTo)
-	if err != nil {
-		return err
-	}
-	cmp := harness.Compare(baseline, fresh, threshold)
-	fmt.Printf("\nRegression gate: workload %s vs %s (threshold %.0f%%)\n", w.Name, compareTo, threshold*100)
-	for _, l := range cmp.Lines {
-		fmt.Println("  " + l)
-	}
-	if !cmp.OK() {
-		for _, f := range cmp.Failures {
-			fmt.Fprintln(os.Stderr, "FAIL: "+f)
-		}
-		return fmt.Errorf("%d benchmark regression(s) against %s", len(cmp.Failures), compareTo)
-	}
-	fmt.Println("gate passed: no regressions")
-	return nil
 }
 
 func printComparisons(title string, cs []experiments.Comparison) {
@@ -289,31 +226,6 @@ func topologyFigure() error {
 			return err
 		}
 		printTopoRows(fmt.Sprintf("Topology sweep (%s): mesh vs torus over use-cases", class), rows)
-	}
-	return nil
-}
-
-func perfFigure() error {
-	if *moves < 1 {
-		return fmt.Errorf("-moves %d invalid: need at least 1 candidate move", *moves)
-	}
-	designs, err := experiments.PerfDesigns()
-	if err != nil {
-		return err
-	}
-	rows, err := experiments.PerfComparison(designs, *moves, *seed)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nEvaluation throughput: full re-configuration vs incremental session (%d moves, seed %d)\n", *moves, *seed)
-	fmt.Printf("%-8s %10s %14s %14s %14s %14s %9s\n",
-		"design", "moves", "full total", "full/move", "delta total", "delta/move", "speedup")
-	for _, r := range rows {
-		perFull := r.Full / time.Duration(r.Moves)
-		perDelta := r.Delta / time.Duration(r.Moves)
-		fmt.Printf("%-8s %10d %14s %14s %14s %14s %8.2fx\n",
-			r.Design, r.Moves, r.Full.Round(time.Microsecond), perFull.Round(time.Microsecond),
-			r.Delta.Round(time.Microsecond), perDelta.Round(time.Microsecond), r.Speedup)
 	}
 	return nil
 }

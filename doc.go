@@ -33,14 +33,12 @@
 // (core.Evaluator): inputs are validated once per (design, topology,
 // params), the flow work list, per-pair routing plans and candidate mesh
 // paths are precomputed, and TDMA slot tables live in a pooled scratch
-// arena instead of being reallocated per candidate. Its Evaluate method is
-// bit-identical to the one-shot core.EvaluateFixed (kept as a thin
-// compatibility wrapper); its Session adds two-phase delta moves
-// (TryMove/Keep/Undo) that tear down and re-route only the flows whose
-// cores moved, with exact capacity prechecks and a per-group from-scratch
-// fallback — the anneal move loop runs several times faster than full
-// re-configuration on every benchmark design (nocbench -fig perf,
-// BENCH_pr4.json). One Evaluator is shared, concurrency-safe, by all
+// arena instead of being reallocated per candidate. Its Session adds
+// two-phase delta moves (TryMove/Keep/Undo) that tear down and re-route
+// only the flows whose cores moved, with exact capacity prechecks and a
+// per-group from-scratch fallback; the move path runs without heap
+// allocations (TestSessionMoveZeroAlloc) and perfbench times it as
+// core.try_move_us. One Evaluator is shared, concurrency-safe, by all
 // portfolio workers exploring the same fabric.
 //
 // Above the search subsystem sits the serving layer (internal/service): a
@@ -83,6 +81,8 @@
 // internal/baseline, analytic area and power models in internal/area and
 // internal/power, and the paper's benchmark suite (D1-D4 SoC stand-ins plus
 // Spread/Bottleneck synthetic generators) in internal/bench. Every figure of
-// the paper's evaluation is regenerated by internal/experiments, surfaced
-// both as testing.B benchmarks in bench_test.go and via cmd/nocbench.
+// the paper's evaluation is regenerated by internal/experiments and printed
+// by cmd/nocbench. The one benchmark is perfbench (bash perfbench/run.sh): it
+// pins every figure exactly, times every engine and the Session move, and
+// drives the service end to end.
 package nocmap

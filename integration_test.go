@@ -199,7 +199,11 @@ func TestFrequencyMonotoneProperty(t *testing.T) {
 	}
 	m := res.Mapping
 	for _, f := range []float64{600, 800, 1200, 2000} {
-		if _, err := core.ConfigureFixed(prep, d.NumCores(), m.Topology, m.CoreSwitch, m.CoreNI, p.WithFrequency(f)); err != nil {
+		ev, err := core.NewEvaluator(prep, d.NumCores(), m.Topology, p.WithFrequency(f))
+		if err == nil {
+			_, err = ev.Evaluate(m.CoreSwitch, m.CoreNI)
+		}
+		if err != nil {
 			t.Errorf("re-configuration at %.0f MHz failed: %v", f, err)
 		}
 	}

@@ -14,11 +14,11 @@ import (
 )
 
 // Evaluator is the reusable evaluation engine for one (prepared design,
-// topology, params) triple. The one-shot entry points (Map, EvaluateFixed)
-// re-validate the inputs, rebuild the bandwidth-sorted flow work list and
-// reallocate every group's TDMA slot tables on every call; a search engine
-// scoring thousands of candidate placements on the same fabric pays that
-// fixed cost per candidate. The Evaluator pays it once:
+// topology, params) triple. Scoring a placement from scratch re-validates
+// the inputs, rebuilds the bandwidth-sorted flow work list and reallocates
+// every group's TDMA slot tables; a search engine scoring thousands of
+// candidate placements on the same fabric would pay that fixed cost per
+// candidate. The Evaluator pays it once:
 //
 //   - inputs (params, use-cases, topology) are validated at construction;
 //   - the flow work list, per-pair routing plans (group order, reservation
@@ -131,8 +131,8 @@ type evalScratch struct {
 }
 
 // NewEvaluator validates the inputs once and precomputes the shared
-// evaluation state. The topology is used as given — mesh, torus or custom —
-// exactly like EvaluateFixed.
+// evaluation state. The topology is used as given — mesh, torus or
+// custom.
 func NewEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, p Params) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -491,7 +491,7 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
 
 // Evaluate runs the configuration phase on a fixed core placement using the
 // pooled scratch state and returns the complete Result. The output is
-// bit-identical to EvaluateFixed on the same inputs; only the fixed
+// bit-identical to a fresh Evaluator's on the same inputs; only the fixed
 // per-call costs are gone.
 func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {

@@ -112,10 +112,10 @@ func sameResult(t *testing.T, label string, a, b *core.Result) {
 }
 
 // TestEvaluatorMatchesEvaluateFixed: one shared Evaluator (pooled scratch,
-// cached path tables) must produce bit-identical Results to the
-// per-call EvaluateFixed wrapper on randomized placements, across mesh,
-// torus and custom fabrics, with infeasible placements interleaved so the
-// arena is also proven clean after failed evaluations.
+// cached path tables) must produce bit-identical Results to a fresh
+// Evaluator per call (core.EvaluateFresh) on randomized placements, across
+// mesh, torus and custom fabrics, with infeasible placements interleaved so
+// the arena is also proven clean after failed evaluations.
 func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 	prep, numCores := evalDesign(t)
 	p := evalParams()
@@ -147,9 +147,9 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 			cs, cn := randomPlacement(rng, top, p, numCores)
 			label := fmt.Sprintf("%s trial %d", top, trial)
 			got, gotErr := ev.Evaluate(cs, cn)
-			want, wantErr := core.EvaluateFixed(prep, numCores, top, cs, cn, p)
+			want, wantErr := core.EvaluateFresh(prep, numCores, top, cs, cn, p)
 			if (gotErr == nil) != (wantErr == nil) {
-				t.Fatalf("%s: feasibility diverged: evaluator err=%v, wrapper err=%v", label, gotErr, wantErr)
+				t.Fatalf("%s: feasibility diverged: shared err=%v, fresh err=%v", label, gotErr, wantErr)
 			}
 			evaluated++
 			if gotErr != nil {
@@ -172,8 +172,8 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 
 // TestEvaluateFixedValidatesPlacement: nil, short, out-of-range,
 // wrong-switch and overfull placements from a custom engine must surface as
-// errors from the wrapper (and the Evaluator), never as panics deep in the
-// configuration phase.
+// errors from a fresh Evaluator and from a shared one, never as panics deep
+// in the configuration phase.
 func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 	prep, numCores := evalDesign(t)
 	p := evalParams()
@@ -222,8 +222,8 @@ func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 					t.Fatalf("panicked instead of returning an error: %v", r)
 				}
 			}()
-			if _, err := core.EvaluateFixed(prep, numCores, top, tc.cs, tc.cn, p); err == nil {
-				t.Errorf("EvaluateFixed accepted %s", tc.name)
+			if _, err := core.EvaluateFresh(prep, numCores, top, tc.cs, tc.cn, p); err == nil {
+				t.Errorf("fresh Evaluator accepted %s", tc.name)
 			}
 			if _, err := ev.Evaluate(tc.cs, tc.cn); err == nil {
 				t.Errorf("Evaluator.Evaluate accepted %s", tc.name)

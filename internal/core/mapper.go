@@ -98,40 +98,6 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 // derives; tests use it to check that the fabrics share one template set.
 var fabricHook func(*Evaluator)
 
-// ConfigureFixed re-runs only the configuration phase (path selection and
-// slot reservation) on an existing placement, typically at a different
-// frequency. It is the primitive behind the DVS/DFS and parallel-mode
-// frequency searches.
-func ConfigureFixed(prep *usecase.Prepared, numCores int, top *topology.Topology,
-	coreSwitch, coreNI []int, p Params) (*Mapping, error) {
-	res, err := EvaluateFixed(prep, numCores, top, coreSwitch, coreNI, p)
-	if err != nil {
-		return nil, err
-	}
-	return res.Mapping, nil
-}
-
-// EvaluateFixed runs the configuration phase on a fixed core placement and
-// returns the complete Result, including the summary statistics that score
-// the mapping. It is the evaluation hook of the internal/search engines: a
-// candidate placement is feasible exactly when EvaluateFixed succeeds, and
-// its quality is read off the returned Stats. The given topology is used as
-// is — mesh, torus or custom — so engines explore whatever fabric they
-// built the placement on.
-//
-// EvaluateFixed is a compatibility wrapper that builds a throwaway
-// Evaluator per call; callers scoring many placements on one topology
-// should construct the Evaluator once and call Evaluate (or drive a
-// Session) to amortize validation, precomputation and state allocation.
-func EvaluateFixed(prep *usecase.Prepared, numCores int, top *topology.Topology,
-	coreSwitch, coreNI []int, p Params) (*Result, error) {
-	ev, err := NewEvaluator(prep, numCores, top, p)
-	if err != nil {
-		return nil, err
-	}
-	return ev.Evaluate(coreSwitch, coreNI)
-}
-
 // InfeasibleError reports that no fabric the search explored could satisfy
 // every use-case: no mesh/torus up to the size cap (the outcome the paper
 // reports for the WC method on the 40-use-case benchmarks), or the one

@@ -299,16 +299,16 @@ func TestConfigureFixedRoundTrip(t *testing.T) {
 	res := mustMap(t, pr, 3, DefaultParams())
 	m := res.Mapping
 	// Same frequency: must succeed again on the fixed placement.
-	again, err := ConfigureFixed(pr, 3, m.Topology, m.CoreSwitch, m.CoreNI, m.Params)
+	again, err := EvaluateFresh(pr, 3, m.Topology, m.CoreSwitch, m.CoreNI, m.Params)
 	if err != nil {
-		t.Fatalf("ConfigureFixed same freq: %v", err)
+		t.Fatalf("re-configuration at the same freq: %v", err)
 	}
-	if again.SwitchCount() != m.SwitchCount() {
+	if again.Mapping.SwitchCount() != m.SwitchCount() {
 		t.Error("topology changed under fixed placement")
 	}
 	// Far lower frequency: per-slot bandwidth shrinks 20x, must fail.
-	if _, err := ConfigureFixed(pr, 3, m.Topology, m.CoreSwitch, m.CoreNI, m.Params.WithFrequency(25)); err == nil {
-		t.Error("ConfigureFixed at 25 MHz should fail")
+	if _, err := EvaluateFresh(pr, 3, m.Topology, m.CoreSwitch, m.CoreNI, m.Params.WithFrequency(25)); err == nil {
+		t.Error("re-configuration at 25 MHz should fail")
 	}
 }
 
@@ -318,10 +318,10 @@ func TestConfigureFixedRejectsBadPlacement(t *testing.T) {
 	res := mustMap(t, pr, 2, DefaultParams())
 	m := res.Mapping
 	bad := []int{99, 0}
-	if _, err := ConfigureFixed(pr, 2, m.Topology, bad, m.CoreNI, m.Params); err == nil {
+	if _, err := EvaluateFresh(pr, 2, m.Topology, bad, m.CoreNI, m.Params); err == nil {
 		t.Error("invalid fixed placement accepted")
 	}
-	if _, err := ConfigureFixed(pr, 2, m.Topology, m.CoreSwitch[:1], m.CoreNI, m.Params); err == nil {
+	if _, err := EvaluateFresh(pr, 2, m.Topology, m.CoreSwitch[:1], m.CoreNI, m.Params); err == nil {
 		t.Error("short fixed placement accepted")
 	}
 }

@@ -706,7 +706,7 @@ func (s *Session) Undo() {
 }
 
 // Result materializes the current committed configuration as a complete
-// Result, equivalent in shape to an EvaluateFixed output. It must not be
+// Result, equivalent in shape to an Evaluator.Evaluate output. It must not be
 // called while a move is pending. All reservation data is copied out of the
 // session: the session recycles its record buffers move over move, so a
 // result that aliased them would be corrupted by the next TryMove.

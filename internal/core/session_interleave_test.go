@@ -3,7 +3,7 @@
 // try moves concurrently-in-spirit (here in a deterministic interleaving),
 // one winner Keeps, the losers Undo, and a failed TryMove in the middle of
 // a batch must leave its session byte-equivalent to never having tried.
-// Every committed state is cross-checked against core.EvaluateFixed, the
+// Every committed state is cross-checked against core.EvaluateFresh, the
 // from-scratch oracle.
 package core_test
 
@@ -21,12 +21,12 @@ import (
 func sessionOracle(t *testing.T, label string, fx *evalFixture, sess *core.Session) {
 	t.Helper()
 	cs, cn := sess.Placement()
-	want, err := core.EvaluateFixed(fx.prep, fx.numCores, fx.top, cs, cn, fx.p)
+	want, err := core.EvaluateFresh(fx.prep, fx.numCores, fx.top, cs, cn, fx.p)
 	if err != nil {
 		t.Fatalf("%s: oracle rejects the session's own placement: %v", label, err)
 	}
 	if got := sess.Stats(); got != want.Stats {
-		t.Fatalf("%s: session stats %+v diverge from EvaluateFixed %+v", label, got, want.Stats)
+		t.Fatalf("%s: session stats %+v diverge from a fresh evaluation %+v", label, got, want.Stats)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section 6). Each runner returns the series the corresponding
-// figure plots; cmd/nocbench prints them and bench_test.go wraps them as
-// testing.B benchmarks.
+// figure plots; cmd/nocbench prints them and perfbench (perfbench/paper.go)
+// pins their values exactly.
 //
 // The comparison experiments fix the NoC frequency and link width to
 // 500 MHz / 32 bits as in Section 6.2 and report the smallest feasible

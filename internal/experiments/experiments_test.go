@@ -7,7 +7,7 @@ import (
 )
 
 // The experiment runners are exercised on reduced sweeps so the unit-test
-// suite stays fast; the full sweeps run from bench_test.go and cmd/nocbench.
+// suite stays fast; the full sweeps run from cmd/nocbench and perfbench.
 
 func TestFig6SyntheticShapes(t *testing.T) {
 	for _, class := range []bench.Class{bench.Spread, bench.Bottleneck} {

@@ -8,7 +8,7 @@
 // re-scaled to the minimum that still satisfies the running use-case's
 // constraints on the already-fabricated topology and placement. The package
 // finds those per-use-case minimum frequencies by re-running the
-// configuration phase (core.ConfigureFixed) over a frequency grid.
+// configuration phase (core.Evaluator.Evaluate) over a frequency grid.
 package power
 
 import (
@@ -48,7 +48,11 @@ func (g Grid) steps() []float64 {
 // feasibleAt reports whether the use-cases can be configured on the fixed
 // mapping at frequency f.
 func feasibleAt(prep *usecase.Prepared, numCores int, m *core.Mapping, f float64) bool {
-	_, err := core.ConfigureFixed(prep, numCores, m.Topology, m.CoreSwitch, m.CoreNI, m.Params.WithFrequency(f))
+	ev, err := core.NewEvaluator(prep, numCores, m.Topology, m.Params.WithFrequency(f))
+	if err != nil {
+		return false
+	}
+	_, err = ev.Evaluate(m.CoreSwitch, m.CoreNI)
 	return err == nil
 }
 
