@@ -26,8 +26,8 @@ import (
 //     they do not depend on the fabric, so evaluators of one design on
 //     different fabrics share them (see On);
 //   - candidate mesh paths are cached per switch pair (route.Table);
-//   - TDMA states and flow lists live in a scratch arena that is reset
-//     between evaluations instead of reallocated.
+//   - TDMA states, tier bitsets and demand sums live in a scratch arena
+//     that is reset between evaluations instead of reallocated.
 //
 // An Evaluator is immutable after construction and safe for concurrent use:
 // every Evaluate call draws its mutable state from an internal pool, so the
@@ -56,7 +56,7 @@ type templates struct {
 	p        Params
 
 	// flowsTpl is the bandwidth-sorted global flow list (Algorithm 2 step
-	// 2); evaluations copy it instead of re-sorting.
+	// 2), sorted once and only read by evaluations.
 	flowsTpl []flowInst
 	// pairList holds the distinct pairs in first-occurrence (descending
 	// bandwidth) order — the order the fully-fixed configuration phase
@@ -119,10 +119,14 @@ type pairDemand struct {
 
 // evalScratch is the reusable mutable state of one evaluation.
 type evalScratch struct {
-	states        []*tdma.State
-	flows         []flowInst
-	remOut, remIn [][]int
-	journal       []resRecord
+	states []*tdma.State
+	// tierBits backs the mapper's three tier bitsets; tierOf its per-pair
+	// tiers.
+	tierBits          []uint64
+	tierOf            []uint8
+	remOut, remIn     [][]int
+	niRemOut, niRemIn [][]int
+	journal           []resRecord
 	// res and rec are the reservation primitive's working state: the
 	// route-query scratch and the probe record whose buffers a granted
 	// reservation is cloned out of.
@@ -216,7 +220,9 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 			})
 		}
 	}
-	slices.SortStableFunc(t.flowsTpl, flowOrder)
+	// flowOrder is total (use-case validation forbids duplicate pairs), so
+	// an unstable sort yields the one order a stable sort would.
+	slices.SortFunc(t.flowsTpl, flowOrder)
 	pairIdx := make(map[traffic.PairKey]int32)
 	var pairInsts []int
 	for i := range t.flowsTpl {
@@ -450,7 +456,8 @@ func (ev *Evaluator) getScratch() *evalScratch {
 		}
 		sc.states[g] = st
 	}
-	sc.flows = make([]flowInst, len(ev.flowsTpl))
+	sc.tierBits = make([]uint64, int(tierDone)*((len(ev.pairList)+63)/64))
+	sc.tierOf = make([]uint8, len(ev.pairList))
 	sc.res.route = route.NewScratch()
 	return sc
 }
@@ -471,18 +478,28 @@ func (ev *Evaluator) putScratch(sc *evalScratch) {
 // shared with the evaluator; mutable ones are copied from the templates.
 func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
 	m := &mapper{Evaluator: ev, states: sc.states, journal: sc.journal[:0], res: &sc.res, rec: &sc.rec}
-	copy(sc.flows, ev.flowsTpl)
-	m.flows = sc.flows
+	clear(sc.tierBits)
+	words := len(sc.tierBits) / len(m.tiers)
+	for t := range m.tiers {
+		m.tiers[t] = sc.tierBits[t*words : (t+1)*words]
+	}
+	m.tierOf = sc.tierOf
 	if !ev.covered(fix) {
 		if sc.remOut == nil {
-			sc.remOut = grid[int](len(ev.prep.Groups), ev.numCores)
-			sc.remIn = grid[int](len(ev.prep.Groups), ev.numCores)
+			numGroups, numNIs := len(ev.prep.Groups), ev.top.NumSwitches()*ev.p.NIsPerSwitch
+			sc.remOut = grid[int](numGroups, ev.numCores)
+			sc.remIn = grid[int](numGroups, ev.numCores)
+			sc.niRemOut = grid[int](numGroups, numNIs)
+			sc.niRemIn = grid[int](numGroups, numNIs)
 		}
 		for g := range sc.remOut {
 			copy(sc.remOut[g], ev.remOutTpl[g])
 			copy(sc.remIn[g], ev.remInTpl[g])
+			clear(sc.niRemOut[g])
+			clear(sc.niRemIn[g])
 		}
 		m.remOut, m.remIn = sc.remOut, sc.remIn
+		m.niRemOut, m.niRemIn = sc.niRemOut, sc.niRemIn
 	}
 	m.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
 	m.placeFixed(fix)

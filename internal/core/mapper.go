@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nocmap/internal/route"
@@ -139,7 +140,9 @@ type placementFix struct {
 	CoreNI     []int
 }
 
-// flowInst is one flow occurrence in the global work list.
+// flowInst is one flow occurrence in the bandwidth-sorted template list.
+// Attempts only read it: what is still to route is tracked per pair, in the
+// mapper's tier bitsets.
 type flowInst struct {
 	uc   int
 	idx  int
@@ -147,13 +150,24 @@ type flowInst struct {
 	lat  float64
 	key  traffic.PairKey
 	pair int32 // dense pair index (templates.pairList)
-	done bool
 }
+
+// Preference tiers of Algorithm 2 step 3, by how many endpoints of a pair are
+// already mapped; tierDone marks a routed pair.
+const (
+	tierBoth uint8 = iota
+	tierOne
+	tierNone
+	tierDone
+)
 
 // mapper carries the working state of one attempt on one topology. The
 // immutable tables (pair slot demands, routing plans) are the embedded
 // Evaluator's; the mutable ones are per attempt, drawn from the
-// evaluator's scratch pool or freshly allocated.
+// evaluator's scratch pool or freshly allocated. Every table a growth step
+// reads is kept current incrementally, so no step rescans the flow list or
+// the cores: the next flow is a find-first-set over the tier bitsets, and an
+// NI's projected demand is one lookup in niRemOut/niRemIn.
 type mapper struct {
 	*Evaluator
 
@@ -171,7 +185,13 @@ type mapper struct {
 	switchCores []int
 	niCores     []int
 
-	flows []flowInst
+	// tiers holds one bitset over pair indices per preference tier; a pair
+	// still to route has its bit set in exactly the tier tierOf names.
+	// pairList is in first-occurrence order of the sorted flow list and a
+	// pair's instances are routed together, so the lowest set bit of a tier
+	// is the pair of the heaviest remaining flow of that tier.
+	tiers  [tierDone][]uint64
+	tierOf []uint8
 
 	// remOut/remIn hold, per group and core, the not-yet-reserved slot
 	// demand the core will still source or sink. Projected NI occupancy
@@ -182,6 +202,10 @@ type mapper struct {
 	// no projection is ever read.
 	remOut [][]int
 	remIn  [][]int
+	// niRemOut/niRemIn hold, per group and NI, the sum of remOut/remIn over
+	// the cores attached to the NI; nil exactly when remOut is.
+	niRemOut [][]int
+	niRemIn  [][]int
 
 	// res and rec are the reservation primitive's scratch: every probe
 	// runs in rec's buffers, and a granted reservation is cloned out.
@@ -190,9 +214,6 @@ type mapper struct {
 
 	journal   []resRecord
 	nextOwner int32
-	// scanFrom skips the done prefix of the flow list in chooseNext; flows
-	// only ever transition to done, so the hint is monotone and safe.
-	scanFrom int
 }
 
 type resRecord struct {
@@ -215,8 +236,9 @@ type placement struct {
 	src, dst           traffic.CoreID
 }
 
-// placeFixed initializes the placement arrays and applies the fix, if any
-// (validated by the caller through ValidatePlacement).
+// placeFixed initializes the placement arrays, applies the fix, if any
+// (validated by the caller through ValidatePlacement), and sorts every pair
+// into its preference tier.
 func (m *mapper) placeFixed(fix *placementFix) {
 	m.coreSwitch = make([]int, m.numCores)
 	m.coreNI = make([]int, m.numCores)
@@ -226,18 +248,53 @@ func (m *mapper) placeFixed(fix *placementFix) {
 	}
 	m.switchCores = make([]int, m.top.NumSwitches())
 	m.niCores = make([]int, m.top.NumSwitches()*m.p.NIsPerSwitch)
-	if fix == nil {
-		return
-	}
-	for c, s := range fix.CoreSwitch {
-		if s < 0 {
-			continue
+	if fix != nil {
+		for c, s := range fix.CoreSwitch {
+			if s >= 0 {
+				m.attach(traffic.CoreID(c), s, fix.CoreNI[c])
+			}
 		}
-		ni := fix.CoreNI[c]
-		m.coreSwitch[c] = s
-		m.coreNI[c] = ni
-		m.switchCores[s]++
-		m.niCores[ni]++
+	}
+	for pi := range m.pairList {
+		t := m.tierFor(int32(pi))
+		m.tierOf[pi] = t
+		m.tiers[t][pi>>6] |= 1 << (pi & 63)
+	}
+}
+
+// tierFor is pair pi's preference tier under the current placement.
+func (m *mapper) tierFor(pi int32) uint8 {
+	key := m.pairList[pi]
+	t := tierNone
+	if m.coreSwitch[key.Src] >= 0 {
+		t--
+	}
+	if m.coreSwitch[key.Dst] >= 0 {
+		t--
+	}
+	return t
+}
+
+// moveTier moves a pair still to route into tier t (tierDone retires it).
+func (m *mapper) moveTier(pi int32, t uint8) {
+	if old := m.tierOf[pi]; old != tierDone {
+		m.tiers[old][pi>>6] &^= 1 << (pi & 63)
+	}
+	m.tierOf[pi] = t
+	if t != tierDone {
+		m.tiers[t][pi>>6] |= 1 << (pi & 63)
+	}
+}
+
+// retier re-sorts the pairs still to route that touch core, which has just
+// been placed for good.
+func (m *mapper) retier(core traffic.CoreID) {
+	for _, q := range m.pairsOf[core] {
+		if t := m.tierOf[q]; t != tierDone {
+			if nt := m.tierFor(q); nt != t {
+				m.moveTier(q, nt)
+			}
+		}
 	}
 }
 
@@ -247,11 +304,11 @@ func (m *mapper) placeFixed(fix *placementFix) {
 // flows are mapped; then assemble the Mapping.
 func (m *mapper) run() (*Mapping, error) {
 	for {
-		fi := m.chooseNext()
-		if fi < 0 {
+		pi := m.chooseNext()
+		if pi < 0 {
 			break
 		}
-		if err := m.placeAndRoute(fi); err != nil {
+		if err := m.placeAndRoute(pi); err != nil {
 			return nil, err
 		}
 	}
@@ -282,20 +339,16 @@ func (m *mapper) run() (*Mapping, error) {
 
 // projectedNIUsed returns the projected slot usage of an NI link in group g:
 // slots already reserved plus the remaining demand of every core attached to
-// the NI (and of extraCore, a core about to be attached).
+// the NI (and of extraCore, a core about to be attached — counted again if
+// it already is).
 func (m *mapper) projectedNIUsed(ni, g int, role niRole, extraCore int) int {
 	link := m.niEgress(ni)
-	rem := m.remOut[g]
+	niRem, rem := m.niRemOut[g], m.remOut[g]
 	if role == roleDst {
 		link = m.niIngress(ni)
-		rem = m.remIn[g]
+		niRem, rem = m.niRemIn[g], m.remIn[g]
 	}
-	used := m.p.SlotTableSize - m.states[g].FreeSlots(link)
-	for c, n := range m.coreNI {
-		if n == ni {
-			used += rem[c]
-		}
-	}
+	used := m.p.SlotTableSize - m.states[g].FreeSlots(link) + niRem[ni]
 	if extraCore >= 0 {
 		used += rem[extraCore]
 	}
@@ -319,55 +372,37 @@ func (m *mapper) bestProjectedNI(s, g int, role niRole, extraCore int) int {
 	return best
 }
 
-// chooseNext implements Algorithm 2 step 3: the heaviest remaining flow,
-// preferring flows between already-mapped cores, then flows with one mapped
-// endpoint. The list is bandwidth-sorted, so the first hit per tier is the
-// heaviest of that tier.
-func (m *mapper) chooseNext() int {
-	for m.scanFrom < len(m.flows) && m.flows[m.scanFrom].done {
-		m.scanFrom++
-	}
-	tierBest := [3]int{-1, -1, -1}
-	for i := m.scanFrom; i < len(m.flows); i++ {
-		f := &m.flows[i]
-		if f.done {
-			continue
-		}
-		if m.p.DisableMappedPreference {
-			return i
-		}
-		sm := m.coreSwitch[f.key.Src] >= 0
-		dm := m.coreSwitch[f.key.Dst] >= 0
-		tier := 2
-		switch {
-		case sm && dm:
-			tier = 0
-		case sm || dm:
-			tier = 1
-		}
-		if tierBest[tier] < 0 {
-			tierBest[tier] = i
-			if tier == 0 {
-				break
+// chooseNext implements Algorithm 2 step 3: the pair of the heaviest
+// remaining flow, preferring flows between already-mapped cores, then flows
+// with one mapped endpoint — the lowest set bit of the first non-empty tier.
+// It returns -1 when every pair is routed.
+func (m *mapper) chooseNext() int32 {
+	if m.p.DisableMappedPreference {
+		for w := range m.tiers[tierBoth] {
+			if x := m.tiers[tierBoth][w] | m.tiers[tierOne][w] | m.tiers[tierNone][w]; x != 0 {
+				return int32(w<<6 + bits.TrailingZeros64(x))
 			}
 		}
+		return -1
 	}
-	for _, t := range tierBest {
-		if t >= 0 {
-			return t
+	for _, set := range m.tiers {
+		for w, x := range set {
+			if x != 0 {
+				return int32(w<<6 + bits.TrailingZeros64(x))
+			}
 		}
 	}
 	return -1
 }
 
-// placeAndRoute handles one chosen flow (steps 4-6): try candidate
-// placements for any unmapped endpoint; for each, route and reserve the
-// flow's pair in every group that communicates over it (the precomputed
-// routing plan). The first placement for which all groups succeed is
-// committed.
-func (m *mapper) placeAndRoute(fi int) error {
-	f := m.flows[fi]
-	plan := &m.planOf[f.pair]
+// placeAndRoute handles pair pi (steps 4-6), driven by its heaviest flow:
+// try candidate placements for any unmapped endpoint; for each, route and
+// reserve the pair in every group that communicates over it (the
+// precomputed routing plan). The first placement for which all groups
+// succeed is committed.
+func (m *mapper) placeAndRoute(pi int32) error {
+	plan := &m.planOf[pi]
+	f := m.flowsTpl[plan.allInsts[0]]
 
 	placements, err := m.candidatePlacements(f)
 	if err != nil {
@@ -380,10 +415,14 @@ func (m *mapper) placeAndRoute(fi int) error {
 			continue
 		}
 		mark := len(m.journal)
-		err := m.routeGroups(f.key, f.pair, plan)
+		err := m.routeGroups(f.key, pi, plan)
 		if err == nil {
-			for _, i := range plan.allInsts {
-				m.flows[i].done = true
+			m.moveTier(pi, tierDone)
+			if pl.placeSrc {
+				m.retier(pl.src)
+			}
+			if pl.placeDst {
+				m.retier(pl.dst)
 			}
 			return nil
 		}
@@ -605,10 +644,7 @@ func (m *mapper) applyPlacement(pl placement) error {
 		if !ok {
 			return fmt.Errorf("switch %d cannot absorb core %d", s, core)
 		}
-		m.coreSwitch[core] = s
-		m.coreNI[core] = ni
-		m.switchCores[s]++
-		m.niCores[ni]++
+		m.attach(core, s, ni)
 		return nil
 	}
 	if pl.placeSrc {
@@ -627,11 +663,32 @@ func (m *mapper) applyPlacement(pl placement) error {
 	return nil
 }
 
+// attach places core on switch s and NI ni, adding its remaining demand to
+// the NI's sums.
+func (m *mapper) attach(core traffic.CoreID, s, ni int) {
+	m.coreSwitch[core] = s
+	m.coreNI[core] = ni
+	m.switchCores[s]++
+	m.niCores[ni]++
+	if m.remOut != nil {
+		for g := range m.niRemOut {
+			m.niRemOut[g][ni] += m.remOut[g][core]
+			m.niRemIn[g][ni] += m.remIn[g][core]
+		}
+	}
+}
+
 func (m *mapper) unplace(core traffic.CoreID) {
 	s, ni := m.coreSwitch[core], m.coreNI[core]
 	if s >= 0 {
 		m.switchCores[s]--
 		m.niCores[ni]--
+		if m.remOut != nil {
+			for g := range m.niRemOut {
+				m.niRemOut[g][ni] -= m.remOut[g][core]
+				m.niRemIn[g][ni] -= m.remIn[g][core]
+			}
+		}
 	}
 	m.coreSwitch[core] = -1
 	m.coreNI[core] = -1
@@ -684,6 +741,8 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, l
 		demand = m.pairSlots[g][pi]
 		m.remOut[g][key.Src] -= demand
 		m.remIn[g][key.Dst] -= demand
+		m.niRemOut[g][m.coreNI[key.Src]] -= demand
+		m.niRemIn[g][m.coreNI[key.Dst]] -= demand
 	}
 	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key,
 		demand: demand, idx: pi, hops: m.rec.hops})
@@ -698,6 +757,8 @@ func (m *mapper) rollback(mark int) {
 		if m.remOut != nil {
 			m.remOut[r.group][r.key.Src] += r.demand
 			m.remIn[r.group][r.key.Dst] += r.demand
+			m.niRemOut[r.group][m.coreNI[r.key.Src]] += r.demand
+			m.niRemIn[r.group][m.coreNI[r.key.Dst]] += r.demand
 		}
 	}
 	m.journal = m.journal[:mark]

@@ -397,7 +397,10 @@ func (s *Service) Submit(req Request) (string, error) {
 // every other request — so the flight table is re-checked under the lock
 // afterwards: of N concurrent identical misses exactly one registers the
 // flight (one miss), the rest join it (deduped), same as when one lock
-// covered both.
+// covered both. A run that finished between the two locked sections may
+// have stored its answer after the read missed and left the flight table
+// before the re-check, so then the store is read again: one engine run per
+// key holds however the read and the finish interleave.
 func (s *Service) admit(ctx context.Context, req Request, sync bool) (*Job, *Response, error) {
 	key, err := req.Key()
 	if err != nil {
@@ -408,40 +411,54 @@ func (s *Service) admit(ctx context.Context, req Request, sync bool) (*Job, *Res
 		s.mu.Unlock()
 		return nil, nil, ErrClosed
 	}
+	// finish stores a run's answer and then, under s.mu, counts the job
+	// and deletes its flight: a moved count means a flight may have ended
+	// unseen.
+	settled := s.jobsDone + s.jobsFailed
 	s.mu.Unlock()
-	if resp, ok := s.storeGet(ctx, key); ok {
-		s.mu.Lock()
-		s.hits++
-		s.met.cacheHits.Inc()
-		if sync {
+	for {
+		if resp, ok := s.storeGet(ctx, key); ok {
+			s.mu.Lock()
+			s.hits++
+			s.met.cacheHits.Inc()
+			if sync {
+				s.mu.Unlock()
+				s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine)
+				return nil, resp.cached(), nil
+			}
+			// Async callers poll a job either way; synthesize a done one.
+			j := s.newJobLocked(key, req)
+			j.state = StateDone
+			j.resp = resp.cached()
+			j.finished = time.Now()
+			close(j.done)
+			s.retainLocked(j)
+			s.appendEvent(j, StreamEvent{Stage: StreamDone, Engine: req.Engine,
+				Cost: costOfResult(j.resp.Result, req.Opts.Weights), Response: j.resp, Final: true})
 			s.mu.Unlock()
-			s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine)
-			return nil, resp.cached(), nil
+			s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine, "job", j.ID)
+			return j, nil, nil
 		}
-		// Async callers poll a job either way; synthesize a done one.
-		j := s.newJobLocked(key, req)
-		j.state = StateDone
-		j.resp = resp.cached()
-		j.finished = time.Now()
-		close(j.done)
-		s.retainLocked(j)
-		s.appendEvent(j, StreamEvent{Stage: StreamDone, Engine: req.Engine,
-			Cost: costOfResult(j.resp.Result, req.Opts.Weights), Response: j.resp, Final: true})
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, nil, ErrClosed
+		}
+		if j, ok := s.flight[key]; ok {
+			s.deduped++
+			s.met.dedupJoins.Inc()
+			s.mu.Unlock()
+			s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", j.ID)
+			return j, nil, nil
+		}
+		// A run finished since the count was taken: it may have stored its
+		// answer after the read above missed, so read again.
+		n := s.jobsDone + s.jobsFailed
+		if n == settled {
+			break
+		}
+		settled = n
 		s.mu.Unlock()
-		s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine, "job", j.ID)
-		return j, nil, nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, ErrClosed
-	}
-	if j, ok := s.flight[key]; ok {
-		s.deduped++
-		s.met.dedupJoins.Inc()
-		s.mu.Unlock()
-		s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", j.ID)
-		return j, nil, nil
 	}
 	s.misses++
 	s.met.cacheMisses.Inc()

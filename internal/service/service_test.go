@@ -12,6 +12,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
@@ -206,6 +207,76 @@ func TestSingleFlightDeduplication(t *testing.T) {
 	}
 	if runs.Load() != 1 {
 		t.Errorf("%d concurrent identical requests cost %d engine runs, want 1", callers, runs.Load())
+	}
+}
+
+// missGate is a store whose first Get after arming reports its miss only
+// once release closes; missed closes when that read has happened.
+type missGate struct {
+	store.Store
+	armed   atomic.Bool
+	missed  chan struct{}
+	release chan struct{}
+}
+
+func (g *missGate) Get(ctx context.Context, digest string) (store.Entry, bool, error) {
+	e, ok, err := g.Store.Get(ctx, digest)
+	if !ok && err == nil && g.armed.CompareAndSwap(true, false) {
+		close(g.missed)
+		<-g.release
+	}
+	return e, ok, err
+}
+
+// TestSingleFlightAcrossFinish pins the window between a request's store
+// read and its flight check: the read misses while the first run is still
+// going, and the run stores its answer and leaves the flight table before
+// the request re-checks it. The request must find the stored answer, not
+// run the engine a second time.
+func TestSingleFlightAcrossFinish(t *testing.T) {
+	gate := make(chan struct{})
+	runs := registerGate("gate-finish", gate)
+	st := &missGate{Store: store.NewMemory(16), missed: make(chan struct{}), release: make(chan struct{})}
+	s := New(Config{Workers: 1, Store: st})
+	defer s.Close()
+
+	req := testRequest("gate-finish", testDesign("finish-demo"))
+	first := make(chan *Response, 1)
+	go func() {
+		r, err := s.Map(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		first <- r
+	}()
+	waitFor(t, "the first run to start", func() bool { return runs.Load() == 1 })
+	st.armed.Store(true)
+	second := make(chan *Response, 1)
+	go func() {
+		r, err := s.Map(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		second <- r
+	}()
+	<-st.missed
+	close(gate)
+	a := <-first
+	close(st.release)
+	b := <-second
+	if a == nil || b == nil {
+		t.FailNow()
+	}
+	if got := s.Stats().JobsDone; got != 1 || runs.Load() != 1 {
+		t.Errorf("two identical requests cost %d jobs and %d engine runs, want 1 and 1", got, runs.Load())
+	}
+	if !b.Cached {
+		t.Error("second request not answered from the store")
+	}
+	ja, _ := json.Marshal(a.Result)
+	jb, _ := json.Marshal(b.Result)
+	if string(ja) != string(jb) {
+		t.Errorf("cached answer differs from the run's:\n%s\nvs\n%s", ja, jb)
 	}
 }
 

@@ -1,8 +1,10 @@
 package tdma
 
 import (
+	"math/bits"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -160,6 +162,78 @@ func TestFindAlignedExactAndFail(t *testing.T) {
 	}
 	if _, ok := s.FindAlignedInto(nil, 1, nil); ok {
 		t.Error("empty path should fail")
+	}
+}
+
+// nearestScan and spreadScan are the even-spacing pick FindAlignedInto
+// made before nearestSet: for each ideal position scan every still-unused
+// free bit ascending and keep the strictly nearest. They are the oracle the
+// word arithmetic is checked against.
+func nearestScan(mask uint64, target, slots int) int {
+	best, bestDist := -1, slots+1
+	for a := mask; a != 0; a &= a - 1 {
+		cand := bits.TrailingZeros64(a)
+		d := cyclicDist(cand, target, slots)
+		if d < bestDist || (d == bestDist && cand < best) {
+			best, bestDist = cand, d
+		}
+	}
+	return best
+}
+
+func spreadScan(acc uint64, n, slots int) []int {
+	var chosen []int
+	for i := 0; i < n; i++ {
+		best := nearestScan(acc, i*slots/n, slots)
+		acc &^= uint64(1) << best
+		chosen = append(chosen, best)
+	}
+	slices.Sort(chosen)
+	return chosen
+}
+
+// checkSpread compares FindAlignedInto on a one-link table whose free mask is
+// acc against spreadScan for every feasible n.
+func checkSpread(t *testing.T, s *State, acc uint64, buf []int) []int {
+	t.Helper()
+	s.masks[0] = acc
+	for n := 1; n <= bits.OnesCount64(acc); n++ {
+		got, ok := s.FindAlignedInto([]int{0}, n, buf)
+		if !ok {
+			t.Fatalf("slots %d mask %#x n %d: FindAlignedInto failed", s.slots, acc, n)
+		}
+		if want := spreadScan(acc, n, s.slots); !slices.Equal(got, want) {
+			t.Fatalf("slots %d mask %#x n %d: FindAlignedInto = %v, scan = %v", s.slots, acc, n, got, want)
+		}
+		buf = got
+	}
+	return buf
+}
+
+// TestNearestSetMatchesScan: the rotation-based pick chooses exactly what the
+// per-bit scan chose — exhaustively over every mask and n for tables up to
+// 14 slots, and on random masks up to a full word.
+func TestNearestSetMatchesScan(t *testing.T) {
+	var buf []int
+	for slots := 1; slots <= 14; slots++ {
+		s := mustState(t, 1, slots)
+		for acc := uint64(1); acc <= fullMask(slots); acc++ {
+			for target := 0; target < slots; target++ {
+				if got, want := nearestSet(acc, target, slots), nearestScan(acc, target, slots); got != want {
+					t.Fatalf("slots %d mask %#x: nearestSet(%d) = %d, scan = %d", slots, acc, target, got, want)
+				}
+			}
+			buf = checkSpread(t, s, acc, buf)
+		}
+	}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 3000; i++ {
+		slots := 15 + rng.Intn(50)
+		acc := rng.Uint64() & fullMask(slots)
+		if acc == 0 {
+			continue
+		}
+		buf = checkSpread(t, mustState(t, 1, slots), acc, buf)
 	}
 }
 
