@@ -194,27 +194,24 @@ func spreadScan(acc uint64, n, slots int) []int {
 
 // checkSpread compares FindAlignedInto on a one-link table whose free mask is
 // acc against spreadScan for every feasible n.
-func checkSpread(t *testing.T, s *State, acc uint64, buf []int) []int {
+func checkSpread(t *testing.T, s *State, acc uint64) {
 	t.Helper()
 	s.masks[0] = acc
 	for n := 1; n <= bits.OnesCount64(acc); n++ {
-		got, ok := s.FindAlignedInto([]int{0}, n, buf)
+		got, ok := s.FindAlignedInto([]int{0}, n, nil)
 		if !ok {
 			t.Fatalf("slots %d mask %#x n %d: FindAlignedInto failed", s.slots, acc, n)
 		}
 		if want := spreadScan(acc, n, s.slots); !slices.Equal(got, want) {
 			t.Fatalf("slots %d mask %#x n %d: FindAlignedInto = %v, scan = %v", s.slots, acc, n, got, want)
 		}
-		buf = got
 	}
-	return buf
 }
 
 // TestNearestSetMatchesScan: the rotation-based pick chooses exactly what the
 // per-bit scan chose — exhaustively over every mask and n for tables up to
 // 14 slots, and on random masks up to a full word.
 func TestNearestSetMatchesScan(t *testing.T) {
-	var buf []int
 	for slots := 1; slots <= 14; slots++ {
 		s := mustState(t, 1, slots)
 		for acc := uint64(1); acc <= fullMask(slots); acc++ {
@@ -223,7 +220,7 @@ func TestNearestSetMatchesScan(t *testing.T) {
 					t.Fatalf("slots %d mask %#x: nearestSet(%d) = %d, scan = %d", slots, acc, target, got, want)
 				}
 			}
-			buf = checkSpread(t, s, acc, buf)
+			checkSpread(t, s, acc)
 		}
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -233,7 +230,7 @@ func TestNearestSetMatchesScan(t *testing.T) {
 		if acc == 0 {
 			continue
 		}
-		buf = checkSpread(t, mustState(t, 1, slots), acc, buf)
+		checkSpread(t, mustState(t, 1, slots), acc)
 	}
 }
 
