@@ -35,7 +35,7 @@
 // With -pprof the net/http/pprof profiling handlers are mounted under
 // /debug/pprof/ on the same listener; leave it off in untrusted networks.
 //
-// The pre-/v1 routes remain mounted as deprecated aliases. The request body
+// The request body
 // of /v1/map embeds a design in the standard interchange format under
 // "design"; see docs/cli.md for a full curl session.
 package main

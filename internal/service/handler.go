@@ -50,17 +50,17 @@ type MapRequest struct {
 	// TimeoutMS bounds the engine run, measured from when a worker picks
 	// the job up; time spent waiting in the queue does not count.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// Async makes POST /map return a job ID immediately (HTTP 202) instead
-	// of the result; poll GET /jobs/{id} for completion.
+	// Async makes POST /v1/map return a job ID immediately (HTTP 202) instead
+	// of the result; poll GET /v1/jobs/{id} for completion.
 	Async bool `json:"async,omitempty"`
 	// Mode selects the answer discipline. "stream" serves-then-improves:
 	// the greedy result is computed inline and returned with HTTP 202 in
 	// milliseconds while the requested engine keeps improving in the
-	// background; incumbent improvements arrive on GET /jobs/{id}/events
+	// background; incumbent improvements arrive on GET /v1/jobs/{id}/events
 	// (SSE, or long-poll with ?mode=poll). Empty (or "sync") keeps the
 	// blocking behavior. Mode and Async are mutually exclusive.
 	Mode string `json:"mode,omitempty"`
-	// WaitMS, with the stream mode, bounds how long POST /map waits for the
+	// WaitMS, with the stream mode, bounds how long POST /v1/map waits for the
 	// background improvement before answering with the best incumbent so
 	// far — the "pay only for the quality you wait for" knob. WaitMS alone
 	// (no Mode) implies stream mode.
@@ -185,11 +185,6 @@ type BatchResult struct {
 // response and stamped into job records), counted in
 // noc_http_requests_total{route,status}, timed into
 // noc_http_request_duration_seconds{route}, and logged structurally.
-//
-// The pre-/v1 routes (POST /map, POST /batch, GET /jobs/{id}, GET /stats)
-// remain mounted as thin deprecated aliases of their /v1 equivalents; they
-// answer identically (and count under their /v1 route label) but carry a
-// Deprecation header and a Link to the successor route.
 func NewHandler(s *Service) http.Handler {
 	mux := http.NewServeMux()
 	// instrument wraps a handler with the observability middleware. route is
@@ -214,21 +209,12 @@ func NewHandler(s *Service) http.Handler {
 				"duration_ms", ms(elapsed))
 		}
 	}
-	// handle mounts one route at its /v1 home and as a deprecated legacy
-	// alias at the original unversioned path. The Link header names the
-	// request's actual successor URL (path parameters substituted), so
-	// following it lands on the equivalent /v1 resource.
-	handle := func(method, path string, h http.HandlerFunc) {
-		ih := instrument("/v1"+path, h)
-		mux.HandleFunc(method+" /v1"+path, ih)
-		mux.HandleFunc(method+" "+path, func(w http.ResponseWriter, r *http.Request) {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", "</v1"+r.URL.Path+">; rel=\"successor-version\"")
-			ih(w, r)
-		})
+	// handle mounts one instrumented route.
+	handle := func(method, route string, h http.HandlerFunc) {
+		mux.HandleFunc(method+" "+route, instrument(route, h))
 	}
 
-	handle("POST", "/map", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/v1/map", func(w http.ResponseWriter, r *http.Request) {
 		var mr MapRequest
 		if !decodeBody(w, r, &mr) {
 			return
@@ -283,7 +269,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	handle("POST", "/batch", func(w http.ResponseWriter, r *http.Request) {
+	handle("POST", "/v1/batch", func(w http.ResponseWriter, r *http.Request) {
 		var br BatchRequest
 		if !decodeBody(w, r, &br) {
 			return
@@ -317,7 +303,7 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, out)
 	})
 
-	handle("GET", "/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := s.Job(r.PathValue("id"))
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
@@ -326,18 +312,17 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, st)
 	})
 
-	handle("GET", "/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/v1/jobs/{id}/events", func(w http.ResponseWriter, r *http.Request) {
 		serveJobEvents(s, w, r)
 	})
 
-	handle("GET", "/stats", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	// /v1/designs is post-versioning surface: it mounts under /v1 only, no
-	// legacy alias. It is also the peer-forwarding path of a sharded store —
+	// /v1/designs is also the peer-forwarding path of a sharded store:
 	// replicas resolve foreign digests against their owner here.
-	mux.HandleFunc("GET /v1/designs/{digest}", instrument("/v1/designs/{digest}", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/v1/designs/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		digest := r.PathValue("digest")
 		resp, ok := s.Design(r.Context(), digest)
 		if !ok {
@@ -345,25 +330,22 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		writeJSON(w, http.StatusOK, resp)
-	}))
+	})
 
-	mux.HandleFunc("GET /v1/version", instrument("/v1/version", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/v1/version", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, BuildVersion())
-	}))
+	})
 
-	metricsHandler := s.Metrics().Handler()
-	mux.HandleFunc("GET /v1/metrics", instrument("/v1/metrics", func(w http.ResponseWriter, r *http.Request) {
-		metricsHandler.ServeHTTP(w, r)
-	}))
+	handle("GET", "/v1/metrics", s.Metrics().Handler().ServeHTTP)
 
-	mux.HandleFunc("GET /healthz", instrument("/healthz", func(w http.ResponseWriter, r *http.Request) {
+	handle("GET", "/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, healthResponse{
 			OK:            true,
 			Version:       BuildVersion(),
 			StartedAt:     startedAt.UTC().Format(time.RFC3339),
 			UptimeSeconds: time.Since(startedAt).Seconds(),
 		})
-	}))
+	})
 
 	return mux
 }
@@ -402,18 +384,27 @@ func (r *statusRecorder) Flush() {
 
 // maxBodyBytes bounds a POST body. It sits far above any real request (a
 // 20-use-case design of ~900 flows is ~55 KB) yet keeps one request from
-// pinning the heap.
+// pinning the heap. A /v1/map body is read whole into a pooled buffer, so
+// this is also the most one request can make that buffer hold; buffers
+// grown past maxPooledBody are not pooled again.
 const maxBodyBytes = 8 << 20
 
 // decodeBody decodes a POST body (a MapRequest or a BatchRequest, design
-// included) in one strict pass: unknown fields at every level of nesting
-// are rejected, and the body is bounded by maxBodyBytes. On failure it
-// writes the reply — 413 for an oversize body, 400 otherwise — and returns
-// false.
+// included) strictly: unknown fields at every level of nesting are
+// rejected, and the body is bounded by maxBodyBytes. A MapRequest goes
+// through decodeMapRequest, one pass of a byte-level lexer over a pooled
+// buffer that hands everything outside its canonical subset to the stdlib
+// decode; a BatchRequest goes to the stdlib decode directly. Either way the
+// verdict and error are encoding/json's. On failure it writes the reply —
+// 413 for an oversize body, 400 otherwise — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	var err error
+	if mr, ok := v.(*MapRequest); ok {
+		err = decodeMapRequest(body, mr)
+	} else {
+		err = decodeStrict(body, v)
+	}
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

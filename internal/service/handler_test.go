@@ -95,9 +95,9 @@ func getJSON(t *testing.T, url string, v any) int {
 	return resp.StatusCode
 }
 
-// TestServerMapD1AllEngines is the acceptance-path e2e: POST /map serves the
+// TestServerMapD1AllEngines is the acceptance-path e2e: POST /v1/map serves the
 // checked-in D1 design with every registered engine, a repeated identical
-// request is a cache hit, and /stats proves it.
+// request is a cache hit, and /v1/stats proves it.
 func TestServerMapD1AllEngines(t *testing.T) {
 	ts, _ := newTestServer(t)
 	design := d1JSON(t)
@@ -105,11 +105,11 @@ func TestServerMapD1AllEngines(t *testing.T) {
 	small := 20 // keep the metaheuristic engines interactive under -race
 	seeds := 2
 	for _, engine := range []string{"greedy", "anneal", "portfolio"} {
-		httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+		httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 			Design: design, Engine: engine, Iters: &small, Seeds: &seeds,
 		})
 		if httpResp.StatusCode != http.StatusOK {
-			t.Fatalf("POST /map engine=%s: HTTP %d: %s", engine, httpResp.StatusCode, body)
+			t.Fatalf("POST /v1/map engine=%s: HTTP %d: %s", engine, httpResp.StatusCode, body)
 		}
 		var resp Response
 		if err := json.Unmarshal(body, &resp); err != nil {
@@ -130,11 +130,11 @@ func TestServerMapD1AllEngines(t *testing.T) {
 	}
 
 	// The repeat of the greedy request must be served from the cache …
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 		Design: design, Engine: "greedy", Iters: &small, Seeds: &seeds,
 	})
 	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("repeat POST /map: HTTP %d", httpResp.StatusCode)
+		t.Fatalf("repeat POST /v1/map: HTTP %d", httpResp.StatusCode)
 	}
 	var repeat Response
 	if err := json.Unmarshal(body, &repeat); err != nil {
@@ -146,8 +146,8 @@ func TestServerMapD1AllEngines(t *testing.T) {
 
 	// … and the counters must say so: three engine runs, one hit.
 	var st Stats
-	if code := getJSON(t, ts.URL+"/stats", &st); code != http.StatusOK {
-		t.Fatalf("GET /stats: HTTP %d", code)
+	if code := getJSON(t, ts.URL+"/v1/stats", &st); code != http.StatusOK {
+		t.Fatalf("GET /v1/stats: HTTP %d", code)
 	}
 	if st.CacheMisses != 3 || st.CacheHits != 1 || st.JobsDone != 3 {
 		t.Errorf("stats after e2e run = %+v, want 3 misses / 1 hit / 3 done", st)
@@ -158,11 +158,11 @@ func TestServerMapD1AllEngines(t *testing.T) {
 func TestServerAsyncJob(t *testing.T) {
 	ts, _ := newTestServer(t)
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{
 		Design: d1JSON(t), Engine: "greedy", Async: true,
 	})
 	if httpResp.StatusCode != http.StatusAccepted {
-		t.Fatalf("async POST /map: HTTP %d: %s", httpResp.StatusCode, body)
+		t.Fatalf("async POST /v1/map: HTTP %d: %s", httpResp.StatusCode, body)
 	}
 	var job JobStatus
 	if err := json.Unmarshal(body, &job); err != nil {
@@ -174,8 +174,8 @@ func TestServerAsyncJob(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		if code := getJSON(t, ts.URL+"/jobs/"+job.ID, &job); code != http.StatusOK {
-			t.Fatalf("GET /jobs/%s: HTTP %d", job.ID, code)
+		if code := getJSON(t, ts.URL+"/v1/jobs/"+job.ID, &job); code != http.StatusOK {
+			t.Fatalf("GET /v1/jobs/%s: HTTP %d", job.ID, code)
 		}
 		if job.State == StateDone || job.State == StateFailed {
 			break
@@ -206,9 +206,9 @@ func TestServerBatch(t *testing.T) {
 	freq := 300.0
 	br.Requests = append(br.Requests, MapRequest{Design: design, Engine: "greedy", FreqMHz: &freq})
 
-	httpResp, body := postJSON(t, ts.URL+"/batch", br)
+	httpResp, body := postJSON(t, ts.URL+"/v1/batch", br)
 	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /batch: HTTP %d: %s", httpResp.StatusCode, body)
+		t.Fatalf("POST /v1/batch: HTTP %d: %s", httpResp.StatusCode, body)
 	}
 	var out BatchResponse
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -229,7 +229,7 @@ func TestServerBatch(t *testing.T) {
 		t.Error("different-frequency request shares the duplicates' key")
 	}
 	var st Stats
-	getJSON(t, ts.URL+"/stats", &st)
+	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.JobsDone != 2 {
 		t.Errorf("batch of 4 (3 identical) cost %d engine runs, want 2", st.JobsDone)
 	}
@@ -250,7 +250,7 @@ func TestServerErrorPaths(t *testing.T) {
 		{"invalid design", `{"design":{"name":"x","num_cores":0,"use_cases":[]}}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
-		resp, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader([]byte(c.body)))
+		resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte(c.body)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,7 +281,7 @@ func TestServerErrorPaths(t *testing.T) {
 		}
 	}
 
-	if code := getJSON(t, ts.URL+"/jobs/j404", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/v1/jobs/j404", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
 	}
 	var health healthResponse
@@ -298,7 +298,7 @@ func TestServerErrorPaths(t *testing.T) {
 		`{"src":0,"dst":1,"bandwidth_mbs":10},{"src":2,"dst":3,"bandwidth_mbs":10},` +
 		`{"src":4,"dst":5,"bandwidth_mbs":10},{"src":6,"dst":7,"bandwidth_mbs":10},` +
 		`{"src":8,"dst":9,"bandwidth_mbs":10}]}]},"max_dim":1}`
-	resp, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader([]byte(infeasible)))
+	resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader([]byte(infeasible)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +308,7 @@ func TestServerErrorPaths(t *testing.T) {
 	}
 }
 
-// POST /map with a topology field must run on that fabric, produce a cache
+// POST /v1/map with a topology field must run on that fabric, produce a cache
 // key distinct from the mesh run of the same design, and reject unknown
 // fabrics with 400.
 func TestServerMapTopologyField(t *testing.T) {
@@ -317,7 +317,7 @@ func TestServerMapTopologyField(t *testing.T) {
 
 	var keys []string
 	for _, topo := range []string{"", "torus"} {
-		httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: design, Topology: topo})
+		httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design, Topology: topo})
 		if httpResp.StatusCode != http.StatusOK {
 			t.Fatalf("topology %q: HTTP %d: %s", topo, httpResp.StatusCode, body)
 		}
@@ -334,7 +334,7 @@ func TestServerMapTopologyField(t *testing.T) {
 		t.Errorf("mesh and torus requests share cache key %s", keys[0])
 	}
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: design, Topology: "hypercube"})
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design, Topology: "hypercube"})
 	if httpResp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown topology: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -351,7 +351,7 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	tagged := *design
 	tagged.Topology = "torus"
 
-	httpResp, body := postJSON(t, ts.URL+"/map", MapRequest{Design: &tagged})
+	httpResp, body := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: &tagged})
 	if httpResp.StatusCode != http.StatusOK {
 		t.Fatalf("tagged design: HTTP %d: %s", httpResp.StatusCode, body)
 	}
@@ -359,7 +359,7 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	if err := json.Unmarshal(body, &torusResp); err != nil {
 		t.Fatal(err)
 	}
-	_, meshBody := postJSON(t, ts.URL+"/map", MapRequest{Design: design})
+	_, meshBody := postJSON(t, ts.URL+"/v1/map", MapRequest{Design: design})
 	var meshResp Response
 	if err := json.Unmarshal(meshBody, &meshResp); err != nil {
 		t.Fatal(err)
@@ -396,5 +396,86 @@ func TestServerBodyLimit(t *testing.T) {
 	resp, body := postRaw(t, ts.URL+"/v1/map", `{"design":`+string(d1Raw(t))+pad[:maxBodyBytes/2]+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("body under the limit: HTTP %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestServerBodyEdges pins the answers at the edges of the /v1/map body
+// read: an oversize body that is one valid JSON value, trailing bytes after
+// a valid object (a few, and more than the body limit), and decodes back to
+// back and concurrently, none of which may alias another request's strings.
+func TestServerBodyEdges(t *testing.T) {
+	ts, _ := newTestServer(t)
+	valid := `{"design":` + string(d1Raw(t)) + `,"engine":"greedy"}`
+
+	huge := `{"design":{"name":"` + strings.Repeat("x", maxBodyBytes) + `","num_cores":2,"use_cases":[]}}`
+	if resp, body := postRaw(t, ts.URL+"/v1/map", huge); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize valid body: HTTP %d, want 413: %.200s", resp.StatusCode, body)
+	}
+
+	_, plain := postRaw(t, ts.URL+"/v1/map", valid)
+	var want Response
+	if err := json.Unmarshal(plain, &want); err != nil || want.Key == "" {
+		t.Fatalf("valid body: %s (%v)", plain, err)
+	}
+	for name, tail := range map[string]string{
+		"garbage":         "garbage",
+		"a second object": `{"engine":"anneal"}`,
+		"past the limit":  strings.Repeat(" ", maxBodyBytes),
+	} {
+		resp, body := postRaw(t, ts.URL+"/v1/map", valid+tail)
+		var got Response
+		if err := json.Unmarshal(body, &got); err != nil || resp.StatusCode != http.StatusOK || got.Key != want.Key {
+			t.Errorf("valid object + %s: HTTP %d %.200s, want 200 with key %s", name, resp.StatusCode, body, want.Key)
+		}
+	}
+
+	decode := func(body string) (MapRequest, bool) {
+		var mr MapRequest
+		req := httptest.NewRequest(http.MethodPost, "/v1/map", strings.NewReader(body))
+		return mr, decodeBody(httptest.NewRecorder(), req, &mr)
+	}
+	named := func(i int) string {
+		return strings.Replace(valid, `"name": "D1-settopbox-4uc"`, fmt.Sprintf(`"name": "design-%03d"`, i), 1)
+	}
+	if named(1) == valid {
+		t.Fatal("the D1 example no longer carries its name line")
+	}
+	first, ok := decode(named(1))
+	if !ok {
+		t.Fatal("first body rejected")
+	}
+	before, _ := json.Marshal(first)
+	if _, ok := decode(named(2)); !ok {
+		t.Fatal("second body rejected")
+	}
+	if after, _ := json.Marshal(first); !bytes.Equal(before, after) || first.Design.Name != "design-001" {
+		t.Errorf("decoding a second body changed the first request:\n%s\nvs\n%s", before, after)
+	}
+
+	errs := make(chan error, 8)
+	for g := range 8 {
+		go func() {
+			var kept []MapRequest
+			for i := range 20 {
+				mr, ok := decode(named(g*100 + i))
+				if !ok {
+					errs <- fmt.Errorf("body %d rejected", g*100+i)
+					return
+				}
+				kept = append(kept, mr)
+			}
+			for i, mr := range kept {
+				if want := fmt.Sprintf("design-%03d", g*100+i); mr.Design.Name != want {
+					errs <- fmt.Errorf("body %d decoded as %q", g*100+i, mr.Design.Name)
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range 8 {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }

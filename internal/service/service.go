@@ -233,17 +233,13 @@ type JobStatus struct {
 	LastSeq int64 `json:"last_seq,omitempty"`
 }
 
-// Stats exposes the cache and pool gauges served at /stats. The same
+// Stats exposes the cache and pool gauges served at /v1/stats. The same
 // signals, plus histograms and per-engine breakdowns, are exposed in
 // Prometheus form at /v1/metrics.
 type Stats struct {
 	CacheHits      int64 `json:"cache_hits"`
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
-	// CacheEntries is the resident entry count of the result store. It is
-	// the historical name for what StoreEntries also reports; both keys
-	// carry the same value so pre-store dashboards keep working.
-	CacheEntries int `json:"cache_entries"`
 	// StoreBackend names the result-store backend serving this process:
 	// "memory", "disk" or "sharded".
 	StoreBackend string `json:"store_backend"`
@@ -576,7 +572,6 @@ func (s *Service) Stats() Stats {
 		CacheHits:      s.hits,
 		CacheMisses:    s.misses,
 		CacheEvictions: s.evictions,
-		CacheEntries:   entries,
 		StoreBackend:   s.store.Backend(),
 		StoreEntries:   entries,
 		Deduped:        s.deduped,

@@ -1,9 +1,10 @@
 package traffic
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/hex"
-	"sort"
+	"slices"
 	"strconv"
 )
 
@@ -33,14 +34,14 @@ func (d *Design) Canonicalize() *Design {
 	for i := range order {
 		order[i] = i
 	}
-	sort.Slice(order, func(a, b int) bool {
-		return d.UseCases[order[a]].Name < d.UseCases[order[b]].Name
+	slices.SortFunc(order, func(a, b int) int {
+		return cmp.Compare(d.UseCases[a].Name, d.UseCases[b].Name)
 	})
 	for newIdx, oldIdx := range order {
 		perm[oldIdx] = newIdx
 		u := d.UseCases[oldIdx].Clone()
 		u.SortByPair()
-		sort.Strings(u.Parts)
+		slices.Sort(u.Parts)
 		out.UseCases = append(out.UseCases, u)
 	}
 
@@ -49,18 +50,10 @@ func (d *Design) Canonicalize() *Design {
 		for i, idx := range set {
 			ns[i] = perm[idx]
 		}
-		sort.Ints(ns)
+		slices.Sort(ns)
 		out.ParallelSets = append(out.ParallelSets, ns)
 	}
-	sort.Slice(out.ParallelSets, func(a, b int) bool {
-		x, y := out.ParallelSets[a], out.ParallelSets[b]
-		for i := 0; i < len(x) && i < len(y); i++ {
-			if x[i] != y[i] {
-				return x[i] < y[i]
-			}
-		}
-		return len(x) < len(y)
-	})
+	slices.SortFunc(out.ParallelSets, slices.Compare)
 
 	for _, p := range d.SmoothPairs {
 		a, b := perm[p[0]], perm[p[1]]
@@ -69,12 +62,8 @@ func (d *Design) Canonicalize() *Design {
 		}
 		out.SmoothPairs = append(out.SmoothPairs, [2]int{a, b})
 	}
-	sort.Slice(out.SmoothPairs, func(a, b int) bool {
-		x, y := out.SmoothPairs[a], out.SmoothPairs[b]
-		if x[0] != y[0] {
-			return x[0] < y[0]
-		}
-		return x[1] < y[1]
+	slices.SortFunc(out.SmoothPairs, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
 	})
 	return out
 }
@@ -84,12 +73,18 @@ func (d *Design) Canonicalize() *Design {
 // used by Digest (SortFlows, by contrast, is the mapper's bandwidth-first
 // processing order).
 func (u *UseCase) SortByPair() {
-	sort.Slice(u.Flows, func(i, j int) bool {
-		a, b := u.Flows[i], u.Flows[j]
-		if a.Src != b.Src {
-			return a.Src < b.Src
+	slices.SortFunc(u.Flows, func(a, b Flow) int {
+		switch {
+		case a.Src < b.Src:
+			return -1
+		case a.Src > b.Src:
+			return 1
+		case a.Dst < b.Dst:
+			return -1
+		case a.Dst > b.Dst:
+			return 1
 		}
-		return a.Dst < b.Dst
+		return 0
 	})
 }
 

@@ -75,8 +75,9 @@ func (in *DesignJSON) Design() (*Design, error) {
 	}
 	switch {
 	case len(in.CoreNames) > 0:
+		d.Cores = make([]Core, len(in.CoreNames))
 		for i, name := range in.CoreNames {
-			d.Cores = append(d.Cores, Core{ID: CoreID(i), Name: name})
+			d.Cores[i] = Core{ID: CoreID(i), Name: name}
 		}
 	case in.NumCores > 0:
 		// Cap before MakeCores allocates one named struct per claimed core:
@@ -89,15 +90,25 @@ func (in *DesignJSON) Design() (*Design, error) {
 	default:
 		return nil, fmt.Errorf("traffic: design %q: neither core_names nor num_cores given", in.Name)
 	}
-	for _, uj := range in.UseCases {
-		u := &UseCase{Name: uj.Name}
-		for _, fj := range uj.Flows {
-			u.Flows = append(u.Flows, Flow{
-				Src: CoreID(fj.Src), Dst: CoreID(fj.Dst),
-				BandwidthMBs: fj.Bandwidth, MaxLatencyNS: fj.Latency,
-			})
+	// Every slice is allocated at its final length; the use-cases share one
+	// backing array.
+	if n := len(in.UseCases); n > 0 {
+		ucs := make([]UseCase, n)
+		d.UseCases = make([]*UseCase, n)
+		for i, uj := range in.UseCases {
+			u := &ucs[i]
+			u.Name = uj.Name
+			if len(uj.Flows) > 0 {
+				u.Flows = make([]Flow, len(uj.Flows))
+			}
+			for k, fj := range uj.Flows {
+				u.Flows[k] = Flow{
+					Src: CoreID(fj.Src), Dst: CoreID(fj.Dst),
+					BandwidthMBs: fj.Bandwidth, MaxLatencyNS: fj.Latency,
+				}
+			}
+			d.UseCases[i] = u
 		}
-		d.UseCases = append(d.UseCases, u)
 	}
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -127,78 +126,6 @@ func TestClientV1EndToEnd(t *testing.T) {
 	}
 	if v.Version == "" {
 		t.Errorf("version endpoint returned empty identity: %+v", v)
-	}
-}
-
-// TestLegacyRoutesAliasV1 pins the deprecation contract: the pre-/v1 routes
-// answer identically to their /v1 homes and advertise the successor.
-func TestLegacyRoutesAliasV1(t *testing.T) {
-	client, ts := newTestDaemon(t)
-	ctx := context.Background()
-	d := fig5Design(t)
-	if _, err := client.Map(ctx, d); err != nil {
-		t.Fatal(err)
-	}
-
-	mr, err := noc.BuildMapRequest(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(mr)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, route := range []struct{ method, path string }{
-		{"POST", "/map"},
-		{"GET", "/stats"},
-		{"GET", "/jobs/j1"},
-	} {
-		var resp *http.Response
-		var err error
-		switch route.method {
-		case "POST":
-			resp, err = http.Post(ts.URL+route.path, "application/json", bytes.NewReader(body))
-		default:
-			resp, err = http.Get(ts.URL + route.path)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.Header.Get("Deprecation") == "" {
-			t.Errorf("legacy %s %s carries no Deprecation header", route.method, route.path)
-		}
-		// The Link target is the request's actual successor URL — path
-		// parameters substituted, so following it lands on the resource.
-		if link := resp.Header.Get("Link"); !strings.Contains(link, "</v1"+route.path+">") {
-			t.Errorf("legacy %s %s Link = %q, want </v1%s>", route.method, route.path, link, route.path)
-		}
-	}
-
-	// The legacy map answer matches /v1/map byte for byte (cache verdict
-	// aside, both are hits by now).
-	legacy, err := http.Post(ts.URL+"/map", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Body.Close()
-	var viaLegacy, viaV1 noc.MapResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&viaLegacy); err != nil {
-		t.Fatal(err)
-	}
-	v1resp, err := http.Post(ts.URL+"/v1/map", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer v1resp.Body.Close()
-	if err := json.NewDecoder(v1resp.Body).Decode(&viaV1); err != nil {
-		t.Fatal(err)
-	}
-	lj, _ := json.Marshal(viaLegacy)
-	vj, _ := json.Marshal(viaV1)
-	if !bytes.Equal(lj, vj) {
-		t.Errorf("legacy and /v1 answers diverge:\n%s\nvs\n%s", lj, vj)
 	}
 }
 
