@@ -13,8 +13,8 @@ import (
 // A POST /v1/map body is read whole into a pooled buffer and decoded by a
 // hand-written lexer in one pass over its bytes. The lexer covers only the
 // canonical subset of the wire form: every key exactly one of its struct's
-// json names and given once, strings of printable ASCII without escapes,
-// integer fields in the JSON integer grammar, no nulls, smooth pairs of
+// json names and given once, strings of ASCII bytes from 0x20 up without
+// escapes, integer fields in the JSON integer grammar, no nulls, smooth pairs of
 // exactly two elements. Anything else — and any read error — makes it
 // report "not mine", and the strict encoding/json decode runs on the same
 // buffered bytes, followed by the same read error. Accept/reject verdicts,
@@ -355,7 +355,8 @@ func (d *bodyDecoder) more(close byte) bool {
 }
 
 // raw consumes a string literal and returns its contents, which alias the
-// body. Escapes, control bytes and non-ASCII bytes are outside the subset.
+// body. Escapes, bytes below 0x20 and non-ASCII bytes are outside the
+// subset.
 func (d *bodyDecoder) raw() []byte {
 	if !d.eat('"') {
 		d.bad = true
