@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+
 	"nocmap/internal/topology"
 	"nocmap/internal/usecase"
 )
@@ -20,3 +23,81 @@ func EvaluateFresh(prep *usecase.Prepared, numCores int, top *topology.Topology,
 	}
 	return ev.Evaluate(coreSwitch, coreNI)
 }
+
+// Move-rejection sentinels, for the session's differential tests.
+var (
+	ErrNICapacity     = errNICapacity
+	ErrSwitchCapacity = errSwitchCapacity
+	ErrMoveInfeasible = errMoveInfeasible
+)
+
+// NICapacityCheck exposes the NI precheck, which TryMove runs before the
+// switch precheck.
+func (s *Session) NICapacityCheck(coreNI, moved []int) error {
+	return s.niCapacityCheck(coreNI, moved)
+}
+
+// SwitchCapacityScan is the switch precheck as a full scan of every pair of
+// every group for each switch the move touches: the oracle the maintained
+// cross-switch sums are checked against.
+func (s *Session) SwitchCapacityScan(coreSwitch, moved []int) error {
+	T := s.ev.p.SlotTableSize
+	var touched []int
+	for _, c := range moved {
+		for _, sw := range [2]int{coreSwitch[c], s.cs[c]} {
+			if sw >= 0 && !slices.Contains(touched, sw) {
+				touched = append(touched, sw)
+			}
+		}
+	}
+	for _, sw := range touched {
+		limit := s.ev.top.Degree(topology.SwitchID(sw)) * T
+		for _, pairs := range s.ev.groupPairs {
+			sumOut, sumIn := 0, 0
+			for _, pd := range pairs {
+				srcS, dstS := coreSwitch[pd.key.Src], coreSwitch[pd.key.Dst]
+				if srcS == sw && dstS != sw {
+					sumOut += pd.slots
+				}
+				if dstS == sw && srcS != sw {
+					sumIn += pd.slots
+				}
+			}
+			if sumOut > limit || sumIn > limit {
+				return errSwitchCapacity
+			}
+		}
+	}
+	return nil
+}
+
+// CrossSumsError compares the session's maintained cross-switch sums with a
+// recomputation from every group's pair list under the session's placement
+// (the candidate's while a move is pending).
+func (s *Session) CrossSumsError() error {
+	numGroups := len(s.ev.prep.Groups)
+	out := make([]int, len(s.crossOut))
+	in := make([]int, len(s.crossIn))
+	for g, pairs := range s.ev.groupPairs {
+		for _, pd := range pairs {
+			srcS, dstS := s.cs[pd.key.Src], s.cs[pd.key.Dst]
+			if srcS >= 0 && srcS != dstS {
+				out[srcS*numGroups+g] += pd.slots
+			}
+			if dstS >= 0 && dstS != srcS {
+				in[dstS*numGroups+g] += pd.slots
+			}
+		}
+	}
+	for i := range out {
+		if s.crossOut[i] != out[i] || s.crossIn[i] != in[i] {
+			return fmt.Errorf("switch %d group %d: maintained out/in %d/%d, recomputed %d/%d",
+				i/numGroups, i%numGroups, s.crossOut[i], s.crossIn[i], out[i], in[i])
+		}
+	}
+	return nil
+}
+
+// PendingRebuilds reports how many groups the pending move re-routed from
+// scratch after their delta re-route wedged.
+func (s *Session) PendingRebuilds() int { return len(s.pm.rebuilt) }

@@ -22,6 +22,14 @@ import (
 // from scratch, and one group's from-scratch failure rejects the move
 // without evaluating the rest.
 //
+// Before any routing, a move passes two necessary-capacity prechecks. The
+// switch-side one reads sums the session keeps current: per group and
+// switch, the slot demand crossing into and out of the switch under the
+// placement. A move shifts only its affected pairs' share of those sums
+// (and a rejected or undone move shifts it back), so the precheck never
+// rescans the design. The re-route then walks per-group buckets of the
+// affected pairs, filled while the teardown walks each pair's groups.
+//
 // A move is two-phase: TryMove reserves the new configuration and returns
 // its statistics with the move pending; Keep commits it, Undo restores the
 // previous configuration exactly. This is the shape a Metropolis acceptance
@@ -56,6 +64,11 @@ type Session struct {
 	csAlt, cnAlt []int
 
 	states []*tdma.State
+	// crossOut/crossIn hold, at [switch*groups + group], the slot demand
+	// (pairSlots) of the group's pairs that leave (enter) the switch for
+	// (from) another switch under the session's placement — the candidate's
+	// while a move is pending. switchCapacityCheck bounds them.
+	crossOut, crossIn []int
 	// recs holds the live reservation records dense by [group][pair index]
 	// (nil where the group does not communicate over the pair).
 	recs      [][]*resRecord
@@ -100,6 +113,15 @@ type moveScratch struct {
 	seenPair []bool
 	seats    []int
 	swCheck  []int
+	// buckets lists, per group, the affected pairs the group re-routes, in
+	// ascending affected order. Every bucket is empty between moves.
+	buckets [][]groupPair
+}
+
+// groupPair is one affected pair of a group's re-route: the pair's dense
+// index and the group's position gi in the pair's plan.
+type groupPair struct {
+	idx, gi int32
 }
 
 // Move-rejection sentinels: a search engine probes thousands of placements
@@ -118,13 +140,15 @@ func (ev *Evaluator) newSessionShell() *Session {
 	numGroups := len(ev.prep.Groups)
 	numPairs := len(ev.pairList)
 	s := &Session{
-		ev:     ev,
-		cs:     make([]int, ev.numCores),
-		cn:     make([]int, ev.numCores),
-		csAlt:  make([]int, ev.numCores),
-		cnAlt:  make([]int, ev.numCores),
-		states: make([]*tdma.State, numGroups),
-		recs:   make([][]*resRecord, numGroups),
+		ev:       ev,
+		cs:       make([]int, ev.numCores),
+		cn:       make([]int, ev.numCores),
+		csAlt:    make([]int, ev.numCores),
+		cnAlt:    make([]int, ev.numCores),
+		states:   make([]*tdma.State, numGroups),
+		crossOut: make([]int, ev.top.NumSwitches()*numGroups),
+		crossIn:  make([]int, ev.top.NumSwitches()*numGroups),
+		recs:     make([][]*resRecord, numGroups),
 	}
 	for g := range s.recs {
 		s.recs[g] = make([]*resRecord, numPairs)
@@ -135,7 +159,58 @@ func (ev *Evaluator) newSessionShell() *Session {
 	s.sc.res.route = route.NewScratch()
 	s.sc.affected = make([]int32, 0, numPairs)
 	s.sc.seenPair = make([]bool, numPairs)
+	s.sc.buckets = make([][]groupPair, numGroups)
 	return s
+}
+
+// addCross adds sign times pair idx's cross-switch demand under the
+// placement coreSwitch to the sums: each of the pair's groups demands its
+// pairSlots out of the source switch and into the destination switch, when
+// the two differ.
+func (s *Session) addCross(coreSwitch []int, idx int32, sign int) {
+	key := s.ev.pairList[idx]
+	src, dst := coreSwitch[key.Src], coreSwitch[key.Dst]
+	if src == dst {
+		return
+	}
+	numGroups := len(s.ev.prep.Groups)
+	for _, g := range s.ev.planOf[idx].groups {
+		d := sign * s.ev.pairSlots[g][idx]
+		if src >= 0 {
+			s.crossOut[src*numGroups+g] += d
+		}
+		if dst >= 0 {
+			s.crossIn[dst*numGroups+g] += d
+		}
+	}
+}
+
+// initCross builds the cross-switch sums of the session's placement from
+// scratch.
+func (s *Session) initCross() {
+	for i := range s.ev.pairList {
+		s.addCross(s.cs, int32(i), 1)
+	}
+}
+
+// shiftCross moves the affected pairs' share of the cross-switch sums from
+// the placement from to the placement to.
+func (s *Session) shiftCross(from, to []int) {
+	for _, idx := range s.sc.affected {
+		key := s.ev.pairList[idx]
+		if from[key.Src] == to[key.Src] && from[key.Dst] == to[key.Dst] {
+			continue // the pair keeps its switches
+		}
+		s.addCross(from, idx, -1)
+		s.addCross(to, idx, 1)
+	}
+}
+
+// clearBuckets empties every group's re-route bucket.
+func (s *Session) clearBuckets() {
+	for g := range s.sc.buckets {
+		s.sc.buckets[g] = s.sc.buckets[g][:0]
+	}
 }
 
 func (s *Session) getRec() *resRecord {
@@ -189,6 +264,7 @@ func (ev *Evaluator) NewSession(coreSwitch, coreNI []int) (*Session, error) {
 	}
 	s.nextOwner = int32(len(journal))
 	s.stats = computeStats(mapping, states)
+	s.initCross()
 	return s, nil
 }
 
@@ -254,6 +330,7 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 		}
 	}
 	s.stats = s.statsFromRecs()
+	s.initCross()
 	return s, nil
 }
 
@@ -271,6 +348,8 @@ func (s *Session) Clone() (*Session, error) {
 	copy(c.cn, s.cn)
 	c.nextOwner = s.nextOwner
 	c.stats = s.stats
+	copy(c.crossOut, s.crossOut)
+	copy(c.crossIn, s.crossIn)
 	for g := range s.states {
 		c.states[g] = s.states[g].Clone()
 		for idx, r := range s.recs[g] {
@@ -338,9 +417,6 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	if err := s.niCapacityCheck(coreNI, moved); err != nil {
 		return Stats{}, err
 	}
-	if err := s.switchCapacityCheck(coreSwitch, moved); err != nil {
-		return Stats{}, err
-	}
 
 	// Collect the pairs with a moved endpoint in the deterministic global
 	// routing order (the incidence lists are ascending; the merge is sorted
@@ -370,6 +446,13 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	}
 	s.sc.affected = affected
 
+	// The precheck shifts the affected pairs' cross-switch demand to the
+	// candidate; from here on the shift and the placement swap go together,
+	// and rollbackMove reverts both.
+	if err := s.switchCapacityCheck(coreSwitch, moved); err != nil {
+		return Stats{}, err
+	}
+
 	// Adopt the candidate placement (buffer swap; rollback swaps back).
 	pm := &s.pm
 	copy(s.csAlt, coreSwitch)
@@ -378,19 +461,21 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	s.cn, s.cnAlt = s.cnAlt, s.cn
 	pm.swapped = true
 
-	// Tear down every affected pair.
-	numGroups := len(s.ev.prep.Groups)
+	// Tear down every affected pair, filing it into the bucket of each
+	// group that re-routes it.
+	buckets := s.sc.buckets
 	for _, idx := range affected {
-		plan := s.ev.planOf[idx]
-		for _, g := range plan.groups {
+		for gi, g := range s.ev.planOf[idx].groups {
 			r := s.recs[g][idx]
 			if r == nil {
+				s.clearBuckets()
 				s.rollbackMove()
 				return Stats{}, fmt.Errorf("core: internal: pair %d missing from group %d", idx, g)
 			}
 			s.states[g].Release(r.owner, r.path, r.start)
 			s.recs[g][idx] = nil
 			pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
+			buckets[g] = append(buckets[g], groupPair{idx: idx, gi: int32(gi)})
 		}
 	}
 
@@ -400,39 +485,31 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	// alone (identical to its share of a full re-evaluation), and a group
 	// whose from-scratch pass fails proves the whole move infeasible
 	// without touching the remaining groups.
-	for g := 0; g < numGroups; g++ {
+	for g, bucket := range buckets {
+		buckets[g] = bucket[:0]
 		ok := true
-		for _, idx := range affected {
-			plan := s.ev.planOf[idx]
-			gi := -1
-			for i, pg := range plan.groups {
-				if pg == g {
-					gi = i
-					break
-				}
-			}
-			if gi < 0 {
-				continue // this group does not communicate over the pair
-			}
-			key := s.ev.pairList[idx]
+		for _, e := range bucket {
+			plan := &s.ev.planOf[e.idx]
+			key := s.ev.pairList[e.idx]
 			rec := s.getRec()
 			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
 				s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-				plan.bw[gi], plan.lat[gi], rec)
+				plan.bw[e.gi], plan.lat[e.gi], rec)
 			if err != nil {
 				s.putRec(rec)
 				ok = false
 				break
 			}
-			rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, idx
+			rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, e.idx
 			s.nextOwner++
-			s.recs[g][idx] = rec
+			s.recs[g][e.idx] = rec
 			pm.newByGroup[g] = append(pm.newByGroup[g], rec)
 		}
 		if ok {
 			continue
 		}
 		if err := s.rebuildGroup(g); err != nil {
+			s.clearBuckets()
 			s.rollbackMove()
 			return Stats{}, errMoveInfeasible
 		}
@@ -541,6 +618,7 @@ func (s *Session) rollbackMove() {
 		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
 	}
 	if pm.swapped {
+		s.shiftCross(s.cs, s.csAlt)
 		s.cs, s.csAlt = s.csAlt, s.cs
 		s.cn, s.cnAlt = s.cnAlt, s.cn
 		pm.swapped = false
@@ -626,6 +704,11 @@ func (s *Session) niCapacityCheck(coreNI []int, moved []int) error {
 // degree times the slot table. Only the switches whose core membership the
 // move changes are re-checked. Like the NI bound this is exact-necessary:
 // violating it proves the placement infeasible before any routing runs.
+//
+// The demand comes from the maintained sums, not a scan: the check first
+// shifts the affected pairs' share from the current placement to
+// coreSwitch. On rejection it shifts it back; on success the shift stays
+// with the move, which Keep commits and rollbackMove reverts.
 func (s *Session) switchCapacityCheck(coreSwitch []int, moved []int) error {
 	T := s.ev.p.SlotTableSize
 	buf := s.sc.swCheck[:0]
@@ -647,20 +730,14 @@ func (s *Session) switchCapacityCheck(coreSwitch []int, moved []int) error {
 		}
 	}
 	s.sc.swCheck = buf
+	s.shiftCross(s.cs, coreSwitch)
+	numGroups := len(s.ev.prep.Groups)
 	for _, sw := range buf {
 		cap := s.ev.top.Degree(topology.SwitchID(sw)) * T
-		for _, pairs := range s.ev.groupPairs {
-			sumOut, sumIn := 0, 0
-			for _, pd := range pairs {
-				srcS, dstS := coreSwitch[pd.key.Src], coreSwitch[pd.key.Dst]
-				if srcS == sw && dstS != sw {
-					sumOut += pd.slots
-				}
-				if dstS == sw && srcS != sw {
-					sumIn += pd.slots
-				}
-			}
-			if sumOut > cap || sumIn > cap {
+		row := sw * numGroups
+		for g := 0; g < numGroups; g++ {
+			if s.crossOut[row+g] > cap || s.crossIn[row+g] > cap {
+				s.shiftCross(coreSwitch, s.cs)
 				return errSwitchCapacity
 			}
 		}

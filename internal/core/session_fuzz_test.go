@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"fmt"
 	"reflect"
 	"sync"
 	"testing"
@@ -112,7 +113,9 @@ func checkCommitted(t *testing.T, label string, sess *core.Session) *core.Result
 // D1 and D2 sessions. Every committed result must verify clean with stats
 // equal to a from-scratch recomputation, Undo must restore the exact
 // pre-move result, and a move the session rejects must also be rejected by
-// a from-scratch evaluation of the same placement.
+// a from-scratch evaluation of the same placement. After every operation
+// the maintained cross-switch sums must match a recomputation, and every
+// precheck verdict must match the full-scan oracle's.
 //
 // Each op is three bytes: the op code, then two operands. Op codes: swap two
 // attached cores' seats, relocate one core to an NI, or clone the session;
@@ -162,9 +165,10 @@ func FuzzSessionMoves(f *testing.F) {
 					t.Fatalf("op %d: clone diverges from its source", i/3)
 				}
 				sess = clone
+				checkCrossSums(t, fmt.Sprintf("op %d: clone", i/3), sess)
 				continue
 			}
-			stats, err := sess.TryMove(cs, cn, moved...)
+			stats, err := tryMoveChecked(t, fmt.Sprintf("op %d", i/3), b.ev, sess, cs, cn, moved...)
 			if err != nil {
 				if _, ferr := b.ev.Evaluate(cs, cn); ferr == nil {
 					t.Fatalf("op %d: session rejected %v (%v), from-scratch evaluation accepts it", i/3, moved, err)
@@ -176,6 +180,7 @@ func FuzzSessionMoves(f *testing.F) {
 			}
 			if x%2 == 0 {
 				sess.Keep()
+				checkCrossSums(t, fmt.Sprintf("op %d: keep", i/3), sess)
 				committed = checkCommitted(t, "keep", sess)
 				if stats != committed.Stats {
 					t.Fatalf("op %d: TryMove reported %+v, committed %+v", i/3, stats, committed.Stats)
@@ -183,6 +188,7 @@ func FuzzSessionMoves(f *testing.F) {
 				continue
 			}
 			sess.Undo()
+			checkCrossSums(t, fmt.Sprintf("op %d: undo", i/3), sess)
 			if got := sess.Result(); !reflect.DeepEqual(got, committed) {
 				t.Fatalf("op %d: Undo did not restore the pre-move result", i/3)
 			}

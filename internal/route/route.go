@@ -25,7 +25,7 @@ package route
 import (
 	"fmt"
 	"math"
-	"sync"
+	"sync/atomic"
 
 	"nocmap/internal/graph"
 	"nocmap/internal/tdma"
@@ -277,38 +277,51 @@ func maxCandidates(p CostParams) int {
 // same fabric (core.Evaluator under the annealer) pays the staircase-path
 // recursion once per pair instead of once per flow per candidate placement.
 // The state-dependent half (the Dijkstra least-cost path and the residual
-// cost ordering) is still computed per query (CandidatesInto). A Table is
-// safe for concurrent use; the portfolio's workers share one per topology.
+// cost ordering) is still computed per query (CandidatesInto).
+//
+// A Table is safe for concurrent use without locks; the portfolio's workers
+// share one per topology. Entries are atomic pointers indexed by switch
+// number: a per-source row is allocated on the first query from that source
+// (never switches² entries up front — a 40x40 fabric would need 20 MiB),
+// and an entry is filled on its first query. Two goroutines racing on the
+// same entry compute the same deterministic enumeration, so whichever store
+// lands is correct.
 type Table struct {
 	top *topology.Topology
 	max int // candidate cap the cached enumeration was sized for
 
-	mu      sync.RWMutex
-	minimal map[pairIndex][]Path
+	rows []atomic.Pointer[tableRow] // by source switch; nil until first use
 }
 
-type pairIndex struct{ src, dst topology.SwitchID }
+// tableRow holds one source switch's enumerations by destination switch.
+type tableRow struct {
+	minimal []atomic.Pointer[[]Path]
+}
 
 // NewTable creates an empty candidate-path table for the topology. The cost
 // params fix the candidate cap; queries must use the same MaxCandidates (the
 // evaluator owns both, so this holds by construction).
 func NewTable(top *topology.Topology, p CostParams) *Table {
-	return &Table{top: top, max: maxCandidates(p), minimal: make(map[pairIndex][]Path)}
+	return &Table{top: top, max: maxCandidates(p), rows: make([]atomic.Pointer[tableRow], top.NumSwitches())}
 }
 
 // minimalFor returns (computing and caching on first use) the minimal-path
 // enumeration for one switch pair.
 func (t *Table) minimalFor(src, dst topology.SwitchID) []Path {
-	key := pairIndex{src, dst}
-	t.mu.RLock()
-	minimal, ok := t.minimal[key]
-	t.mu.RUnlock()
-	if !ok {
-		minimal = MinimalPaths(t.top, src, dst, 2*t.max)
-		t.mu.Lock()
-		t.minimal[key] = minimal
-		t.mu.Unlock()
+	row := t.rows[src].Load()
+	if row == nil {
+		fresh := &tableRow{minimal: make([]atomic.Pointer[[]Path], len(t.rows))}
+		if t.rows[src].CompareAndSwap(nil, fresh) {
+			row = fresh
+		} else {
+			row = t.rows[src].Load()
+		}
 	}
+	if cached := row.minimal[dst].Load(); cached != nil {
+		return *cached
+	}
+	minimal := MinimalPaths(t.top, src, dst, 2*t.max)
+	row.minimal[dst].Store(&minimal)
 	return minimal
 }
 

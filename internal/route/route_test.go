@@ -3,6 +3,7 @@ package route
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -525,4 +526,32 @@ func pathKey(p Path) string {
 		b = append(b, byte(l), byte(l>>8), byte(l>>16), byte(l>>24))
 	}
 	return string(b)
+}
+
+// TestTableMemoryBounded: a table on a 40x40 mesh allocates only the rows of
+// the sources it is queried from — far below the switches²·8 bytes of a
+// dense pointer table (20 MiB here).
+func TestTableMemoryBounded(t *testing.T) {
+	top, err := topology.NewMesh(40, 40, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := top.NumSwitches()
+	queries := [][2]int{{0, n - 1}, {0, n / 2}, {n - 1, 0}, {n / 2, n/2 + 41}}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := NewTable(top, DefaultCostParams())
+	for _, q := range queries {
+		if got := tab.minimalFor(topology.SwitchID(q[0]), topology.SwitchID(q[1])); len(got) == 0 {
+			t.Fatalf("no minimal paths %d->%d", q[0], q[1])
+		}
+	}
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(tab)
+	const limit = 256 << 10
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= limit {
+		t.Fatalf("table allocated %d bytes for %d queries on %d switches, want < %d (dense would be %d)",
+			grew, len(queries), n, limit, n*n*8)
+	}
 }

@@ -52,10 +52,10 @@ func fullMask(slots int) uint64 {
 	return (uint64(1) << slots) - 1
 }
 
-// rotR cyclically rotates a slots-bit mask right by h: bit i of the result
-// is bit (i+h) mod slots of m.
-func rotR(m uint64, h, slots int) uint64 {
-	h %= slots
+// rotRIn cyclically rotates a slots-bit mask right by h, which must already
+// lie in [0, slots): bit i of the result is bit (i+h) mod slots of m. The
+// callers step h with a wrap, so the rotation itself never divides.
+func rotRIn(m uint64, h, slots int) uint64 {
 	if h == 0 {
 		return m
 	}
@@ -63,14 +63,25 @@ func rotR(m uint64, h, slots int) uint64 {
 }
 
 // nearestSet returns the set bit of the non-zero slots-bit mask cyclically
-// nearest to target; of two bits at equal distance, the lower index. The
-// nearest bit at or after target is the lowest bit of the mask rotated down
-// by target, the nearest at or before it the highest bit of the mask rotated
-// down by target+1.
+// nearest to target (in [0, slots)); of two bits at equal distance, the
+// lower index. The nearest bit at or after target is the lowest bit of the
+// mask rotated down by target, the nearest at or before it the highest bit
+// of the mask rotated down by target+1. Every index stays in range by a
+// wrap, not a division.
 func nearestSet(mask uint64, target, slots int) int {
-	fwd := bits.TrailingZeros64(rotR(mask, target, slots))
-	bwd := slots - 64 + bits.LeadingZeros64(rotR(mask, target+1, slots))
-	up, down := (target+fwd)%slots, (target-bwd+slots)%slots
+	next := target + 1
+	if next == slots {
+		next = 0
+	}
+	fwd := bits.TrailingZeros64(rotRIn(mask, target, slots))
+	bwd := slots - 64 + bits.LeadingZeros64(rotRIn(mask, next, slots))
+	up, down := target+fwd, target-bwd
+	if up >= slots {
+		up -= slots
+	}
+	if down < 0 {
+		down += slots
+	}
 	switch {
 	case fwd < bwd:
 		return up
@@ -188,10 +199,14 @@ func (s *State) startFree(path []int, st int) bool {
 // slot st is free along the whole path.
 func (s *State) startMask(path []int) uint64 {
 	acc := fullMask(s.slots)
-	for h, link := range path {
-		acc &= rotR(s.masks[link], h, s.slots)
+	h := 0
+	for _, link := range path {
+		acc &= rotRIn(s.masks[link], h, s.slots)
 		if acc == 0 {
 			break
+		}
+		if h++; h == s.slots {
+			h = 0
 		}
 	}
 	return acc
@@ -308,17 +323,29 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if owner < 0 {
 		return fmt.Errorf("tdma: owner token %d must be non-negative", owner)
 	}
+	// With masks, one startMask answers every start's freedom; the checks
+	// still run in start order, so the first failing start is reported.
+	var avail uint64
+	if s.masks != nil && len(starts) > 0 {
+		avail = s.startMask(path)
+	}
 	for _, st := range starts {
 		if st < 0 || st >= s.slots {
 			return fmt.Errorf("tdma: start slot %d out of range [0,%d)", st, s.slots)
 		}
-		if !s.startFree(path, st) {
+		var free bool
+		if s.masks != nil {
+			free = avail>>st&1 != 0
+		} else {
+			free = s.startFree(path, st)
+		}
+		if !free {
 			return fmt.Errorf("tdma: start slot %d not free along path", st)
 		}
 	}
 	for _, st := range starts {
-		for h, link := range path {
-			slot := (st + h) % s.slots
+		slot := st
+		for _, link := range path {
 			idx := link*s.slots + slot
 			if s.tables[idx] == Free {
 				s.tables[idx] = owner
@@ -326,6 +353,9 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 				if s.masks != nil {
 					s.masks[link] &^= uint64(1) << slot
 				}
+			}
+			if slot++; slot == s.slots {
+				slot = 0
 			}
 		}
 	}
@@ -340,8 +370,8 @@ func (s *State) Release(owner int32, path []int, starts []int) {
 		if st < 0 || st >= s.slots {
 			continue
 		}
-		for h, link := range path {
-			slot := (st + h) % s.slots
+		slot := st
+		for _, link := range path {
 			idx := link*s.slots + slot
 			if s.tables[idx] == owner {
 				s.tables[idx] = Free
@@ -349,6 +379,9 @@ func (s *State) Release(owner int32, path []int, starts []int) {
 				if s.masks != nil {
 					s.masks[link] |= uint64(1) << slot
 				}
+			}
+			if slot++; slot == s.slots {
+				slot = 0
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package tdma
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -493,5 +494,208 @@ func TestCloneCopiesFreeCounts(t *testing.T) {
 	}
 	if s.FreeSlots(0) != 2 {
 		t.Errorf("original mutated by clone release: FreeSlots = %d, want 2", s.FreeSlots(0))
+	}
+}
+
+// refTables is the per-slot reference the division-free walks are checked
+// against: plain owner tables indexed with (st+h) mod T on every hop.
+type refTables struct {
+	slots  int
+	tables []int32
+}
+
+func newRefTables(links, slots int) *refTables {
+	r := &refTables{slots: slots, tables: make([]int32, links*slots)}
+	for i := range r.tables {
+		r.tables[i] = Free
+	}
+	return r
+}
+
+func (r *refTables) startFree(path []int, st int) bool {
+	for h, link := range path {
+		if r.tables[link*r.slots+(st+h)%r.slots] != Free {
+			return false
+		}
+	}
+	return true
+}
+
+func (r *refTables) startMask(path []int) uint64 {
+	var m uint64
+	for st := 0; st < r.slots; st++ {
+		if r.startFree(path, st) {
+			m |= uint64(1) << st
+		}
+	}
+	return m
+}
+
+func (r *refTables) reserve(owner int32, path, starts []int) error {
+	for _, st := range starts {
+		if st < 0 || st >= r.slots {
+			return fmt.Errorf("tdma: start slot %d out of range [0,%d)", st, r.slots)
+		}
+		if !r.startFree(path, st) {
+			return fmt.Errorf("tdma: start slot %d not free along path", st)
+		}
+	}
+	for _, st := range starts {
+		for h, link := range path {
+			if i := link*r.slots + (st+h)%r.slots; r.tables[i] == Free {
+				r.tables[i] = owner
+			}
+		}
+	}
+	return nil
+}
+
+func (r *refTables) release(owner int32, path, starts []int) {
+	for _, st := range starts {
+		if st < 0 || st >= r.slots {
+			continue
+		}
+		for h, link := range path {
+			if i := link*r.slots + (st+h)%r.slots; r.tables[i] == owner {
+				r.tables[i] = Free
+			}
+		}
+	}
+}
+
+// refNearest widens the search one slot at a time in both directions,
+// wrapping with mod T; on a tie the lower index wins.
+func refNearest(mask uint64, target, slots int) int {
+	for d := 0; d < slots; d++ {
+		up, down := (target+d)%slots, (target-d+slots)%slots
+		upSet, downSet := mask>>up&1 != 0, mask>>down&1 != 0
+		switch {
+		case upSet && downSet:
+			return min(up, down)
+		case upSet:
+			return up
+		case downSet:
+			return down
+		}
+	}
+	return -1
+}
+
+// randomBit returns the index of a uniformly chosen set bit of a non-zero
+// mask.
+func randomBit(rng *rand.Rand, mask uint64) int {
+	for k := rng.Intn(bits.OnesCount64(mask)); k > 0; k-- {
+		mask &= mask - 1
+	}
+	return bits.TrailingZeros64(mask)
+}
+
+// checkAgainstRef compares every table entry, free count and free mask of s
+// with the reference.
+func checkAgainstRef(t *testing.T, s *State, ref *refTables, what string) {
+	t.Helper()
+	if !slices.Equal(s.tables, ref.tables) {
+		t.Fatalf("T=%d %s: tables differ from the mod-T reference", s.slots, what)
+	}
+	for link := 0; link < s.numLinks; link++ {
+		var mask uint64
+		free := 0
+		for slot := 0; slot < s.slots; slot++ {
+			if ref.tables[link*s.slots+slot] == Free {
+				mask |= uint64(1) << slot
+				free++
+			}
+		}
+		if s.free[link] != free {
+			t.Fatalf("T=%d %s: link %d free count %d, reference %d", s.slots, what, link, s.free[link], free)
+		}
+		if s.masks[link] != mask {
+			t.Fatalf("T=%d %s: link %d mask %#x, reference %#x", s.slots, what, link, s.masks[link], mask)
+		}
+	}
+}
+
+// TestDivisionFreeWalksMatchModRef: for every word-sized table (T = 1..64,
+// T = 64 taking fullMask's own branch) and paths up to 3T hops, so the slot
+// index wraps several times, startMask, nearestSet, Reserve and Release
+// agree with a per-slot mod-T reference — tables, free counts, masks, the
+// error text and the start Reserve reports when a start is taken.
+func TestDivisionFreeWalksMatchModRef(t *testing.T) {
+	const links = 5
+	rng := rand.New(rand.NewSource(19))
+	for slots := 1; slots <= 64; slots++ {
+		for i := 0; i < 200; i++ {
+			mask := rng.Uint64() & fullMask(slots)
+			if mask == 0 {
+				continue
+			}
+			target := rng.Intn(slots)
+			if got, want := nearestSet(mask, target, slots), refNearest(mask, target, slots); got != want {
+				t.Fatalf("T=%d mask %#x: nearestSet(%d) = %d, reference %d", slots, mask, target, got, want)
+			}
+		}
+		if got, want := nearestSet(fullMask(slots), slots-1, slots), refNearest(fullMask(slots), slots-1, slots); got != want {
+			t.Fatalf("T=%d full mask: nearestSet(T-1) = %d, reference %d", slots, got, want)
+		}
+
+		s := mustState(t, links, slots)
+		ref := newRefTables(links, slots)
+		type held struct {
+			owner        int32
+			path, starts []int
+		}
+		var live []held
+		for _, plen := range []int{1, 2, slots - 1, slots, slots + 1, 2*slots + 1, 3 * slots} {
+			if plen < 1 {
+				continue
+			}
+			for trial := 0; trial < 4; trial++ {
+				path := make([]int, plen)
+				for h := range path {
+					path[h] = rng.Intn(links)
+				}
+				if got, want := s.startMask(path), ref.startMask(path); got != want {
+					t.Fatalf("T=%d path len %d: startMask = %#x, reference %#x", slots, plen, got, want)
+				}
+				owner := int32(len(live) + 1)
+				if starts := s.AvailableStarts(path); len(starts) > 0 {
+					pick := starts[:1+rng.Intn(len(starts))]
+					if err := s.Reserve(owner, path, pick); err != nil {
+						t.Fatalf("T=%d: Reserve of available starts %v: %v", slots, pick, err)
+					}
+					if err := ref.reserve(owner, path, pick); err != nil {
+						t.Fatalf("T=%d: reference reserve of %v: %v", slots, pick, err)
+					}
+					checkAgainstRef(t, s, ref, "after Reserve")
+					live = append(live, held{owner, path, pick})
+				}
+				// A taken start behind a free one: same verdict, same
+				// reported start, same text, and no change to the state.
+				if taken := ^ref.startMask(path) & fullMask(slots); taken != 0 {
+					bad := []int{randomBit(rng, taken), randomBit(rng, taken)}
+					if free := ref.startMask(path); free != 0 {
+						bad = append([]int{randomBit(rng, free)}, bad...)
+					}
+					err, want := s.Reserve(99, path, bad), ref.reserve(99, path, bad)
+					if err == nil || want == nil || err.Error() != want.Error() {
+						t.Fatalf("T=%d starts %v: Reserve error %v, reference %v", slots, bad, err, want)
+					}
+					checkAgainstRef(t, s, ref, "after a refused Reserve")
+				}
+				if len(live) > 0 && rng.Intn(3) == 0 {
+					k := rng.Intn(len(live))
+					h := live[k]
+					s.Release(h.owner, h.path, h.starts)
+					ref.release(h.owner, h.path, h.starts)
+					checkAgainstRef(t, s, ref, "after Release")
+					live = append(live[:k], live[k+1:]...)
+				}
+			}
+		}
+		for _, h := range live {
+			s.Release(h.owner, h.path, h.starts)
+			ref.release(h.owner, h.path, h.starts)
+		}
+		checkAgainstRef(t, s, ref, "after releasing everything")
 	}
 }
