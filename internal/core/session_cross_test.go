@@ -50,9 +50,9 @@ func checkCrossSums(t *testing.T, label string, sess *core.Session) {
 // moves rolled back, Keep, Undo and Clone.
 func TestSessionCrossSumsMatchScan(t *testing.T) {
 	var accepted, switchRejected, rebuilt, infeasible, keeps, undos, clones int
-	// Under the default two NIs per switch a switch's link degree never
-	// falls below its NI count on these fabrics, so the NI precheck always
-	// fires first; four NIs per switch let the switch precheck reject.
+	// D1–D4 map onto 2x2 meshes, where every switch has as many mesh
+	// links as its two default NIs, so the switch bound cannot bind before
+	// the NI bound does; four NIs per switch let the switch precheck reject.
 	for _, run := range []struct {
 		design string
 		nis    int
