@@ -6,18 +6,14 @@
 // Usage:
 //
 //	nocserved [-addr :8080] [-workers 8] [-queue 64] [-cache 128]
-//	          [-store memory|disk|sharded] [-store-dir DIR]
-//	          [-peers URL,URL,...] [-self URL]
+//	          [-store memory|disk] [-store-dir DIR]
 //	          [-timeout 0] [-log-format text|json] [-log-level info]
 //	          [-pprof]
 //
 // The result store defaults to an in-memory LRU. -store disk (with
-// -store-dir) makes cached results durable across restarts; -store sharded
-// (with -peers and -self, optionally -store-dir for a durable local tier)
-// spreads digest ownership over a replica fleet with consistent hashing.
-// The store flags also read the NOC_STORE, NOC_STORE_DIR, NOC_PEERS and
-// NOC_SELF environment variables; explicit flags win over the environment,
-// which wins over the defaults.
+// -store-dir) makes cached results durable across restarts. The store
+// flags also read the NOC_STORE and NOC_STORE_DIR environment variables;
+// explicit flags win over the environment, which wins over the defaults.
 //
 // Endpoints (versioned surface, see docs/cli.md for schemas):
 //
@@ -51,7 +47,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -90,18 +85,6 @@ func envOr(key, def string) string {
 	return def
 }
 
-// splitPeers parses a comma-separated replica roster, dropping empty
-// elements so trailing commas are harmless.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
-}
-
 // withPprof mounts the net/http/pprof handlers under /debug/pprof/ alongside
 // the service surface. Registration is explicit (not the package's implicit
 // http.DefaultServeMux side effect) so profiling is opt-in per listener.
@@ -122,13 +105,9 @@ func main() {
 	queue := flag.Int("queue", 64, "bounded job-queue depth (backpressure beyond this)")
 	cacheEntries := flag.Int("cache", 128, "result-cache entries (LRU)")
 	storeBackend := flag.String("store", envOr("NOC_STORE", "memory"),
-		"result-store backend: memory, disk or sharded (env NOC_STORE)")
+		"result-store backend: memory or disk (env NOC_STORE)")
 	storeDir := flag.String("store-dir", envOr("NOC_STORE_DIR", ""),
 		"disk-store root directory (env NOC_STORE_DIR)")
-	peers := flag.String("peers", envOr("NOC_PEERS", ""),
-		"comma-separated replica roster for -store sharded, including this replica (env NOC_PEERS)")
-	self := flag.String("self", envOr("NOC_SELF", ""),
-		"this replica's base URL as it appears in -peers (env NOC_SELF)")
 	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -140,8 +119,6 @@ func main() {
 		Backend:      *storeBackend,
 		Dir:          *storeDir,
 		CacheEntries: *cacheEntries,
-		Peers:        splitPeers(*peers),
-		Self:         *self,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nocserved:", err)

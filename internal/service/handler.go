@@ -172,8 +172,7 @@ type BatchResult struct {
 //	GET  /v1/jobs/{id}/events — serve-then-improve event stream (SSE by
 //	                     default, ?mode=poll long-poll; resume with ?after)
 //	GET  /v1/designs/{digest} — the cached result for a request digest
-//	                     (404 when the store holds none); on a sharded
-//	                     store, foreign digests resolve via their owner
+//	                     (404 when the store holds none, 503 once closed)
 //	GET  /v1/stats     — cache hit/miss counters, store and pool gauges
 //	GET  /v1/metrics   — Prometheus text exposition of the service metrics
 //	GET  /v1/version   — build identity (module version, VCS revision)
@@ -320,11 +319,13 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
 
-	// /v1/designs is also the peer-forwarding path of a sharded store:
-	// replicas resolve foreign digests against their owner here.
 	handle("GET", "/v1/designs/{digest}", func(w http.ResponseWriter, r *http.Request) {
 		digest := r.PathValue("digest")
-		resp, ok := s.Design(r.Context(), digest)
+		resp, ok, err := s.Design(r.Context(), digest)
+		if err != nil {
+			writeError(w, statusOf(err), err)
+			return
+		}
 		if !ok {
 			writeError(w, http.StatusNotFound, fmt.Errorf("no cached result for digest %q", digest))
 			return

@@ -134,30 +134,14 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 		})
 	reg.GaugeFunc("noc_cache_entries", "Results resident in the result store (local tier).",
 		func() float64 { return float64(s.store.Len()) })
-	// Backend-specific instruments register only when the backend is
-	// present, so a memory-backed daemon's exposition stays free of
-	// always-zero disk and shard series.
-	if d := diskTierOf(s.store); d != nil {
+	// The disk byte gauge registers only on a disk store, so a
+	// memory-backed daemon's exposition stays free of an always-zero
+	// series.
+	if d, ok := s.store.(*store.Disk); ok {
 		reg.GaugeFunc("noc_store_disk_bytes", "Bytes of result objects resident in the disk store.",
 			func() float64 { return float64(d.Bytes()) })
 	}
-	if sh, ok := s.store.(*store.Sharded); ok {
-		reg.CounterFunc("noc_shard_forwards_total",
-			"Result reads forwarded to the owning replica (consistent-hash misses).",
-			sh.Forwards)
-	}
 	return m
-}
-
-// diskTierOf unwraps the disk tier of a store stack, looking through a
-// shard layer, so the disk byte gauge stays visible however the store is
-// composed. Nil when no disk tier is present.
-func diskTierOf(st store.Store) *store.Disk {
-	if sh, ok := st.(*store.Sharded); ok {
-		st = sh.Local()
-	}
-	d, _ := st.(*store.Disk)
-	return d
 }
 
 // progressTap wraps a job's progress callback so every engine event also

@@ -67,9 +67,9 @@ type Config struct {
 	CacheEntries int
 	// Store is the result store behind the cache. Nil means a process-local
 	// in-memory LRU of CacheEntries entries (the pre-store behavior). A
-	// disk-backed or sharded store (internal/store, assembled by pkg/noc's
-	// OpenStore) makes results durable across restarts or shared across a
-	// replica fleet. The service owns the store and closes it on Close.
+	// disk-backed store (internal/store, assembled by pkg/noc's OpenStore)
+	// makes results durable across restarts. The service owns the store and
+	// closes it on Close.
 	Store store.Store
 	// DefaultTimeout is the per-job deadline applied when a request does not
 	// carry its own; zero means no deadline.
@@ -241,10 +241,9 @@ type Stats struct {
 	CacheMisses    int64 `json:"cache_misses"`
 	CacheEvictions int64 `json:"cache_evictions"`
 	// StoreBackend names the result-store backend serving this process:
-	// "memory", "disk" or "sharded".
+	// "memory" or "disk".
 	StoreBackend string `json:"store_backend"`
-	// StoreEntries is the resident entry count of the result store (the
-	// local tier for a sharded store).
+	// StoreEntries is the resident entry count of the result store.
 	StoreEntries int `json:"store_entries"`
 	// Deduped counts requests that joined an in-flight identical run instead
 	// of starting their own.
@@ -273,8 +272,8 @@ type Service struct {
 	met *serviceMetrics
 
 	// store holds finished results keyed by request digest. It is
-	// self-locking and is never called with s.mu held: the disk and sharded
-	// backends do file and network I/O that must not serialize admission.
+	// self-locking and is never called with s.mu held: the disk backend
+	// does file I/O that must not serialize admission.
 	store store.Store
 
 	mu       sync.Mutex
@@ -388,9 +387,9 @@ func (s *Service) Submit(req Request) (string, error) {
 // then enqueue. When sync is true a full queue blocks (bounded by ctx)
 // instead of failing; the returned Response is non-nil only on a cache hit.
 //
-// The store read runs outside the service mutex — a disk or sharded
-// backend pays file or network latency there, which must not serialize
-// every other request — so the flight table is re-checked under the lock
+// The store read runs outside the service mutex — a disk backend pays
+// file latency there, which must not serialize every other request — so
+// the flight table is re-checked under the lock
 // afterwards: of N concurrent identical misses exactly one registers the
 // flight (one miss), the rest join it (deduped), same as when one lock
 // covered both. A run that finished between the two locked sections may

@@ -539,7 +539,7 @@ func TestCloseFailsQueuedJobs(t *testing.T) {
 
 // TestRequestKeyGolden pins the cache key of the checked-in D1 example
 // mapped by greedy with every default, as POST /v1/map receives it. Durable
-// stores and the sharded ring are keyed by it.
+// stores are keyed by it.
 func TestRequestKeyGolden(t *testing.T) {
 	raw, err := os.ReadFile("../../examples/designs/d1.json")
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // degrades the service to compute-always, it does not take it down).
 //
 // None of the wrappers may be called with the service mutex held: the
-// store is self-locking, and the disk and sharded backends do file and
-// network I/O that must never serialize the admission path.
+// store is self-locking, and the disk backend does file I/O that must
+// never serialize the admission path.
 
 // ResponseCodec round-trips Response envelopes as JSON for byte-oriented
 // store tiers (the disk store's objects are encoded with it). It is
@@ -113,20 +113,30 @@ func (s *Service) notePutResult(pr store.PutResult) {
 }
 
 // Design returns the cached result for a request digest, if the store
-// holds one (GET /v1/designs/{digest}). On a sharded store a digest owned
-// by another replica is fetched from its owner. The lookup does not touch
-// the admission hit/miss counters — it answers "what do you have", it does
+// holds one (GET /v1/designs/{digest}). A false ok with a nil error is a
+// miss; after Close it reports ErrClosed instead, so a caller can tell
+// "not stored" from "shutting down". The lookup does not touch the
+// admission hit/miss counters — it answers "what do you have", it does
 // not admit work.
-func (s *Service) Design(ctx context.Context, digest string) (*Response, bool) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return nil, false
+func (s *Service) Design(ctx context.Context, digest string) (*Response, bool, error) {
+	if s.isClosed() {
+		return nil, false, ErrClosed
 	}
 	resp, ok := s.storeGet(ctx, digest)
 	if !ok {
-		return nil, false
+		// A Close racing the read shuts the store under it; that is
+		// shutdown too, not a miss.
+		if s.isClosed() {
+			return nil, false, ErrClosed
+		}
+		return nil, false, nil
 	}
-	return resp.cached(), true
+	return resp.cached(), true, nil
+}
+
+// isClosed reports whether Close has begun.
+func (s *Service) isClosed() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.closed
 }

@@ -3,6 +3,8 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -160,5 +162,55 @@ func TestStatsReportsStoreBackend(t *testing.T) {
 	}
 	if v, ok := got["cache_entries"]; ok {
 		t.Errorf("stats still serve the cache_entries alias (%v)", v)
+	}
+}
+
+// TestDesignsEndpointAfterClose pins that a lookup on a closed service
+// reports the shutdown (503, like POST /v1/map) rather than a 404 miss,
+// even for a digest that was stored before Close.
+func TestDesignsEndpointAfterClose(t *testing.T) {
+	s := New(Config{Workers: 1})
+	h := NewHandler(s)
+	resp, err := s.Map(context.Background(), testRequest("greedy", testDesign("designs-closed")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/designs/"+resp.Key, nil))
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), ErrClosed.Error()) {
+		t.Errorf("GET /v1/designs/{digest} after Close = %d %s, want 503 %q", rec.Code, rec.Body, ErrClosed)
+	}
+	if _, ok, err := s.Design(context.Background(), resp.Key); ok || !errors.Is(err, ErrClosed) {
+		t.Errorf("Design after Close = ok=%v err=%v, want ErrClosed", ok, err)
+	}
+}
+
+// TestDiskBytesGaugeRegistration pins that noc_store_disk_bytes is exposed
+// exactly when the service runs on a disk store: above zero after one put
+// on disk, absent from a memory-backed service's exposition.
+func TestDiskBytesGaugeRegistration(t *testing.T) {
+	scrape := func(s *Service) string {
+		rec := httptest.NewRecorder()
+		s.Metrics().Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		return rec.Body.String()
+	}
+
+	disk := newDiskService(t, t.TempDir())
+	defer disk.Close()
+	if _, err := disk.Map(context.Background(), testRequest("greedy", testDesign("disk-bytes"))); err != nil {
+		t.Fatal(err)
+	}
+	var bytes float64
+	fmt.Sscanf(metricValue(t, scrape(disk), "noc_store_disk_bytes"), "%g", &bytes)
+	if bytes <= 0 {
+		t.Errorf("noc_store_disk_bytes = %v after one put, want > 0", bytes)
+	}
+
+	mem := New(Config{Workers: 1})
+	defer mem.Close()
+	if body := scrape(mem); strings.Contains(body, "noc_store_disk_bytes") {
+		t.Errorf("memory-backed service exposes noc_store_disk_bytes:\n%s", body)
 	}
 }

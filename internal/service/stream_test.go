@@ -133,9 +133,9 @@ func TestSubmitStreamLifecycle(t *testing.T) {
 		string(jobJSON) == mustJSON(t, evs[0].Response.Result) {
 		t.Error("finished job still reports the greedy snapshot")
 	}
-	cached, ok := s.Design(context.Background(), st.Key)
-	if !ok {
-		t.Fatal("no cache entry for the streamed job")
+	cached, ok, err := s.Design(context.Background(), st.Key)
+	if err != nil || !ok {
+		t.Fatalf("no cache entry for the streamed job: ok=%v err=%v", ok, err)
 	}
 	cacheJSON, _ := json.Marshal(cached.Result)
 	if string(cacheJSON) != string(jobJSON) {

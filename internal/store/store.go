@@ -1,6 +1,6 @@
 // Package store is the result-store layer of the serving stack: a pluggable
 // keyed store of mapped-design results, content-addressed by the canonical
-// request digest the service computes (see service.Request.Key). Three
+// request digest the service computes (see service.Request.Key). Two
 // backends implement one Store interface:
 //
 //   - Memory — the fixed-capacity LRU the service has always had, now
@@ -12,10 +12,6 @@
 //     on startup with torn entries quarantined rather than trusted. A
 //     Memory tier in front makes reads hot (read-through) and writes
 //     safe (write-through).
-//   - Sharded — consistent hashing of digests over a static replica
-//     roster: every digest has exactly one owning replica, local misses
-//     on foreign digests are forwarded to the owner through a Fetcher,
-//     and a fleet of daemons serves one logical cache.
 //
 // The replace-only-with-better invariant of the serve-then-improve stream
 // is carried by the interface: UpgradeIfBetter installs an entry only when
@@ -24,8 +20,8 @@
 // entry — a mapped design never regresses, even across a restart.
 //
 // The package is deliberately free of service types: entries carry an
-// opaque value plus its scalar cost, and byte-oriented tiers (disk, the
-// network) translate through a caller-supplied Codec.
+// opaque value plus its scalar cost, and byte-oriented tiers (disk)
+// translate through a caller-supplied Codec.
 package store
 
 import (
@@ -43,8 +39,7 @@ const CostEps = 1e-12
 // the engines minimize. Byte-oriented tiers encode Val with their Codec.
 type Entry struct {
 	// Cost orders entries for the replace-only-with-better invariant;
-	// lower is better. Entries fetched from a peer report a zero Cost —
-	// the owner, not the reader, arbitrates upgrades.
+	// lower is better.
 	Cost float64
 	// Val is the stored value. The service stores *service.Response.
 	Val any
@@ -65,15 +60,15 @@ type PutResult struct {
 
 // Store is the pluggable result store. Implementations are self-locking:
 // every method is safe for concurrent use, and callers must not wrap calls
-// in their own store-wide critical sections (the disk and sharded backends
-// do I/O inside).
+// in their own store-wide critical sections (the disk backend does I/O
+// inside).
 type Store interface {
-	// Backend names the implementation ("memory", "disk", "sharded") for
+	// Backend names the implementation ("memory", "disk") for
 	// stats and metric labels.
 	Backend() string
 	// Get returns the resident entry for digest. A false ok with a nil
 	// error is a clean miss; an error reports a failed read (a quarantined
-	// torn entry, an unreachable peer) that callers should treat as a miss
+	// torn entry) that callers should treat as a miss
 	// and count.
 	Get(ctx context.Context, digest string) (Entry, bool, error)
 	// Put installs e. Volatile tiers overwrite unconditionally; durable
@@ -99,13 +94,6 @@ type Store interface {
 type Codec interface {
 	Encode(val any) ([]byte, error)
 	Decode(data []byte) (any, error)
-}
-
-// Fetcher retrieves a digest's value from a peer replica, used by the
-// sharded store to forward local misses to the digest's owner. A false ok
-// with nil error is a clean miss at the peer.
-type Fetcher interface {
-	Fetch(ctx context.Context, peer, digest string) (val any, ok bool, err error)
 }
 
 // ErrClosed is returned by operations on a closed store.

@@ -107,8 +107,7 @@ func (d *Design) Digest() string {
 // colliding with them. Strings are quoted by strconv.Quote and lists
 // written as "[a b c]": the bytes fmt's %q and %v produced when the format
 // was defined. They must never change within a version, because durable
-// result stores and the sharded ring are keyed by the digest
-// (TestDigestGolden pins it).
+// result stores are keyed by the digest (TestDigestGolden pins it).
 func appendCanonical(b []byte, c *Design) []byte {
 	if b == nil {
 		flows := 0

@@ -72,9 +72,9 @@ func goldenDesigns(t *testing.T) map[string]*traffic.Design {
 	return out
 }
 
-// TestDigestGolden pins the canonical digests. Durable result stores and the
-// sharded ring are keyed by them, so any change to the nocmap-design-v2
-// encoding must fail here rather than silently orphan stored results.
+// TestDigestGolden pins the canonical digests. Durable result stores are
+// keyed by them, so any change to the nocmap-design-v2 encoding must fail
+// here rather than silently orphan stored results.
 func TestDigestGolden(t *testing.T) {
 	want := map[string]string{
 		"fuzz-seed":  "c26cab370b659b8d43d923e29f2006d09f0bd4228dc49da195137b417106fdae",

@@ -270,9 +270,8 @@ func (c *Client) Batch(ctx context.Context, reqs []MapRequest) ([]BatchResult, e
 
 // Design fetches the cached result for a request digest (the Key field of
 // an earlier MapResponse or JobStatus) without admitting any work. A digest
-// the daemon's store does not hold reports ErrNotFound. On a sharded
-// deployment any replica answers for any digest: foreign digests are
-// resolved against their owning replica server-side.
+// the daemon's store does not hold reports ErrNotFound; a daemon that is
+// shutting down answers 503, a *ServerError retried under WithRetry.
 func (c *Client) Design(ctx context.Context, digest string) (*MapResponse, error) {
 	var resp MapResponse
 	if err := c.get(ctx, "/v1/designs/"+url.PathEscape(digest), &resp); err != nil {

@@ -10,8 +10,7 @@ import (
 // queue, result store, per-job deadline and finished-job retention. The
 // zero value is usable (defaults: one worker per CPU, 64-deep queue,
 // 128-entry in-memory cache). Set Store (built with OpenStore) to swap the
-// default in-memory result cache for a durable disk store or a
-// consistent-hash sharded fleet store.
+// default in-memory result cache for a durable disk store.
 type ServerConfig = service.Config
 
 // Server is the embeddable mapping service: the concurrent engine-run pool
@@ -30,8 +29,8 @@ func NewServer(cfg ServerConfig) *Server {
 }
 
 // Handler returns the HTTP facade: /v1/map, /v1/batch, /v1/jobs/{id},
-// /v1/designs/{digest}, /v1/stats, /v1/metrics, /v1/version, /healthz,
-// plus the deprecated unversioned aliases.
+// /v1/jobs/{id}/events, /v1/designs/{digest}, /v1/stats, /v1/metrics,
+// /v1/version and /healthz.
 func (s *Server) Handler() http.Handler { return s.handler }
 
 // Stats reads the pool and cache gauges.

@@ -1,10 +1,7 @@
 package noc
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 
 	"nocmap/internal/service"
 	"nocmap/internal/store"
@@ -20,24 +17,13 @@ type ResultStore = store.Store
 // StoreConfig selects and sizes a result-store backend for OpenStore.
 type StoreConfig struct {
 	// Backend picks the store: "memory" (the default — a process-local
-	// LRU), "disk" (content-addressed files under Dir, durable across
-	// restarts, fronted by a memory LRU), or "sharded" (consistent-hash
-	// digest ownership over Peers, forwarding misses to the owning
-	// replica; the local tier is disk-backed when Dir is set, memory
-	// otherwise).
+	// LRU) or "disk" (content-addressed files under Dir, durable across
+	// restarts, fronted by a memory LRU).
 	Backend string
 	// Dir is the disk-store root directory (required for "disk").
 	Dir string
 	// CacheEntries bounds the memory tier (default 128).
 	CacheEntries int
-	// Peers is the full replica roster for "sharded" — every replica's
-	// base URL, identical (up to order) on every replica, including Self.
-	Peers []string
-	// Self is this replica's own base URL as it appears in Peers.
-	Self string
-	// ClientOptions configure the HTTP clients a sharded store fetches
-	// foreign digests with (WithTimeout, WithRetry, WithHTTPClient).
-	ClientOptions []ClientOption
 }
 
 // OpenStore builds a result store from cfg. The returned store plugs into
@@ -47,79 +33,25 @@ func OpenStore(cfg StoreConfig) (ResultStore, error) {
 	if entries <= 0 {
 		entries = 128
 	}
-	local, err := openLocalTier(cfg, entries)
-	if err != nil {
-		return nil, err
-	}
 	switch cfg.Backend {
-	case "", "memory", "disk":
-		if len(cfg.Peers) > 0 {
-			return nil, fmt.Errorf("noc: store backend %q does not take peers; use the sharded backend", cfg.Backend)
+	case "", "memory":
+		if cfg.Dir != "" {
+			return nil, fmt.Errorf("noc: store backend %q does not take a directory", cfg.Backend)
 		}
-		return local, nil
-	case "sharded":
-		sh, err := store.NewSharded(local, cfg.Self, cfg.Peers, &peerFetcher{opts: cfg.ClientOptions})
-		if err != nil {
-			local.Close() //nolint:errcheck // the construction error wins
-			return nil, err
+		return store.NewMemory(entries), nil
+	case "disk":
+		if cfg.Dir == "" {
+			return nil, fmt.Errorf("noc: the disk store backend needs a directory")
 		}
-		return sh, nil
-	default:
-		return nil, fmt.Errorf("noc: unknown store backend %q (valid: memory, disk, sharded)", cfg.Backend)
-	}
-}
-
-// openLocalTier builds the tier entries live in: a durable disk store when
-// Dir is set, a memory LRU otherwise.
-func openLocalTier(cfg StoreConfig, entries int) (ResultStore, error) {
-	switch {
-	case cfg.Backend == "disk" && cfg.Dir == "":
-		return nil, fmt.Errorf("noc: the disk store backend needs a directory")
-	case cfg.Dir != "" && cfg.Backend != "disk" && cfg.Backend != "sharded":
-		return nil, fmt.Errorf("noc: store backend %q does not take a directory", cfg.Backend)
-	case cfg.Dir != "":
-		return store.OpenDisk(cfg.Dir, store.DiskOptions{
+		d, err := store.OpenDisk(cfg.Dir, store.DiskOptions{
 			CacheEntries: entries,
 			Codec:        service.ResponseCodec{},
 		})
+		if err != nil {
+			return nil, err
+		}
+		return d, nil
 	default:
-		return store.NewMemory(entries), nil
+		return nil, fmt.Errorf("noc: unknown store backend %q (valid: memory, disk)", cfg.Backend)
 	}
-}
-
-// peerFetcher resolves foreign digests against their owning replica over
-// the /v1/designs surface — the store.Fetcher a sharded deployment runs on.
-// One Client per peer is built lazily and reused across fetches.
-type peerFetcher struct {
-	opts []ClientOption
-
-	mu      sync.Mutex
-	clients map[string]*Client
-}
-
-func (f *peerFetcher) client(peer string) *Client {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.clients == nil {
-		f.clients = make(map[string]*Client)
-	}
-	c, ok := f.clients[peer]
-	if !ok {
-		c = NewClient(peer, f.opts...)
-		f.clients[peer] = c
-	}
-	return c
-}
-
-// Fetch reads the digest from the peer; a peer that does not hold it is a
-// clean miss, any other failure an error the shard layer surfaces.
-func (f *peerFetcher) Fetch(ctx context.Context, peer, digest string) (any, bool, error) {
-	resp, err := f.client(peer).Design(ctx, digest)
-	if errors.Is(err, ErrNotFound) {
-		return nil, false, nil
-	}
-	if err != nil {
-		return nil, false, err
-	}
-	return resp, true, nil
 }
