@@ -615,7 +615,7 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 				break // more slots cannot become available
 			}
 			rec.start = starts // retain buffer growth across rejected probes
-			if latBudget >= 0 && tdma.WorstCaseLatencySlotsSorted(starts, len(full), T) > latBudget {
+			if latBudget >= 0 && tdma.WorstCaseLatencySlots(starts, len(full), T) > latBudget {
 				continue // spread more slots to shrink the gap
 			}
 			if err := st.Reserve(owner, full, starts); err != nil {

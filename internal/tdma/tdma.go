@@ -20,6 +20,7 @@ package tdma
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -398,30 +399,21 @@ type Reservation struct {
 // MaxGap returns the worst-case number of whole slots a flit waits at the NI
 // for the next reserved start, i.e. the largest cyclic gap between
 // consecutive reserved starts minus one. A single reserved slot yields T-1;
-// an empty reservation yields T (nothing is ever sent).
+// an empty reservation yields T (nothing is ever sent). Starts sorted
+// ascending, the form FindAlignedInto returns, are read in place; only
+// unsorted starts are copied and sorted first.
 func MaxGap(starts []int, slots int) int {
 	if len(starts) == 0 {
 		return slots
 	}
-	sorted := append([]int(nil), starts...)
-	sort.Ints(sorted)
-	return maxGapSorted(sorted, slots)
-}
-
-// MaxGapSorted is MaxGap for starts already sorted ascending (the form
-// FindAlignedInto returns), skipping the defensive copy-and-sort.
-func MaxGapSorted(starts []int, slots int) int {
-	if len(starts) == 0 {
-		return slots
+	if !slices.IsSorted(starts) {
+		starts = slices.Clone(starts)
+		slices.Sort(starts)
 	}
-	return maxGapSorted(starts, slots)
-}
-
-func maxGapSorted(sorted []int, slots int) int {
 	max := 0
-	for i := range sorted {
-		next := sorted[(i+1)%len(sorted)]
-		gap := next - sorted[i]
+	for i := range starts {
+		next := starts[(i+1)%len(starts)]
+		gap := next - starts[i]
 		if gap <= 0 {
 			gap += slots
 		}
@@ -437,12 +429,6 @@ func maxGapSorted(sorted []int, slots int) int {
 // path plus the slot in which the flit is serialized.
 func WorstCaseLatencySlots(starts []int, pathLen, slots int) int {
 	return MaxGap(starts, slots) + pathLen + 1
-}
-
-// WorstCaseLatencySlotsSorted is WorstCaseLatencySlots for starts already
-// sorted ascending.
-func WorstCaseLatencySlotsSorted(starts []int, pathLen, slots int) int {
-	return MaxGapSorted(starts, slots) + pathLen + 1
 }
 
 // MinFree returns the smallest free-slot count over all links — the

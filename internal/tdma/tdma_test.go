@@ -272,6 +272,23 @@ func TestMaxGap(t *testing.T) {
 	}
 }
 
+// TestMaxGapInPlace: sorted starts are read in place without allocating,
+// and unsorted ones are sorted in a copy, leaving the caller's slice as it
+// was.
+func TestMaxGapInPlace(t *testing.T) {
+	sorted := []int{1, 9, 17, 40}
+	if n := testing.AllocsPerRun(100, func() { MaxGap(sorted, 64) }); n != 0 {
+		t.Errorf("MaxGap on sorted starts: %.0f allocs/op, want 0", n)
+	}
+	unsorted := []int{40, 1, 17, 9}
+	if got := MaxGap(unsorted, 64); got != 24 {
+		t.Errorf("MaxGap(%v,64) = %d, want 24", unsorted, got)
+	}
+	if want := []int{40, 1, 17, 9}; !slices.Equal(unsorted, want) {
+		t.Errorf("MaxGap reordered its input to %v", unsorted)
+	}
+}
+
 func TestWorstCaseLatencySlots(t *testing.T) {
 	// One slot of 8, path of 3 hops: wait up to 7, plus 3 hops, plus the
 	// serialization slot = 11.

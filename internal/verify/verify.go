@@ -21,6 +21,20 @@
 //  5. Placement — cores sit on valid switches/NIs and NI occupancy respects
 //     the per-NI core bound.
 //
+// The invariants are re-derived from Mapping's raw fields only: the
+// placement slices, the per-use-case assignment maps and the topology's
+// links, never from the mapper's slot tables or statistics. Check looks each
+// flow's assignment up once, numbers the distinct flow pairs densely, and
+// rebuilds every group's slot tables in one flat (link, slot) owner array;
+// its scratch is pooled, so checking a sound mapping allocates nothing.
+//
+// The violation order is deterministic: placement violations by core, then
+// NI overloads by ascending NI, then per use-case and flow in design order,
+// then per group the diverging members and the bandwidth shortfalls in
+// first-seen flow order, then the contention claims group by group. A
+// use-case without a configuration is reported once and its flows count as
+// unassigned everywhere else.
+//
 // Check runs after every mapping the toolkit produces: nocmap refuses to
 // emit back-end artifacts on violations, and the mapping service attaches
 // the violation list to every response it serves (and caches), so a cached
@@ -29,6 +43,8 @@ package verify
 
 import (
 	"fmt"
+	"math"
+	"sync"
 
 	"nocmap/internal/core"
 	"nocmap/internal/tdma"
@@ -47,216 +63,354 @@ func (v Violation) String() string {
 	return fmt.Sprintf("use-case %d flow %d->%d: %s", v.UseCase, v.Pair.Src, v.Pair.Dst, v.Reason)
 }
 
+// maxPooledCells bounds the (link, slot) owner table a pooled checker
+// keeps, so one check of a huge fabric does not stay resident.
+const maxPooledCells = 1 << 20
+
+var checkerPool = sync.Pool{New: func() any { return new(checker) }}
+
+// checker is the scratch of one Check call. Flow instances — flow j of
+// use-case uc — are numbered in design order: instance flowOff[uc]+j.
+type checker struct {
+	pairOf  map[traffic.PairKey]int32 // flow pair -> dense pair index
+	keys    []traffic.PairKey         // dense pair index -> flow pair
+	flowOff []int32                   // per use-case, its first flow instance
+	pair    []int32                   // per flow instance, its pair index
+	asg     []*core.Assignment        // per flow instance, its assignment or nil
+
+	// Per pair, for the group being checked. Every pair first seen in a
+	// group takes the next id; the group's ids are exactly those above
+	// base, so neither id nor owner is cleared between groups or calls.
+	id    []uint32
+	last  []*core.Assignment // the assignment the pair's latest flow holds
+	maxBW []float64          // the group's largest bandwidth for the pair
+	order []int32            // the group's pairs in first-seen order
+	base  uint32
+	top   uint32 // the last id handed out
+
+	niLoad []int32
+	// owner holds, per (link, slot) cell at link*T+slot, the id of the last
+	// pair claiming it. Cells outside the fabric — link indices or slots a
+	// corrupt mapping puts beyond it — go to stray instead, so they are
+	// judged exactly like in-range cells.
+	owner []uint32
+	stray map[[2]int]uint32
+	cont  []Violation // the contention violations, reported last
+}
+
 // Check validates all invariants and returns every violation found (empty =
 // the mapping is sound).
 func Check(m *core.Mapping) []Violation {
-	var out []Violation
-	out = append(out, checkPlacement(m)...)
-	for uc := range m.Prep.UseCases {
-		out = append(out, checkUseCase(m, uc)...)
+	c := checkerPool.Get().(*checker)
+	out := c.check(m)
+	clear(c.asg)
+	clear(c.last)
+	clear(c.cont)
+	if cap(c.owner) <= maxPooledCells {
+		checkerPool.Put(c)
 	}
-	out = append(out, checkGroupSharing(m)...)
-	out = append(out, checkContention(m)...)
 	return out
 }
 
-func checkPlacement(m *core.Mapping) []Violation {
-	var out []Violation
+func (c *checker) check(m *core.Mapping) []Violation {
+	c.index(m)
+	out := c.checkPlacement(m, nil)
+	out = c.checkUseCases(m, out)
+	out = c.checkGroups(m, out)
+	return append(out, c.cont...)
+}
+
+// config returns use-case uc's configuration, nil when there is none.
+func config(m *core.Mapping, uc int) *core.Config {
+	if uc >= len(m.Configs) {
+		return nil
+	}
+	return m.Configs[uc]
+}
+
+// index numbers the pairs and looks up every flow instance's assignment —
+// the only Assignments lookups of the check.
+func (c *checker) index(m *core.Mapping) {
+	if c.pairOf == nil {
+		c.pairOf = make(map[traffic.PairKey]int32)
+	}
+	clear(c.pairOf)
+	c.keys = c.keys[:0]
+	c.flowOff = c.flowOff[:0]
+	c.pair = c.pair[:0]
+	c.asg = c.asg[:0]
+	for uc, u := range m.Prep.UseCases {
+		c.flowOff = append(c.flowOff, int32(len(c.pair)))
+		var asgs map[traffic.PairKey]*core.Assignment
+		if cfg := config(m, uc); cfg != nil {
+			asgs = cfg.Assignments
+		}
+		for _, f := range u.Flows {
+			key := f.Key()
+			p, ok := c.pairOf[key]
+			if !ok {
+				p = int32(len(c.keys))
+				c.pairOf[key] = p
+				c.keys = append(c.keys, key)
+			}
+			c.pair = append(c.pair, p)
+			c.asg = append(c.asg, asgs[key])
+		}
+	}
+	n := len(c.keys)
+	if cap(c.id) < n {
+		c.id = make([]uint32, n)
+		c.last = make([]*core.Assignment, n)
+		c.maxBW = make([]float64, n)
+	}
+	c.id, c.last, c.maxBW = c.id[:n], c.last[:n], c.maxBW[:n]
+	clear(c.stray)
+	c.cont = c.cont[:0]
+}
+
+func (c *checker) checkPlacement(m *core.Mapping, out []Violation) []Violation {
 	p := m.Params
-	niLoad := make(map[int]int)
-	for c, s := range m.CoreSwitch {
-		ni := m.CoreNI[c]
+	nis := max(m.Topology.NumSwitches()*p.NIsPerSwitch, 0)
+	if cap(c.niLoad) < nis {
+		c.niLoad = make([]int32, nis)
+	}
+	c.niLoad = c.niLoad[:nis]
+	clear(c.niLoad)
+	for cid, s := range m.CoreSwitch {
+		ni := m.CoreNI[cid]
 		if s < 0 {
 			if ni >= 0 {
-				out = append(out, Violation{Reason: fmt.Sprintf("core %d has NI %d but no switch", c, ni)})
+				out = append(out, Violation{Reason: fmt.Sprintf("core %d has NI %d but no switch", cid, ni)})
 			}
 			continue
 		}
 		if s >= m.Topology.NumSwitches() {
-			out = append(out, Violation{Reason: fmt.Sprintf("core %d on invalid switch %d", c, s)})
+			out = append(out, Violation{Reason: fmt.Sprintf("core %d on invalid switch %d", cid, s)})
 			continue
 		}
 		if ni < 0 || ni/p.NIsPerSwitch != s {
-			out = append(out, Violation{Reason: fmt.Sprintf("core %d NI %d not on switch %d", c, ni, s)})
+			out = append(out, Violation{Reason: fmt.Sprintf("core %d NI %d not on switch %d", cid, ni, s)})
 			continue
 		}
-		niLoad[ni]++
+		c.niLoad[ni]++ // ni/NIsPerSwitch is a valid switch, so ni < nis
 	}
-	for ni, n := range niLoad {
-		if n > p.CoresPerNI {
+	for ni, n := range c.niLoad {
+		if n > 0 && int(n) > p.CoresPerNI {
 			out = append(out, Violation{Reason: fmt.Sprintf("NI %d hosts %d cores, capacity %d", ni, n, p.CoresPerNI)})
 		}
 	}
 	return out
 }
 
-func checkUseCase(m *core.Mapping, uc int) []Violation {
-	var out []Violation
-	u := m.Prep.UseCases[uc]
-	cfg := m.Configs[uc]
-	if cfg == nil {
-		return []Violation{{UseCase: uc, Reason: "missing configuration"}}
-	}
-	bad := func(key traffic.PairKey, format string, args ...interface{}) {
-		out = append(out, Violation{UseCase: uc, Pair: key, Reason: fmt.Sprintf(format, args...)})
-	}
+// bad appends a violation of flow pair key in use-case uc.
+func bad(out []Violation, uc int, key traffic.PairKey, format string, args ...any) []Violation {
+	return append(out, Violation{UseCase: uc, Pair: key, Reason: fmt.Sprintf(format, args...)})
+}
+
+// checkUseCases checks structure, bandwidth and latency per flow instance.
+func (c *checker) checkUseCases(m *core.Mapping, out []Violation) []Violation {
 	meshLinks := m.MeshLinks()
-	for _, f := range u.Flows {
-		key := f.Key()
-		a, ok := cfg.Assignments[key]
-		if !ok || a == nil {
-			bad(key, "no assignment")
+	T := m.Params.SlotTableSize
+	slotBW := m.Params.SlotBandwidthMBs()
+	for uc, u := range m.Prep.UseCases {
+		if config(m, uc) == nil {
+			out = append(out, Violation{UseCase: uc, Reason: "missing configuration"})
 			continue
 		}
-		// 1. Structure.
-		if len(a.Path) < 2 {
-			bad(key, "path too short (%d links)", len(a.Path))
-			continue
-		}
-		wantEgress := m.NIEgressLink(m.CoreNI[f.Src])
-		wantIngress := m.NIIngressLink(m.CoreNI[f.Dst])
-		if a.Path[0] != wantEgress {
-			bad(key, "path starts at link %d, want NI egress %d", a.Path[0], wantEgress)
-		}
-		if a.Path[len(a.Path)-1] != wantIngress {
-			bad(key, "path ends at link %d, want NI ingress %d", a.Path[len(a.Path)-1], wantIngress)
-		}
-		mesh := a.Path[1 : len(a.Path)-1]
-		cur := m.CoreSwitch[f.Src]
-		okMesh := true
-		for _, l := range mesh {
-			if l >= meshLinks {
-				bad(key, "interior link %d is not a mesh link", l)
-				okMesh = false
-				break
+		asg := c.asg[c.flowOff[uc]:]
+		for j := range u.Flows {
+			f := &u.Flows[j]
+			key := f.Key()
+			a := asg[j]
+			if a == nil {
+				out = bad(out, uc, key, "no assignment")
+				continue
 			}
-			link := m.Topology.Link(topology.LinkID(l))
-			if int(link.From) != cur {
-				bad(key, "mesh path discontinuous at link %d", l)
-				okMesh = false
-				break
+			// 1. Structure.
+			if len(a.Path) < 2 {
+				out = bad(out, uc, key, "path too short (%d links)", len(a.Path))
+				continue
 			}
-			cur = int(link.To)
-		}
-		if okMesh && cur != m.CoreSwitch[f.Dst] {
-			bad(key, "mesh path ends at switch %d, want %d", cur, m.CoreSwitch[f.Dst])
-		}
-		// 2. Bandwidth.
-		granted := float64(a.SlotCount) * m.Params.SlotBandwidthMBs()
-		if granted < f.BandwidthMBs-1e-6 {
-			bad(key, "granted %.2f MB/s < required %.2f", granted, f.BandwidthMBs)
-		}
-		if len(a.Starts) != a.SlotCount {
-			bad(key, "slot count %d != starts %d", a.SlotCount, len(a.Starts))
-		}
-		for _, st := range a.Starts {
-			if st < 0 || st >= m.Params.SlotTableSize {
-				bad(key, "start slot %d outside the %d-slot table", st, m.Params.SlotTableSize)
+			wantEgress := m.NIEgressLink(m.CoreNI[f.Src])
+			wantIngress := m.NIIngressLink(m.CoreNI[f.Dst])
+			if a.Path[0] != wantEgress {
+				out = bad(out, uc, key, "path starts at link %d, want NI egress %d", a.Path[0], wantEgress)
 			}
-		}
-		// 4. Latency.
-		if f.MaxLatencyNS > 0 {
-			budget := m.Params.LatencyBudgetSlots(f.MaxLatencyNS)
-			wc := tdma.WorstCaseLatencySlots(a.Starts, len(a.Path), m.Params.SlotTableSize)
-			if wc > budget {
-				bad(key, "worst-case latency %d slots exceeds budget %d", wc, budget)
+			if a.Path[len(a.Path)-1] != wantIngress {
+				out = bad(out, uc, key, "path ends at link %d, want NI ingress %d", a.Path[len(a.Path)-1], wantIngress)
+			}
+			cur := m.CoreSwitch[f.Src]
+			okMesh := true
+			for _, l := range a.Path[1 : len(a.Path)-1] {
+				if l < 0 || l >= meshLinks {
+					out = bad(out, uc, key, "interior link %d is not a mesh link", l)
+					okMesh = false
+					break
+				}
+				link := m.Topology.Link(topology.LinkID(l))
+				if int(link.From) != cur {
+					out = bad(out, uc, key, "mesh path discontinuous at link %d", l)
+					okMesh = false
+					break
+				}
+				cur = int(link.To)
+			}
+			if okMesh && cur != m.CoreSwitch[f.Dst] {
+				out = bad(out, uc, key, "mesh path ends at switch %d, want %d", cur, m.CoreSwitch[f.Dst])
+			}
+			// 2. Bandwidth.
+			granted := float64(a.SlotCount) * slotBW
+			if granted < f.BandwidthMBs-1e-6 {
+				out = bad(out, uc, key, "granted %.2f MB/s < required %.2f", granted, f.BandwidthMBs)
+			}
+			if len(a.Starts) != a.SlotCount {
+				out = bad(out, uc, key, "slot count %d != starts %d", a.SlotCount, len(a.Starts))
+			}
+			for _, st := range a.Starts {
+				if st < 0 || st >= T {
+					out = bad(out, uc, key, "start slot %d outside the %d-slot table", st, T)
+				}
+			}
+			// 4. Latency.
+			if f.MaxLatencyNS > 0 {
+				budget := m.Params.LatencyBudgetSlots(f.MaxLatencyNS)
+				if wc := tdma.WorstCaseLatencySlots(a.Starts, len(a.Path), T); wc > budget {
+					out = bad(out, uc, key, "worst-case latency %d slots exceeds budget %d", wc, budget)
+				}
 			}
 		}
 	}
 	return out
 }
 
-// checkGroupSharing verifies that use-cases in one smooth-switching group
-// share identical assignments for shared pairs, sized by the group maximum.
-func checkGroupSharing(m *core.Mapping) []Violation {
-	var out []Violation
-	for _, group := range m.Prep.Groups {
-		seen := make(map[traffic.PairKey]*core.Assignment)
-		maxBW := make(map[traffic.PairKey]float64)
+// checkGroups walks every smooth-switching group once. It verifies that the
+// group's use-cases share identical assignments for shared pairs, sized by
+// the group maximum, and rebuilds the group's slot tables from scratch,
+// collecting any (link, slot) claimed twice in c.cont.
+func (c *checker) checkGroups(m *core.Mapping, out []Violation) []Violation {
+	T := m.Params.SlotTableSize
+	links := m.TotalLinks()
+	if cells := links * max(T, 0); cap(c.owner) < cells {
+		c.owner = make([]uint32, cells)
+	} else {
+		c.owner = c.owner[:cells]
+	}
+	slotBW := m.Params.SlotBandwidthMBs()
+	for gi, group := range m.Prep.Groups {
+		if c.top > math.MaxUint32-uint32(len(c.keys)) {
+			// The ids would wrap within this group: forget every claim.
+			clear(c.id[:cap(c.id)])
+			clear(c.owner[:cap(c.owner)])
+			clear(c.stray)
+			c.top = 0
+		}
+		c.base = c.top
+		c.order = c.order[:0]
 		for _, uc := range group {
-			for _, f := range m.Prep.UseCases[uc].Flows {
-				key := f.Key()
-				a := m.Configs[uc].Assignments[key]
-				if prev, ok := seen[key]; ok && prev != a {
-					out = append(out, Violation{UseCase: uc, Pair: key,
-						Reason: "group members have diverging assignments for a shared pair"})
+			flows := m.Prep.UseCases[uc].Flows
+			off := int(c.flowOff[uc])
+			for j := range flows {
+				f := &flows[j]
+				p, a := c.pair[off+j], c.asg[off+j]
+				if c.id[p] > c.base {
+					// A shared pair, already walked.
+					if c.last[p] != a {
+						out = append(out, Violation{UseCase: uc, Pair: c.keys[p],
+							Reason: "group members have diverging assignments for a shared pair"})
+					}
+					c.last[p] = a
+					if f.BandwidthMBs > c.maxBW[p] {
+						c.maxBW[p] = f.BandwidthMBs
+					}
+					continue
 				}
-				seen[key] = a
-				if f.BandwidthMBs > maxBW[key] {
-					maxBW[key] = f.BandwidthMBs
+				c.top++
+				c.id[p] = c.top
+				c.last[p] = a
+				c.maxBW[p] = 0
+				if f.BandwidthMBs > 0 {
+					c.maxBW[p] = f.BandwidthMBs
+				}
+				c.order = append(c.order, p)
+				if a != nil {
+					c.claim(gi, uc, c.keys[p], a, T, links)
 				}
 			}
 		}
-		for key, a := range seen {
+		for _, p := range c.order {
+			a := c.last[p]
 			if a == nil {
 				continue
 			}
-			granted := float64(a.SlotCount) * m.Params.SlotBandwidthMBs()
-			if granted < maxBW[key]-1e-6 {
-				out = append(out, Violation{Pair: key,
-					Reason: fmt.Sprintf("group assignment grants %.2f MB/s < group max %.2f", granted, maxBW[key])})
+			granted := float64(a.SlotCount) * slotBW
+			if granted < c.maxBW[p]-1e-6 {
+				out = append(out, Violation{Pair: c.keys[p],
+					Reason: fmt.Sprintf("group assignment grants %.2f MB/s < group max %.2f", granted, c.maxBW[p])})
 			}
 		}
 	}
 	return out
 }
 
-// checkContention rebuilds the slot tables of every group configuration
-// from scratch and reports any (link, slot) claimed twice. The tables are
-// one dense links×T owner array, cleared per group; cells outside it —
-// link indices or slots a corrupt mapping puts beyond the fabric — go to a
-// map instead, so they are judged exactly like in-range cells.
-func checkContention(m *core.Mapping) []Violation {
-	var out []Violation
-	T := m.Params.SlotTableSize
-	links := m.TotalLinks()
-	// A cell holds 1 + the index in keys of the pair that last claimed it,
-	// 0 while unclaimed.
-	owner := make([]int32, links*max(T, 0))
-	var stray map[[2]int]int32
-	walked := make(map[traffic.PairKey]bool)
-	var keys []traffic.PairKey
-	for gi, group := range m.Prep.Groups {
-		clear(owner)
-		clear(stray)
-		clear(walked)
-		keys = keys[:0]
-		for _, uc := range group {
-			for _, f := range m.Prep.UseCases[uc].Flows {
-				key := f.Key()
-				if walked[key] {
-					continue // shared assignment, already walked
+// claim enters a's (link, slot) cells under id c.top, reporting each cell
+// another pair of the group claimed before. A start inside the table walks
+// its slots by increment and wrap; any other start keeps the (start+hop)
+// mod T arithmetic, whose cells may fall outside the table.
+func (c *checker) claim(gi, uc int, key traffic.PairKey, a *core.Assignment, T, links int) {
+	id := c.top
+	for _, st := range a.Starts {
+		if st >= 0 && st < T {
+			slot := st
+			for _, link := range a.Path {
+				var prev uint32
+				if link >= 0 && link < links {
+					cell := &c.owner[link*T+slot]
+					prev, *cell = *cell, id
+				} else {
+					prev = c.strayClaim(link, slot, id)
 				}
-				walked[key] = true
-				keys = append(keys, key)
-				id := int32(len(keys))
-				a := m.Configs[uc].Assignments[key]
-				if a == nil {
-					continue
+				if prev > c.base && prev != id {
+					c.collide(gi, uc, key, link, slot, prev)
 				}
-				for _, st := range a.Starts {
-					for h, link := range a.Path {
-						slot := (st + h) % T
-						var prev int32
-						if link >= 0 && link < links && slot >= 0 && slot < T {
-							prev, owner[link*T+slot] = owner[link*T+slot], id
-						} else {
-							if stray == nil {
-								stray = make(map[[2]int]int32)
-							}
-							cell := [2]int{link, slot}
-							prev, stray[cell] = stray[cell], id
-						}
-						if prev != 0 && prev != id {
-							other := keys[prev-1]
-							out = append(out, Violation{UseCase: uc, Pair: key,
-								Reason: fmt.Sprintf("group %d: link %d slot %d also claimed by %d->%d",
-									gi, link, slot, other.Src, other.Dst)})
-						}
-					}
+				if slot++; slot == T {
+					slot = 0
 				}
+			}
+			continue
+		}
+		for h, link := range a.Path {
+			slot := (st + h) % T
+			var prev uint32
+			if link >= 0 && link < links && slot >= 0 && slot < T {
+				cell := &c.owner[link*T+slot]
+				prev, *cell = *cell, id
+			} else {
+				prev = c.strayClaim(link, slot, id)
+			}
+			if prev > c.base && prev != id {
+				c.collide(gi, uc, key, link, slot, prev)
 			}
 		}
 	}
-	return out
+}
+
+// strayClaim claims a cell outside the owner table and returns its
+// previous id.
+func (c *checker) strayClaim(link, slot int, id uint32) uint32 {
+	if c.stray == nil {
+		c.stray = make(map[[2]int]uint32)
+	}
+	cell := [2]int{link, slot}
+	prev := c.stray[cell]
+	c.stray[cell] = id
+	return prev
+}
+
+// collide reports that key's claim of (link, slot) hits the group's pair
+// with id prev.
+func (c *checker) collide(gi, uc int, key traffic.PairKey, link, slot int, prev uint32) {
+	other := c.keys[c.order[prev-c.base-1]]
+	c.cont = append(c.cont, Violation{UseCase: uc, Pair: key,
+		Reason: fmt.Sprintf("group %d: link %d slot %d also claimed by %d->%d",
+			gi, link, slot, other.Src, other.Dst)})
 }
