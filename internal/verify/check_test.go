@@ -257,23 +257,33 @@ func TestCheckMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCheckIDWrap: when the pair ids of a pooled checker would wrap, the
-// checker forgets every earlier claim, and a later call on the same scratch
-// still matches the reference.
-func TestCheckIDWrap(t *testing.T) {
+// TestCheckStampWrap: when the pair ids or the pair-index stamp of a
+// pooled checker wrap, the checker forgets every earlier claim and slot,
+// and every call on the same scratch still matches the reference. The ids
+// are set to wrap after the first group; the stamp wraps on the second
+// call.
+func TestCheckStampWrap(t *testing.T) {
 	bases, err := checkBases()
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &checker{top: math.MaxUint32 - 3}
+	c := new(checker)
 	for _, b := range bases {
 		m := cloneMapping(b.m)
 		mutate(m, []byte{18, 0, 1, 2, 18, 1, 2, 3, 5, 0, 1, 3})
 		want := CheckReference(m)
-		for pass := range 2 {
-			if got := c.check(m); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s pass %d (top %d): got %v\nwant %v", b.name, pass, c.top, got, want)
+		pairs := map[traffic.PairKey]bool{}
+		for _, u := range m.Prep.UseCases {
+			for _, f := range u.Flows {
+				pairs[f.Key()] = true
 			}
+		}
+		c.top = math.MaxUint32 - uint32(len(pairs)) - 1
+		for pass := range 3 {
+			if got := c.check(m); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pass %d: got %v\nwant %v", b.name, pass, got, want)
+			}
+			c.stamp = math.MaxUint32
 		}
 	}
 }

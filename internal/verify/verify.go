@@ -44,6 +44,7 @@ package verify
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"nocmap/internal/core"
@@ -63,8 +64,9 @@ func (v Violation) String() string {
 	return fmt.Sprintf("use-case %d flow %d->%d: %s", v.UseCase, v.Pair.Src, v.Pair.Dst, v.Reason)
 }
 
-// maxPooledCells bounds the (link, slot) owner table a pooled checker
-// keeps, so one check of a huge fabric does not stay resident.
+// maxPooledCells bounds the (link, slot) owner table and the pair index a
+// pooled checker keeps, so one check of a huge design does not stay
+// resident.
 const maxPooledCells = 1 << 20
 
 var checkerPool = sync.Pool{New: func() any { return new(checker) }}
@@ -72,11 +74,16 @@ var checkerPool = sync.Pool{New: func() any { return new(checker) }}
 // checker is the scratch of one Check call. Flow instances — flow j of
 // use-case uc — are numbered in design order: instance flowOff[uc]+j.
 type checker struct {
-	pairOf  map[traffic.PairKey]int32 // flow pair -> dense pair index
-	keys    []traffic.PairKey         // dense pair index -> flow pair
-	flowOff []int32                   // per use-case, its first flow instance
-	pair    []int32                   // per flow instance, its pair index
-	asg     []*core.Assignment        // per flow instance, its assignment or nil
+	// slots is an open-addressing index from flow pair to dense pair
+	// index, a power of two more than twice the flow instances. A slot is
+	// live in this call when its stamp is the call's, so it is cleared
+	// only when the stamp wraps.
+	slots   []pairSlot
+	stamp   uint32
+	keys    []traffic.PairKey  // dense pair index -> flow pair
+	flowOff []int32            // per use-case, its first flow instance
+	pair    []int32            // per flow instance, its pair index
+	asg     []*core.Assignment // per flow instance, its assignment or nil
 
 	// Per pair, for the group being checked. Every pair first seen in a
 	// group takes the next id; the group's ids are exactly those above
@@ -98,6 +105,12 @@ type checker struct {
 	cont  []Violation // the contention violations, reported last
 }
 
+// pairSlot is one slot of checker.slots: pair index p of this call's keys.
+type pairSlot struct {
+	stamp uint32
+	p     int32
+}
+
 // Check validates all invariants and returns every violation found (empty =
 // the mapping is sound).
 func Check(m *core.Mapping) []Violation {
@@ -106,7 +119,7 @@ func Check(m *core.Mapping) []Violation {
 	clear(c.asg)
 	clear(c.last)
 	clear(c.cont)
-	if cap(c.owner) <= maxPooledCells {
+	if cap(c.owner) <= maxPooledCells && len(c.slots) <= maxPooledCells {
 		checkerPool.Put(c)
 	}
 	return out
@@ -131,10 +144,18 @@ func config(m *core.Mapping, uc int) *core.Config {
 // index numbers the pairs and looks up every flow instance's assignment —
 // the only Assignments lookups of the check.
 func (c *checker) index(m *core.Mapping) {
-	if c.pairOf == nil {
-		c.pairOf = make(map[traffic.PairKey]int32)
+	flows := 0
+	for _, u := range m.Prep.UseCases {
+		flows += len(u.Flows)
 	}
-	clear(c.pairOf)
+	if size := 2 << bits.Len(uint(flows)); len(c.slots) < size {
+		c.slots = make([]pairSlot, size)
+		c.stamp = 0
+	}
+	if c.stamp++; c.stamp == 0 {
+		clear(c.slots)
+		c.stamp = 1
+	}
 	c.keys = c.keys[:0]
 	c.flowOff = c.flowOff[:0]
 	c.pair = c.pair[:0]
@@ -147,13 +168,7 @@ func (c *checker) index(m *core.Mapping) {
 		}
 		for _, f := range u.Flows {
 			key := f.Key()
-			p, ok := c.pairOf[key]
-			if !ok {
-				p = int32(len(c.keys))
-				c.pairOf[key] = p
-				c.keys = append(c.keys, key)
-			}
-			c.pair = append(c.pair, p)
+			c.pair = append(c.pair, c.pairIndex(key))
 			c.asg = append(c.asg, asgs[key])
 		}
 	}
@@ -166,6 +181,23 @@ func (c *checker) index(m *core.Mapping) {
 	c.id, c.last, c.maxBW = c.id[:n], c.last[:n], c.maxBW[:n]
 	clear(c.stray)
 	c.cont = c.cont[:0]
+}
+
+// pairIndex returns key's dense pair index, numbering it if it is new.
+func (c *checker) pairIndex(key traffic.PairKey) int32 {
+	mask := uint64(len(c.slots) - 1)
+	h := (uint64(key.Src)*0x9e3779b97f4a7c15 ^ uint64(key.Dst)) * 0xbf58476d1ce4e5b9
+	for i := h >> 32 & mask; ; i = (i + 1) & mask {
+		s := &c.slots[i]
+		if s.stamp != c.stamp {
+			*s = pairSlot{stamp: c.stamp, p: int32(len(c.keys))}
+			c.keys = append(c.keys, key)
+			return s.p
+		}
+		if c.keys[s.p] == key {
+			return s.p
+		}
+	}
 }
 
 func (c *checker) checkPlacement(m *core.Mapping, out []Violation) []Violation {
