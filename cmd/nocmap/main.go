@@ -7,7 +7,7 @@
 // Usage:
 //
 //	nocmap -in design.json [-engine <name>] [-seeds 4]
-//	       [-topology mesh|torus|@fabric.json] [-budget 30s] [-freq 500]
+//	       [-topology mesh|torus] [-budget 30s] [-freq 500]
 //	       [-slots 64] [-speculate 4] [-population 16] [-generations 24]
 //	       [-nodes 500000] [-vhdl noc.vhd] [-config prefix]
 //	       [-placement place.txt] [-improve] [-progress]
@@ -44,9 +44,6 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// topologyChoices is the -topology help/diagnostic listing.
-const topologyChoices = "mesh, torus, @fabric.json"
-
 // run is the testable entry point: it parses args, executes, and returns the
 // process exit code (0 ok, 1 runtime failure, 2 usage error), writing all
 // output to the given streams.
@@ -57,7 +54,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	engine := fs.String("engine", "greedy",
 		"search engine: "+strings.Join(noc.Engines(), "|"))
 	topoFlag := fs.String("topology", "",
-		"interconnect family: mesh|torus|@fabric.json (default: the design's topology tag, else mesh)")
+		"interconnect family: "+strings.Join(noc.TopologyKinds(), "|")+" (default: the design's topology tag, else mesh)")
 	seed := fs.Int64("seed", 1, "base PRNG seed for the anneal/portfolio engines")
 	seeds := fs.Int("seeds", 4, "multi-start annealers in the portfolio engine")
 	budget := fs.Duration("budget", 0, "wall-clock search budget (0 = unbounded)")
@@ -94,11 +91,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			*engine, strings.Join(noc.Engines(), ", "))
 		return 2
 	}
-	if v := *topoFlag; v != "" && !strings.HasPrefix(v, "@") {
-		if !slices.Contains(noc.TopologyKinds(), v) {
-			fmt.Fprintf(stderr, "nocmap: unknown -topology %q; valid choices: %s\n", v, topologyChoices)
-			return 2
-		}
+	if v := *topoFlag; v != "" && !slices.Contains(noc.TopologyKinds(), v) {
+		fmt.Fprintf(stderr, "nocmap: unknown -topology %q; valid choices: %s\n",
+			v, strings.Join(noc.TopologyKinds(), ", "))
+		return 2
 	}
 	// The option set shared by local and remote runs; the flags the wire form
 	// cannot carry (-speculate, -progress) stay local-only below.
@@ -126,10 +122,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *server != "" {
 		if *vhdl != "" || *config != "" || *placement != "" || *simulate {
 			fmt.Fprintln(stderr, "nocmap: -vhdl/-config/-placement/-sim need the full mapping and run locally; drop -server to use them")
-			return 2
-		}
-		if strings.HasPrefix(*topoFlag, "@") {
-			fmt.Fprintln(stderr, "nocmap: custom fabrics (@file.json) carry their link lists and run locally; drop -server to use them")
 			return 2
 		}
 		if *progress {

@@ -59,7 +59,7 @@ func TestRunUnknownTopologyExits2(t *testing.T) {
 	if code != 2 {
 		t.Fatalf("exit code = %d, want 2", code)
 	}
-	for _, want := range []string{"hypercube", "mesh", "torus", "@fabric.json"} {
+	for _, want := range []string{"hypercube", "mesh, torus"} {
 		if !strings.Contains(stderr, want) {
 			t.Errorf("stderr %q should mention %q", stderr, want)
 		}
@@ -108,41 +108,17 @@ func TestRunProgressPrefixesElapsedTime(t *testing.T) {
 	}
 }
 
-func TestRunCustomFabricFromFile(t *testing.T) {
-	fabric := filepath.Join(t.TempDir(), "ring.json")
-	if err := os.WriteFile(fabric, []byte(`{"name":"ring4","switches":4,"links":[[0,1],[1,2],[2,3],[3,0]]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, stdout, stderr := runCapture(t, "-in", designFile(t), "-topology", "@"+fabric)
-	if code != 0 {
-		t.Fatalf("custom fabric run: exit %d, stderr %q", code, stderr)
-	}
-	if !strings.Contains(stdout, "custom ring4") {
-		t.Errorf("stdout %q should report the custom fabric", stdout)
-	}
-}
-
-func TestRunBadCustomFabricExits1(t *testing.T) {
-	fabric := filepath.Join(t.TempDir(), "broken.json")
-	// Disconnected: switch 3 unreachable.
-	if err := os.WriteFile(fabric, []byte(`{"switches":4,"links":[[0,1],[1,2]]}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	code, _, stderr := runCapture(t, "-in", designFile(t), "-topology", "@"+fabric)
-	if code != 1 {
-		t.Fatalf("exit code = %d, want 1", code)
-	}
-	if !strings.Contains(stderr, "disconnected") {
-		t.Errorf("stderr %q should diagnose the disconnected fabric", stderr)
-	}
-}
-
-func TestRunServerRejectsCustomFabric(t *testing.T) {
-	code, _, stderr := runCapture(t, "-in", designFile(t), "-server", "http://localhost:1", "-topology", "@nope.json")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "locally") {
-		t.Errorf("stderr %q should direct the user to a local run", stderr)
+// A fabric file is not a topology family: it is rejected as a usage error,
+// locally and before any -server round trip, naming the valid families.
+func TestRunFabricFileTopologyExits2(t *testing.T) {
+	for _, extra := range [][]string{nil, {"-server", "http://localhost:1"}} {
+		args := append([]string{"-in", designFile(t), "-topology", "@x.json"}, extra...)
+		code, stdout, stderr := runCapture(t, args...)
+		if code != 2 {
+			t.Fatalf("%v: exit code = %d, want 2 (stderr %q)", extra, code, stderr)
+		}
+		if stdout != "" || !strings.Contains(stderr, `"@x.json"`) || !strings.Contains(stderr, "valid choices: mesh, torus") {
+			t.Errorf("%v: stdout %q, stderr %q; want the rejected argument and mesh, torus", extra, stdout, stderr)
+		}
 	}
 }

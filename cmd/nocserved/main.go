@@ -19,7 +19,6 @@
 //
 //	POST /v1/map       map one design (async with {"async":true},
 //	                   serve-then-improve with {"mode":"stream"})
-//	POST /v1/batch     map many designs in one call
 //	GET  /v1/jobs/{id} poll an async job
 //	GET  /v1/jobs/{id}/events  anytime-results stream (SSE; ?mode=poll)
 //	GET  /v1/designs/{digest}  cached result for a request digest (404 if absent)

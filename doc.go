@@ -2,9 +2,8 @@
 // onto Networks on Chips" (Murali, Coenen, Radulescu, Goossens, De Micheli,
 // DATE 2006).
 //
-// The library designs the smallest Network-on-Chip — on a mesh, torus, or
-// arbitrary custom fabric — that satisfies the bandwidth and latency
-// constraints of every use-case of an SoC. It implements the paper's three
+// The library designs the smallest Network-on-Chip — on a mesh or a
+// torus — that satisfies the bandwidth and latency constraints of every use-case of an SoC. It implements the paper's three
 // design phases:
 //
 //  1. Use-case pre-processing (internal/usecase): compound modes are
@@ -49,10 +48,9 @@
 // (single-flight), and executes jobs on a bounded worker pool with
 // per-job deadlines, queue backpressure, and a queryable
 // queued/running/done/failed lifecycle. cmd/nocserved exposes it over a
-// versioned HTTP/JSON surface (POST /v1/map, POST /v1/batch,
-// GET /v1/jobs/{id}, /v1/stats, /v1/version, /healthz; the pre-/v1 routes
-// remain as deprecated aliases) and cmd/nocmap -server delegates to a
-// running daemon. ARCHITECTURE.md maps the full layering; docs/cli.md
+// versioned HTTP/JSON surface (POST /v1/map, GET /v1/jobs/{id}, /v1/stats,
+// /v1/version, /healthz) and cmd/nocmap -server delegates to a running
+// daemon. ARCHITECTURE.md maps the full layering; docs/cli.md
 // documents every binary and endpoint.
 //
 // The public face of all of this is the SDK in pkg/noc: typed design
@@ -65,17 +63,14 @@
 // daemon. The five cmd/ binaries are thin shells over pkg/noc; external
 // programs embed the mapper the same way (docs/sdk.md has a quickstart).
 //
-// The whole pipeline is topology-generic (the paper notes the methodology
-// "applies to any topology"): a topology.Spec in core.Params selects the
-// fabric family — the paper's 2-D mesh, a torus whose wrap-aware
-// dimension-ordered and minimal-path routing take the shorter ring
-// direction per dimension, or an arbitrary custom switch/link fabric loaded
-// from JSON and validated for connectivity. The growth loop, the search
-// engines and the service all honour the spec; the design's topology tag
-// participates in the canonical digest, so cached results never collide
-// across fabrics. Select with nocmap -topology mesh|torus|@fabric.json, a
-// "topology" field in the design or service request JSON, and compare
-// fabrics with nocbench -fig topology.
+// The pipeline is topology-generic over two families: a topology.Spec in
+// core.Params selects the paper's 2-D mesh or a torus whose wrap-aware
+// minimal-path routing takes the shorter ring direction per dimension. The
+// growth loop, the search engines and the service all honour the spec; the
+// design's topology tag participates in the canonical digest, so cached
+// results never collide across fabrics. Select with nocmap -topology
+// mesh|torus, a "topology" field in the design or service request JSON, and
+// compare fabrics with nocbench -fig topology.
 //
 // The worst-case baseline of the paper's reference [25] lives in
 // internal/baseline, analytic area and power models in internal/area and

@@ -49,8 +49,7 @@ func (m Model) SwitchMM2(ports int, freqMHz float64) float64 {
 
 // NoCMM2 sums switch area over a mapping's topology at the mapping's
 // frequency. Ports per switch = fabric neighbours (the switch's actual link
-// degree — 2-4 on a mesh, 4 everywhere on a torus, arbitrary on a custom
-// fabric) + one per NI. On a mesh this equals MeshMM2.
+// degree — 2-4 on a mesh, 4 everywhere on a torus) + one per NI. On a mesh this equals MeshMM2.
 func (m Model) NoCMM2(mp *core.Mapping) float64 {
 	var sum float64
 	for s := 0; s < mp.Topology.NumSwitches(); s++ {

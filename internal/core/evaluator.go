@@ -135,8 +135,8 @@ type evalScratch struct {
 }
 
 // NewEvaluator validates the inputs once and precomputes the shared
-// evaluation state. The topology is used as given — mesh, torus or
-// custom.
+// evaluation state. The topology is used as given — mesh or torus, of any
+// size.
 func NewEvaluator(prep *usecase.Prepared, numCores int, top *topology.Topology, p Params) (*Evaluator, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err

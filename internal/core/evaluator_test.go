@@ -114,7 +114,7 @@ func sameResult(t *testing.T, label string, a, b *core.Result) {
 // TestEvaluatorMatchesEvaluateFixed: one shared Evaluator (pooled scratch,
 // cached path tables) must produce bit-identical Results to a fresh
 // Evaluator per call (core.EvaluateFresh) on randomized placements, across
-// mesh, torus and custom fabrics, with infeasible placements interleaved so
+// a mesh and two tori, with infeasible placements interleaved so
 // the arena is also proven clean after failed evaluations.
 func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 	prep, numCores := evalDesign(t)
@@ -128,15 +128,13 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ring := &topology.Custom{Name: "ring6", Switches: 6,
-		Links: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {5, 0}}}
-	customTop, err := ring.Build(p.CoresPerSwitch())
+	wideTorus, err := topology.NewTorus(3, 4, p.CoresPerSwitch())
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	evaluated := 0
-	for _, top := range []*topology.Topology{mesh, torus, customTop} {
+	for _, top := range []*topology.Topology{mesh, torus, wideTorus} {
 		ev, err := core.NewEvaluator(prep, numCores, top, p)
 		if err != nil {
 			t.Fatal(err)

@@ -38,29 +38,6 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	// the fabric: build them once and share them across every fabric tried.
 	tpl := newTemplates(prep, numCores, p)
 	active := len(tpl.active)
-	// A custom fabric is a single fixed instance: no growth loop, one
-	// attempt on the loaded topology.
-	if !p.Topology.Grows() {
-		top, err := p.Topology.ForDim(topology.Dim{}, p.CoresPerSwitch())
-		if err != nil {
-			return nil, err
-		}
-		dim := topology.Dim{Rows: top.Rows, Cols: top.Cols}
-		if top.MaxCores() < active {
-			err := fmt.Errorf("core: %s hosts %d cores, design needs %d", top, top.MaxCores(), active)
-			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Skipped: true}}, Last: err}
-		}
-		ev := tpl.on(top)
-		m, states, _, err := ev.attempt(nil)
-		if err != nil {
-			return nil, &InfeasibleError{Fabric: top.String(), Attempts: []Attempt{{Dim: dim, Err: err.Error()}}, Last: err}
-		}
-		res := &Result{Mapping: m, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(m, states)}
-		if p.Improve {
-			res = improveResult(ev, res)
-		}
-		return res, nil
-	}
 	var attempts []Attempt
 	var lastErr error
 	for _, dim := range topology.GrowthSequence(p.MaxMeshDim) {
@@ -101,21 +78,15 @@ var fabricHook func(*Evaluator)
 
 // InfeasibleError reports that no fabric the search explored could satisfy
 // every use-case: no mesh/torus up to the size cap (the outcome the paper
-// reports for the WC method on the 40-use-case benchmarks), or the one
-// fixed custom fabric.
+// reports for the WC method on the 40-use-case benchmarks).
 type InfeasibleError struct {
-	// MaxDim is the growth-loop cap; zero when a fixed custom fabric (named
-	// by Fabric) was the only candidate.
+	// MaxDim is the growth-loop cap.
 	MaxDim   int
-	Fabric   string
 	Attempts []Attempt
 	Last     error
 }
 
 func (e *InfeasibleError) Error() string {
-	if e.Fabric != "" {
-		return fmt.Sprintf("core: no feasible mapping on %s (last: %v)", e.Fabric, e.Last)
-	}
 	return fmt.Sprintf("core: no feasible mapping up to %dx%d mesh (last: %v)", e.MaxDim, e.MaxDim, e.Last)
 }
 

@@ -46,8 +46,7 @@ type Params struct {
 	// (default 20, where the paper reports the WC method failing).
 	MaxMeshDim int
 	// Topology selects the interconnect family the search explores: the
-	// growth loop instantiates mesh or torus shapes from it, while a custom
-	// spec pins the search to one fixed fabric (default: mesh).
+	// growth loop instantiates mesh or torus shapes from it (default: mesh).
 	Topology topology.Spec
 	// Cost weights the path-selection objective.
 	Cost route.CostParams
@@ -212,14 +211,9 @@ func (m *Mapping) SwitchCount() int { return m.Topology.NumSwitches() }
 
 // SeatLowerBound is the weakest admissible lower bound on the switch count
 // of any feasible mapping of this design: every attached core needs one NI
-// seat, and a switch seats NIsPerSwitch*CoresPerNI of them. A fixed custom
-// fabric does not grow or shrink, so its own switch count is the bound. The
-// bound never exceeds SwitchCount() — the mapping in hand seats every
-// attached core.
+// seat, and a switch seats NIsPerSwitch*CoresPerNI of them. The bound never
+// exceeds SwitchCount() — the mapping in hand seats every attached core.
 func (m *Mapping) SeatLowerBound() int {
-	if !m.Params.Topology.Grows() {
-		return m.Topology.NumSwitches()
-	}
 	attached := 0
 	for _, s := range m.CoreSwitch {
 		if s >= 0 {

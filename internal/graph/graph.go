@@ -152,9 +152,6 @@ func NewDirected(n int) *Directed {
 // N reports the number of vertices.
 func (g *Directed) N() int { return g.n }
 
-// NumArcs reports the number of arcs.
-func (g *Directed) NumArcs() int { return len(g.arcs) }
-
 // Arc returns the arc with index i.
 func (g *Directed) Arc(i int) Arc { return g.arcs[i] }
 

@@ -26,9 +26,6 @@ type Grid struct {
 	StepMHz float64
 }
 
-// DefaultGrid spans 25 MHz to 2 GHz in 25 MHz steps.
-func DefaultGrid() Grid { return Grid{LoMHz: 25, HiMHz: 2000, StepMHz: 25} }
-
 func (g Grid) validate() error {
 	if g.LoMHz <= 0 || g.HiMHz < g.LoMHz || g.StepMHz <= 0 {
 		return fmt.Errorf("power: invalid grid %+v", g)

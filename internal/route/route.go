@@ -5,17 +5,13 @@
 //
 // Guaranteed-throughput flows are deadlock-free by construction — TDMA
 // reservations mean flits never block inside the network — so GT path
-// selection may use arbitrary paths on any topology (LeastCost is plain
-// Dijkstra over the fabric graph). The dimension-ordered (XY) generator is
-// wrap-aware on tori, taking the shorter ring direction per dimension; its
-// paths are minimal on every fabric that has dimensions. On a mesh XY is
-// additionally deadlock-free under the turn model and therefore usable for
-// best-effort traffic; on a torus wrap links close cyclic channel
-// dependencies within each ring, so torus XY paths are NOT deadlock-free
-// for BE traffic without virtual channels or datelines — here they serve
-// only as GT path candidates, where TDMA reservations make blocking
-// impossible. Custom fabrics have no dimension structure: only least-cost
-// routing applies there.
+// selection may use arbitrary paths (LeastCost is plain Dijkstra over the
+// fabric graph). The minimal-path enumeration is wrap-aware on tori, taking
+// the shorter ring direction per dimension (both on a tie). Torus wrap links
+// close cyclic channel dependencies within each ring, so torus paths are
+// NOT deadlock-free for best-effort traffic without virtual channels or
+// datelines; here they serve only as GT path candidates, where TDMA
+// reservations make blocking impossible.
 //
 // The package is stateless: every query reads the caller's topology and
 // slot-table state and allocates nothing shared, so concurrent engine runs
@@ -109,20 +105,6 @@ func LeastCostTree(top *topology.Topology, st *tdma.State, src topology.SwitchID
 	return dist, nil
 }
 
-// XY returns the dimension-ordered path: first along the row (X/columns),
-// then along the column (Y/rows). It is minimal everywhere and deadlock-free
-// on a mesh; on a torus each dimension is traversed in the shorter wrap
-// direction, so the hop count never exceeds ⌊Cols/2⌋ + ⌊Rows/2⌋ (see the
-// package comment for the torus deadlock caveat).
-func XY(top *topology.Topology, src, dst topology.SwitchID) (Path, error) {
-	return dimOrdered(top, src, dst, true)
-}
-
-// YX returns the column-first dimension-ordered path.
-func YX(top *topology.Topology, src, dst topology.SwitchID) (Path, error) {
-	return dimOrdered(top, src, dst, false)
-}
-
 // dimSteps returns how many steps and in which per-step direction (+1/-1) to
 // travel from a to b along one dimension of size n. With wrap the shorter
 // ring direction is taken; ties prefer the direct (mesh) direction, keeping
@@ -146,71 +128,14 @@ func dimSteps(n, a, b int, wrap bool) (steps, dir int) {
 // step advances one position along a dimension of size n, wrapping modulo n.
 func step(n, pos, dir int) int { return ((pos+dir)%n + n) % n }
 
-func dimOrdered(top *topology.Topology, src, dst topology.SwitchID, xFirst bool) (Path, error) {
-	if top.Kind == topology.KindCustom {
-		return nil, fmt.Errorf("route: dimension-ordered routing needs a mesh or torus, have %s", top.Kind)
-	}
-	wrap := top.Kind == topology.KindTorus
-	sr, sc := top.Coord(src)
-	dr, dc := top.Coord(dst)
-	colSteps, colDir := dimSteps(top.Cols, sc, dc, wrap)
-	rowSteps, rowDir := dimSteps(top.Rows, sr, dr, wrap)
-	var path Path
-	cur := src
-	stepCol := func() error {
-		for ; colSteps > 0; colSteps-- {
-			sc = step(top.Cols, sc, colDir)
-			l, ok := top.FindLink(cur, top.At(sr, sc))
-			if !ok {
-				return fmt.Errorf("route: missing link at (%d,%d)", sr, sc)
-			}
-			path = append(path, l)
-			cur = top.At(sr, sc)
-		}
-		return nil
-	}
-	stepRow := func() error {
-		for ; rowSteps > 0; rowSteps-- {
-			sr = step(top.Rows, sr, rowDir)
-			l, ok := top.FindLink(cur, top.At(sr, sc))
-			if !ok {
-				return fmt.Errorf("route: missing link at (%d,%d)", sr, sc)
-			}
-			path = append(path, l)
-			cur = top.At(sr, sc)
-		}
-		return nil
-	}
-	if xFirst {
-		if err := stepCol(); err != nil {
-			return nil, err
-		}
-		if err := stepRow(); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := stepRow(); err != nil {
-			return nil, err
-		}
-		if err := stepCol(); err != nil {
-			return nil, err
-		}
-	}
-	return path, nil
-}
-
 // MinimalPaths enumerates minimal (monotone) paths from src to dst, up to
 // cap paths; with cap <= 0 all are returned. On a mesh these are the classic
 // staircase paths; on a torus each dimension moves in its shorter wrap
 // direction — and when the two ring directions tie (an even dimension
 // crossed exactly halfway), both directions are enumerated, so no minimal
-// path is missed. Custom fabrics have no dimension structure and return
-// nil — callers fall back to least-cost search. Enumeration order is
-// deterministic (direct directions first, column-step branches first).
+// path is missed. Enumeration order is deterministic (direct directions
+// first, column-step branches first).
 func MinimalPaths(top *topology.Topology, src, dst topology.SwitchID, cap int) []Path {
-	if top.Kind == topology.KindCustom {
-		return nil
-	}
 	wrap := top.Kind == topology.KindTorus
 	sr, sc := top.Coord(src)
 	dr, dc := top.Coord(dst)
@@ -420,42 +345,6 @@ func pathEqual(a, b Path) bool {
 	for i := range a {
 		if a[i] != b[i] {
 			return false
-		}
-	}
-	return true
-}
-
-// Turn describes a change of direction at a switch.
-type Turn struct {
-	At   topology.SwitchID
-	From topology.LinkID
-	To   topology.LinkID
-}
-
-// XYLegal reports whether a path only makes turns permitted by
-// dimension-ordered XY routing (column movement must precede row movement;
-// once a path turns into a row direction it may not turn back). Used to
-// validate best-effort routes on meshes, which rely on XY for deadlock
-// freedom. It checks turn order only: on a torus it accepts wrap-using
-// paths, which XY order alone does not make deadlock-free (ring cycles
-// need virtual channels or datelines).
-func XYLegal(top *topology.Topology, path Path) bool {
-	turnedToRow := false
-	for _, l := range path {
-		link := top.Link(l)
-		fr, fc := top.Coord(link.From)
-		tr, tc := top.Coord(link.To)
-		isRowMove := fr != tr
-		isColMove := fc != tc
-		switch {
-		case isRowMove && isColMove:
-			return false // diagonal links cannot occur in a mesh
-		case isRowMove:
-			turnedToRow = true
-		case isColMove:
-			if turnedToRow {
-				return false
-			}
 		}
 	}
 	return true

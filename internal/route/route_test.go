@@ -52,49 +52,10 @@ func TestLinkCostFreeAndLoaded(t *testing.T) {
 	}
 }
 
-func TestXYandYXShape(t *testing.T) {
-	top := mesh(t, 3, 3)
-	src, dst := top.At(0, 0), top.At(2, 2)
-	xy, err := XY(top, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	yx, err := YX(top, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(xy) != 4 || len(yx) != 4 {
-		t.Fatalf("path lengths %d,%d, want 4,4", len(xy), len(yx))
-	}
-	if !Contiguous(top, xy, src, dst) || !Contiguous(top, yx, src, dst) {
-		t.Error("paths not contiguous")
-	}
-	if !XYLegal(top, xy) {
-		t.Error("XY path reported illegal")
-	}
-	if XYLegal(top, yx) {
-		t.Error("YX path (row-first) must be XY-illegal for a true L-shape")
-	}
-	// Same row: both coincide and are legal.
-	xy2, _ := XY(top, top.At(1, 0), top.At(1, 2))
-	if len(xy2) != 2 || !XYLegal(top, xy2) {
-		t.Error("straight path wrong")
-	}
-}
-
-func TestXYSelfPath(t *testing.T) {
-	top := mesh(t, 2, 2)
-	p, err := XY(top, top.At(0, 0), top.At(0, 0))
-	if err != nil || len(p) != 0 {
-		t.Errorf("self path = %v, %v", p, err)
-	}
-}
-
-// Regression: dim-ordered routing on a torus must take the shorter wrap
-// direction, so no path exceeds ⌈rows/2⌉ + ⌈cols/2⌉ hops. Before the fix XY
-// on a torus was rejected outright (and an unguarded walk would have taken
-// the long way round).
-func TestXYTorusWrapHopBound(t *testing.T) {
+// Regression: minimal paths on a torus must take the shorter wrap
+// direction, so no path exceeds ⌈rows/2⌉ + ⌈cols/2⌉ hops, and every one must
+// be exactly as long as the torus hop distance.
+func TestMinimalPathsTorusWrapHopBound(t *testing.T) {
 	for _, size := range [][2]int{{3, 3}, {4, 5}, {5, 4}, {5, 5}} {
 		rows, cols := size[0], size[1]
 		tor, err := topology.NewTorus(rows, cols, 8)
@@ -104,20 +65,20 @@ func TestXYTorusWrapHopBound(t *testing.T) {
 		bound := (rows+1)/2 + (cols+1)/2
 		for src := topology.SwitchID(0); int(src) < tor.NumSwitches(); src++ {
 			for dst := topology.SwitchID(0); int(dst) < tor.NumSwitches(); dst++ {
-				for name, gen := range map[string]func(*topology.Topology, topology.SwitchID, topology.SwitchID) (Path, error){"XY": XY, "YX": YX} {
-					p, err := gen(tor, src, dst)
-					if err != nil {
-						t.Fatalf("%s %dx%d %d->%d: %v", name, rows, cols, src, dst, err)
-					}
-					if len(p) > bound {
-						t.Fatalf("%s %dx%d %d->%d: %d hops exceeds wrap bound %d (path %v)",
-							name, rows, cols, src, dst, len(p), bound, p)
-					}
-					if want := tor.HopDistance(src, dst); len(p) != want {
-						t.Fatalf("%s %dx%d %d->%d: %d hops, hop distance %d", name, rows, cols, src, dst, len(p), want)
+				paths := MinimalPaths(tor, src, dst, 0)
+				if len(paths) == 0 {
+					t.Fatalf("%dx%d %d->%d: no minimal path", rows, cols, src, dst)
+				}
+				want := tor.HopDistance(src, dst)
+				if want > bound {
+					t.Fatalf("%dx%d %d->%d: hop distance %d exceeds wrap bound %d", rows, cols, src, dst, want, bound)
+				}
+				for _, p := range paths {
+					if len(p) != want {
+						t.Fatalf("%dx%d %d->%d: %d hops, hop distance %d (path %v)", rows, cols, src, dst, len(p), want, p)
 					}
 					if !Contiguous(tor, p, src, dst) {
-						t.Fatalf("%s %dx%d %d->%d: discontiguous path %v", name, rows, cols, src, dst, p)
+						t.Fatalf("%dx%d %d->%d: discontiguous path %v", rows, cols, src, dst, p)
 					}
 				}
 			}
@@ -168,17 +129,6 @@ func TestMinimalPathsTorusWrap(t *testing.T) {
 		t.Error("tied-direction paths are duplicates")
 	}
 
-	// Custom fabrics have no dimension order: MinimalPaths declines.
-	custom, err := (&topology.Custom{Switches: 3, Links: [][2]int{{0, 1}, {1, 2}}}).Build(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := MinimalPaths(custom, 0, 2, 0); got != nil {
-		t.Errorf("custom minimal paths = %v, want nil", got)
-	}
-	if _, err := XY(custom, 0, 2); err == nil {
-		t.Error("XY on a custom fabric should be rejected")
-	}
 }
 
 func TestMinimalPathsCount(t *testing.T) {
@@ -353,7 +303,7 @@ func TestMinimalPathsProperty(t *testing.T) {
 }
 
 // Property: the Dijkstra least-cost path on a fresh (uniform) mesh is
-// minimal, and XY/YX are always feasible alternatives of the same length.
+// minimal.
 func TestLeastCostMinimalOnFreshMesh(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -375,15 +325,7 @@ func TestLeastCostMinimalOnFreshMesh(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if len(path) != top.HopDistance(src, dst) {
-			return false
-		}
-		xy, err := XY(top, src, dst)
-		if err != nil || len(xy) != len(path) || !XYLegal(top, xy) {
-			return false
-		}
-		yx, err := YX(top, src, dst)
-		return err == nil && len(yx) == len(path)
+		return len(path) == top.HopDistance(src, dst)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -35,7 +35,7 @@ func NewEvalCache(prep *usecase.Prepared, numCores int, p core.Params) *EvalCach
 
 // For returns the cached evaluator for the topology, constructing it on
 // first use. Topologies are keyed by their description (family plus
-// dimensions, or the custom fabric's name), so shape-equal instances built
+// dimensions), so shape-equal instances built
 // by different workers share one evaluator; callers must use the returned
 // evaluator's Topology() rather than their own instance.
 func (c *EvalCache) For(top *topology.Topology) (*core.Evaluator, error) {

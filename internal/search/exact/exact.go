@@ -98,15 +98,6 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 	incSwitches := base.Mapping.SwitchCount()
 	b := newBnb(prep, numCores, p, opts, base)
 
-	// A fixed custom fabric has exactly one candidate size: the base proves
-	// it feasible, so the bound is tight by construction.
-	if !p.Topology.Grows() {
-		best.LowerBoundSwitches = incSwitches
-		best.LowerBoundExact = true
-		opts.Emit(bb.Name(), search.StageDone, best, b.counts)
-		return best, nil
-	}
-
 	evals := search.NewEvalCache(prep, numCores, p)
 	lb, exact := 0, false
 	for _, dim := range topology.GrowthSequence(p.MaxMeshDim) {

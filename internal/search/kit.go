@@ -140,12 +140,8 @@ func (k *Kit) fit(start *core.Result) {
 
 // shrinkDims lists the sizes of the topology family smaller than the base
 // with enough core seats, in descending switch count (nearest the base
-// size first, where a feasible placement is most likely to exist). A custom
-// fabric is a single fixed instance, so there is nothing to shrink to.
+// size first, where a feasible placement is most likely to exist).
 func (k *Kit) shrinkDims(base *core.Result, attached int) []topology.Dim {
-	if !k.P.Topology.Grows() {
-		return nil
-	}
 	baseSwitches := base.Mapping.SwitchCount()
 	var dims []topology.Dim
 	for _, d := range topology.GrowthSequence(k.P.MaxMeshDim) {

@@ -254,19 +254,6 @@ func TestEnginesExploreTorus(t *testing.T) {
 		}
 	}
 
-	// A custom fabric pins every engine to the one loaded instance.
-	ringTop := &topology.Custom{Name: "ring", Switches: 4, Links: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
-	p.Topology = topology.Spec{Kind: topology.KindCustom, Custom: ringTop}
-	for _, name := range Names() {
-		eng, _ := New(name)
-		res, err := eng.Search(context.Background(), prep, numCores, p, opts)
-		if err != nil {
-			t.Fatalf("%s on ring: %v", name, err)
-		}
-		if res.Mapping.Topology.Kind != topology.KindCustom || res.Mapping.SwitchCount() != 4 {
-			t.Errorf("%s: solved on %s, want the 4-switch ring", name, res.Mapping.Topology)
-		}
-	}
 }
 
 // TestFeasibleStartShrinkProbeTooSmall is the regression test for the

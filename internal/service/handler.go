@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"nocmap/internal/core"
@@ -28,8 +27,7 @@ type MapRequest struct {
 	// Topology picks the interconnect family: "mesh" (default) or "torus".
 	// When empty, a "topology" tag inside the design JSON applies. The
 	// choice flows into the design's canonical digest, so requests on
-	// different fabrics never share a cache entry. Custom fabrics carry
-	// their link lists and are CLI-only (nocmap -topology @file.json).
+	// different fabrics never share a cache entry.
 	Topology string `json:"topology,omitempty"`
 	// Seed, Seeds, Iters override search.DefaultOptions.
 	Seed  *int64 `json:"seed,omitempty"`
@@ -72,6 +70,13 @@ func (mr *MapRequest) streaming() bool {
 	return mr.Mode == "stream" || (mr.Mode == "" && mr.WaitMS > 0)
 }
 
+// maxSearchWidth bounds the seeds and population fields of one request.
+// The portfolio starts one goroutine per seed and the population engines
+// size their member slices from population up front, so an unbounded value
+// lets one request exhaust the daemon's memory. The limit sits far above
+// every in-repo use (the CLI's 4 seeds, the default population of 16).
+const maxSearchWidth = 256
+
 // ToRequest validates the wire form into a service Request.
 func (mr *MapRequest) ToRequest() (Request, error) {
 	var req Request
@@ -93,9 +98,6 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 	if tag == "" {
 		tag = d.Topology
 	}
-	if strings.HasPrefix(tag, "custom:") {
-		return req, fmt.Errorf("service: custom fabrics (%s) carry their link lists and are CLI-only; map locally with nocmap -topology @fabric.json", tag)
-	}
 	kind, err := topology.ParseKind(tag)
 	if err != nil {
 		return req, fmt.Errorf("service: %w", err)
@@ -107,12 +109,18 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 		req.Opts.Seed = *mr.Seed
 	}
 	if mr.Seeds != nil {
+		if *mr.Seeds > maxSearchWidth {
+			return req, fmt.Errorf("service: seeds %d exceeds the limit of %d", *mr.Seeds, maxSearchWidth)
+		}
 		req.Opts.Seeds = *mr.Seeds
 	}
 	if mr.Iters != nil {
 		req.Opts.Iters = *mr.Iters
 	}
 	if mr.Population != nil {
+		if *mr.Population > maxSearchWidth {
+			return req, fmt.Errorf("service: population %d exceeds the limit of %d", *mr.Population, maxSearchWidth)
+		}
 		req.Opts.Population = *mr.Population
 	}
 	if mr.Generations != nil {
@@ -144,30 +152,12 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 	return req, nil
 }
 
-// BatchRequest is the wire form of POST /batch.
-type BatchRequest struct {
-	Requests []MapRequest `json:"requests"`
-}
-
-// BatchResponse is the wire form of the POST /batch reply; Results is in
-// request order.
-type BatchResponse struct {
-	Results []BatchResult `json:"results"`
-}
-
-// BatchResult is one entry of a batch reply: a response or an error.
-type BatchResult struct {
-	Response *Response `json:"response,omitempty"`
-	Error    string    `json:"error,omitempty"`
-}
-
 // NewHandler returns the HTTP facade of the service. The blessed surface is
 // versioned under /v1:
 //
 //	POST /v1/map       — map one design; {"async":true} returns 202 + job ID;
 //	                     {"mode":"stream"} serves the greedy result in a 202
 //	                     immediately and improves in the background
-//	POST /v1/batch     — map many designs in one call on the shared pool
 //	GET  /v1/jobs/{id} — job state (queued|running|done|failed) and result
 //	GET  /v1/jobs/{id}/events — serve-then-improve event stream (SSE by
 //	                     default, ?mode=poll long-poll; resume with ?after)
@@ -268,40 +258,6 @@ func NewHandler(s *Service) http.Handler {
 		writeJSON(w, http.StatusOK, resp)
 	})
 
-	handle("POST", "/v1/batch", func(w http.ResponseWriter, r *http.Request) {
-		var br BatchRequest
-		if !decodeBody(w, r, &br) {
-			return
-		}
-		if len(br.Requests) == 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("batch has no requests"))
-			return
-		}
-		reqs := make([]Request, len(br.Requests))
-		for i := range br.Requests {
-			if br.Requests[i].streaming() {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: stream mode is not supported in a batch; submit it on /v1/map", i))
-				return
-			}
-			req, err := br.Requests[i].ToRequest()
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Errorf("request %d: %w", i, err))
-				return
-			}
-			req.RequestID = RequestIDFrom(r.Context())
-			reqs[i] = req
-		}
-		items := s.MapBatch(r.Context(), reqs)
-		out := BatchResponse{Results: make([]BatchResult, len(items))}
-		for i, it := range items {
-			out.Results[i] = BatchResult{Response: it.Response}
-			if it.Err != nil {
-				out.Results[i].Error = it.Err.Error()
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
-	})
-
 	handle("GET", "/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
 		st, ok := s.Job(r.PathValue("id"))
 		if !ok {
@@ -390,22 +346,15 @@ func (r *statusRecorder) Flush() {
 // grown past maxPooledBody are not pooled again.
 const maxBodyBytes = 8 << 20
 
-// decodeBody decodes a POST body (a MapRequest or a BatchRequest, design
-// included) strictly: unknown fields at every level of nesting are
-// rejected, and the body is bounded by maxBodyBytes. A MapRequest goes
-// through decodeMapRequest, one pass of a byte-level lexer over a pooled
-// buffer that hands everything outside its canonical subset to the stdlib
-// decode; a BatchRequest goes to the stdlib decode directly. Either way the
-// verdict and error are encoding/json's. On failure it writes the reply —
-// 413 for an oversize body, 400 otherwise — and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	var err error
-	if mr, ok := v.(*MapRequest); ok {
-		err = decodeMapRequest(body, mr)
-	} else {
-		err = decodeStrict(body, v)
-	}
+// decodeBody decodes a POST /v1/map body, design included, strictly:
+// unknown fields at every level of nesting are rejected, and the body is
+// bounded by maxBodyBytes. decodeMapRequest makes one pass of a byte-level
+// lexer over a pooled buffer and hands everything outside its canonical
+// subset to the stdlib decode, so the verdict and error are encoding/json's.
+// On failure it writes the reply — 413 for an oversize body, 400 otherwise —
+// and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, mr *MapRequest) bool {
+	err := decodeMapRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), mr)
 	var tooBig *http.MaxBytesError
 	switch {
 	case err == nil:

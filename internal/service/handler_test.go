@@ -10,6 +10,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -193,45 +194,50 @@ func TestServerAsyncJob(t *testing.T) {
 	}
 }
 
-func TestServerBatch(t *testing.T) {
+// TestServerConcurrentDuplicates: three identical POST /v1/map requests in
+// flight at once plus one at a different frequency. The duplicates share a
+// key and one engine run (single flight or a cache hit), the variant gets
+// its own.
+func TestServerConcurrentDuplicates(t *testing.T) {
 	ts, _ := newTestServer(t)
 	design := d1JSON(t)
-
-	// Three identical requests plus one at a different frequency: the
-	// duplicates must share a key (one engine run), the variant must not.
-	var br BatchRequest
-	for i := 0; i < 3; i++ {
-		br.Requests = append(br.Requests, MapRequest{Design: design, Engine: "greedy"})
-	}
 	freq := 300.0
-	br.Requests = append(br.Requests, MapRequest{Design: design, Engine: "greedy", FreqMHz: &freq})
-
-	httpResp, body := postJSON(t, ts.URL+"/v1/batch", br)
-	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /v1/batch: HTTP %d: %s", httpResp.StatusCode, body)
+	reqs := []MapRequest{
+		{Design: design, Engine: "greedy"},
+		{Design: design, Engine: "greedy"},
+		{Design: design, Engine: "greedy"},
+		{Design: design, Engine: "greedy", FreqMHz: &freq},
 	}
-	var out BatchResponse
-	if err := json.Unmarshal(body, &out); err != nil {
-		t.Fatal(err)
+	out := make([]Response, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			httpResp, body := postJSON(t, ts.URL+"/v1/map", reqs[i])
+			if httpResp.StatusCode != http.StatusOK {
+				t.Errorf("request %d: HTTP %d: %s", i, httpResp.StatusCode, body)
+				return
+			}
+			if err := json.Unmarshal(body, &out[i]); err != nil {
+				t.Errorf("request %d: %v", i, err)
+			}
+		}(i)
 	}
-	if len(out.Results) != 4 {
-		t.Fatalf("got %d batch results, want 4", len(out.Results))
+	wg.Wait()
+	if t.Failed() {
+		return
 	}
-	for i, r := range out.Results {
-		if r.Error != "" || r.Response == nil {
-			t.Fatalf("batch result %d: error %q", i, r.Error)
-		}
+	if k := out[0].Key; out[1].Key != k || out[2].Key != k {
+		t.Error("identical requests keyed differently")
 	}
-	if k := out.Results[0].Response.Key; out.Results[1].Response.Key != k || out.Results[2].Response.Key != k {
-		t.Error("identical batch requests keyed differently")
-	}
-	if out.Results[3].Response.Key == out.Results[0].Response.Key {
+	if out[3].Key == out[0].Key {
 		t.Error("different-frequency request shares the duplicates' key")
 	}
 	var st Stats
 	getJSON(t, ts.URL+"/v1/stats", &st)
 	if st.JobsDone != 2 {
-		t.Errorf("batch of 4 (3 identical) cost %d engine runs, want 2", st.JobsDone)
+		t.Errorf("4 requests (3 identical) cost %d engine runs, want 2", st.JobsDone)
 	}
 }
 
@@ -262,13 +268,12 @@ func TestServerErrorPaths(t *testing.T) {
 
 	// The body is decoded strictly as a whole: an unknown field inside the
 	// design and a misspelt top-level field (which would otherwise run the
-	// default silently) are both rejected with a 400 that names the field,
-	// on /v1/map and inside a /v1/batch element alike.
+	// default silently) are both rejected with a 400 that names the field.
 	unknown := []struct{ route, body, field string }{
 		{"/v1/map", fmt.Sprintf(`{"design":%s,"engine":"anneal","iter":300}`, d1Raw(t)), "iter"},
 		{"/v1/map", `{"design":{"name":"x","num_cores":2,"bogus":1,"use_cases":[{"name":"u","flows":[]}]}}`, "bogus"},
 		{"/v1/map", `{"design":{"name":"x","num_cores":2,"use_cases":[{"name":"u","flows":[{"src":0,"dst":1,"bandwidth_mbs":1,"burst":2}]}]}}`, "burst"},
-		{"/v1/batch", fmt.Sprintf(`{"requests":[{"design":%s,"seeds":2,"iters":5,"enigne":"anneal"}]}`, d1Raw(t)), "enigne"},
+		{"/v1/map", fmt.Sprintf(`{"design":%s,"seeds":2,"iters":5,"enigne":"anneal"}`, d1Raw(t)), "enigne"},
 	}
 	for _, c := range unknown {
 		resp, body := postRaw(t, ts.URL+c.route, c.body)
@@ -283,6 +288,13 @@ func TestServerErrorPaths(t *testing.T) {
 
 	if code := getJSON(t, ts.URL+"/v1/jobs/j404", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job: HTTP %d, want 404", code)
+	}
+	// Removed routes: the batch endpoint and the pre-/v1 aliases.
+	for _, route := range []string{"/v1/batch", "/batch", "/map"} {
+		resp, body := postRaw(t, ts.URL+route, fmt.Sprintf(`{"requests":[{"design":%s}]}`, d1Raw(t)))
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("POST %s: HTTP %d, want 404: %s", route, resp.StatusCode, body)
+		}
 	}
 	var health healthResponse
 	if code := getJSON(t, ts.URL+"/healthz", &health); code != http.StatusOK || !health.OK {
@@ -369,23 +381,45 @@ func TestServerDesignTopologyTag(t *testing.T) {
 	}
 }
 
+// TestServerSearchWidthLimit: a seeds or population count above
+// maxSearchWidth is refused with a 400 naming the field and the limit, and
+// no engine run starts. Unbounded, 1<<30 seeds would start that many
+// portfolio goroutines and 1<<30 members would be allocated up front.
+func TestServerSearchWidthLimit(t *testing.T) {
+	ts, s := newTestServer(t)
+	for _, field := range []string{"seeds", "population"} {
+		resp, body := postRaw(t, ts.URL+"/v1/map", fmt.Sprintf(`{"design":%s,"engine":"portfolio","%s":%d}`, d1Raw(t), field, 1<<30))
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: error body %s: %v", field, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, field) || !strings.Contains(e.Error, strconv.Itoa(maxSearchWidth)) {
+			t.Errorf("%s = 1<<30: HTTP %d %q, want 400 naming the field and the limit %d", field, resp.StatusCode, e.Error, maxSearchWidth)
+		}
+	}
+	if st := s.Stats(); st.JobsDone != 0 || st.CacheMisses != 0 {
+		t.Errorf("over-wide requests reached the engines: %+v", st)
+	}
+	// The limit itself is accepted.
+	mr := MapRequest{Design: d1JSON(t), Seeds: new(int), Population: new(int)}
+	*mr.Seeds, *mr.Population = maxSearchWidth, maxSearchWidth
+	if _, err := mr.ToRequest(); err != nil {
+		t.Errorf("seeds and population at the limit rejected: %v", err)
+	}
+}
+
 // TestServerBodyLimit pins the request-body bound: a body past maxBodyBytes
-// is refused with 413 naming the limit, on both POST routes, before the
-// service decodes a design from it.
+// is refused with 413 naming the limit before the service decodes a design
+// from it.
 func TestServerBodyLimit(t *testing.T) {
 	ts, s := newTestServer(t)
 	pad := strings.Repeat(" ", maxBodyBytes)
-	for _, c := range []struct{ route, body string }{
-		{"/v1/map", `{"design":` + pad + `{}}`},
-		{"/v1/batch", `{"requests":[` + pad + `]}`},
-	} {
-		resp, body := postRaw(t, ts.URL+c.route, c.body)
-		if resp.StatusCode != http.StatusRequestEntityTooLarge {
-			t.Errorf("%s: oversize body got HTTP %d, want 413: %s", c.route, resp.StatusCode, body)
-		}
-		if !bytes.Contains(body, []byte(strconv.Itoa(maxBodyBytes))) {
-			t.Errorf("%s: 413 body %s does not name the %d-byte limit", c.route, body, maxBodyBytes)
-		}
+	resp, body := postRaw(t, ts.URL+"/v1/map", `{"design":`+pad+`{}}`)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversize body got HTTP %d, want 413: %s", resp.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte(strconv.Itoa(maxBodyBytes))) {
+		t.Errorf("413 body %s does not name the %d-byte limit", body, maxBodyBytes)
 	}
 	if st := s.Stats(); st.CacheMisses != 0 || st.JobsDone != 0 {
 		t.Errorf("oversize bodies reached the service: %+v", st)
@@ -393,7 +427,7 @@ func TestServerBodyLimit(t *testing.T) {
 
 	// A padded body far above any real request but within the limit is
 	// decoded as usual.
-	resp, body := postRaw(t, ts.URL+"/v1/map", `{"design":`+string(d1Raw(t))+pad[:maxBodyBytes/2]+`}`)
+	resp, body = postRaw(t, ts.URL+"/v1/map", `{"design":`+string(d1Raw(t))+pad[:maxBodyBytes/2]+`}`)
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("body under the limit: HTTP %d: %s", resp.StatusCode, body)
 	}

@@ -60,9 +60,10 @@ func designJSON(t *testing.T, d *traffic.Design) *traffic.DesignJSON {
 	return d.JSON()
 }
 
-// TestMetricsEndToEnd drives the service through a map, a cache hit, and a
-// deduplicated batch over HTTP and asserts the exact counter deltas on
-// /v1/metrics. CacheEntries=1 additionally forces an observable eviction.
+// TestMetricsEndToEnd drives the service through a map, a cache hit, and
+// three concurrent deduplicated maps over HTTP and asserts the exact counter
+// deltas on /v1/metrics. CacheEntries=1 additionally forces an observable
+// eviction.
 // When METRICS_SNAPSHOT_FILE is set the final scrape is written there, which
 // CI lints for naming conventions and uploads as a build artifact.
 func TestMetricsEndToEnd(t *testing.T) {
@@ -94,26 +95,26 @@ func TestMetricsEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Three identical gated requests in one batch: admission is serialized
-	// under the service mutex and no run can finish while the gate is open,
-	// so exactly one misses and two join the in-flight run.
-	batch := BatchRequest{Requests: make([]MapRequest, 3)}
-	for i := range batch.Requests {
-		batch.Requests[i] = MapRequest{Design: designJSON(t, testDesign("metrics-gated")), Engine: "gate-metrics"}
+	// Three identical gated requests in flight at once: admission is
+	// serialized under the service mutex and no run can finish while the
+	// gate is open, so exactly one misses and two join the in-flight run.
+	gated := MapRequest{Design: designJSON(t, testDesign("metrics-gated")), Engine: "gate-metrics"}
+	var wg sync.WaitGroup
+	for range 3 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, body := postJSON(t, ts.URL+"/v1/map", gated)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("gated POST /v1/map = %d: %s", resp.StatusCode, body)
+			}
+		}()
 	}
-	batchDone := make(chan struct{})
-	go func() {
-		defer close(batchDone)
-		resp, body := postJSON(t, ts.URL+"/v1/batch", batch)
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("POST /v1/batch = %d: %s", resp.StatusCode, body)
-		}
-	}()
 	waitFor(t, "two dedup joins", func() bool {
 		return s.Stats().Deduped == 2
 	})
 	close(gate)
-	<-batchDone
+	wg.Wait()
 
 	final := scrapeMetrics(t, ts.URL)
 	wantMetric(t, final, "noc_cache_hits_total", "1")
@@ -125,10 +126,12 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantMetric(t, final, `noc_jobs_total{status="done"}`, "2")
 	wantMetric(t, final, `noc_engine_duration_seconds_count{engine="greedy"}`, "1")
 	wantMetric(t, final, `noc_engine_duration_seconds_count{engine="gate-metrics"}`, "1")
-	wantMetric(t, final, `noc_http_requests_total{route="/v1/map",status="200"}`, "2")
-	wantMetric(t, final, `noc_http_requests_total{route="/v1/batch",status="200"}`, "1")
-	if v := metricValue(t, final, `noc_http_request_duration_seconds_count{route="/v1/map"}`); v != "2" {
-		t.Errorf("map route histogram count = %s, want 2", v)
+	wantMetric(t, final, `noc_http_requests_total{route="/v1/map",status="200"}`, "5")
+	if v := metricValue(t, final, `noc_http_request_duration_seconds_count{route="/v1/map"}`); v != "5" {
+		t.Errorf("map route histogram count = %s, want 5", v)
+	}
+	if strings.Contains(final, `route="/v1/batch"`) {
+		t.Error("exposition still carries a /v1/batch route label")
 	}
 	if v := metricValue(t, final, "noc_uptime_seconds"); v == "0" {
 		t.Errorf("noc_uptime_seconds = %s, want > 0", v)

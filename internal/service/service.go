@@ -538,30 +538,6 @@ func (s *Service) Job(id string) (JobStatus, bool) {
 	return st, true
 }
 
-// BatchItem is one outcome of MapBatch, in request order.
-type BatchItem struct {
-	Response *Response
-	Err      error
-}
-
-// MapBatch maps every request on the shared pool and returns when all are
-// resolved. Identical requests inside one batch (or racing other callers)
-// collapse to one engine run via the same single-flight path as Map.
-func (s *Service) MapBatch(ctx context.Context, reqs []Request) []BatchItem {
-	out := make([]BatchItem, len(reqs))
-	var wg sync.WaitGroup
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, err := s.Map(ctx, reqs[i])
-			out[i] = BatchItem{Response: resp, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
 // Stats returns the current counters and gauges.
 func (s *Service) Stats() Stats {
 	entries := s.store.Len() // self-locking; read outside s.mu
@@ -776,8 +752,8 @@ func (r *Response) cached() *Response {
 // Result is the JSON-serializable summary of one mapping.
 type Result struct {
 	Design string `json:"design"`
-	// Topology names the fabric family of the solution ("mesh", "torus",
-	// "custom"). A torus request can legitimately report "mesh" when the
+	// Topology names the fabric family of the solution ("mesh" or
+	// "torus"). A torus request can legitimately report "mesh" when the
 	// smallest feasible shape is below 3x3, where wrap links degenerate.
 	Topology string `json:"topology"`
 	Rows     int    `json:"rows"`

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -409,11 +410,12 @@ func TestJobDeadline(t *testing.T) {
 	}
 }
 
-// TestMapBatchConcurrent is the race-detector workout: many goroutines,
-// duplicate keys, one shared cache and pool. Duplicates must collapse to one
-// engine run per distinct design whether they hit the flight or the cache.
-func TestMapBatchConcurrent(t *testing.T) {
-	runs := registerGate("count-batch", nil)
+// TestMapConcurrentDuplicates is the race-detector workout: many goroutines
+// calling Map at once, duplicate keys, one shared cache and pool. Duplicates
+// must collapse to one engine run per distinct design whether they hit the
+// flight or the cache.
+func TestMapConcurrentDuplicates(t *testing.T) {
+	runs := registerGate("count-concurrent", nil)
 	s := New(Config{Workers: 4})
 	defer s.Close()
 
@@ -421,19 +423,26 @@ func TestMapBatchConcurrent(t *testing.T) {
 	var reqs []Request
 	for c := 0; c < copies; c++ {
 		for i := 0; i < distinct; i++ {
-			reqs = append(reqs, testRequest("count-batch", testDesign(fmt.Sprintf("batch-%d", i))))
+			reqs = append(reqs, testRequest("count-concurrent", testDesign(fmt.Sprintf("concurrent-%d", i))))
 		}
 	}
-	items := s.MapBatch(context.Background(), reqs)
-	if len(items) != distinct*copies {
-		t.Fatalf("got %d results, want %d", len(items), distinct*copies)
+	resps := make([]*Response, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resps[i], errs[i] = s.Map(context.Background(), reqs[i])
+		}(i)
 	}
+	wg.Wait()
 	byDesign := make(map[string]string) // design name -> result JSON
-	for i, it := range items {
-		if it.Err != nil {
-			t.Fatalf("batch item %d: %v", i, it.Err)
+	for i, resp := range resps {
+		if errs[i] != nil {
+			t.Fatalf("request %d: %v", i, errs[i])
 		}
-		j, _ := json.Marshal(it.Response.Result)
+		j, _ := json.Marshal(resp.Result)
 		name := reqs[i].Design.Name
 		if prev, ok := byDesign[name]; ok && prev != string(j) {
 			t.Errorf("design %s produced two different results", name)
@@ -441,7 +450,7 @@ func TestMapBatchConcurrent(t *testing.T) {
 		byDesign[name] = string(j)
 	}
 	if runs.Load() != distinct {
-		t.Errorf("batch of %d requests over %d designs cost %d engine runs, want %d",
+		t.Errorf("%d requests over %d designs cost %d engine runs, want %d",
 			len(reqs), distinct, runs.Load(), distinct)
 	}
 }

@@ -168,14 +168,6 @@ func (s *State) Utilization(link int) float64 {
 	return 1 - float64(s.FreeSlots(link))/float64(s.slots)
 }
 
-// StartFree reports whether starting slot st is free along the whole path
-// under contention-free alignment. The mapper uses it to intersect
-// availability across the states of a smooth-switching group, whose members
-// must carry identical reservations.
-func (s *State) StartFree(path []int, st int) bool {
-	return s.startFree(path, (st%s.slots+s.slots)%s.slots)
-}
-
 // startFree reports whether starting slot st is free along the whole path
 // under contention-free alignment: link path[h] must be free at (st+h) mod T.
 func (s *State) startFree(path []int, st int) bool {
@@ -443,19 +435,6 @@ func (s *State) MinFree() int {
 		}
 	}
 	return min
-}
-
-// CopyFrom overwrites this state with src's contents without allocating.
-// The two states must have identical shape (same link count and table size).
-func (s *State) CopyFrom(src *State) error {
-	if s.numLinks != src.numLinks || s.slots != src.slots {
-		return fmt.Errorf("tdma: copy between mismatched states (%d/%d links, %d/%d slots)",
-			s.numLinks, src.numLinks, s.slots, src.slots)
-	}
-	copy(s.tables, src.tables)
-	copy(s.free, src.free)
-	copy(s.masks, src.masks)
-	return nil
 }
 
 // SlotsNeeded returns how many slots a flow of bandwidthMBs requires when

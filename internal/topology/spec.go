@@ -6,20 +6,11 @@ import (
 )
 
 // Spec names an interconnect family without fixing an instance: the mapper's
-// outer loop supplies concrete dimensions per growth attempt (ForDim), while
-// Build instantiates the spec's own Rows/Cols directly. It is the value that
-// threads topology choice through core.Params into every search engine, the
-// CLIs and the mapping service.
+// outer loop supplies concrete dimensions per growth attempt (ForDim). It is
+// the value that threads topology choice through core.Params into every
+// search engine, the CLIs and the mapping service.
 type Spec struct {
 	Kind Kind
-	// Rows and Cols fix the dimensions for Build; the growth loop ignores
-	// them and supplies its own per attempt.
-	Rows, Cols int
-	// CoresPerSwitch is the per-switch core capacity for Build; zero defaults
-	// to 1. The mapper always derives it from its NI parameters instead.
-	CoresPerSwitch int
-	// Custom describes the fabric when Kind is KindCustom.
-	Custom *Custom
 }
 
 // MeshSpec is the default spec: the paper's 2-D mesh family.
@@ -40,16 +31,9 @@ func ParseKind(name string) (Kind, error) {
 	}
 }
 
-// ParseSpec resolves a CLI topology argument: "mesh", "torus", the empty
-// string (mesh), or "@file.json" naming a custom fabric description.
+// ParseSpec resolves a CLI topology argument: "mesh", "torus", or the empty
+// string (mesh).
 func ParseSpec(arg string) (Spec, error) {
-	if strings.HasPrefix(arg, "@") {
-		c, err := ReadCustomFile(strings.TrimPrefix(arg, "@"))
-		if err != nil {
-			return Spec{}, err
-		}
-		return Spec{Kind: KindCustom, Custom: c}, nil
-	}
 	kind, err := ParseKind(arg)
 	if err != nil {
 		return Spec{}, err
@@ -57,65 +41,26 @@ func ParseSpec(arg string) (Spec, error) {
 	return Spec{Kind: kind}, nil
 }
 
-// Validate rejects malformed specs: an unknown kind, a custom kind without a
-// fabric description (or a non-custom kind with one), or an invalid fabric.
+// Validate rejects a spec of an unknown kind.
 func (s Spec) Validate() error {
-	switch s.Kind {
-	case KindMesh, KindTorus:
-		if s.Custom != nil {
-			return fmt.Errorf("topology: %s spec must not carry a custom fabric", s.Kind)
-		}
-		return nil
-	case KindCustom:
-		if s.Custom == nil {
-			return fmt.Errorf("topology: custom spec has no fabric description")
-		}
-		return s.Custom.Validate()
-	default:
+	if s.Kind != KindMesh && s.Kind != KindTorus {
 		return fmt.Errorf("topology: unknown kind %v", s.Kind)
 	}
+	return nil
 }
-
-// Grows reports whether the mapper's outer growth loop applies: mesh and
-// torus families grow through the dimension sequence, a custom fabric is a
-// single fixed instance.
-func (s Spec) Grows() bool { return s.Kind != KindCustom }
 
 // ForDim instantiates the family at the given dimensions with the given
 // per-switch core capacity. Tori below 3x3 degrade to meshes — their wrap
 // links would duplicate mesh links — so the torus growth sequence starts
 // from the same small shapes as the mesh one.
 func (s Spec) ForDim(d Dim, coresPerSwitch int) (*Topology, error) {
-	switch s.Kind {
-	case KindCustom:
-		return s.Custom.Build(coresPerSwitch)
-	case KindTorus:
-		if d.Rows >= 3 && d.Cols >= 3 {
-			return NewTorus(d.Rows, d.Cols, coresPerSwitch)
-		}
-		return NewMesh(d.Rows, d.Cols, coresPerSwitch)
-	default:
-		return NewMesh(d.Rows, d.Cols, coresPerSwitch)
+	if s.Kind == KindTorus && d.Rows >= 3 && d.Cols >= 3 {
+		return NewTorus(d.Rows, d.Cols, coresPerSwitch)
 	}
+	return NewMesh(d.Rows, d.Cols, coresPerSwitch)
 }
 
-// Build instantiates the spec using its own Rows/Cols and CoresPerSwitch
-// (defaulting to 1 core per switch; custom fabrics ignore the dimensions).
-func (s Spec) Build() (*Topology, error) {
-	cps := s.CoresPerSwitch
-	if cps <= 0 {
-		cps = 1
-	}
-	return s.ForDim(Dim{Rows: s.Rows, Cols: s.Cols}, cps)
-}
-
-// CanonicalID returns the digest-stable fabric identifier: "mesh", "torus",
-// or the custom fabric's structural digest. It is what design digests and
-// service cache keys embed so otherwise identical requests on different
-// fabrics never collide.
-func (s Spec) CanonicalID() string {
-	if s.Kind == KindCustom && s.Custom != nil {
-		return s.Custom.CanonicalID()
-	}
-	return s.Kind.String()
-}
+// CanonicalID returns the digest-stable fabric identifier, "mesh" or
+// "torus". It is what design digests and service cache keys embed so
+// otherwise identical requests on different fabrics never collide.
+func (s Spec) CanonicalID() string { return s.Kind.String() }

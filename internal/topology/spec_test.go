@@ -5,88 +5,6 @@ import (
 	"testing"
 )
 
-func ring(t *testing.T, n int) *Custom {
-	t.Helper()
-	c := &Custom{Name: "ring", Switches: n}
-	for i := 0; i < n; i++ {
-		c.Links = append(c.Links, [2]int{i, (i + 1) % n})
-	}
-	return c
-}
-
-func TestCustomValidate(t *testing.T) {
-	cases := []struct {
-		name string
-		c    Custom
-		want string // substring of the error; empty = valid
-	}{
-		{"valid ring", *ring(t, 4), ""},
-		{"single switch", Custom{Switches: 1}, ""},
-		{"no switches", Custom{Switches: 0}, ">= 1 switch"},
-		{"hostile switch count", Custom{Switches: 4_000_000_000, Links: [][2]int{{0, 1}}}, "limit"},
-		{"no links", Custom{Switches: 3}, "no links"},
-		{"out of range", Custom{Switches: 2, Links: [][2]int{{0, 2}}}, "out of range"},
-		{"self loop", Custom{Switches: 2, Links: [][2]int{{1, 1}}}, "self-loop"},
-		{"duplicate", Custom{Switches: 2, Links: [][2]int{{0, 1}, {1, 0}}}, "duplicate"},
-		{"disconnected", Custom{Switches: 4, Links: [][2]int{{0, 1}, {2, 3}}}, "disconnected"},
-	}
-	for _, tc := range cases {
-		err := tc.c.Validate()
-		if tc.want == "" {
-			if err != nil {
-				t.Errorf("%s: unexpected error %v", tc.name, err)
-			}
-			continue
-		}
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
-			t.Errorf("%s: error = %v, want substring %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-func TestCustomBuildRingProperties(t *testing.T) {
-	top, err := ring(t, 6).Build(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if top.Kind != KindCustom || top.NumSwitches() != 6 || top.NumLinks() != 12 {
-		t.Fatalf("ring topology = %v (%d switches, %d links)", top, top.NumSwitches(), top.NumLinks())
-	}
-	if top.MaxCores() != 12 {
-		t.Errorf("MaxCores = %d, want 12", top.MaxCores())
-	}
-	// Ring of 6: opposite switches are 3 hops apart, neighbours 1.
-	if d := top.HopDistance(0, 3); d != 3 {
-		t.Errorf("HopDistance(0,3) = %d, want 3", d)
-	}
-	if d := top.HopDistance(5, 0); d != 1 {
-		t.Errorf("HopDistance(5,0) = %d, want 1", d)
-	}
-	// Every switch of a ring has eccentricity 3; centre falls on the lowest.
-	if top.Centre() != 0 {
-		t.Errorf("Centre = %d, want 0", top.Centre())
-	}
-	if got := top.String(); !strings.Contains(got, "custom ring") {
-		t.Errorf("String = %q", got)
-	}
-}
-
-func TestCustomCanonicalIDInvariance(t *testing.T) {
-	a := &Custom{Name: "x", Switches: 4, Links: [][2]int{{0, 1}, {1, 2}, {2, 3}, {3, 0}}}
-	// Same structure: reordered and flipped links, different name.
-	b := &Custom{Name: "y", Switches: 4, Links: [][2]int{{3, 2}, {0, 3}, {2, 1}, {1, 0}}}
-	if a.CanonicalID() != b.CanonicalID() {
-		t.Errorf("structurally equal fabrics digest differently: %s vs %s", a.CanonicalID(), b.CanonicalID())
-	}
-	c := &Custom{Switches: 4, Links: [][2]int{{0, 1}, {1, 2}, {2, 3}}}
-	if a.CanonicalID() == c.CanonicalID() {
-		t.Error("different structures share a canonical ID")
-	}
-	if !strings.HasPrefix(a.CanonicalID(), "custom:") {
-		t.Errorf("canonical ID %q lacks custom: prefix", a.CanonicalID())
-	}
-}
-
 func TestParseSpec(t *testing.T) {
 	for arg, kind := range map[string]Kind{"": KindMesh, "mesh": KindMesh, "torus": KindTorus} {
 		s, err := ParseSpec(arg)
@@ -94,23 +12,19 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("ParseSpec(%q) = %v, %v", arg, s, err)
 		}
 	}
-	if _, err := ParseSpec("hypercube"); err == nil {
-		t.Error("ParseSpec should reject unknown families")
-	}
-	if _, err := ParseSpec("@/does/not/exist.json"); err == nil {
-		t.Error("ParseSpec should surface missing fabric files")
+	for _, arg := range []string{"hypercube", "@fabric.json", "custom"} {
+		_, err := ParseSpec(arg)
+		if err == nil || !strings.Contains(err.Error(), "mesh, torus") {
+			t.Errorf("ParseSpec(%q) error = %v, want one listing mesh, torus", arg, err)
+		}
 	}
 }
 
 func TestSpecValidate(t *testing.T) {
-	if err := (Spec{Kind: KindMesh}).Validate(); err != nil {
-		t.Errorf("mesh spec invalid: %v", err)
-	}
-	if err := (Spec{Kind: KindCustom}).Validate(); err == nil {
-		t.Error("custom spec without fabric should be invalid")
-	}
-	if err := (Spec{Kind: KindMesh, Custom: ring(t, 3)}).Validate(); err == nil {
-		t.Error("mesh spec carrying a fabric should be invalid")
+	for _, k := range []Kind{KindMesh, KindTorus} {
+		if err := (Spec{Kind: k}).Validate(); err != nil {
+			t.Errorf("%s spec invalid: %v", k, err)
+		}
 	}
 	if err := (Spec{Kind: Kind(42)}).Validate(); err == nil {
 		t.Error("unknown kind should be invalid")
@@ -127,17 +41,12 @@ func TestSpecForDimTorusDegradesBelow3x3(t *testing.T) {
 	if err != nil || big.Kind != KindTorus {
 		t.Fatalf("3x3 torus = %v, %v", big, err)
 	}
-	if !s.Grows() || (Spec{Kind: KindCustom, Custom: ring(t, 3)}).Grows() {
-		t.Error("Grows: torus must grow, custom must not")
-	}
 }
 
 func TestSpecCanonicalID(t *testing.T) {
-	if id := (Spec{Kind: KindTorus}).CanonicalID(); id != "torus" {
-		t.Errorf("torus canonical ID = %q", id)
-	}
-	r := ring(t, 3)
-	if id := (Spec{Kind: KindCustom, Custom: r}).CanonicalID(); id != r.CanonicalID() {
-		t.Errorf("custom spec canonical ID = %q, want the fabric's", id)
+	for _, k := range []Kind{KindMesh, KindTorus} {
+		if id := (Spec{Kind: k}).CanonicalID(); id != k.String() {
+			t.Errorf("%s canonical ID = %q", k, id)
+		}
 	}
 }

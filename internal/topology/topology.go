@@ -1,9 +1,7 @@
 // Package topology models the NoC interconnect fabric: switches, directed
 // inter-switch links, and the network-interface (NI) capacity of each
-// switch. Three families are supported — the paper's 2-D mesh, the torus
-// (mesh plus wrap-around links), and arbitrary custom switch/link fabrics
-// loaded from JSON — all behind one immutable Topology value, taking the
-// paper at its word that the methodology "applies to any topology". A Spec
+// switch. Two families are supported — the paper's 2-D mesh and the torus
+// (mesh plus wrap-around links) — behind one immutable Topology value. A Spec
 // names a family without fixing an instance, which is how the mapper's
 // growth loop explores sizes within one family. Cores attach to switches
 // through NIs; following the paper's footnote 1, NI area is accounted to the
@@ -38,10 +36,6 @@ const (
 	KindMesh Kind = iota
 	// KindTorus adds wrap-around links in both dimensions (extension X3).
 	KindTorus
-	// KindCustom is an arbitrary switch/link fabric loaded from a Custom
-	// description; hop distances come from a precomputed BFS table and only
-	// least-cost (Dijkstra) routing applies.
-	KindCustom
 )
 
 func (k Kind) String() string {
@@ -50,8 +44,6 @@ func (k Kind) String() string {
 		return "mesh"
 	case KindTorus:
 		return "torus"
-	case KindCustom:
-		return "custom"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -60,20 +52,10 @@ func (k Kind) String() string {
 // Topology is an immutable switch-level network description.
 type Topology struct {
 	Kind Kind
-	// Rows and Cols give the mesh dimensions; Switches = Rows*Cols. Custom
-	// topologies are stored as a single row (Rows = 1, Cols = switch count)
-	// so size-derived code paths keep working.
+	// Rows and Cols give the mesh dimensions; Switches = Rows*Cols.
 	Rows, Cols int
 	// CoresPerSwitch bounds how many cores the NIs of one switch can host.
 	CoresPerSwitch int
-
-	// name labels custom fabrics; empty for generated meshes/tori.
-	name string
-	// hop is the all-pairs BFS hop-distance table of custom fabrics; mesh
-	// and torus distances are arithmetic and leave it nil.
-	hop [][]int
-	// centre caches the minimum-eccentricity switch of custom fabrics.
-	centre SwitchID
 
 	links []Link
 	g     *graph.Directed
@@ -179,25 +161,12 @@ func (t *Topology) Out(s SwitchID) []LinkID {
 // Degree returns the number of links leaving s (= entering s, by symmetry).
 func (t *Topology) Degree(s SwitchID) int { return len(t.g.Out(int(s))) }
 
-// Ports returns the port count of switch s: mesh neighbours plus one shared
-// NI port group (the paper's switch arity model; NI ports beyond the first
-// are accounted to the NIs/cores).
-func (t *Topology) Ports(s SwitchID) int { return t.Degree(s) + 1 }
-
 // Graph exposes the underlying directed graph for path searches. Link IDs
 // equal arc indices.
 func (t *Topology) Graph() *graph.Directed { return t.g }
 
-// HopDistance returns the minimal hop count between two switches; -1 when
-// unreachable (only possible on degenerate custom fabrics, which the loader
-// rejects).
+// HopDistance returns the minimal hop count between two switches.
 func (t *Topology) HopDistance(a, b SwitchID) int {
-	if a == b {
-		return 0
-	}
-	if t.hop != nil {
-		return t.hop[int(a)][int(b)]
-	}
 	ar, ac := t.Coord(a)
 	br, bc := t.Coord(b)
 	dr := abs(ar - br)
@@ -213,18 +182,9 @@ func (t *Topology) HopDistance(a, b SwitchID) int {
 	return dr + dc
 }
 
-// Centre returns a most-central switch: the geometric centre of a mesh or
-// torus, and the minimum-eccentricity switch of a custom fabric. The mapper
-// seeds the first placement of a flow with no mapped endpoint here.
-func (t *Topology) Centre() SwitchID {
-	if t.Kind == KindCustom {
-		return t.centre
-	}
-	return t.At((t.Rows-1)/2, (t.Cols-1)/2)
-}
-
-// Name returns the label of a custom fabric; empty for meshes and tori.
-func (t *Topology) Name() string { return t.name }
+// Centre returns the geometric centre switch. The mapper seeds the first
+// placement of a flow with no mapped endpoint here.
+func (t *Topology) Centre() SwitchID { return t.At((t.Rows-1)/2, (t.Cols-1)/2) }
 
 // FindLink returns the link from a to b, if adjacent.
 func (t *Topology) FindLink(a, b SwitchID) (LinkID, bool) {
@@ -236,16 +196,8 @@ func (t *Topology) FindLink(a, b SwitchID) (LinkID, bool) {
 	return -1, false
 }
 
-// String renders a compact description, e.g. "3x4 mesh (12 switches)" or
-// "custom ring8 (8 switches)".
+// String renders a compact description, e.g. "3x4 mesh (12 switches)".
 func (t *Topology) String() string {
-	if t.Kind == KindCustom {
-		name := t.name
-		if name == "" {
-			name = "fabric"
-		}
-		return fmt.Sprintf("custom %s (%d switches)", name, t.NumSwitches())
-	}
 	return fmt.Sprintf("%dx%d %s (%d switches)", t.Rows, t.Cols, t.Kind, t.NumSwitches())
 }
 

@@ -94,9 +94,6 @@ func TestMeshInteriorDegree(t *testing.T) {
 	if d := m.Degree(m.At(1, 1)); d != 4 {
 		t.Errorf("interior degree = %d, want 4", d)
 	}
-	if p := m.Ports(m.At(1, 1)); p != 5 {
-		t.Errorf("interior ports = %d, want 5 (4 mesh + 1 NI)", p)
-	}
 }
 
 func TestHopDistanceMesh(t *testing.T) {

@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 )
 
@@ -139,9 +140,8 @@ func TestDigestDistinguishesTopologies(t *testing.T) {
 	if torus == mesh {
 		t.Error("mesh and torus designs share a digest")
 	}
-	custom := mk("custom:deadbeef12345678").Digest()
-	if custom == mesh || custom == torus {
-		t.Error("custom fabric design collides with a built-in fabric")
+	if err := mk("custom:deadbeef12345678").Validate(); err == nil || !strings.Contains(err.Error(), "want mesh, torus") {
+		t.Errorf("custom fabric tag: Validate() = %v, want an error listing mesh, torus", err)
 	}
 	if c := mk("torus").Canonicalize(); c.Topology != "torus" {
 		t.Errorf("canonical topology tag = %q, want torus", c.Topology)

@@ -195,9 +195,8 @@ type Design struct {
 	// SmoothPairs lists use-case index pairs requiring smooth switching (the
 	// SUC input); both members must share one NoC configuration.
 	SmoothPairs [][2]int
-	// Topology tags the interconnect family the design targets: "mesh",
-	// "torus", or a custom fabric's canonical identifier ("custom:…",
-	// topology.Custom.CanonicalID). Empty means mesh. The tag participates
+	// Topology tags the interconnect family the design targets: "mesh" or
+	// "torus". Empty means mesh. The tag participates
 	// in Canonicalize and Digest, so otherwise identical designs on
 	// different fabrics never share a cache key.
 	Topology string
@@ -255,22 +254,11 @@ func (d *Design) Validate() error {
 			}
 		}
 	}
-	if err := ValidateTopologyTag(d.Topology); err != nil {
-		return fmt.Errorf("traffic: design %q: %w", d.Name, err)
-	}
-	return nil
-}
-
-// ValidateTopologyTag checks a design's fabric tag: empty (mesh), "mesh",
-// "torus", or a custom fabric identifier ("custom:" prefix).
-func ValidateTopologyTag(tag string) error {
-	switch {
-	case tag == "" || tag == "mesh" || tag == "torus":
-		return nil
-	case len(tag) > len("custom:") && tag[:len("custom:")] == "custom:":
+	switch d.Topology {
+	case "", "mesh", "torus":
 		return nil
 	default:
-		return fmt.Errorf("unknown topology tag %q (want mesh, torus or custom:…)", tag)
+		return fmt.Errorf("traffic: design %q: unknown topology tag %q (want mesh, torus)", d.Name, d.Topology)
 	}
 }
 

@@ -31,9 +31,6 @@ type (
 	// JobStatus is the body of GET /v1/jobs/{id} and of an async map's 202
 	// reply.
 	JobStatus = service.JobStatus
-	// BatchResult is one entry of the POST /v1/batch reply, in request
-	// order.
-	BatchResult = service.BatchResult
 	// ServerStats is the body of GET /v1/stats: cache and pool gauges.
 	ServerStats = service.Stats
 )
@@ -176,9 +173,9 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 
 // BuildMapRequest translates a design plus options into the wire form of
 // POST /v1/map. Local-only options (WithProgress, WithWeights, WithParams,
-// WithWorkers, WithRestarts, WithSpeculation) and custom fabrics are
-// rejected: the service computes with its own configuration so results stay
-// cacheable across callers.
+// WithWorkers, WithRestarts, WithSpeculation) are rejected: the service
+// computes with its own configuration so results stay cacheable across
+// callers.
 func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	cfg := newConfig(opts)
 	var mr MapRequest
@@ -195,8 +192,6 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 		return mr, fmt.Errorf("noc: WithRestarts is local-only; the service runs with its default restart count")
 	case cfg.speculate != nil:
 		return mr, fmt.Errorf("noc: WithSpeculation is local-only; the service sizes its own concurrency")
-	case strings.HasPrefix(cfg.topology, "@"):
-		return mr, fmt.Errorf("noc: custom fabrics (%s) carry their link lists and run locally; use Map instead", cfg.topology)
 	}
 	mr.Design = d.JSON()
 	mr.Engine = cfg.engine
@@ -255,17 +250,6 @@ func (c *Client) Job(ctx context.Context, id string) (JobStatus, error) {
 		return JobStatus{}, err
 	}
 	return st, nil
-}
-
-// Batch maps many requests in one round trip on the daemon's shared pool;
-// results come back in request order. Build the requests with
-// BuildMapRequest.
-func (c *Client) Batch(ctx context.Context, reqs []MapRequest) ([]BatchResult, error) {
-	var out service.BatchResponse
-	if err := c.post(ctx, "/v1/batch", service.BatchRequest{Requests: reqs}, http.StatusOK, &out); err != nil {
-		return nil, err
-	}
-	return out.Results, nil
 }
 
 // Design fetches the cached result for a request digest (the Key field of

@@ -19,7 +19,7 @@
 //     slot-accurate simulator (Simulate, SwitchCost, SimVerify).
 //
 // For remote execution, Client speaks the versioned /v1 HTTP surface of the
-// nocserved daemon (POST /v1/map, /v1/batch, GET /v1/jobs/{id}, /v1/stats,
+// nocserved daemon (POST /v1/map, GET /v1/jobs/{id}, /v1/stats,
 // /v1/version), sharing its result cache across callers; NewServer embeds
 // that same service in any Go program. A design mapped in-process and the
 // same design mapped through the service produce identical Result JSON.

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,27 +90,13 @@ func TestClientV1EndToEnd(t *testing.T) {
 		t.Fatalf("job finished badly: %+v", st)
 	}
 
-	// Batch: two requests, one of them invalid at the engine level is still
-	// a per-item outcome, not a transport error.
-	req1, err := noc.BuildMapRequest(d, noc.WithEngine("greedy"))
-	if err != nil {
+	// A different frequency is a fresh cache key and a second sync run.
+	if _, err := client.Map(ctx, d, noc.WithEngine("greedy"), noc.WithFrequencyMHz(700)); err != nil {
 		t.Fatal(err)
 	}
-	req2, err := noc.BuildMapRequest(d, noc.WithEngine("greedy"), noc.WithFrequencyMHz(700))
-	if err != nil {
-		t.Fatal(err)
-	}
-	items, err := client.Batch(ctx, []noc.MapRequest{req1, req2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(items) != 2 {
-		t.Fatalf("batch returned %d items, want 2", len(items))
-	}
-	for i, it := range items {
-		if it.Error != "" || it.Response == nil {
-			t.Errorf("batch item %d: %+v", i, it)
-		}
+	// A fabric file is not a topology family: the daemon refuses it.
+	if _, err := client.Map(ctx, d, noc.WithTopology("@ring.json")); err == nil || !strings.Contains(err.Error(), "mesh, torus") {
+		t.Errorf("Map with a fabric file = %v, want an error listing mesh, torus", err)
 	}
 
 	stats, err := client.Stats(ctx)
@@ -142,7 +129,6 @@ func TestBuildMapRequestRejectsLocalOnlyOptions(t *testing.T) {
 		{"WithParams", noc.WithParams(noc.DefaultParams())},
 		{"WithWorkers", noc.WithWorkers(2)},
 		{"WithRestarts", noc.WithRestarts(2)},
-		{"custom fabric", noc.WithTopology("@ring.json")},
 	}
 	for _, c := range cases {
 		if _, err := noc.BuildMapRequest(d, c.opt); err == nil {

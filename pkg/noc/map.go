@@ -2,8 +2,6 @@ package noc
 
 import (
 	"context"
-	"fmt"
-	"strings"
 	"time"
 
 	"nocmap/internal/search"
@@ -62,19 +60,11 @@ func Map(ctx context.Context, d *Design, opts ...Option) (*Result, error) {
 
 func msSince(t time.Time) float64 { return float64(time.Since(t).Nanoseconds()) / 1e6 }
 
-// ResolveTopology turns a topology argument — "mesh", "torus",
-// "@fabric.json", or "" meaning "whatever the design's own tag says" —
-// into a buildable spec. A design tagged with a custom fabric cannot be
-// resolved from the tag alone (the tag is a digest, not the link list), so
-// the fabric file must be passed explicitly.
+// ResolveTopology turns a topology argument — "mesh", "torus", or ""
+// meaning "whatever the design's own tag says" — into a buildable spec.
 func ResolveTopology(arg string, d *Design) (topology.Spec, error) {
 	if arg == "" {
-		tag := d.Topology
-		if strings.HasPrefix(tag, "custom:") {
-			return topology.Spec{}, fmt.Errorf(
-				"noc: design %q targets a custom fabric (%s); pass its description with WithTopology(\"@fabric.json\")", d.Name, tag)
-		}
-		arg = tag
+		arg = d.Topology
 	}
 	return topology.ParseSpec(arg)
 }

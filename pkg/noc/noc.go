@@ -99,8 +99,8 @@ func DefaultWeights() Weights { return search.DefaultCostWeights() }
 // the search registry.
 func Engines() []string { return search.Names() }
 
-// TopologyKinds lists the named interconnect families WithTopology accepts
-// ("mesh", "torus"); custom fabrics are passed as "@fabric.json".
+// TopologyKinds lists the interconnect families WithTopology accepts
+// ("mesh", "torus").
 func TopologyKinds() []string { return topology.KindNames() }
 
 // Prepare runs the pre-processing phases on a design: compound modes are

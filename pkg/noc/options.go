@@ -59,10 +59,9 @@ func WithEngine(name string) Option {
 	return func(c *config) { c.engine = name }
 }
 
-// WithTopology selects the interconnect family: "mesh", "torus", or
-// "@fabric.json" to load a custom switch/link graph from a file. The empty
-// string (the default) defers to the design's own topology tag, falling
-// back to mesh.
+// WithTopology selects the interconnect family: "mesh" or "torus". The
+// empty string (the default) defers to the design's own topology tag,
+// falling back to mesh.
 func WithTopology(arg string) Option {
 	return func(c *config) { c.topology = arg }
 }

@@ -47,7 +47,7 @@ func (r *Result) Engine() string { return r.engine }
 func (r *Result) Timings() Timings { return r.timings }
 
 // Fabric renders the solution's interconnect for humans, e.g.
-// "2x3 mesh (6 switches)" or "custom ring8 (8 switches)".
+// "2x3 mesh (6 switches)" or "3x4 torus (12 switches)".
 func (r *Result) Fabric() string {
 	if r.mapping == nil {
 		return r.Summary.Topology

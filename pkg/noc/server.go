@@ -28,7 +28,7 @@ func NewServer(cfg ServerConfig) *Server {
 	return &Server{svc: svc, handler: service.NewHandler(svc)}
 }
 
-// Handler returns the HTTP facade: /v1/map, /v1/batch, /v1/jobs/{id},
+// Handler returns the HTTP facade: /v1/map, /v1/jobs/{id},
 // /v1/jobs/{id}/events, /v1/designs/{digest}, /v1/stats, /v1/metrics,
 // /v1/version and /healthz.
 func (s *Server) Handler() http.Handler { return s.handler }
