@@ -108,17 +108,43 @@ func TestRunProgressPrefixesElapsedTime(t *testing.T) {
 	}
 }
 
-// A fabric file is not a topology family: it is rejected as a usage error,
-// locally and before any -server round trip, naming the valid families.
-func TestRunFabricFileTopologyExits2(t *testing.T) {
-	for _, extra := range [][]string{nil, {"-server", "http://localhost:1"}} {
-		args := append([]string{"-in", designFile(t), "-topology", "@x.json"}, extra...)
-		code, stdout, stderr := runCapture(t, args...)
-		if code != 2 {
-			t.Fatalf("%v: exit code = %d, want 2 (stderr %q)", extra, code, stderr)
-		}
-		if stdout != "" || !strings.Contains(stderr, `"@x.json"`) || !strings.Contains(stderr, "valid choices: mesh, torus") {
-			t.Errorf("%v: stdout %q, stderr %q; want the rejected argument and mesh, torus", extra, stdout, stderr)
-		}
+// rejectsFabricFile runs nocmap with -topology @path plus extra flags and
+// checks that the fabric file is refused as a usage error naming the valid
+// families, without being read and without any output on stdout.
+func rejectsFabricFile(t *testing.T, path string, extra ...string) {
+	t.Helper()
+	args := append([]string{"-in", designFile(t), "-topology", "@" + path}, extra...)
+	code, stdout, stderr := runCapture(t, args...)
+	if code != 2 {
+		t.Fatalf("exit code = %d, want 2 (stderr %q)", code, stderr)
 	}
+	if stdout != "" || !strings.Contains(stderr, `"@`+path+`"`) || !strings.Contains(stderr, "valid choices: mesh, torus") {
+		t.Errorf("stdout %q, stderr %q; want the rejected argument and mesh, torus", stdout, stderr)
+	}
+}
+
+// A fabric file is not a topology family: even a well-formed one is rejected
+// as a usage error naming the valid families.
+func TestRunFabricFileTopologyExits2(t *testing.T) {
+	fabric := filepath.Join(t.TempDir(), "ring.json")
+	if err := os.WriteFile(fabric, []byte(`{"name":"ring4","switches":4,"links":[[0,1],[1,2],[2,3],[3,0]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejectsFabricFile(t, fabric)
+}
+
+// A malformed fabric file is never opened, so it fails as a usage error
+// (exit 2) rather than as a load error (exit 1).
+func TestRunBrokenFabricFileExits2(t *testing.T) {
+	fabric := filepath.Join(t.TempDir(), "broken.json")
+	// Disconnected: switch 3 unreachable.
+	if err := os.WriteFile(fabric, []byte(`{"switches":4,"links":[[0,1],[1,2]]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rejectsFabricFile(t, fabric)
+}
+
+// With -server the fabric file is rejected locally, before any round trip.
+func TestRunServerFabricFileTopologyExits2(t *testing.T) {
+	rejectsFabricFile(t, "nope.json", "-server", "http://localhost:1")
 }
