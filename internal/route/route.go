@@ -201,8 +201,15 @@ func maxCandidates(p CostParams) int {
 // topology. An evaluation engine that scores thousands of placements on the
 // same fabric (core.Evaluator under the annealer) pays the staircase-path
 // recursion once per pair instead of once per flow per candidate placement.
-// The state-dependent half (the Dijkstra least-cost path and the residual
-// cost ordering) is still computed per query (CandidatesInto).
+// The state-dependent half (the residual cost ordering, and the Dijkstra
+// least-cost path when the minimal paths cannot certify it) is computed per
+// query (CandidatesInto).
+//
+// The table also fixes detour, the fewest extra hops a non-minimal simple
+// path needs over a minimal one: 2 on a mesh (the grid is bipartite, so
+// every path between two switches has the parity of the minimal one), 1 on
+// a torus (an odd ring breaks the parity), and none on a 1xN mesh, where a
+// line has one simple path per pair.
 //
 // A Table is safe for concurrent use without locks; the portfolio's workers
 // share one per topology. Entries are atomic pointers indexed by switch
@@ -212,8 +219,9 @@ func maxCandidates(p CostParams) int {
 // same entry compute the same deterministic enumeration, so whichever store
 // lands is correct.
 type Table struct {
-	top *topology.Topology
-	max int // candidate cap the cached enumeration was sized for
+	top    *topology.Topology
+	max    int // candidate cap the cached enumeration was sized for
+	detour int // extra hops of the shortest non-minimal path; 0 = none exists
 
 	rows []atomic.Pointer[tableRow] // by source switch; nil until first use
 }
@@ -227,7 +235,29 @@ type tableRow struct {
 // params fix the candidate cap; queries must use the same MaxCandidates (the
 // evaluator owns both, so this holds by construction).
 func NewTable(top *topology.Topology, p CostParams) *Table {
-	return &Table{top: top, max: maxCandidates(p), rows: make([]atomic.Pointer[tableRow], top.NumSwitches())}
+	t := &Table{top: top, max: maxCandidates(p), detour: 2, rows: make([]atomic.Pointer[tableRow], top.NumSwitches())}
+	switch {
+	case top.Kind == topology.KindTorus:
+		t.detour = 1
+	case top.Rows == 1 || top.Cols == 1:
+		t.detour = 0
+	}
+	return t
+}
+
+// detourFloor is the least cost any non-minimal path can have between two
+// switches hops apart: it crosses at least hops+detour links, each costing
+// at least hopCost. The sum is formed by repeated addition from zero, the
+// way Dijkstra sums a path, so the bound holds in floating point.
+func (t *Table) detourFloor(hops int, hopCost float64) float64 {
+	if t.detour == 0 {
+		return math.Inf(1)
+	}
+	var floor float64
+	for range hops + t.detour {
+		floor += hopCost
+	}
+	return floor
 }
 
 // minimalFor returns (computing and caching on first use) the minimal-path
@@ -285,9 +315,14 @@ func NewScratch() *Scratch {
 // paths for a flow, cheapest first: the Dijkstra least-cost path (which may
 // detour around saturated links), then the cached minimal paths, ordered by
 // residual cost. At most MaxCandidates paths are returned; infeasible
-// (infinite-cost) paths are dropped. The minimal enumeration never repeats
-// a path, so the only possible duplicate is the least-cost path reappearing
-// among the minimals — one slice comparison per minimal.
+// (infinite-cost) paths are dropped.
+//
+// The minimal paths are scored first, and the Dijkstra is skipped when they
+// certify its answer: the enumeration is complete (fewer than twice the
+// cap), exactly one feasible minimal path has the lowest cost, every link
+// costs at least HopCost > 0, and that cost is below detourFloor, so no
+// other path — minimal or not — can cost as little. Dijkstra would return
+// that path, and the stable sort puts it first either way.
 //
 // Every working allocation is drawn from the scratch. The returned slice —
 // and the least-cost path it may contain — are owned by the scratch and
@@ -295,29 +330,24 @@ func NewScratch() *Scratch {
 // table's immutable cache.
 func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
 	minimal := t.minimalFor(src, dst)
-	sc.st, sc.needed, sc.cp = st, neededSlots, p
 	sc.scored = sc.scored[:0]
-	var lc Path
-	if arcs, _, err := t.top.Graph().ShortestPathInto(int(src), int(dst), sc.costFn, &sc.sp); err == nil {
-		buf := sc.lc[:0]
-		for _, a := range arcs {
-			buf = append(buf, topology.LinkID(a))
-		}
-		sc.lc = buf
-		if c := PathCost(st, buf, neededSlots, p); !math.IsInf(c, 1) {
-			lc = buf
-			sc.scored = append(sc.scored, scoredPath{buf, c})
-		}
-	}
+	best, ties := -1, 0
 	for _, m := range minimal {
-		if lc != nil && pathEqual(m, lc) {
-			continue
-		}
 		c := PathCost(st, m, neededSlots, p)
 		if math.IsInf(c, 1) {
 			continue
 		}
+		if best < 0 || c < sc.scored[best].cost {
+			best, ties = len(sc.scored), 1
+		} else if c == sc.scored[best].cost {
+			ties++
+		}
 		sc.scored = append(sc.scored, scoredPath{m, c})
+	}
+	certified := best >= 0 && ties == 1 && len(minimal) < 2*t.max && p.HopCost > 0 && p.LoadWeight >= 0 &&
+		sc.scored[best].cost < t.detourFloor(len(sc.scored[best].path), p.HopCost)
+	if !certified {
+		t.leastCostFirst(sc, st, src, dst, neededSlots, p)
 	}
 	// Stable insertion sort by cost: equal-cost candidates keep their
 	// insertion order (the candidate set is at most 2*max+1 paths).
@@ -336,6 +366,38 @@ func (t *Table) CandidatesInto(sc *Scratch, st *tdma.State, src, dst topology.Sw
 	}
 	sc.out = out
 	return out
+}
+
+// leastCostFirst runs the Dijkstra and puts its path at the front of the
+// scored minimal paths: a minimal path moves there, a detour is inserted.
+// The minimal enumeration never repeats a path, so this is the only
+// deduplication the list needs.
+func (t *Table) leastCostFirst(sc *Scratch, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) {
+	sc.st, sc.needed, sc.cp = st, neededSlots, p
+	arcs, _, err := t.top.Graph().ShortestPathInto(int(src), int(dst), sc.costFn, &sc.sp)
+	if err != nil {
+		return
+	}
+	buf := sc.lc[:0]
+	for _, a := range arcs {
+		buf = append(buf, topology.LinkID(a))
+	}
+	sc.lc = buf
+	lead, at := scoredPath{buf, PathCost(st, buf, neededSlots, p)}, len(sc.scored)
+	if math.IsInf(lead.cost, 1) {
+		return
+	}
+	for i, s := range sc.scored {
+		if pathEqual(s.path, buf) {
+			lead, at = s, i
+			break
+		}
+	}
+	if at == len(sc.scored) {
+		sc.scored = append(sc.scored, scoredPath{})
+	}
+	copy(sc.scored[1:at+1], sc.scored[:at])
+	sc.scored[0] = lead
 }
 
 func pathEqual(a, b Path) bool {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -218,7 +217,7 @@ func TestCandidatesOrderingAndDedup(t *testing.T) {
 	top := mesh(t, 3, 3)
 	st := state(t, top, 8)
 	p := DefaultCostParams()
-	cands := candidates(top, st, top.At(0, 0), top.At(2, 2), 1, p)
+	cands := CandidatesReference(top, st, top.At(0, 0), top.At(2, 2), 1, p)
 	if len(cands) == 0 {
 		t.Fatal("no candidates on a fresh mesh")
 	}
@@ -250,7 +249,7 @@ func TestCandidatesSkipInfeasible(t *testing.T) {
 	if err := st.Reserve(1, []int{0}, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if cands := candidates(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
+	if cands := CandidatesReference(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
 		t.Errorf("saturated mesh candidates = %v, want none", cands)
 	}
 }
@@ -374,7 +373,7 @@ func TestTableMatchesCandidates(t *testing.T) {
 					if src == dst {
 						continue
 					}
-					want := candidates(top, st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
+					want := CandidatesReference(top, st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
 					got := tab.CandidatesInto(NewScratch(), st, topology.SwitchID(src), topology.SwitchID(dst), 2, p)
 					if len(got) != len(want) {
 						t.Fatalf("%s %d->%d: table returned %d candidates, want %d", top, src, dst, len(got), len(want))
@@ -422,44 +421,6 @@ func TestTableConcurrent(t *testing.T) {
 	}
 }
 
-// candidates is the from-scratch reference for Table.CandidatesInto: the
-// Dijkstra least-cost path plus a fresh minimal-path enumeration, scored,
-// deduplicated, stably sorted by cost and trimmed to the candidate cap.
-func candidates(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) []Path {
-	max := maxCandidates(p)
-	type scored struct {
-		path Path
-		cost float64
-	}
-	var cands []scored
-	var lc Path
-	if path, _, err := LeastCost(top, st, src, dst, neededSlots, p); err == nil {
-		if c := PathCost(st, path, neededSlots, p); !math.IsInf(c, 1) {
-			lc = path
-			cands = append(cands, scored{path, c})
-		}
-	}
-	for _, m := range MinimalPaths(top, src, dst, 2*max) {
-		if lc != nil && pathEqual(m, lc) {
-			continue
-		}
-		c := PathCost(st, m, neededSlots, p)
-		if math.IsInf(c, 1) {
-			continue
-		}
-		cands = append(cands, scored{m, c})
-	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].cost < cands[j].cost })
-	if len(cands) > max {
-		cands = cands[:max]
-	}
-	out := make([]Path, len(cands))
-	for i, c := range cands {
-		out[i] = c.path
-	}
-	return out
-}
-
 // pathKey is a comparable encoding of a path (asserts candidate-set
 // equality).
 func pathKey(p Path) string {
@@ -496,4 +457,83 @@ func TestTableMemoryBounded(t *testing.T) {
 		t.Fatalf("table allocated %d bytes for %d queries on %d switches, want < %d (dense would be %d)",
 			grew, len(queries), n, limit, n*n*8)
 	}
+}
+
+// TestCandidatesSameSwitchScratchIndependent: a src == dst query returns
+// the single empty path on a fresh scratch and on a warm one alike, with
+// the Dijkstra certified away (default costs) and with it run (HopCost 0
+// defeats the certificate).
+func TestCandidatesSameSwitchScratchIndependent(t *testing.T) {
+	top := mesh(t, 2, 2)
+	st := state(t, top, 8)
+	for _, p := range []CostParams{DefaultCostParams(), {HopCost: 0, LoadWeight: 4, MaxCandidates: 8}} {
+		tab := NewTable(top, p)
+		fresh := len(tab.CandidatesInto(NewScratch(), st, 1, 1, 1, p))
+		warm := NewScratch()
+		tab.CandidatesInto(warm, st, 0, 3, 1, p)
+		if got := len(tab.CandidatesInto(warm, st, 1, 1, 1, p)); fresh != 1 || got != 1 {
+			t.Errorf("HopCost %g: src == dst gave %d candidates on a fresh scratch, %d on a warm one, want 1 and 1", p.HopCost, fresh, got)
+		}
+	}
+}
+
+// FuzzCandidates holds Table.CandidatesInto, certificate and all, to the
+// always-Dijkstra CandidatesReference: path by path, in order, over lines,
+// meshes up to 6x6 (past the enumeration cap), 3x3-5x5 tori, random prior
+// reservations and demands, and cost params that do and do not admit the
+// certificate. One scratch serves every query, as in the evaluator.
+func FuzzCandidates(f *testing.F) {
+	for i := 0; i < 12; i++ {
+		f.Add(uint8(i), uint8(i*5), uint8(i*7), uint8(i), int64(i))
+	}
+	f.Fuzz(func(t *testing.T, kind, rows, cols, costs uint8, seed int64) {
+		var top *topology.Topology
+		var err error
+		switch kind % 3 {
+		case 0: // a line, either way round
+			n := 1 + int(cols%8)
+			if rows%2 == 0 {
+				top, err = topology.NewMesh(1, n, 1)
+			} else {
+				top, err = topology.NewMesh(n, 1, 1)
+			}
+		case 1:
+			top, err = topology.NewMesh(1+int(rows%6), 1+int(cols%6), 1)
+		default:
+			top, err = topology.NewTorus(3+int(rows%3), 3+int(cols%3), 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := []CostParams{
+			DefaultCostParams(),
+			{HopCost: 0.1, LoadWeight: 0, MaxCandidates: 8},
+			{HopCost: 0, LoadWeight: 4, MaxCandidates: 8},
+			{HopCost: 1, LoadWeight: 4, MaxCandidates: 2},
+		}[costs%4]
+		rng := rand.New(rand.NewSource(seed))
+		slots := 4 + rng.Intn(5)
+		st, err := tdma.NewState(top.NumLinks(), slots)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := rng.Intn(3*top.NumLinks() + 1); i > 0; i-- {
+			_ = st.Reserve(int32(1+rng.Intn(4)), []int{rng.Intn(top.NumLinks())}, []int{rng.Intn(slots)})
+		}
+		tab, sc, n := NewTable(top, p), NewScratch(), top.NumSwitches()
+		for q := 0; q < 32; q++ {
+			src, dst := topology.SwitchID(rng.Intn(n)), topology.SwitchID(rng.Intn(n))
+			needed := 1 + rng.Intn(3)
+			got := tab.CandidatesInto(sc, st, src, dst, needed, p)
+			want := CandidatesReference(top, st, src, dst, needed, p)
+			if len(got) != len(want) {
+				t.Fatalf("%s %+v %d->%d needing %d: %d candidates %v, reference %d %v", top, p, src, dst, needed, len(got), got, len(want), want)
+			}
+			for i := range got {
+				if !pathEqual(got[i], want[i]) {
+					t.Fatalf("%s %+v %d->%d needing %d: candidate %d is %v, reference %v", top, p, src, dst, needed, i, got[i], want[i])
+				}
+			}
+		}
+	})
 }

@@ -103,10 +103,14 @@ type Options struct {
 	// affect the result and is excluded from service cache keys.
 	Progress func(Event)
 
-	// base, when set, is a precomputed greedy result Improve starts from
-	// instead of running core.Map itself. The portfolio uses it to run
-	// the deterministic greedy pass once for all members.
-	base *core.Result
+	// Base, when set, is this request's own greedy result: core.MapContext
+	// of the same prepared design, core count and params. The engines that
+	// start from the greedy base (the improvement engines, portfolio and
+	// exact) take it instead of mapping again. The portfolio hands its base
+	// to every member, and the service hands over the greedy result a
+	// streamed request already served. It is not part of the request: it
+	// changes no result, and it stays out of cache keys and off the wire.
+	Base *core.Result
 	// evals, when set, is a shared per-topology evaluator cache. The
 	// portfolio hands one cache to all its annealers so the per-topology
 	// precomputation (validation, flow templates, candidate-path tables)

@@ -38,20 +38,24 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		return nil, err
 	}
 
-	// The greedy pass is deterministic, so it runs once up front — outside
-	// the budget, so even a budget too tight for any annealing still yields
-	// the feasible greedy result. The annealers all start from its result;
-	// if greedy finds no mapping the annealers cannot either, since they
-	// explore from the greedy solution.
+	// The greedy pass is deterministic, so it runs once up front (unless
+	// the caller already holds it in Options.Base) — outside the budget, so
+	// even a budget too tight for any annealing still yields the feasible
+	// greedy result. The annealers all start from its result; if greedy
+	// finds no mapping the annealers cannot either, since they explore from
+	// the greedy solution.
 	// One serialized progress callback is shared by the base run and every
 	// member annealer, so the caller's callback never runs concurrently with
 	// itself no matter how the pool schedules.
 	opts.Progress = serializedProgress(opts.Progress)
-	baseOpts := opts
-	baseOpts.Progress = nil // the base is re-announced by each member's StageMapped
-	base, err := Greedy{}.Search(ctx, prep, numCores, p, baseOpts)
-	if err != nil {
-		return nil, err
+	base := opts.Base
+	if base == nil {
+		baseOpts := opts
+		baseOpts.Progress = nil // the base is re-announced by each member's StageMapped
+		var err error
+		if base, err = (Greedy{}).Search(ctx, prep, numCores, p, baseOpts); err != nil {
+			return nil, err
+		}
 	}
 	opts.Emit(pf.Name(), StageMapped, base, Counts{})
 	if opts.Budget > 0 {
@@ -83,7 +87,7 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		o := opts
 		o.Budget = 0
 		o.Seed = opts.Seed + int64(i)*7919 // distinct deterministic streams
-		o.base = base
+		o.Base = base
 		o.evals = evals
 		o.Board = board
 		jobs = append(jobs, job{order: i + 1, engine: Anneal{}, opts: o})

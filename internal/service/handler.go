@@ -77,6 +77,16 @@ func (mr *MapRequest) streaming() bool {
 // every in-repo use (the CLI's 4 seeds, the default population of 16).
 const maxSearchWidth = 256
 
+// Effort limits bound the iters, generations and nodes fields of one
+// request. Unbounded, an anneal of 1<<30 moves without a budget holds its
+// worker for hours and then blocks shutdown. Each limit sits far above
+// every in-repo use (1500 iters, 40 generations, 500000 nodes).
+const (
+	maxIters       = 100000
+	maxGenerations = 10000
+	maxNodes       = 10000000
+)
+
 // ToRequest validates the wire form into a service Request.
 func (mr *MapRequest) ToRequest() (Request, error) {
 	var req Request
@@ -115,6 +125,9 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 		req.Opts.Seeds = *mr.Seeds
 	}
 	if mr.Iters != nil {
+		if *mr.Iters > maxIters {
+			return req, fmt.Errorf("service: iters %d exceeds the limit of %d", *mr.Iters, maxIters)
+		}
 		req.Opts.Iters = *mr.Iters
 	}
 	if mr.Population != nil {
@@ -124,9 +137,15 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 		req.Opts.Population = *mr.Population
 	}
 	if mr.Generations != nil {
+		if *mr.Generations > maxGenerations {
+			return req, fmt.Errorf("service: generations %d exceeds the limit of %d", *mr.Generations, maxGenerations)
+		}
 		req.Opts.Generations = *mr.Generations
 	}
 	if mr.Nodes != nil {
+		if *mr.Nodes > maxNodes {
+			return req, fmt.Errorf("service: nodes %d exceeds the limit of %d", *mr.Nodes, maxNodes)
+		}
 		req.Opts.Nodes = *mr.Nodes
 	}
 	if mr.Budget != "" {

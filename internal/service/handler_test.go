@@ -408,6 +408,37 @@ func TestServerSearchWidthLimit(t *testing.T) {
 	}
 }
 
+// TestServerEffortLimit: an iters, generations or nodes count above its
+// limit is refused with a 400 naming the field and the limit, and no engine
+// run starts. Unbounded, 1<<30 anneal moves without a budget hold a worker
+// for hours.
+func TestServerEffortLimit(t *testing.T) {
+	ts, s := newTestServer(t)
+	limits := []struct {
+		field, engine string
+		limit         int
+	}{{"iters", "anneal", maxIters}, {"generations", "ga", maxGenerations}, {"nodes", "exact", maxNodes}}
+	for _, l := range limits {
+		resp, body := postRaw(t, ts.URL+"/v1/map", fmt.Sprintf(`{"design":%s,"engine":%q,"%s":%d}`, d1Raw(t), l.engine, l.field, 1<<30))
+		var e struct{ Error string }
+		if err := json.Unmarshal(body, &e); err != nil {
+			t.Fatalf("%s: error body %s: %v", l.field, body, err)
+		}
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, l.field) || !strings.Contains(e.Error, strconv.Itoa(l.limit)) {
+			t.Errorf("%s = 1<<30: HTTP %d %q, want 400 naming the field and the limit %d", l.field, resp.StatusCode, e.Error, l.limit)
+		}
+	}
+	if st := s.Stats(); st.JobsDone != 0 || st.CacheMisses != 0 {
+		t.Errorf("over-long requests reached the engines: %+v", st)
+	}
+	// The limits themselves are accepted.
+	mr := MapRequest{Design: d1JSON(t), Iters: new(int), Generations: new(int), Nodes: new(int)}
+	*mr.Iters, *mr.Generations, *mr.Nodes = maxIters, maxGenerations, maxNodes
+	if _, err := mr.ToRequest(); err != nil {
+		t.Errorf("iters, generations and nodes at their limits rejected: %v", err)
+	}
+}
+
 // TestServerBodyLimit pins the request-body bound: a body past maxBodyBytes
 // is refused with 413 naming the limit before the service decodes a design
 // from it.

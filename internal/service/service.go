@@ -205,8 +205,13 @@ type Job struct {
 	// at admission and interim incumbents upgrade the cache in place.
 	streamed bool
 	// prep is the prepared design, kept on streamed jobs so interim
-	// incumbents can be summarized without re-preparing.
+	// incumbents can be summarized and the worker can search without
+	// re-preparing.
 	prep *usecase.Prepared
+	// base is a streamed job's served greedy result, which the worker
+	// improves from instead of mapping again. finish drops it, so a retained
+	// job does not pin a whole mapping.
+	base *core.Result
 	// stream is the job's append-only event log (every job has one; only
 	// streamed jobs receive interim events before the final one).
 	stream *jobStream
@@ -579,6 +584,7 @@ func (s *Service) run(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	s.running++
+	base := j.base
 	s.mu.Unlock()
 	s.log.Debug("job started", "request_id", j.RequestID, "job", j.ID,
 		"engine", j.req.Engine, "queue_ms", ms(j.started.Sub(j.enqueued)))
@@ -598,9 +604,10 @@ func (s *Service) run(j *Job) {
 		// Streamed jobs publish every strict job-level incumbent improvement
 		// on their event log as it lands (and upgrade the cache in place).
 		req.Opts.Progress = s.streamTap(j)
+		req.Opts.Base = base
 	}
 	req.Opts.Progress = s.met.progressTap(req.Opts.Progress)
-	resp, tm, err := solve(ctx, j.Key, req)
+	resp, tm, err := solve(ctx, j.Key, req, j.prep)
 	if j.streamed && err != nil && isExpiry(err) {
 		// A streamed job's deadline expiring is not a failure: the stream
 		// already served its incumbents, and the engines return their best
@@ -644,6 +651,7 @@ func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 		}
 	}
 	s.mu.Lock()
+	j.base = nil
 	if ran {
 		s.running--
 	}
@@ -703,18 +711,21 @@ func (s *Service) outcome(j *Job) (*Response, error) {
 // summarize. It is deliberately free of service state — the pure function
 // the pool executes — and reports where the wall clock went, stage by stage,
 // even on failure (so a timeout shows which stage ate the budget). key is
-// the request's digest, computed once at admission.
-func solve(ctx context.Context, key string, req Request) (_ *Response, tm Timings, _ error) {
+// the request's digest, computed once at admission. A streamed job passes
+// the design it already prepared, and Timings then show no prepare stage.
+func solve(ctx context.Context, key string, req Request, prep *usecase.Prepared) (_ *Response, tm Timings, _ error) {
 	start := time.Now()
 	defer func() { tm.TotalMS = ms(time.Since(start)) }()
 	eng, err := search.New(req.Engine)
 	if err != nil {
 		return nil, tm, err
 	}
-	prep, err := usecase.Prepare(req.Design)
-	tm.PrepareMS = ms(time.Since(start))
-	if err != nil {
-		return nil, tm, err
+	if prep == nil {
+		prep, err = usecase.Prepare(req.Design)
+		tm.PrepareMS = ms(time.Since(start))
+		if err != nil {
+			return nil, tm, err
+		}
 	}
 	searchStart := time.Now()
 	res, err := eng.Search(ctx, prep, req.Design.NumCores(), req.Params, req.Opts)

@@ -307,6 +307,9 @@ func (s *Service) SubmitStream(ctx context.Context, req Request) (JobStatus, err
 
 	s.appendEvent(j, StreamEvent{Stage: StreamMapped, Engine: "greedy", Cost: cost, Response: first})
 	s.storeUpgrade(j.Key, first, cost)
+	// The worker improves from this greedy result rather than mapping the
+	// design again (search.Options.Base).
+	j.base = gres
 
 	// Hand the improvement phase to the pool; a full queue blocks, bounded
 	// by the caller's context, mirroring the synchronous admission path.

@@ -14,7 +14,10 @@ import (
 	"time"
 
 	"nocmap/internal/bench"
+	"nocmap/internal/core"
+	"nocmap/internal/search"
 	"nocmap/internal/traffic"
+	"nocmap/internal/usecase"
 )
 
 // d1Design returns the D1 benchmark, the smallest design the annealer
@@ -143,6 +146,79 @@ func TestSubmitStreamLifecycle(t *testing.T) {
 	}
 	if got := testCounterValue(t, s, "noc_cache_upgrades_total"); got < 1 {
 		t.Errorf("noc_cache_upgrades_total = %v after an improving stream, want >= 1", got)
+	}
+}
+
+// baseEngine reports the Options.Base each run receives, then anneals.
+type baseEngine struct {
+	name string
+	seen chan *core.Result
+}
+
+func (e baseEngine) Name() string { return e.name }
+
+func (e baseEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
+	p core.Params, opts search.Options) (*core.Result, error) {
+	e.seen <- opts.Base
+	return search.Anneal{}.Search(ctx, prep, numCores, p, opts)
+}
+
+// TestStreamHandsOverGreedyBase pins the serve-then-improve handoff: the
+// worker of a streamed job searches from the greedy result the stream
+// already served (Options.Base, summarizing to the first event's bytes),
+// the finished job keeps no reference to it, a synchronous run gets no
+// base, and the streamed anneal ends on the synchronous anneal's bytes.
+func TestStreamHandsOverGreedyBase(t *testing.T) {
+	seen := make(chan *core.Result, 1)
+	search.Register("stream-base", func() search.Engine { return baseEngine{name: "stream-base", seen: seen} })
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	req := d1StreamRequest(t)
+	req.Engine = "stream-base"
+	st, err := s.SubmitStream(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := collectStream(t, s, st.ID)
+	base := <-seen
+	if base == nil {
+		t.Fatal("the streamed job's engine ran without Options.Base")
+	}
+	prep, err := usecase.Prepare(req.Design)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, SummarizeResult(req.Design.Name, prep, base)), mustJSON(t, evs[0].Response.Result); got != want {
+		t.Errorf("Options.Base summarizes to\n%s\nthe first streamed event is\n%s", got, want)
+	}
+	s.mu.Lock()
+	held := s.jobs[st.ID].base
+	s.mu.Unlock()
+	if held != nil {
+		t.Error("the finished job still holds the greedy base")
+	}
+	if _, err := s.Map(context.Background(), testRequest("stream-base", testDesign("sync-base"))); err != nil {
+		t.Fatal(err)
+	}
+	if b := <-seen; b != nil {
+		t.Error("a synchronous run got an Options.Base")
+	}
+
+	streamed := New(Config{Workers: 1})
+	defer streamed.Close()
+	st, err = streamed.SubmitStream(context.Background(), d1StreamRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs = collectStream(t, streamed, st.ID)
+	direct := New(Config{Workers: 1})
+	defer direct.Close()
+	resp, err := direct.Map(context.Background(), d1StreamRequest(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := mustJSON(t, evs[len(evs)-1].Response.Result), mustJSON(t, resp.Result); got != want {
+		t.Errorf("streamed anneal ended on\n%s\nthe synchronous anneal on\n%s", got, want)
 	}
 }
 

@@ -231,7 +231,7 @@ func TestMapStreamConcurrentReaders(t *testing.T) {
 	d := benchDesign(t, "D2")
 	opts := []noc.Option{
 		noc.WithEngine("anneal"), noc.WithSeed(2),
-		noc.WithIters(500_000_000), noc.WithBudget(1500 * time.Millisecond),
+		noc.WithIters(100_000), noc.WithBudget(1500 * time.Millisecond), // the budget, not iters, ends the run
 	}
 
 	// First streamer creates the job; wait for its greedy incumbent so the
