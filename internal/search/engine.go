@@ -106,7 +106,8 @@ type Options struct {
 	// Base, when set, is this request's own greedy result: core.MapContext
 	// of the same prepared design, core count and params. The engines that
 	// start from the greedy base (the improvement engines, portfolio and
-	// exact) take it instead of mapping again. The portfolio hands its base
+	// exact) take it through GreedyBase instead of mapping again, and must
+	// not modify it. The portfolio hands its base
 	// to every member, and the service hands over the greedy result a
 	// streamed request already served. It is not part of the request: it
 	// changes no result, and it stays out of cache keys and off the wire.
@@ -123,6 +124,15 @@ type Options struct {
 	// portfolio's determinism guarantee forbids. It is exported so engine
 	// subpackages (population, exact) publish to the same board when raced.
 	Board *IncumbentBoard
+}
+
+// GreedyBase returns the greedy result an engine starts from: Options.Base
+// when set, otherwise core.MapContext of the design.
+func (o Options) GreedyBase(ctx context.Context, prep *usecase.Prepared, numCores int, p core.Params) (*core.Result, error) {
+	if o.Base != nil {
+		return o.Base, nil
+	}
+	return core.MapContext(ctx, prep, numCores, p)
 }
 
 // DefaultOptions returns the evaluation defaults: a modest annealing length

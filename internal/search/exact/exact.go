@@ -82,18 +82,10 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 		return nil, err
 	}
 	// The greedy base is the incumbent to beat and the fallback result; like
-	// the other engines it runs outside the budget. The search writes its
-	// bound onto the result it returns, so a base the caller handed over in
-	// Options.Base is copied first.
-	var base *core.Result
-	if opts.Base != nil {
-		cp := *opts.Base
-		base = &cp
-	} else {
-		var err error
-		if base, err = core.MapContext(ctx, prep, numCores, p); err != nil {
-			return nil, err
-		}
+	// the other engines it runs outside the budget.
+	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	if err != nil {
+		return nil, err
 	}
 	opts.Emit(bb.Name(), search.StageMapped, base, search.Counts{})
 	if opts.Budget > 0 {
@@ -146,10 +138,12 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 		// well-formed regardless.
 		lb, exact = incSwitches, true
 	}
-	best.LowerBoundSwitches = lb
-	best.LowerBoundExact = exact && best.Mapping.SwitchCount() == lb
-	opts.Emit(bb.Name(), search.StageDone, best, b.counts)
-	return best, nil
+	// The bound goes onto a copy: best may be the caller's Options.Base.
+	out := *best
+	out.LowerBoundSwitches = lb
+	out.LowerBoundExact = exact && out.Mapping.SwitchCount() == lb
+	opts.Emit(bb.Name(), search.StageDone, &out, b.counts)
+	return &out, nil
 }
 
 // bnb carries the state of one branch-and-bound run across candidate

@@ -17,7 +17,7 @@ type Improver func(ctx context.Context, start *core.Result, attached []int)
 
 // Improve is the Search body every improvement engine (anneal, and the
 // population engines ga, pso and abc) shares. It maps the greedy base
-// (or takes Options.Base) outside the budget — Options.Budget bounds the improvement search, not
+// outside the budget — Options.Budget bounds the improvement search, not
 // feasibility, so a tight budget degrades to the greedy result instead of
 // to an error, while external cancellation via ctx still aborts the base.
 // It then runs the engine's improver on the base fabric and on every
@@ -32,13 +32,9 @@ func Improve(ctx context.Context, engine string, prep *usecase.Prepared, numCore
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	base := opts.Base
-	if base == nil {
-		var err error
-		base, err = core.MapContext(ctx, prep, numCores, p)
-		if err != nil {
-			return nil, err
-		}
+	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	if err != nil {
+		return nil, err
 	}
 	opts.Emit(engine, StageMapped, base, Counts{})
 	if opts.Budget > 0 {

@@ -38,24 +38,18 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		return nil, err
 	}
 
-	// The greedy pass is deterministic, so it runs once up front (unless
-	// the caller already holds it in Options.Base) — outside the budget, so
-	// even a budget too tight for any annealing still yields the feasible
-	// greedy result. The annealers all start from its result; if greedy
-	// finds no mapping the annealers cannot either, since they explore from
-	// the greedy solution.
-	// One serialized progress callback is shared by the base run and every
-	// member annealer, so the caller's callback never runs concurrently with
-	// itself no matter how the pool schedules.
+	// The greedy pass is deterministic, so it runs once up front — outside
+	// the budget, so even a budget too tight for any annealing still yields
+	// the feasible greedy result. The annealers all start from its result;
+	// if greedy finds no mapping the annealers cannot either, since they
+	// explore from the greedy solution.
+	// One serialized progress callback is shared by every member annealer,
+	// so the caller's callback never runs concurrently with itself no
+	// matter how the pool schedules.
 	opts.Progress = serializedProgress(opts.Progress)
-	base := opts.Base
-	if base == nil {
-		baseOpts := opts
-		baseOpts.Progress = nil // the base is re-announced by each member's StageMapped
-		var err error
-		if base, err = (Greedy{}).Search(ctx, prep, numCores, p, baseOpts); err != nil {
-			return nil, err
-		}
+	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	if err != nil {
+		return nil, err
 	}
 	opts.Emit(pf.Name(), StageMapped, base, Counts{})
 	if opts.Budget > 0 {
