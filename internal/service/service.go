@@ -288,8 +288,10 @@ type Service struct {
 	jobOrder []string // finished job IDs, oldest first, for retention
 	flight   map[string]*Job
 
-	hits, misses, evictions, deduped, jobsDone, jobsFailed int64
-	running                                                int
+	// jobsDone and jobsFailed count finished jobs; admission reads their
+	// sum to notice a flight that ended unseen.
+	jobsDone, jobsFailed int64
+	running              int
 }
 
 // New starts a service with cfg.Workers pool workers.
@@ -338,7 +340,7 @@ func (s *Service) Close() {
 	s.mu.Unlock()
 	close(s.quit)
 	// Order matters: first every in-flight admission resolves (enqueues or
-	// abandons — quit guarantees none stays blocked), then the workers
+	// fails — quit guarantees none stays blocked), then the workers
 	// drain out, and only then is the queue provably quiescent to drain.
 	s.admits.Wait()
 	s.wg.Wait()
@@ -358,13 +360,15 @@ func (s *Service) Close() {
 	}
 }
 
-// Map resolves the request synchronously: a cache hit returns immediately,
-// an identical in-flight run is joined, and otherwise the request is
-// enqueued (blocking for queue room) and awaited. The context bounds only
-// the caller's wait — a run that outlives its caller still completes and
-// populates the cache.
+// Map resolves the request synchronously: an identical in-flight run is
+// joined, a stored answer is returned immediately, and otherwise the
+// request is enqueued (blocking for queue room) and awaited. Joining
+// outranks the store, so a key whose streamed run is still improving
+// returns that run's final answer, never its interim entry. The context
+// bounds only the caller's wait — a run that outlives its caller still
+// completes and populates the cache.
 func (s *Service) Map(ctx context.Context, req Request) (*Response, error) {
-	j, resp, err := s.admit(ctx, req, true)
+	j, resp, err := s.admit(ctx, req, modeSync)
 	if err != nil || resp != nil {
 		return resp, err
 	}
@@ -377,31 +381,45 @@ func (s *Service) Map(ctx context.Context, req Request) (*Response, error) {
 }
 
 // Submit resolves the request asynchronously and returns a job ID to poll.
-// A cache hit yields an already-done job; joining an in-flight run returns
-// that run's ID. A full queue is reported as ErrQueueFull — the service's
-// backpressure signal.
+// Joining an in-flight run returns that run's ID, and a stored answer
+// yields an already-done job. A full queue is reported as ErrQueueFull —
+// the service's backpressure signal.
 func (s *Service) Submit(req Request) (string, error) {
-	j, _, err := s.admit(context.Background(), req, false)
+	j, _, err := s.admit(context.Background(), req, modeAsync)
 	if err != nil {
 		return "", err
 	}
 	return j.ID, nil
 }
 
-// admit implements the shared front door: store lookup, single-flight join,
-// then enqueue. When sync is true a full queue blocks (bounded by ctx)
-// instead of failing; the returned Response is non-nil only on a cache hit.
+// admitMode is how a request enters the service.
+type admitMode int
+
+const (
+	// modeSync (Map) blocks for queue room and answers a hit directly.
+	modeSync admitMode = iota
+	// modeAsync (Submit) fails with ErrQueueFull on a full queue.
+	modeAsync
+	// modeStream (SubmitStream) serves the greedy result inline, then
+	// blocks for queue room like modeSync.
+	modeStream
+)
+
+// admit is the one front door for every mode: single-flight join, store
+// lookup, then registration and enqueue. The returned Response is non-nil
+// only for a sync hit; every other success returns the job to follow.
 //
 // The store read runs outside the service mutex — a disk backend pays
-// file latency there, which must not serialize every other request — so
-// the flight table is re-checked under the lock
-// afterwards: of N concurrent identical misses exactly one registers the
-// flight (one miss), the rest join it (deduped), same as when one lock
-// covered both. A run that finished between the two locked sections may
-// have stored its answer after the read missed and left the flight table
-// before the re-check, so then the store is read again: one engine run per
-// key holds however the read and the finish interleave.
-func (s *Service) admit(ctx context.Context, req Request, sync bool) (*Job, *Response, error) {
+// file latency there, which must not serialize every other request — and
+// the flight table is checked under the lock after it. A live flight is
+// joined whether the read hit or missed: a streamed run's interim entry is
+// not its answer. Of N concurrent identical misses exactly one registers
+// the flight (one miss), the rest join it (deduped). A run that finished
+// between the two locked sections may have stored its answer after the
+// read and left the flight table before the check, so then the store is
+// read again: one engine run per key, and one answer per digest, however
+// the read and the finish interleave.
+func (s *Service) admit(ctx context.Context, req Request, mode admitMode) (*Job, *Response, error) {
 	key, err := req.Key()
 	if err != nil {
 		return nil, nil, err
@@ -416,43 +434,25 @@ func (s *Service) admit(ctx context.Context, req Request, sync bool) (*Job, *Res
 	// unseen.
 	settled := s.jobsDone + s.jobsFailed
 	s.mu.Unlock()
+	var (
+		resp *Response
+		hit  bool
+	)
 	for {
-		if resp, ok := s.storeGet(ctx, key); ok {
-			s.mu.Lock()
-			s.hits++
-			s.met.cacheHits.Inc()
-			if sync {
-				s.mu.Unlock()
-				s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine)
-				return nil, resp.cached(), nil
-			}
-			// Async callers poll a job either way; synthesize a done one.
-			j := s.newJobLocked(key, req)
-			j.state = StateDone
-			j.resp = resp.cached()
-			j.finished = time.Now()
-			close(j.done)
-			s.retainLocked(j)
-			s.appendEvent(j, StreamEvent{Stage: StreamDone, Engine: req.Engine,
-				Cost: costOfResult(j.resp.Result, req.Opts.Weights), Response: j.resp, Final: true})
-			s.mu.Unlock()
-			s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine, "job", j.ID)
-			return j, nil, nil
-		}
+		resp, hit = s.storeGet(ctx, key)
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
 			return nil, nil, ErrClosed
 		}
-		if j, ok := s.flight[key]; ok {
-			s.deduped++
+		if f, ok := s.flight[key]; ok {
 			s.met.dedupJoins.Inc()
 			s.mu.Unlock()
-			s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", j.ID)
-			return j, nil, nil
+			s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", f.ID)
+			return f, nil, nil
 		}
-		// A run finished since the count was taken: it may have stored its
-		// answer after the read above missed, so read again.
+		// A run finished since the count was taken: a miss may predate its
+		// answer and a hit may be its interim entry, so read again.
 		n := s.jobsDone + s.jobsFailed
 		if n == settled {
 			break
@@ -460,39 +460,77 @@ func (s *Service) admit(ctx context.Context, req Request, sync bool) (*Job, *Res
 		settled = n
 		s.mu.Unlock()
 	}
-	s.misses++
+	if hit {
+		s.met.cacheHits.Inc()
+		if mode == modeSync {
+			s.mu.Unlock()
+			s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine)
+			return nil, resp.cached(), nil
+		}
+		// Async and streamed callers follow a job either way; synthesize a
+		// done one.
+		j := s.newJobLocked(key, req, mode)
+		j.state = StateDone
+		j.resp = resp.cached()
+		j.finished = time.Now()
+		close(j.done)
+		s.retainLocked(j)
+		s.appendEvent(j, StreamEvent{Stage: StreamDone, Engine: req.Engine,
+			Cost: costOfResult(j.resp.Result, req.Opts.Weights), Response: j.resp, Final: true})
+		s.mu.Unlock()
+		s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine, "job", j.ID)
+		return j, nil, nil
+	}
 	s.met.cacheMisses.Inc()
-	j := s.newJobLocked(key, req)
+	j := s.newJobLocked(key, req, mode)
 	s.flight[key] = j
 	s.admits.Add(1)
 	s.mu.Unlock()
 	defer s.admits.Done()
-	// Admitted: the job owns the flight for its key; the enqueue attempt
-	// below may still fail (backpressure), which finish() logs as a failure.
+	// Admitted: the job owns the flight for its key. From here every
+	// failure finishes the job, waking whoever joined it meanwhile.
 	s.log.Info("job admitted", "request_id", req.RequestID, "job", j.ID, "key", key, "engine", req.Engine)
 
-	if sync {
+	if mode == modeStream {
+		final, err := s.serveGreedy(ctx, j)
+		if err != nil || final != nil {
+			s.finish(j, final, err, false)
+			if err != nil {
+				return nil, nil, err
+			}
+			return j, nil, nil
+		}
+	}
+	if err := s.enqueue(ctx, j, mode != modeAsync); err != nil {
+		s.finish(j, nil, err, false)
+		return nil, nil, err
+	}
+	return j, nil, nil
+}
+
+// enqueue hands an admitted job to the pool. With block set it waits for
+// queue room, bounded by ctx and Close; otherwise a full queue is
+// ErrQueueFull.
+func (s *Service) enqueue(ctx context.Context, j *Job, block bool) error {
+	if !block {
 		select {
 		case s.queue <- j:
-			return j, nil, nil
-		case <-ctx.Done():
-			s.abandon(j, ctx.Err())
-			return nil, nil, ctx.Err()
-		case <-s.quit:
-			s.abandon(j, ErrClosed)
-			return nil, nil, ErrClosed
+			return nil
+		default:
+			return ErrQueueFull
 		}
 	}
 	select {
 	case s.queue <- j:
-		return j, nil, nil
-	default:
-		s.abandon(j, ErrQueueFull)
-		return nil, nil, ErrQueueFull
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-s.quit:
+		return ErrClosed
 	}
 }
 
-func (s *Service) newJobLocked(key string, req Request) *Job {
+func (s *Service) newJobLocked(key string, req Request, mode admitMode) *Job {
 	s.nextID++
 	j := &Job{
 		ID:        "j" + strconv.FormatInt(s.nextID, 10),
@@ -502,19 +540,11 @@ func (s *Service) newJobLocked(key string, req Request) *Job {
 		state:     StateQueued,
 		done:      make(chan struct{}),
 		enqueued:  time.Now(),
+		streamed:  mode == modeStream,
 		stream:    newJobStream(),
 	}
 	s.jobs[j.ID] = j
 	return j
-}
-
-// abandon fails a job that never made it into the queue. Identical requests
-// may already have joined its flight between registration and the failed
-// enqueue, so the job must be finished — waking every joiner with the
-// admission error — not silently deleted, or those joiners would wait on
-// j.done forever.
-func (s *Service) abandon(j *Job, err error) {
-	s.finish(j, nil, err, false)
 }
 
 // Job returns a snapshot of the job, if it is still retained.
@@ -549,12 +579,12 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return Stats{
-		CacheHits:      s.hits,
-		CacheMisses:    s.misses,
-		CacheEvictions: s.evictions,
+		CacheHits:      s.met.cacheHits.Value(),
+		CacheMisses:    s.met.cacheMisses.Value(),
+		CacheEvictions: s.met.cacheEvictions.Value(),
 		StoreBackend:   s.store.Backend(),
 		StoreEntries:   entries,
-		Deduped:        s.deduped,
+		Deduped:        s.met.dedupJoins.Value(),
 		JobsDone:       s.jobsDone,
 		JobsFailed:     s.jobsFailed,
 		JobsRunning:    s.running,
@@ -627,28 +657,25 @@ func (s *Service) run(j *Job) {
 	s.finish(j, resp, err, true)
 }
 
-// finish publishes a job outcome: store insert on success (a CAS upgrade
-// for streamed jobs, whose interim incumbents already live in the store),
-// state flip, flight removal, the final event on the job's stream, waiter
-// wakeup, retention bookkeeping. ran is false for jobs drained at Close
-// that never reached a worker.
+// finish publishes a job outcome: the store write, state flip, flight
+// removal, the final event on the job's stream, waiter wakeup and retention
+// bookkeeping. ran is false for jobs that never reached a worker.
 //
-// The store write happens before the state flip and before waiters wake,
-// so a caller released by j.done always finds the result resident; it runs
-// outside the service mutex (a disk store fsyncs here), which is safe
-// because the flight entry is still registered — identical requests join
-// the job rather than recompute.
+// A success goes through the store's replace-only-with-better write, since
+// a streamed job's interim incumbents may already be resident. A streamed
+// job that fails evicts its key instead, so no interim answer outlives it.
+// The store call comes before the state flip and before waiters wake, so a
+// caller released by j.done finds the store settled; it runs outside the
+// service mutex (a disk store fsyncs here), which is safe because the
+// flight entry is still registered — identical requests join the job
+// rather than recompute, and nothing else writes its key.
 func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 	var cost float64
 	if err == nil {
 		cost = costOfResult(resp.Result, j.req.Opts.Weights)
-		if j.streamed {
-			// The stream already installed interim incumbents; the final
-			// result replaces them unless a concurrent writer did better.
-			s.storeUpgrade(j.Key, resp, cost)
-		} else {
-			s.storePut(j.Key, resp, cost)
-		}
+		s.storeUpgrade(j.Key, resp, cost)
+	} else if j.streamed {
+		s.store.Evict(j.Key)
 	}
 	s.mu.Lock()
 	j.base = nil

@@ -11,10 +11,10 @@ import (
 // This file is the service's seam to the pluggable result store
 // (internal/store): the codec that lets byte-oriented tiers round-trip
 // Response envelopes, and the thin instrumented wrappers the admission and
-// finish paths call. The wrappers are the only store call sites — every
-// Get/Put/UpgradeIfBetter is counted per backend, and store failures are
-// absorbed as cache misses (availability over durability: a broken disk
-// degrades the service to compute-always, it does not take it down).
+// finish paths call. Every Get and UpgradeIfBetter goes through them and is
+// counted per backend, and store failures are absorbed as cache misses
+// (availability over durability: a broken disk degrades the service to
+// compute-always, it does not take it down).
 //
 // None of the wrappers may be called with the service mutex held: the
 // store is self-locking, and the disk backend does file I/O that must
@@ -68,24 +68,10 @@ func (s *Service) storeGet(ctx context.Context, digest string) (*Response, bool)
 	return resp, true
 }
 
-// storePut installs the response unconditionally (modulo the disk tier's
-// own never-downgrade floor) and folds the result into the counters.
-func (s *Service) storePut(digest string, resp *Response, cost float64) {
-	backend := s.store.Backend()
-	s.met.storePuts.WithLabelValues(backend).Inc()
-	pr, err := s.store.Put(context.Background(), digest, store.Entry{Cost: cost, Val: resp})
-	if err != nil {
-		s.met.storeErrors.WithLabelValues(backend).Inc()
-		s.log.Warn("store put failed", "backend", backend, "key", digest, "error", err)
-		return
-	}
-	s.notePutResult(pr)
-}
-
 // storeUpgrade compare-and-swaps the entry for the digest: installed when
 // absent or not-better, dropped when the resident entry is strictly better,
 // counted as an upgrade when strictly better than the resident. It is the
-// streamed jobs' replace-only-with-better path.
+// service's one write path: replace-only-with-better for every job.
 func (s *Service) storeUpgrade(digest string, resp *Response, cost float64) {
 	backend := s.store.Backend()
 	s.met.storePuts.WithLabelValues(backend).Inc()
@@ -99,17 +85,7 @@ func (s *Service) storeUpgrade(digest string, resp *Response, cost float64) {
 		s.met.cacheUpgrades.Inc()
 		s.met.storeUpgrades.WithLabelValues(backend).Inc()
 	}
-	s.notePutResult(pr)
-}
-
-// notePutResult folds a write's evictions into the stats counters.
-func (s *Service) notePutResult(pr store.PutResult) {
-	if pr.Evicted > 0 {
-		s.mu.Lock()
-		s.evictions += int64(pr.Evicted)
-		s.mu.Unlock()
-		s.met.cacheEvictions.Add(int64(pr.Evicted))
-	}
+	s.met.cacheEvictions.Add(int64(pr.Evicted))
 }
 
 // Design returns the cached result for a request digest, if the store

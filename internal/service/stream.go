@@ -26,7 +26,7 @@ import (
 //     strict improvements stream).
 //   - The cache entry for the job's key only ever gets better: interim
 //     results are installed with a compare-and-swap on strictly-better
-//     cost, so a concurrent cache hit never observes a regression.
+//     cost, and a job that fails evicts them.
 
 // Stream event stages, in the order one streamed job emits them.
 const (
@@ -188,142 +188,55 @@ func costOfResult(r Result, w search.CostWeights) float64 {
 // returned snapshot within milliseconds, while the requested engine keeps
 // improving on the worker pool under the job's own deadline. Strict
 // incumbent improvements append to the job's event log (GET
-// /v1/jobs/{id}/events) and upgrade the cache entry in place, so every
-// later cache hit gets the best placement found so far.
+// /v1/jobs/{id}/events) and upgrade the cache entry in place, and a job
+// that fails leaves no entry behind.
 //
-// An identical in-flight job is joined — concurrent streamers share one
-// run and one event log — and a cache hit returns an already-finished job
-// whose log holds a single done event. The in-flight check deliberately
-// precedes the cache lookup, the reverse of the synchronous path: a live
-// stream outranks the interim snapshot it has already published.
+// Admission is Map's: an identical in-flight job is joined — concurrent
+// streamers share one run and one event log — and a stored answer returns
+// an already-finished job whose log holds a single done event.
 func (s *Service) SubmitStream(ctx context.Context, req Request) (JobStatus, error) {
-	key, err := req.Key()
+	j, _, err := s.admit(ctx, req, modeStream)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return JobStatus{}, ErrClosed
-	}
-	if f, ok := s.flight[key]; ok {
-		s.deduped++
-		s.met.dedupJoins.Inc()
-		s.mu.Unlock()
-		s.log.Debug("joined in-flight stream", "request_id", req.RequestID, "key", key, "job", f.ID)
-		st, _ := s.Job(f.ID)
-		return st, nil
-	}
-	s.mu.Unlock()
-	// The store read runs outside the mutex (disk/network backends pay
-	// real latency here); the flight table is re-checked under the lock on
-	// both sides, keeping the live-stream-outranks-cache ordering.
-	if resp, ok := s.storeGet(ctx, key); ok {
-		s.mu.Lock()
-		if f, ok := s.flight[key]; ok {
-			// A stream for this key started while the store was read; it
-			// still outranks the snapshot it may already have published.
-			s.deduped++
-			s.met.dedupJoins.Inc()
-			s.mu.Unlock()
-			s.log.Debug("joined in-flight stream", "request_id", req.RequestID, "key", key, "job", f.ID)
-			st, _ := s.Job(f.ID)
-			return st, nil
-		}
-		s.hits++
-		s.met.cacheHits.Inc()
-		j := s.newJobLocked(key, req)
-		j.streamed = true
-		j.state = StateDone
-		j.resp = resp.cached()
-		j.finished = time.Now()
-		close(j.done)
-		s.retainLocked(j)
-		s.mu.Unlock()
-		s.appendEvent(j, StreamEvent{
-			Stage: StreamDone, Engine: req.Engine,
-			Cost: costOfResult(j.resp.Result, req.Opts.Weights), Response: j.resp, Final: true,
-		})
-		s.log.Debug("cache hit", "request_id", req.RequestID, "key", key, "engine", req.Engine, "job", j.ID)
-		st, _ := s.Job(j.ID)
-		return st, nil
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return JobStatus{}, ErrClosed
-	}
-	if f, ok := s.flight[key]; ok {
-		s.deduped++
-		s.met.dedupJoins.Inc()
-		s.mu.Unlock()
-		s.log.Debug("joined in-flight stream", "request_id", req.RequestID, "key", key, "job", f.ID)
-		st, _ := s.Job(f.ID)
-		return st, nil
-	}
-	s.misses++
-	s.met.cacheMisses.Inc()
-	j := s.newJobLocked(key, req)
-	j.streamed = true
-	s.flight[key] = j
-	s.admits.Add(1)
-	s.mu.Unlock()
-	defer s.admits.Done()
-	s.log.Info("stream job admitted", "request_id", req.RequestID, "job", j.ID, "key", key, "engine", req.Engine)
+	st, _ := s.Job(j.ID)
+	return st, nil
+}
 
-	// First incumbent: the greedy constructive pass, inline on the caller's
-	// goroutine so the answer does not wait for a worker. Its result seeds
-	// the event log and the cache entry for the job's key.
+// serveGreedy runs a streamed job's first incumbent, the greedy
+// constructive pass, inline on the admitting goroutine so the answer does
+// not wait for a worker. When greedy is the requested engine its result is
+// final and is returned for finish. Otherwise it becomes the job's mapped
+// event and the key's interim store entry, and the worker improves from it
+// (search.Options.Base) instead of mapping the design again.
+func (s *Service) serveGreedy(ctx context.Context, j *Job) (*Response, error) {
+	req := j.req
 	start := time.Now()
 	prep, err := usecase.Prepare(req.Design)
 	if err != nil {
-		s.abandon(j, err)
-		return JobStatus{}, err
+		return nil, err
 	}
 	j.prep = prep
 	prepMS := ms(time.Since(start))
 	searchStart := time.Now()
 	gres, err := core.MapContext(ctx, prep, req.Design.NumCores(), req.Params)
 	if err != nil {
-		s.abandon(j, err)
-		return JobStatus{}, err
+		return nil, err
 	}
-	first := &Response{Key: key, Engine: req.Engine, Result: SummarizeResult(req.Design.Name, prep, gres)}
-	cost := costOfResult(first.Result, req.Opts.Weights)
-
+	first := &Response{Key: j.Key, Engine: req.Engine, Result: SummarizeResult(req.Design.Name, prep, gres)}
 	if req.Engine == "greedy" {
-		// Greedy *is* the requested engine: the first result is final, so the
-		// job completes without touching the pool. finish appends the done
-		// event and installs the cache entry.
 		first.Timings = &Timings{
 			PrepareMS: prepMS,
 			SearchMS:  ms(time.Since(searchStart)),
 			TotalMS:   ms(time.Since(start)),
 		}
-		s.finish(j, first, nil, false)
-		st, _ := s.Job(j.ID)
-		return st, nil
+		return first, nil
 	}
-
+	cost := costOfResult(first.Result, req.Opts.Weights)
 	s.appendEvent(j, StreamEvent{Stage: StreamMapped, Engine: "greedy", Cost: cost, Response: first})
 	s.storeUpgrade(j.Key, first, cost)
-	// The worker improves from this greedy result rather than mapping the
-	// design again (search.Options.Base).
 	j.base = gres
-
-	// Hand the improvement phase to the pool; a full queue blocks, bounded
-	// by the caller's context, mirroring the synchronous admission path.
-	select {
-	case s.queue <- j:
-	case <-ctx.Done():
-		s.abandon(j, ctx.Err())
-		return JobStatus{}, ctx.Err()
-	case <-s.quit:
-		s.abandon(j, ErrClosed)
-		return JobStatus{}, ErrClosed
-	}
-	st, _ := s.Job(j.ID)
-	return st, nil
+	return nil, nil
 }
 
 // appendEvent publishes one event on the job's log and counts it. Returns

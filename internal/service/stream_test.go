@@ -4,18 +4,21 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"nocmap/internal/bench"
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 )
@@ -261,10 +264,11 @@ func TestSubmitStreamGreedyFinishesInline(t *testing.T) {
 	}
 }
 
-// TestSubmitStreamJoinsFlight pins the admission order satellite: a second
-// identical streamed request while the first is still improving joins the
-// live job (same ID, same event log) instead of being served the interim
-// cache entry as a synthesized done job.
+// TestSubmitStreamJoinsFlight pins the admission order: a second identical
+// streamed request while the first is still improving joins the live job
+// (same ID, same event log) instead of being served the interim cache entry
+// as a synthesized done job, and so does a synchronous Map, which returns
+// the stream's final answer.
 func TestSubmitStreamJoinsFlight(t *testing.T) {
 	gate := make(chan struct{})
 	registerGate("stream-join", gate)
@@ -283,19 +287,199 @@ func TestSubmitStreamJoinsFlight(t *testing.T) {
 	if second.ID != first.ID {
 		t.Errorf("identical streamed request did not join the in-flight job: %s vs %s", second.ID, first.ID)
 	}
-	// A synchronous Map on the same key meanwhile is served the interim
-	// greedy entry from the cache — the instant anytime answer.
+	// A synchronous Map on the same key meanwhile joins the live job: the
+	// interim greedy entry in the store is not the key's answer.
+	mapped := make(chan *Response, 1)
+	go func() {
+		resp, err := s.Map(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		mapped <- resp
+	}()
+	waitFor(t, "the Map to join the live stream", func() bool { return s.Stats().Deduped == 2 })
+	close(gate)
+	evs := collectStream(t, s, first.ID)
+	last := evs[len(evs)-1]
+	if last.Stage != StreamDone {
+		t.Fatalf("stream log after join: %+v", evs)
+	}
+	resp := <-mapped
+	if resp == nil {
+		t.FailNow()
+	}
+	if resp.Cached || resp != last.Response {
+		t.Errorf("concurrent Map on a streaming key got %+v, want the stream's final response %+v", resp, last.Response)
+	}
+}
+
+// readGate is a store whose first Get after arming parks twice: before it
+// reads (entered closes, then it waits for read) and after a miss (missed
+// closes, then it waits for release).
+type readGate struct {
+	store.Store
+	armed                          atomic.Bool
+	entered, read, missed, release chan struct{}
+}
+
+func newReadGate() *readGate {
+	return &readGate{Store: store.NewMemory(16), entered: make(chan struct{}),
+		read: make(chan struct{}), missed: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *readGate) Get(ctx context.Context, digest string) (store.Entry, bool, error) {
+	if !g.armed.CompareAndSwap(true, false) {
+		return g.Store.Get(ctx, digest)
+	}
+	close(g.entered)
+	<-g.read
+	e, ok, err := g.Store.Get(ctx, digest)
+	if !ok && err == nil {
+		close(g.missed)
+		<-g.release
+	}
+	return e, ok, err
+}
+
+// TestStreamSingleFlightAcrossFinish is TestSingleFlightAcrossFinish for a
+// streamed request: a synchronous run of the same key starts while the
+// stream is about to read the store, and stores its answer and leaves the
+// flight table after the stream's read missed. The stream must be served
+// that answer, not run the engine a second time.
+func TestStreamSingleFlightAcrossFinish(t *testing.T) {
+	gate := make(chan struct{})
+	runs := registerGate("gate-stream-finish", gate)
+	st := newReadGate()
+	s := New(Config{Workers: 1, Store: st})
+	defer s.Close()
+
+	req := testRequest("gate-stream-finish", testDesign("stream-finish"))
+	st.armed.Store(true)
+	streamed := make(chan JobStatus, 1)
+	go func() {
+		js, err := s.SubmitStream(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		streamed <- js
+	}()
+	<-st.entered
+	mapped := make(chan *Response, 1)
+	go func() {
+		r, err := s.Map(context.Background(), req)
+		if err != nil {
+			t.Error(err)
+		}
+		mapped <- r
+	}()
+	waitFor(t, "the synchronous run to start", func() bool { return runs.Load() == 1 })
+	close(st.read)
+	<-st.missed
+	close(gate)
+	a := <-mapped
+	close(st.release)
+	js := <-streamed
+	if a == nil || js.ID == "" {
+		t.FailNow()
+	}
+	evs := collectStream(t, s, js.ID)
+	if got := s.Stats().JobsDone; got != 1 || runs.Load() != 1 {
+		t.Errorf("a sync and a streamed request cost %d jobs and %d engine runs, want 1 and 1", got, runs.Load())
+	}
+	final := evs[len(evs)-1].Response
+	if final == nil || !final.Cached {
+		t.Fatalf("streamed request not answered from the store: %+v", evs)
+	}
+	if got, want := mustJSON(t, final.Result), mustJSON(t, a.Result); got != want {
+		t.Errorf("stream answer differs from the run's:\n%s\nvs\n%s", got, want)
+	}
+}
+
+// fillPool occupies the single worker and the single queue slot of a
+// Workers: 1, QueueDepth: 1 service with jobs of the gated engine.
+func fillPool(t *testing.T, s *Service, engine string) {
+	t.Helper()
+	if _, err := s.Submit(testRequest(engine, testDesign(engine+"-a"))); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "a job to occupy the worker", func() bool { return s.Stats().JobsRunning == 1 })
+	if _, err := s.Submit(testRequest(engine, testDesign(engine+"-b"))); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbandonedStreamLeavesNoEntry pins that a streamed admission which
+// stored its greedy incumbent and then never reached the queue leaves
+// nothing under its digest: a later Map runs the engine.
+func TestAbandonedStreamLeavesNoEntry(t *testing.T) {
+	gate := make(chan struct{})
+	registerGate("gate-stream-abandon", gate)
+	s := New(Config{Workers: 1, QueueDepth: 1})
+	defer s.Close()
+	fillPool(t, s, "gate-stream-abandon")
+
+	req := testRequest("gate-stream-abandon", testDesign("stream-abandon"))
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if _, err := s.SubmitStream(ctx, req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("streamed admission on a full queue returned %v, want DeadlineExceeded", err)
+	}
+	close(gate)
 	resp, err := s.Map(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !resp.Cached {
-		t.Error("concurrent Map on a streaming key was not served the interim cache entry")
+	if resp.Cached || resp.Timings == nil {
+		t.Errorf("Map after an abandoned stream was served its interim entry: cached=%v timings=%v", resp.Cached, resp.Timings)
+	}
+}
+
+// TestAbandonedStreamLeavesNoDiskEntry is the durable form: a streamed
+// admission blocked on the full queue when Close refuses it leaves no
+// entry for its digest once the store directory is reopened.
+func TestAbandonedStreamLeavesNoDiskEntry(t *testing.T) {
+	dir := t.TempDir()
+	gate := make(chan struct{})
+	registerGate("gate-stream-close", gate)
+	d, err := store.OpenDisk(dir, store.DiskOptions{Codec: ResponseCodec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1, QueueDepth: 1, Store: d})
+	fillPool(t, s, "gate-stream-close")
+
+	req := testRequest("gate-stream-close", testDesign("stream-close"))
+	key, err := req.Key()
+	if err != nil {
+		t.Fatal(err)
+	}
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := s.SubmitStream(context.Background(), req)
+		admitted <- err
+	}()
+	waitFor(t, "the interim entry to be stored", func() bool {
+		_, ok, _ := s.Design(context.Background(), key)
+		return ok
+	})
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	if err := <-admitted; !errors.Is(err, ErrClosed) {
+		t.Errorf("streamed admission during Close returned %v, want ErrClosed", err)
 	}
 	close(gate)
-	evs := collectStream(t, s, first.ID)
-	if evs[len(evs)-1].Stage != StreamDone {
-		t.Fatalf("stream log after join: %+v", evs)
+	<-closed
+
+	d, err = store.OpenDisk(dir, store.DiskOptions{Codec: ResponseCodec{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if _, ok, err := d.Get(context.Background(), key); ok || err != nil {
+		t.Errorf("refused stream left a durable entry: ok=%v err=%v", ok, err)
 	}
 }
 
