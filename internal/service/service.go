@@ -493,11 +493,12 @@ func (s *Service) admit(ctx context.Context, req Request, mode admitMode) (*Job,
 
 	if mode == modeStream {
 		final, err := s.serveGreedy(ctx, j)
-		if err != nil || final != nil {
-			s.finish(j, final, err, false)
-			if err != nil {
-				return nil, nil, err
-			}
+		if err != nil {
+			s.finish(j, nil, err, false)
+			return nil, nil, err
+		}
+		if final != nil {
+			s.finish(j, final, nil, false)
 			return j, nil, nil
 		}
 	}
