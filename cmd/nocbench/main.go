@@ -26,7 +26,7 @@ import (
 var (
 	seed   = flag.Int64("seed", 1, "base PRNG seed for the engines table")
 	seeds  = flag.Int("seeds", 4, "multi-start annealers in the portfolio engine")
-	budget = flag.Duration("budget", 0, "per-search wall-clock budget for the engines table (0 = unbounded)")
+	budget = flag.Duration("budget", 0, "per-run job deadline for the engines table (0 = none)")
 )
 
 // figures lists the valid -fig values in presentation order.

@@ -35,8 +35,12 @@ func runRemote(stdout, stderr io.Writer, server string, timeout time.Duration, i
 }
 
 // printRemoteSummary prints a server-side mapping result in the same shape
-// as a local run, tagged with where it came from.
+// as a local run, tagged with where it came from and whether the job
+// deadline cut it short.
 func printRemoteSummary(stdout, stderr io.Writer, server, verdict string, resp *noc.MapResponse, freq float64) error {
+	if resp.Truncated {
+		verdict += ", truncated by the deadline and not stored"
+	}
 	r := resp.Result
 	fabric := r.Topology
 	if fabric == "" {
@@ -65,7 +69,7 @@ func printRemoteSummary(stdout, stderr io.Writer, server, verdict string, resp *
 // incumbent the daemon streams prints one line to stderr as it lands — the
 // greedy answer within milliseconds, then each strictly better result the
 // background engine finds — and the final result prints in the usual
-// summary shape once the job's budget is spent.
+// summary shape once the job ends.
 func runRemoteStream(stdout, stderr io.Writer, server string, timeout time.Duration, in string,
 	freq float64, opts []noc.Option) error {
 	d, err := noc.LoadDesignFile(in)

@@ -24,7 +24,9 @@
 // -timeout bounds how long an unresponsive daemon may stall the call.
 // Adding -stream switches to serve-then-improve mode: the daemon's instant
 // greedy result and every strictly better incumbent print to stderr as they
-// land, and the final result prints as usual when the budget is spent.
+// land, and the final result prints as usual when the job ends. -budget is
+// the job deadline in both modes; a daemon serves an answer it cut short
+// without storing it, and the verdict says so.
 package main
 
 import (
@@ -57,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		"interconnect family: "+strings.Join(noc.TopologyKinds(), "|")+" (default: the design's topology tag, else mesh)")
 	seed := fs.Int64("seed", 1, "base PRNG seed for the anneal/portfolio engines")
 	seeds := fs.Int("seeds", 4, "multi-start annealers in the portfolio engine")
-	budget := fs.Duration("budget", 0, "wall-clock search budget (0 = unbounded)")
+	budget := fs.Duration("budget", 0, "job deadline: wall-clock bound of the whole search (0 = none)")
 	freq := fs.Float64("freq", 500, "NoC frequency in MHz")
 	slots := fs.Int("slots", 64, "TDMA slot-table size")
 	maxDim := fs.Int("maxdim", 20, "maximum mesh dimension")

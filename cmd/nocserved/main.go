@@ -7,8 +7,11 @@
 //
 //	nocserved [-addr :8080] [-workers 8] [-queue 64] [-cache 128]
 //	          [-store memory|disk] [-store-dir DIR]
-//	          [-timeout 0] [-log-format text|json] [-log-level info]
+//	          [-timeout 1m] [-log-format text|json] [-log-level info]
 //	          [-pprof]
+//
+// -timeout is the job deadline of a request without timeout_ms; an answer
+// a deadline cut short is served as "truncated" and never stored.
 //
 // The result store defaults to an in-memory LRU. -store disk (with
 // -store-dir) makes cached results durable across restarts. The store
@@ -107,7 +110,7 @@ func main() {
 		"result-store backend: memory or disk (env NOC_STORE)")
 	storeDir := flag.String("store-dir", envOr("NOC_STORE_DIR", ""),
 		"disk-store root directory (env NOC_STORE_DIR)")
-	timeout := flag.Duration("timeout", 0, "default per-job deadline (0 = none)")
+	timeout := flag.Duration("timeout", time.Minute, "default per-job deadline (0 = none)")
 	logFormat := flag.String("log-format", "text", "structured log encoding: text or json")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")

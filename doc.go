@@ -23,8 +23,8 @@
 // registered strategies — greedy (the paper's Algorithm 2 unchanged), anneal
 // (simulated annealing over core placements, probing meshes smaller than
 // the greedy solution), and portfolio (a parallel multi-start pool racing
-// greedy against deterministically-seeded annealers under a shared context
-// and wall-clock budget). Engines are selected with nocmap's -engine flag;
+// greedy against deterministically-seeded annealers under a shared
+// context). Engines are selected with nocmap's -engine flag;
 // future strategies (genetic, tabu, ILP) plug in by implementing
 // search.Engine.
 //
@@ -47,10 +47,12 @@
 // collapses identical in-flight requests into one engine run
 // (single-flight), and executes jobs on a bounded worker pool with
 // per-job deadlines, queue backpressure, and a queryable
-// queued/running/done/failed lifecycle. cmd/nocserved exposes it over a
-// versioned HTTP/JSON surface (POST /v1/map, GET /v1/jobs/{id}, /v1/stats,
-// /v1/version, /healthz) and cmd/nocmap -server delegates to a running
-// daemon. ARCHITECTURE.md maps the full layering; docs/cli.md
+// queued/running/done/failed lifecycle. The job deadline is the only wall
+// clock a request carries, and it stays out of the digest: an answer it cut
+// short is served as truncated and never stored. cmd/nocserved exposes the
+// service over a versioned HTTP/JSON surface (POST /v1/map, GET
+// /v1/jobs/{id}, /v1/stats, /v1/version, /healthz) and cmd/nocmap -server
+// delegates to a running daemon. ARCHITECTURE.md maps the full layering; docs/cli.md
 // documents every binary and endpoint.
 //
 // The public face of all of this is the SDK in pkg/noc: typed design

@@ -41,7 +41,7 @@ type EngineOptions struct {
 	Seed int64
 	// Seeds is the number of multi-start annealers in the portfolio engine.
 	Seeds int
-	// Budget bounds each engine run's improvement phase (0 = unbounded).
+	// Budget is each engine run's job deadline (0 = none).
 	Budget time.Duration
 	// Iters overrides the annealing moves per start when positive.
 	Iters int

@@ -11,7 +11,7 @@
 //     attempts to shrink below the greedy mesh size.
 //   - portfolio: a parallel multi-start portfolio that races the greedy
 //     engine against N deterministically-seeded annealers under a shared
-//     context and wall-clock budget and returns the best feasible result.
+//     context and returns the best feasible result.
 //
 // The population subpackage registers three metaheuristic engines over the
 // same placement encoding (ga, pso, abc), and the exact subpackage
@@ -28,7 +28,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"nocmap/internal/core"
 	"nocmap/internal/usecase"
@@ -52,13 +51,6 @@ type Options struct {
 	// Seeds is the number of multi-start annealers the portfolio launches in
 	// addition to the greedy engine.
 	Seeds int
-	// Budget bounds the wall-clock time of the improvement phase of one
-	// Search call; zero means unbounded. Engines return their best-so-far
-	// when the budget expires. The constructive greedy base always runs to
-	// completion (a truncated constructive pass has nothing to return), so
-	// a budgeted anneal/portfolio degrades to the greedy result, never to
-	// an error; only external context cancellation aborts outright.
-	Budget time.Duration
 	// Workers caps the goroutines of the portfolio pool (default: one per
 	// job).
 	Workers int
@@ -136,7 +128,7 @@ func (o Options) GreedyBase(ctx context.Context, prep *usecase.Prepared, numCore
 }
 
 // DefaultOptions returns the evaluation defaults: a modest annealing length
-// that keeps D1-class designs interactive, four portfolio seeds, no budget.
+// that keeps D1-class designs interactive and four portfolio seeds.
 func DefaultOptions() Options {
 	return Options{
 		Seed:     1,
@@ -156,8 +148,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("search: iters %d invalid", o.Iters)
 	case o.Restarts < 0:
 		return fmt.Errorf("search: restarts %d invalid", o.Restarts)
-	case o.Budget < 0:
-		return fmt.Errorf("search: budget %v invalid", o.Budget)
 	case o.Workers < 0:
 		return fmt.Errorf("search: workers %d invalid", o.Workers)
 	case o.SpecK < 0 || o.SpecK > 64:

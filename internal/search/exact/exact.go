@@ -26,8 +26,8 @@
 // mapping, returned as the engine's result. The search is bounded by a
 // deterministic weighted node budget (Options.Nodes) rather than
 // wall-clock, so a fixed budget reproduces the identical bound on every
-// run; Options.Budget and context cancellation still bound the wall-clock,
-// trading bound strength for time.
+// run; context cancellation still bounds the wall-clock, trading bound
+// strength for time.
 package exact
 
 import (
@@ -81,18 +81,12 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	// The greedy base is the incumbent to beat and the fallback result; like
-	// the other engines it runs outside the budget.
+	// The greedy base is the incumbent to beat and the fallback result.
 	base, err := opts.GreedyBase(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}
 	opts.Emit(bb.Name(), search.StageMapped, base, search.Counts{})
-	if opts.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
-		defer cancel()
-	}
 
 	best := base
 	incSwitches := base.Mapping.SwitchCount()

@@ -18,11 +18,9 @@ func (Greedy) Name() string { return "greedy" }
 // Search implements Engine by running the constructive heuristic once.
 // External cancellation (a caller deadline, a disconnected service client)
 // is observed between mesh sizes of the growth loop (core.MapContext).
-// Options.Budget deliberately does not apply here: greedy has no
-// best-so-far to salvage from a truncated constructive pass, so a budget
-// would only turn "slow" into "no result". Budgets bound the improvement
-// engines built on top (anneal, portfolio), which fall back to this
-// engine's completed result.
+// Greedy has no best-so-far to salvage from a truncated constructive pass,
+// so a context that ends mid-run is an error; the improvement engines built
+// on top (anneal, portfolio) fall back to this engine's completed result.
 func (g Greedy) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts Options) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {

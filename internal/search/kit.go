@@ -16,14 +16,13 @@ import (
 type Improver func(ctx context.Context, start *core.Result, attached []int)
 
 // Improve is the Search body every improvement engine (anneal, and the
-// population engines ga, pso and abc) shares. It maps the greedy base
-// outside the budget — Options.Budget bounds the improvement search, not
-// feasibility, so a tight budget degrades to the greedy result instead of
-// to an error, while external cancellation via ctx still aborts the base.
-// It then runs the engine's improver on the base fabric and on every
-// smaller fabric a restart probe finds a feasible start on, and returns the
-// best result found. By construction that result is never
-// worse than greedy's under the configured cost weights.
+// population engines ga, pso and abc) shares. It maps the greedy base — a
+// ctx that ends before the base exists is an error, one that ends after it
+// degrades to the best result so far — then runs the engine's improver on
+// the base fabric and on every smaller fabric a restart probe finds a
+// feasible start on, and returns the best result found. By construction
+// that result is never worse than greedy's under the configured cost
+// weights.
 func Improve(ctx context.Context, engine string, prep *usecase.Prepared, numCores int,
 	p core.Params, opts Options, newImprover func(*Kit) Improver) (*core.Result, error) {
 	if err := opts.Validate(); err != nil {
@@ -37,11 +36,6 @@ func Improve(ctx context.Context, engine string, prep *usecase.Prepared, numCore
 		return nil, err
 	}
 	opts.Emit(engine, StageMapped, base, Counts{})
-	if opts.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
-		defer cancel()
-	}
 	evals := opts.evals
 	if evals == nil {
 		evals = NewEvalCache(prep, numCores, p)

@@ -11,11 +11,11 @@ import (
 // Portfolio runs the greedy engine once and races Options.Seeds
 // deterministically-seeded annealers (all starting from the greedy result)
 // on a shared worker pool, returning the best feasible result under the
-// cost weights. All workers observe one context: external cancellation and
-// the wall-clock budget stop the whole portfolio, with each annealer
-// contributing its best-so-far. Ties break toward the greedy base, then the
-// lowest-numbered annealer, so with a fixed base seed and no budget the
-// outcome is independent of goroutine scheduling.
+// cost weights. All workers observe one context: its cancellation or
+// deadline stops the whole portfolio, with each annealer contributing its
+// best-so-far. Ties break toward the greedy base, then the lowest-numbered
+// annealer, so with a fixed base seed and a context that does not end
+// early the outcome is independent of goroutine scheduling.
 type Portfolio struct{}
 
 // Name implements Engine.
@@ -38,11 +38,11 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		return nil, err
 	}
 
-	// The greedy pass is deterministic, so it runs once up front — outside
-	// the budget, so even a budget too tight for any annealing still yields
-	// the feasible greedy result. The annealers all start from its result;
-	// if greedy finds no mapping the annealers cannot either, since they
-	// explore from the greedy solution.
+	// The greedy pass is deterministic, so it runs once up front, and a
+	// context that ends after it still yields the feasible greedy result.
+	// The annealers all start from its result; if greedy finds no mapping
+	// the annealers cannot either, since they explore from the greedy
+	// solution.
 	// One serialized progress callback is shared by every member annealer,
 	// so the caller's callback never runs concurrently with itself no
 	// matter how the pool schedules.
@@ -52,17 +52,11 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		return nil, err
 	}
 	opts.Emit(pf.Name(), StageMapped, base, Counts{})
-	if opts.Budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, opts.Budget)
-		defer cancel()
-	}
 
-	// The member annealers run without their own budget (the shared context
-	// carries it), with derived seeds, and against one shared evaluator
-	// cache: the per-topology precomputation (validation, flow templates,
-	// candidate-path tables) is paid once for the whole pool instead of
-	// once per member.
+	// The member annealers run under the shared context, with derived
+	// seeds, and against one shared evaluator cache: the per-topology
+	// precomputation (validation, flow templates, candidate-path tables) is
+	// paid once for the whole pool instead of once per member.
 	evals := NewEvalCache(prep, numCores, p)
 	// With speculation on, members collaborate through a shared incumbent
 	// exchange: strict improvements are published as they happen, and each
@@ -79,7 +73,6 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	var jobs []job
 	for i := 0; i < opts.Seeds; i++ {
 		o := opts
-		o.Budget = 0
 		o.Seed = opts.Seed + int64(i)*7919 // distinct deterministic streams
 		o.Base = base
 		o.evals = evals

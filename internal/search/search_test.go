@@ -189,18 +189,19 @@ func TestPortfolioCancellation(t *testing.T) {
 	}
 }
 
-// TestPortfolioBudget: with a tight wall-clock budget the portfolio still
-// terminates and, because the greedy member runs to completion, still
-// produces a feasible result.
+// TestPortfolioBudget: with a tight context deadline the portfolio still
+// terminates and, because the greedy base completes before the deadline,
+// still produces a feasible result.
 func TestPortfolioBudget(t *testing.T) {
 	prep, n := d1(t)
 	opts := DefaultOptions()
-	opts.Budget = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
 	done := make(chan struct{})
 	var res *core.Result
 	var err error
 	go func() {
-		res, err = Portfolio{}.Search(context.Background(), prep, n, core.DefaultParams(), opts)
+		res, err = Portfolio{}.Search(ctx, prep, n, core.DefaultParams(), opts)
 		close(done)
 	}()
 	select {

@@ -134,32 +134,29 @@ func (d *bodyDecoder) decode(b []byte, mr *MapRequest) bool {
 		case "nodes":
 			bit = 1 << 8
 			out.Nodes = ptr(d.int())
-		case "budget":
-			bit = 1 << 9
-			out.Budget = d.str()
 		case "freq_mhz":
-			bit = 1 << 10
+			bit = 1 << 9
 			out.FreqMHz = ptr(d.float())
 		case "slots":
-			bit = 1 << 11
+			bit = 1 << 10
 			out.Slots = ptr(d.int())
 		case "max_dim":
-			bit = 1 << 12
+			bit = 1 << 11
 			out.MaxDim = ptr(d.int())
 		case "improve":
-			bit = 1 << 13
+			bit = 1 << 12
 			out.Improve = d.bool()
 		case "timeout_ms":
-			bit = 1 << 14
+			bit = 1 << 13
 			out.TimeoutMS = d.int64()
 		case "async":
-			bit = 1 << 15
+			bit = 1 << 14
 			out.Async = d.bool()
 		case "mode":
-			bit = 1 << 16
+			bit = 1 << 15
 			out.Mode = d.str()
 		case "wait_ms":
-			bit = 1 << 17
+			bit = 1 << 16
 			out.WaitMS = d.int64()
 		}
 		d.once(&seen, bit)

@@ -38,15 +38,13 @@ type MapRequest struct {
 	Population  *int `json:"population,omitempty"`
 	Generations *int `json:"generations,omitempty"`
 	Nodes       *int `json:"nodes,omitempty"`
-	// Budget is a Go duration string ("30s") bounding the search.
-	Budget string `json:"budget,omitempty"`
 	// FreqMHz, Slots, MaxDim, Improve override core.DefaultParams.
 	FreqMHz *float64 `json:"freq_mhz,omitempty"`
 	Slots   *int     `json:"slots,omitempty"`
 	MaxDim  *int     `json:"max_dim,omitempty"`
 	Improve bool     `json:"improve,omitempty"`
-	// TimeoutMS bounds the engine run, measured from when a worker picks
-	// the job up; time spent waiting in the queue does not count.
+	// TimeoutMS is the job deadline, measured from when a worker picks the
+	// job up; an answer it cuts short is served as truncated, never stored.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// Async makes POST /v1/map return a job ID immediately (HTTP 202) instead
 	// of the result; poll GET /v1/jobs/{id} for completion.
@@ -78,7 +76,7 @@ func (mr *MapRequest) streaming() bool {
 const maxSearchWidth = 256
 
 // Effort limits bound the iters, generations and nodes fields of one
-// request. Unbounded, an anneal of 1<<30 moves without a budget holds its
+// request. Unbounded, an anneal of 1<<30 moves without a deadline holds its
 // worker for hours and then blocks shutdown. Each limit sits far above
 // every in-repo use (1500 iters, 40 generations, 500000 nodes).
 const (
@@ -147,13 +145,6 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 			return req, fmt.Errorf("service: nodes %d exceeds the limit of %d", *mr.Nodes, maxNodes)
 		}
 		req.Opts.Nodes = *mr.Nodes
-	}
-	if mr.Budget != "" {
-		b, err := time.ParseDuration(mr.Budget)
-		if err != nil {
-			return req, fmt.Errorf("service: bad budget %q: %w", mr.Budget, err)
-		}
-		req.Opts.Budget = b
 	}
 	if mr.FreqMHz != nil {
 		req.Params.FreqMHz = *mr.FreqMHz

@@ -59,8 +59,6 @@ type serviceMetrics struct {
 	searchMoves        *metrics.CounterVec // moves tried by engine
 	searchAccepted     *metrics.CounterVec // moves accepted by engine
 	searchRestarts     *metrics.CounterVec // shrink-probe restarts by engine
-	searchSpeculated   *metrics.CounterVec // candidates evaluated in speculative batches
-	searchSpecAccepted *metrics.CounterVec // speculative batches that committed a candidate
 	searchExactBounds  *metrics.CounterVec // runs that finished with a proven-tight bound, by engine
 
 	searchLowerBound *metrics.GaugeVec // latest lower bound (switches) by engine
@@ -105,10 +103,6 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 			"Annealing moves accepted, from the engines' progress counters.", "engine"),
 		searchRestarts: reg.CounterVec("noc_search_restarts_total",
 			"Random-restart placements probed on shrunk fabrics, by engine.", "engine"),
-		searchSpeculated: reg.CounterVec("noc_search_speculated_total",
-			"Candidate moves evaluated in speculative batches, by engine.", "engine"),
-		searchSpecAccepted: reg.CounterVec("noc_search_speculation_accepted_total",
-			"Speculative batches that committed a candidate, by engine; divided by the batch count of noc_search_speculated_total this is the speculation hit rate.", "engine"),
 		searchExactBounds: reg.CounterVec("noc_search_exact_bounds_total",
 			"Runs that finished with a proven-tight lower bound (the result is optimal in switch count), by engine.", "engine"),
 
@@ -159,10 +153,6 @@ func (m *serviceMetrics) progressTap(next func(search.Event)) func(search.Event)
 			m.searchMoves.WithLabelValues(e.Engine).Add(e.Moves)
 			m.searchAccepted.WithLabelValues(e.Engine).Add(e.Accepted)
 			m.searchRestarts.WithLabelValues(e.Engine).Add(e.Restarts)
-			if e.Speculated > 0 {
-				m.searchSpeculated.WithLabelValues(e.Engine).Add(e.Speculated)
-				m.searchSpecAccepted.WithLabelValues(e.Engine).Add(e.SpecAccepted)
-			}
 			if e.LowerBound > 0 {
 				m.searchLowerBound.WithLabelValues(e.Engine).Set(float64(e.LowerBound))
 				m.searchGap.WithLabelValues(e.Engine).Set(e.Gap)

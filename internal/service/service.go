@@ -115,6 +115,7 @@ type Request struct {
 	// Opts tune the search engines.
 	Opts search.Options
 	// Timeout overrides the service's default per-job deadline when positive.
+	// It is the run's one wall clock and stays out of Key (Response.Truncated).
 	Timeout time.Duration
 	// RequestID tags the request for tracing: it is stamped into the job
 	// record and every log line the request produces. It never affects Key —
@@ -162,8 +163,9 @@ func (r *Request) Key() (string, error) {
 	if r.Engine == "greedy" {
 		o = search.Options{}
 	}
-	fmt.Fprintf(h, "opts %d %d %d %d %d %d %d %d %d %s %s %s\n",
-		o.Seed, o.Seeds, int64(o.Budget), o.Workers, o.Iters, o.Restarts,
+	// The 0 after Seeds keeps old keys valid: a removed budget hashed there.
+	fmt.Fprintf(h, "opts %d %d 0 %d %d %d %d %d %d %s %s %s\n",
+		o.Seed, o.Seeds, o.Workers, o.Iters, o.Restarts,
 		o.Population, o.Generations, o.Nodes,
 		hexf(o.Weights.SwitchCount), hexf(o.Weights.MeanHops), hexf(o.Weights.MaxUtil))
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -647,6 +649,7 @@ func (s *Service) run(j *Job) {
 		// best streamed incumbent so the job finishes done, not failed.
 		if latest := j.stream.latest(); latest != nil {
 			c := *latest // copy: the streamed pointer is shared with readers
+			c.Truncated = true
 			resp, err = &c, nil
 		}
 	}
@@ -662,9 +665,10 @@ func (s *Service) run(j *Job) {
 // removal, the final event on the job's stream, waiter wakeup and retention
 // bookkeeping. ran is false for jobs that never reached a worker.
 //
-// A success goes through the store's replace-only-with-better write, since
-// a streamed job's interim incumbents may already be resident. A streamed
-// job that fails evicts its key instead, so no interim answer outlives it.
+// A complete success goes through the store's replace-only-with-better
+// write, since a streamed job's interim incumbents may already be resident.
+// A streamed job that fails or is truncated evicts its key instead, so no
+// interim answer outlives it.
 // The store call comes before the state flip and before waiters wake, so a
 // caller released by j.done finds the store settled; it runs outside the
 // service mutex (a disk store fsyncs here), which is safe because the
@@ -674,6 +678,9 @@ func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 	var cost float64
 	if err == nil {
 		cost = costOfResult(resp.Result, j.req.Opts.Weights)
+	}
+	stored := err == nil && !resp.Truncated
+	if stored {
 		s.storeUpgrade(j.Key, resp, cost)
 	} else if j.streamed {
 		s.store.Evict(j.Key)
@@ -705,7 +712,7 @@ func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 			"engine", j.req.Engine, "elapsed_ms", ms(j.finished.Sub(j.enqueued)), "error", err)
 	} else {
 		attrs := []any{"request_id", j.RequestID, "job", j.ID, "engine", j.req.Engine,
-			"elapsed_ms", ms(j.finished.Sub(j.enqueued)), "cache_write", true}
+			"elapsed_ms", ms(j.finished.Sub(j.enqueued)), "cache_write", stored}
 		if tm := resp.Timings; tm != nil {
 			attrs = append(attrs, "queue_ms", tm.QueueMS, "prepare_ms", tm.PrepareMS,
 				"search_ms", tm.SearchMS, "summarize_ms", tm.SummarizeMS)
@@ -738,7 +745,7 @@ func (s *Service) outcome(j *Job) (*Response, error) {
 // solve runs the full pipeline for one request: pre-process, search, verify,
 // summarize. It is deliberately free of service state — the pure function
 // the pool executes — and reports where the wall clock went, stage by stage,
-// even on failure (so a timeout shows which stage ate the budget). key is
+// even on failure (so a timeout shows which stage ate the time). key is
 // the request's digest, computed once at admission. A streamed job passes
 // the design it already prepared, and Timings then show no prepare stage.
 func solve(ctx context.Context, key string, req Request, prep *usecase.Prepared) (_ *Response, tm Timings, _ error) {
@@ -761,8 +768,10 @@ func solve(ctx context.Context, key string, req Request, prep *usecase.Prepared)
 	if err != nil {
 		return nil, tm, err
 	}
+	truncated := ctx.Err() != nil // the engines answer with their best so far
 	sumStart := time.Now()
 	resp := summarize(key, req, prep, res)
+	resp.Truncated = truncated
 	tm.SummarizeMS = ms(time.Since(sumStart))
 	return resp, tm, nil
 }
@@ -774,6 +783,9 @@ type Response struct {
 	Key    string `json:"key"`
 	Engine string `json:"engine"`
 	Cached bool   `json:"cached"`
+	// Truncated marks an answer the job deadline cut short: served, never
+	// stored, so the next identical request runs again.
+	Truncated bool `json:"truncated,omitempty"`
 	// Timings breaks the producing run's wall clock into pipeline stages; a
 	// cache hit reports the original run's timings (the envelope says
 	// Cached, so a 2ms hit on a 30s anneal stays interpretable).

@@ -26,7 +26,7 @@ import (
 //     strict improvements stream).
 //   - The cache entry for the job's key only ever gets better: interim
 //     results are installed with a compare-and-swap on strictly-better
-//     cost, and a job that fails evicts them.
+//     cost, and a job that fails or is truncated evicts them.
 
 // Stream event stages, in the order one streamed job emits them.
 const (
@@ -193,7 +193,9 @@ func costOfResult(r Result, w search.CostWeights) float64 {
 //
 // Admission is Map's: an identical in-flight job is joined — concurrent
 // streamers share one run and one event log — and a stored answer returns
-// an already-finished job whose log holds a single done event.
+// an already-finished job whose log holds a single done event. A joined
+// sync or async job is not streamed: its snapshot has no result until it
+// finishes, and its log holds only the final event.
 func (s *Service) SubmitStream(ctx context.Context, req Request) (JobStatus, error) {
 	j, _, err := s.admit(ctx, req, modeStream)
 	if err != nil {

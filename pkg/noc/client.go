@@ -192,6 +192,8 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 		return mr, fmt.Errorf("noc: WithRestarts is local-only; the service runs with its default restart count")
 	case cfg.speculate != nil:
 		return mr, fmt.Errorf("noc: WithSpeculation is local-only; the service sizes its own concurrency")
+	case cfg.budget < 0:
+		return mr, fmt.Errorf("noc: budget %v invalid", cfg.budget)
 	}
 	mr.Design = d.JSON()
 	mr.Engine = cfg.engine
@@ -202,8 +204,8 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	mr.Population = cfg.population
 	mr.Generations = cfg.generations
 	mr.Nodes = cfg.nodes
-	if cfg.budget != nil && *cfg.budget > 0 {
-		mr.Budget = cfg.budget.String()
+	if cfg.budget > 0 {
+		mr.TimeoutMS = max(cfg.budget.Milliseconds(), 1)
 	}
 	mr.FreqMHz = cfg.freq
 	mr.Slots = cfg.slots

@@ -12,7 +12,8 @@
 //   - Map it. Map(ctx, design, opts...) runs pre-processing, the selected
 //     search engine and analytic verification, configured through
 //     functional options (WithEngine, WithTopology, WithWeights, WithSeed,
-//     WithBudget, WithProgress for streaming search events, ...).
+//     WithBudget for the job deadline, WithProgress for streaming search
+//     events, ...).
 //   - Consume the Result: a stable JSON summary (fabric, statistics,
 //     area/power, placement, verification verdicts) plus back-end methods
 //     for local results — WriteVHDL, WriteConfig, WritePlacement, the
@@ -20,9 +21,11 @@
 //
 // For remote execution, Client speaks the versioned /v1 HTTP surface of the
 // nocserved daemon (POST /v1/map, GET /v1/jobs/{id}, /v1/stats,
-// /v1/version), sharing its result cache across callers; NewServer embeds
-// that same service in any Go program. A design mapped in-process and the
-// same design mapped through the service produce identical Result JSON.
+// /v1/version), sharing its result cache across callers; an answer the job
+// deadline cut short comes back with MapResponse.Truncated set and is not
+// cached. NewServer embeds that same service in any Go program. A design
+// mapped in-process and the same design mapped through the service produce
+// identical Result JSON.
 //
 // All five command-line binaries (nocmap, nocgen, nocsim, nocbench,
 // nocserved) are thin shells over this package — the SDK is the only

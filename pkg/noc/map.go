@@ -2,6 +2,7 @@ package noc
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"nocmap/internal/search"
@@ -12,9 +13,9 @@ import (
 
 // Map runs the full pipeline on the design in-process: pre-processing,
 // the selected search engine, analytic verification and summarization.
-// The context bounds the whole search; engines observe cancellation
-// between evaluation steps. Verification failures do not error — they are
-// reported in Result.Violations so callers can inspect the mapping.
+// The context and WithBudget bound the whole search; engines observe
+// cancellation between evaluation steps. Verification failures do not
+// error — they are reported in Result.Violations.
 //
 //	res, err := noc.Map(ctx, design,
 //		noc.WithEngine("portfolio"),
@@ -30,6 +31,14 @@ func Map(ctx context.Context, d *Design, opts ...Option) (*Result, error) {
 	spec, err := ResolveTopology(cfg.topology, d)
 	if err != nil {
 		return nil, err
+	}
+	if cfg.budget < 0 {
+		return nil, fmt.Errorf("noc: budget %v invalid", cfg.budget)
+	}
+	if cfg.budget > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.budget)
+		defer cancel()
 	}
 	prep, err := usecase.Prepare(d)
 	if err != nil {

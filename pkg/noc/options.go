@@ -27,7 +27,7 @@ type config struct {
 	population  *int
 	generations *int
 	nodes       *int
-	budget      *time.Duration
+	budget      time.Duration // job deadline; zero = none
 	freq        *float64
 	slots       *int
 	maxDim      *int
@@ -137,11 +137,12 @@ func WithRestarts(n int) Option {
 	return func(c *config) { c.opts.Restarts = n; c.restarts = &n }
 }
 
-// WithBudget bounds the wall-clock time of the improvement phase; the
-// constructive base always completes, so a tight budget degrades to the
-// greedy result rather than an error. Zero means unbounded.
+// WithBudget sets the job deadline, the wall-clock bound of the whole run
+// (zero = none): local Map runs under context.WithTimeout, a Client sends
+// timeout_ms (at least 1). A deadline after the greedy base yields the best
+// result so far; the daemon serves that as Truncated and never stores it.
 func WithBudget(d time.Duration) Option {
-	return func(c *config) { c.opts.Budget = d; c.budget = &d }
+	return func(c *config) { c.budget = d }
 }
 
 // WithWorkers caps the portfolio's concurrent annealers (default: one

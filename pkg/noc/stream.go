@@ -43,7 +43,13 @@ type Improvement struct {
 // finished job. The channel closes after the final event, after a delivery
 // with Err set, or when ctx is cancelled (which also abandons the
 // server-side read; the daemon's background run completes regardless and
-// still upgrades its cache).
+// still upgrades its cache). A final Response marked Truncated was cut
+// short by the job deadline (WithBudget) and was not stored.
+//
+// A request that joins a live synchronous or asynchronous run of the same
+// digest follows that job instead: its status says stream false and
+// carries no result, and its only delivery is the final done event, whose
+// Response is the synchronous answer.
 //
 // The stream resumes transparently across broken connections using the
 // last seen sequence number, so a delivery is never duplicated or skipped.
