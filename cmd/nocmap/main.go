@@ -187,7 +187,11 @@ func runLocal(stdout, stderr io.Writer, in string, freq float64, slots, speculat
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "mapped onto %s at %.0f MHz (engine %s)\n", res.Fabric(), freq, res.Engine())
+	engine := res.Engine()
+	if res.Truncated() {
+		engine += ", truncated by the deadline"
+	}
+	fmt.Fprintf(stdout, "mapped onto %s at %.0f MHz (engine %s)\n", res.Fabric(), freq, engine)
 	fmt.Fprintf(stdout, "stats: max link utilization %.1f%%, avg mesh hops %.2f, %d slot entries reserved\n",
 		res.MaxLinkUtil*100, res.AvgMeshHops, res.SlotsReserved)
 	fmt.Fprintln(stdout, boundLine(res.LowerBoundSwitches, res.OptimalityGap, res.BoundSource, res.BoundExact))

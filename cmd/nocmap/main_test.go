@@ -1,11 +1,16 @@
 package main
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
+
+	"nocmap/internal/core"
+	"nocmap/internal/search"
+	"nocmap/internal/usecase"
 )
 
 // designFile writes a minimal valid design and returns its path.
@@ -147,4 +152,42 @@ func TestRunBrokenFabricFileExits2(t *testing.T) {
 // With -server the fabric file is rejected locally, before any round trip.
 func TestRunServerFabricFileTopologyExits2(t *testing.T) {
 	rejectsFabricFile(t, "nope.json", "-server", "http://localhost:1")
+}
+
+// deadlineEngine maps the greedy base and then waits for ctx to end: a
+// local run that only its -budget deadline stops.
+type deadlineEngine struct{}
+
+func (deadlineEngine) Name() string { return "deadline-cli" }
+
+func (deadlineEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
+	p core.Params, opts search.Options) (*core.Result, error) {
+	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	if err != nil {
+		return nil, err
+	}
+	<-ctx.Done()
+	return base, nil
+}
+
+// TestRunLocalTruncatedHeader: a local run the -budget deadline cut short
+// says so in its "mapped onto" line, as the remote verdict does; a complete
+// run does not.
+func TestRunLocalTruncatedHeader(t *testing.T) {
+	search.Register("deadline-cli", func() search.Engine { return deadlineEngine{} })
+	in := designFile(t)
+	code, stdout, stderr := runCapture(t, "-in", in, "-engine", "deadline-cli", "-budget", "20ms")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "(engine deadline-cli, truncated by the deadline)") {
+		t.Errorf("truncated run's header does not say so:\n%s", stdout)
+	}
+	code, stdout, stderr = runCapture(t, "-in", in, "-engine", "greedy")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if strings.Contains(stdout, "truncated") {
+		t.Errorf("complete run's output mentions truncation:\n%s", stdout)
+	}
 }

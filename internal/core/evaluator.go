@@ -65,7 +65,7 @@ type templates struct {
 	pairList []traffic.PairKey
 	// planOf precomputes, per pair, everything the routing step derives from
 	// the flow list alone: the group order and each group's reservation
-	// size and latency bound.
+	// bandwidth and latency budget.
 	planOf []pairPlan
 	// pairSlots holds, per group and pair, the slot demand of the group's
 	// heaviest same-pair flow (zero where the group does not use the pair).
@@ -93,11 +93,13 @@ type templates struct {
 // pairPlan is the placement-independent routing plan of one directed pair:
 // the smooth-switching groups that communicate over it in reservation order
 // (driving group first, then descending heaviest-flow bandwidth), each with
-// its reservation bandwidth and tightest latency bound.
+// its reservation bandwidth and the latency budget in whole slots of its
+// tightest latency bound (negative: unconstrained). The group's slot demand
+// is pairSlots[g][pair].
 type pairPlan struct {
 	groups   []int
 	bw       []float64
-	lat      []float64
+	latSlots []int
 	allInsts []int // indices into the flow list, every instance of the pair
 }
 
@@ -107,14 +109,13 @@ type ucPairStat struct {
 }
 
 // pairDemand is one pair of one group's routing worklist: its slot demand
-// plus the group's reservation bandwidth and latency bound (copied from the
-// pair's plan for cheap per-group iteration), and the pair's dense index.
+// and latency budget in slots (copied from pairSlots and the pair's plan
+// for cheap per-group iteration), and the pair's dense index.
 type pairDemand struct {
-	key   traffic.PairKey
-	idx   int32
-	slots int
-	bw    float64
-	lat   float64
+	key      traffic.PairKey
+	idx      int32
+	slots    int
+	latSlots int
 }
 
 // evalScratch is the reusable mutable state of one evaluation.
@@ -270,7 +271,7 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 	// plan entry per instance, so the flat backing arrays never regrow.
 	groups := make([]int, 0, len(t.flowsTpl))
 	bws := make([]float64, 0, len(t.flowsTpl))
-	lats := make([]float64, 0, len(t.flowsTpl))
+	lats := make([]int, 0, len(t.flowsTpl))
 	groupPairs := make([]int, numGroups)
 	var stats []groupStat
 	for pi := range t.planOf {
@@ -307,11 +308,11 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 		for _, s := range stats {
 			groups = append(groups, s.g)
 			bws = append(bws, s.maxBW)
-			lats = append(lats, s.minLat)
+			lats = append(lats, p.LatencyBudgetSlots(s.minLat))
 			groupPairs[s.g]++
 		}
 		to := len(groups)
-		t.planOf[pi] = pairPlan{groups: groups[from:to:to], bw: bws[from:to:to], lat: lats[from:to:to], allInsts: insts[pi]}
+		t.planOf[pi] = pairPlan{groups: groups[from:to:to], bw: bws[from:to:to], latSlots: lats[from:to:to], allInsts: insts[pi]}
 	}
 	// Per-core incidence lists the session's move evaluation walks instead
 	// of scanning every pair.
@@ -340,7 +341,7 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 		plan := &t.planOf[pi]
 		for i, g := range plan.groups {
 			t.groupPairs[g] = append(t.groupPairs[g], pairDemand{
-				key: key, idx: int32(pi), slots: t.pairSlots[g][pi], bw: plan.bw[i], lat: plan.lat[i],
+				key: key, idx: int32(pi), slots: t.pairSlots[g][pi], latSlots: plan.latSlots[i],
 			})
 		}
 	}
@@ -468,7 +469,7 @@ func (ev *Evaluator) getScratch() *evalScratch {
 func (ev *Evaluator) putScratch(sc *evalScratch) {
 	for i := len(sc.journal) - 1; i >= 0; i-- {
 		r := sc.journal[i]
-		sc.states[r.group].Release(r.owner, r.path, r.start)
+		sc.states[r.group].Release(0, r.path, r.start)
 	}
 	sc.journal = sc.journal[:0]
 	ev.pool.Put(sc)
@@ -566,16 +567,17 @@ type reserveScratch struct {
 
 // reserveSlotsInto selects a path and aligned slots for one pair on one
 // state: candidate paths cheapest-first (from the per-pair cache), slot
-// count escalating past the bandwidth requirement when the latency bound
-// needs a smaller gap. On success the reservation is committed to st under
-// owner and recorded in rec — path and start buffers come from (and are
-// retained by) the record, so callers that keep the reservation beyond the
-// record's next use must clone them. Route queries reuse the scratch, and
-// infeasibility is reported through shared sentinel errors.
-func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner int32, key traffic.PairKey,
-	srcS, dstS, egress, ingress int, bw, latencyNS float64, rec *resRecord) error {
+// count escalating from the bandwidth demand slots0 when the latency
+// budget (in slots; negative means none) needs a smaller gap. Both come
+// precomputed from the templates (pairSlots, pairPlan.latSlots). On success
+// the reservation is committed to st and recorded in rec — path and start
+// buffers come from (and are retained by) the record, so callers that keep
+// the reservation beyond the record's next use must clone them. Route
+// queries reuse the scratch, and infeasibility is reported through shared
+// sentinel errors.
+func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
+	srcS, dstS, egress, ingress, slots0, latBudget int, rec *resRecord) error {
 	T := ev.p.SlotTableSize
-	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
 	if slots0 > T {
 		return errOverCapacity
 	}
@@ -585,7 +587,6 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 		// pair the recycled record serves.
 		rec.start = make([]int, 0, T)
 	}
-	latBudget := ev.p.LatencyBudgetSlots(latencyNS)
 	var meshCands []route.Path
 	if srcS != dstS {
 		meshCands = ev.paths.CandidatesInto(sc.route, st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0, ev.p.Cost)
@@ -618,7 +619,7 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, owner 
 			if latBudget >= 0 && tdma.WorstCaseLatencySlots(starts, len(full), T) > latBudget {
 				continue // spread more slots to shrink the gap
 			}
-			if err := st.Reserve(owner, full, starts); err != nil {
+			if err := st.Reserve(0, full, starts); err != nil {
 				return fmt.Errorf("internal: reserve after FindAlignedInto: %w", err)
 			}
 			rec.path = append(rec.path[:0], full...)
@@ -635,9 +636,9 @@ var sameSwitchCands = []route.Path{nil}
 
 // reserveError expands a reserveSlotsInto sentinel into the descriptive
 // error the constructive pass reports; cands is the number of candidate
-// paths the failed call probed.
-func (ev *Evaluator) reserveError(cause error, cands int, key traffic.PairKey, srcS, dstS int, bw, latencyNS float64) error {
-	slots0 := tdma.SlotsNeeded(bw, ev.p.SlotBandwidthMBs())
+// paths the failed call probed, and slots0, latBudget and bw are the
+// pair's demand, latency budget and reservation bandwidth.
+func (ev *Evaluator) reserveError(cause error, cands int, key traffic.PairKey, srcS, dstS, slots0, latBudget int, bw float64) error {
 	switch cause {
 	case errOverCapacity:
 		return fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
@@ -646,7 +647,7 @@ func (ev *Evaluator) reserveError(cause error, cands int, key traffic.PairKey, s
 		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
 	case errNoAligned:
 		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
-			key.Src, key.Dst, slots0, ev.p.LatencyBudgetSlots(latencyNS), cands)
+			key.Src, key.Dst, slots0, latBudget, cands)
 	}
 	return cause
 }

@@ -183,13 +183,11 @@ type mapper struct {
 	res *reserveScratch
 	rec *resRecord
 
-	journal   []resRecord
-	nextOwner int32
+	journal []resRecord
 }
 
 type resRecord struct {
 	group  int
-	owner  int32
 	path   []int
 	start  []int
 	key    traffic.PairKey
@@ -680,7 +678,7 @@ func (m *mapper) undoPlacement(pl placement) {
 // the group's shared state (Algorithm 2 steps 4-6).
 func (m *mapper) routeGroups(key traffic.PairKey, pi int32, plan *pairPlan) error {
 	for i, g := range plan.groups {
-		if err := m.reservePair(g, key, pi, plan.bw[i], plan.lat[i]); err != nil {
+		if err := m.reservePair(g, key, pi, plan.bw[i], plan.latSlots[i]); err != nil {
 			return fmt.Errorf("group %d: %w", g, err)
 		}
 	}
@@ -691,31 +689,30 @@ func (m *mapper) routeGroups(key traffic.PairKey, pi int32, plan *pairPlan) erro
 // state (via the evaluator's shared reservation primitive) and journals the
 // result. The probe runs in the attempt's scratch record; only a granted
 // reservation's path and starts are copied out of it.
-func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, latencyNS float64) error {
+func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, latBudget int) error {
 	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
 	egress := m.niEgress(m.coreNI[key.Src])
 	ingress := m.niIngress(m.coreNI[key.Dst])
-	if err := m.reserveSlotsInto(m.res, m.states[g], m.nextOwner, key, srcS, dstS, egress, ingress, bw, latencyNS, m.rec); err != nil {
-		return m.reserveError(err, m.res.cands, key, srcS, dstS, bw, latencyNS)
+	slots0 := m.pairSlots[g][pi]
+	if err := m.reserveSlotsInto(m.res, m.states[g], srcS, dstS, egress, ingress, slots0, latBudget, m.rec); err != nil {
+		return m.reserveError(err, m.res.cands, key, srcS, dstS, slots0, latBudget, bw)
 	}
 	// One buffer holds both copies; the capped path cannot grow into starts.
 	buf := make([]int, len(m.rec.path)+len(m.rec.start))
 	np := copy(buf, m.rec.path)
 	copy(buf[np:], m.rec.start)
 	path, starts := buf[:np:np], buf[np:]
-	owner := m.nextOwner
-	m.nextOwner++
 	m.configs[g][pi] = &Assignment{Path: path, Starts: starts, SlotCount: len(starts)}
 	// The pair's projected demand is now realized.
 	demand := 0
 	if m.remOut != nil {
-		demand = m.pairSlots[g][pi]
+		demand = slots0
 		m.remOut[g][key.Src] -= demand
 		m.remIn[g][key.Dst] -= demand
 		m.niRemOut[g][m.coreNI[key.Src]] -= demand
 		m.niRemIn[g][m.coreNI[key.Dst]] -= demand
 	}
-	m.journal = append(m.journal, resRecord{group: g, owner: owner, path: path, start: starts, key: key,
+	m.journal = append(m.journal, resRecord{group: g, path: path, start: starts, key: key,
 		demand: demand, idx: pi, hops: m.rec.hops})
 	return nil
 }
@@ -723,7 +720,7 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, l
 func (m *mapper) rollback(mark int) {
 	for i := len(m.journal) - 1; i >= mark; i-- {
 		r := m.journal[i]
-		m.states[r.group].Release(r.owner, r.path, r.start)
+		m.states[r.group].Release(0, r.path, r.start)
 		m.configs[r.group][r.idx] = nil
 		if m.remOut != nil {
 			m.remOut[r.group][r.key.Src] += r.demand

@@ -71,9 +71,8 @@ type Session struct {
 	crossOut, crossIn []int
 	// recs holds the live reservation records dense by [group][pair index]
 	// (nil where the group does not communicate over the pair).
-	recs      [][]*resRecord
-	nextOwner int32
-	stats     Stats
+	recs  [][]*resRecord
+	stats Stats
 
 	pending bool
 	pm      pendingMove
@@ -262,7 +261,6 @@ func (ev *Evaluator) NewSession(coreSwitch, coreNI []int) (*Session, error) {
 		r := &journal[i]
 		s.recs[r.group][r.idx] = r
 	}
-	s.nextOwner = int32(len(journal))
 	s.stats = computeStats(mapping, states)
 	s.initCross()
 	return s, nil
@@ -318,14 +316,13 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 				continue
 			}
 			r := s.getRec()
-			r.group, r.owner, r.key, r.idx = g, s.nextOwner, ps.key, idx
+			r.group, r.key, r.idx = g, ps.key, idx
 			r.path = append(r.path[:0], a.Path...)
 			r.start = append(r.start[:0], a.Starts...)
 			r.hops = ev.pathHops(r.path)
-			if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
+			if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
 				return nil, fmt.Errorf("core: result not reservable (pair %d->%d, group %d): %w", ps.key.Src, ps.key.Dst, g, err)
 			}
-			s.nextOwner++
 			s.recs[g][idx] = r
 		}
 	}
@@ -346,7 +343,6 @@ func (s *Session) Clone() (*Session, error) {
 	c := s.ev.newSessionShell()
 	copy(c.cs, s.cs)
 	copy(c.cn, s.cn)
-	c.nextOwner = s.nextOwner
 	c.stats = s.stats
 	copy(c.crossOut, s.crossOut)
 	copy(c.crossIn, s.crossIn)
@@ -357,7 +353,7 @@ func (s *Session) Clone() (*Session, error) {
 				continue
 			}
 			nr := c.getRec()
-			nr.group, nr.owner, nr.key, nr.idx, nr.hops = r.group, r.owner, r.key, r.idx, r.hops
+			nr.group, nr.key, nr.idx, nr.hops = r.group, r.key, r.idx, r.hops
 			nr.path = append(nr.path[:0], r.path...)
 			nr.start = append(nr.start[:0], r.start...)
 			c.recs[g][idx] = nr
@@ -472,7 +468,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 				s.rollbackMove()
 				return Stats{}, fmt.Errorf("core: internal: pair %d missing from group %d", idx, g)
 			}
-			s.states[g].Release(r.owner, r.path, r.start)
+			s.states[g].Release(0, r.path, r.start)
 			s.recs[g][idx] = nil
 			pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
 			buckets[g] = append(buckets[g], groupPair{idx: idx, gi: int32(gi)})
@@ -489,19 +485,17 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 		buckets[g] = bucket[:0]
 		ok := true
 		for _, e := range bucket {
-			plan := &s.ev.planOf[e.idx]
 			key := s.ev.pairList[e.idx]
 			rec := s.getRec()
-			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
+			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g],
 				s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-				plan.bw[e.gi], plan.lat[e.gi], rec)
+				s.ev.pairSlots[g][e.idx], s.ev.planOf[e.idx].latSlots[e.gi], rec)
 			if err != nil {
 				s.putRec(rec)
 				ok = false
 				break
 			}
-			rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, e.idx
-			s.nextOwner++
+			rec.group, rec.key, rec.idx = g, key, e.idx
 			s.recs[g][e.idx] = rec
 			pm.newByGroup[g] = append(pm.newByGroup[g], rec)
 		}
@@ -527,7 +521,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 func (s *Session) rebuildGroup(g int) error {
 	pm := &s.pm
 	for _, r := range pm.newByGroup[g] {
-		s.states[g].Release(r.owner, r.path, r.start)
+		s.states[g].Release(0, r.path, r.start)
 		s.recs[g][r.idx] = nil
 		s.putRec(r)
 	}
@@ -553,17 +547,16 @@ func (s *Session) rebuildGroup(g int) error {
 	for _, pd := range s.ev.groupPairs[g] {
 		key := pd.key
 		rec := s.getRec()
-		err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g], s.nextOwner, key,
+		err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g],
 			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-			pd.bw, pd.lat, rec)
+			pd.slots, pd.latSlots, rec)
 		if err != nil {
 			s.putRec(rec)
 			s.restoreGroupFromSnap(g)
 			pm.rebuilt = pm.rebuilt[:len(pm.rebuilt)-1]
 			return err
 		}
-		rec.group, rec.owner, rec.key, rec.idx = g, s.nextOwner, key, pd.idx
-		s.nextOwner++
+		rec.group, rec.key, rec.idx = g, key, pd.idx
 		cur[pd.idx] = rec
 	}
 	return nil
@@ -584,7 +577,7 @@ func (s *Session) restoreGroupFromSnap(g int) {
 		if r == nil {
 			continue
 		}
-		if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
+		if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
 			// The set was simultaneously live before; replay cannot conflict.
 			panic(fmt.Sprintf("core: internal: group restore failed: %v", err))
 		}
@@ -604,13 +597,13 @@ func (s *Session) rollbackMove() {
 		lst := pm.newByGroup[g]
 		for i := len(lst) - 1; i >= 0; i-- {
 			r := lst[i]
-			s.states[g].Release(r.owner, r.path, r.start)
+			s.states[g].Release(0, r.path, r.start)
 			s.recs[g][r.idx] = nil
 			s.putRec(r)
 		}
 		pm.newByGroup[g] = lst[:0]
 		for _, r := range pm.oldByGroup[g] {
-			if err := s.states[g].Reserve(r.owner, r.path, r.start); err != nil {
+			if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
 				panic(fmt.Sprintf("core: internal: session rollback failed: %v", err))
 			}
 			s.recs[g][r.idx] = r

@@ -11,6 +11,12 @@
 // slot (the maximum cyclic gap between reserved slots) plus the pipeline
 // traversal of the path.
 //
+// A State records only which slots are free: one bitset per link plus the
+// link's free-slot count. It does not record who holds a reserved slot, so
+// Release frees whatever its path and starts cover; callers release only
+// reservations that are live, which Reserve's all-or-nothing check makes
+// exclusive.
+//
 // A State is mutable and not safe for concurrent use; each mapping attempt
 // (one engine run, one candidate placement) owns its own States, which is
 // how parallel searches — the portfolio engine, the service worker pool —
@@ -24,25 +30,23 @@ import (
 	"sort"
 )
 
-// Free marks an unowned slot.
-const Free int32 = -1
-
 // State holds the slot tables of every link of one NoC configuration. The
-// mapper keeps one State per use-case (the paper's key data structure);
-// use-cases in one smooth-switching group carry identical reservations.
+// mapper keeps one State per smooth-switching group (the paper's key data
+// structure): the use-cases of a group carry identical reservations.
 type State struct {
 	numLinks int
 	slots    int
-	tables   []int32 // numLinks * slots, row-major; Free or owner token
-	free     []int   // per-link free-slot count, kept in sync by Reserve/Release
-	// masks holds one free-slot bitmask per link when the table fits a
-	// machine word (slots <= 64, which covers every configuration the
-	// evaluation uses): bit s is set iff slot s is free. Alignment queries
-	// — "is start st free on every link of the path with the
-	// contention-free shift applied" — then collapse to one rotate-and-AND
-	// per link instead of a per-slot scan. Nil for larger tables, where the
-	// scan fallback applies.
+	// words is the number of 64-bit mask words per link, ⌈slots/64⌉.
+	words int
+	// masks holds each link's free-slot bitset, words consecutive words per
+	// link: bit s is set iff slot s is free. A table that fits one word
+	// (slots <= 64, every configuration the evaluation uses) answers an
+	// alignment query — "is start st free on every link of the path with
+	// the contention-free shift applied" — with one rotate-and-AND per link,
+	// and Reserve/Release with one rotate, mask and popcount per link.
+	// Larger tables walk the bits one slot at a time.
 	masks []uint64
+	free  []int // per-link free-slot count, kept in sync by Reserve/Release
 }
 
 // fullMask returns the all-free mask for a table of `slots` bits.
@@ -92,6 +96,15 @@ func nearestSet(mask uint64, target, slots int) int {
 	return min(up, down)
 }
 
+// rotLIn cyclically rotates a slots-bit mask left by h, which must lie in
+// [0, slots): bit (i+h) mod slots of the result is bit i of m.
+func rotLIn(m uint64, h, slots int) uint64 {
+	if h == 0 {
+		return m
+	}
+	return ((m << h) | (m >> (slots - h))) & fullMask(slots)
+}
+
 // NewState creates tables of `slots` slots for numLinks links, all free.
 func NewState(numLinks, slots int) (*State, error) {
 	if numLinks < 0 {
@@ -100,47 +113,36 @@ func NewState(numLinks, slots int) (*State, error) {
 	if slots < 1 {
 		return nil, fmt.Errorf("tdma: slot table size %d invalid", slots)
 	}
-	s := &State{numLinks: numLinks, slots: slots,
-		tables: make([]int32, numLinks*slots), free: make([]int, numLinks)}
-	for i := range s.tables {
-		s.tables[i] = Free
-	}
-	for i := range s.free {
-		s.free[i] = slots
-	}
-	if slots <= 64 {
-		s.masks = make([]uint64, numLinks)
-		for i := range s.masks {
-			s.masks[i] = fullMask(slots)
-		}
-	}
+	words := (slots + 63) / 64
+	s := &State{numLinks: numLinks, slots: slots, words: words,
+		masks: make([]uint64, numLinks*words), free: make([]int, numLinks)}
+	s.Reset()
 	return s, nil
 }
 
 // Clone returns an independent copy of the state.
 func (s *State) Clone() *State {
-	c := &State{numLinks: s.numLinks, slots: s.slots,
-		tables: make([]int32, len(s.tables)), free: make([]int, len(s.free))}
-	copy(c.tables, s.tables)
-	copy(c.free, s.free)
-	if s.masks != nil {
-		c.masks = append([]uint64(nil), s.masks...)
-	}
-	return c
+	c := *s
+	c.masks = slices.Clone(s.masks)
+	c.free = slices.Clone(s.free)
+	return &c
 }
 
 // Reset frees every slot of every link, returning the state to its
 // NewState condition without reallocating. Evaluation arenas (core.Evaluator)
 // reuse one State per group across many candidate placements this way.
 func (s *State) Reset() {
-	for i := range s.tables {
-		s.tables[i] = Free
+	for i := range s.masks {
+		s.masks[i] = ^uint64(0)
+	}
+	// The last word of each link keeps only the bits of real slots.
+	if tail := s.slots % 64; tail != 0 {
+		for i := s.words - 1; i < len(s.masks); i += s.words {
+			s.masks[i] = fullMask(tail)
+		}
 	}
 	for i := range s.free {
 		s.free[i] = s.slots
-	}
-	for i := range s.masks {
-		s.masks[i] = fullMask(s.slots)
 	}
 }
 
@@ -149,11 +151,6 @@ func (s *State) NumLinks() int { return s.numLinks }
 
 // Slots reports the slot-table size T.
 func (s *State) Slots() int { return s.slots }
-
-// Owner returns the owner token of (link, slot), or Free.
-func (s *State) Owner(link, slot int) int32 {
-	return s.tables[link*s.slots+((slot%s.slots+s.slots)%s.slots)]
-}
 
 // FreeSlots counts the free slots of a link's table. It is O(1): the count
 // is maintained incrementally by Reserve/Release, which keeps the per-link
@@ -168,20 +165,21 @@ func (s *State) Utilization(link int) float64 {
 	return 1 - float64(s.FreeSlots(link))/float64(s.slots)
 }
 
+// bit locates slot of link in the masks: the word index and the bit.
+func (s *State) bit(link, slot int) (int, uint64) {
+	return link*s.words + slot>>6, uint64(1) << (slot & 63)
+}
+
 // startFree reports whether starting slot st is free along the whole path
 // under contention-free alignment: link path[h] must be free at (st+h) mod T.
 func (s *State) startFree(path []int, st int) bool {
-	if s.masks != nil {
-		for h, link := range path {
-			if s.masks[link]>>((st+h)%s.slots)&1 == 0 {
-				return false
-			}
-		}
-		return true
-	}
-	for h, link := range path {
-		if s.tables[link*s.slots+(st+h)%s.slots] != Free {
+	slot := st
+	for _, link := range path {
+		if i, b := s.bit(link, slot); s.masks[i]&b == 0 {
 			return false
+		}
+		if slot++; slot == s.slots {
+			slot = 0
 		}
 	}
 	return true
@@ -189,7 +187,7 @@ func (s *State) startFree(path []int, st int) bool {
 
 // startMask intersects the free masks of the path's links with the
 // contention-free shift applied: bit st of the result is set iff starting
-// slot st is free along the whole path.
+// slot st is free along the whole path. Word-sized tables only.
 func (s *State) startMask(path []int) uint64 {
 	acc := fullMask(s.slots)
 	h := 0
@@ -210,17 +208,6 @@ func (s *State) startMask(path []int) uint64 {
 func (s *State) AvailableStarts(path []int) []int {
 	if len(path) == 0 {
 		return nil
-	}
-	if s.masks != nil {
-		acc := s.startMask(path)
-		if acc == 0 {
-			return nil
-		}
-		starts := make([]int, 0, bits.OnesCount64(acc))
-		for a := acc; a != 0; a &= a - 1 {
-			starts = append(starts, bits.TrailingZeros64(a))
-		}
-		return starts
 	}
 	var starts []int
 	for st := 0; st < s.slots; st++ {
@@ -245,7 +232,7 @@ func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	if n <= 0 || len(path) == 0 {
 		return nil, false
 	}
-	if s.masks != nil {
+	if s.words == 1 {
 		// The popcount decides feasibility before any slot is materialized —
 		// on loaded fabrics most alignment probes fail, and a failed probe
 		// costs one rotate-AND per link.
@@ -309,17 +296,22 @@ func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	return chosen, true
 }
 
-// Reserve claims the aligned slots for owner along path. The starts must be
-// free (as returned by FindAlignedInto); otherwise an error is returned and the
-// state is left unchanged.
+// Reserve claims the aligned slots along path. The starts must be free (as
+// returned by FindAlignedInto); otherwise an error is returned and the state
+// is left unchanged. The owner token is validated (it must be
+// non-negative) but not stored: a State records only which slots are free.
 func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if owner < 0 {
 		return fmt.Errorf("tdma: owner token %d must be non-negative", owner)
 	}
-	// With masks, one startMask answers every start's freedom; the checks
-	// still run in start order, so the first failing start is reported.
+	if len(starts) == 0 {
+		return nil
+	}
+	// A word-sized table answers every start's freedom with one startMask;
+	// the checks still run in start order, so the first failing start is
+	// reported.
 	var avail uint64
-	if s.masks != nil && len(starts) > 0 {
+	if s.words == 1 {
 		avail = s.startMask(path)
 	}
 	for _, st := range starts {
@@ -327,7 +319,7 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 			return fmt.Errorf("tdma: start slot %d out of range [0,%d)", st, s.slots)
 		}
 		var free bool
-		if s.masks != nil {
+		if s.words == 1 {
 			free = avail>>st&1 != 0
 		} else {
 			free = s.startFree(path, st)
@@ -336,16 +328,31 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 			return fmt.Errorf("tdma: start slot %d not free along path", st)
 		}
 	}
+	if s.words == 1 {
+		// Hop h holds the start bits rotated left by h. Only bits still free
+		// are cleared and counted, so a link the path visits twice is never
+		// charged twice for one slot.
+		var startBits uint64
+		for _, st := range starts {
+			startBits |= uint64(1) << st
+		}
+		h := 0
+		for _, link := range path {
+			c := rotLIn(startBits, h, s.slots) & s.masks[link]
+			s.masks[link] &^= c
+			s.free[link] -= bits.OnesCount64(c)
+			if h++; h == s.slots {
+				h = 0
+			}
+		}
+		return nil
+	}
 	for _, st := range starts {
 		slot := st
 		for _, link := range path {
-			idx := link*s.slots + slot
-			if s.tables[idx] == Free {
-				s.tables[idx] = owner
+			if i, b := s.bit(link, slot); s.masks[i]&b != 0 {
+				s.masks[i] &^= b
 				s.free[link]--
-				if s.masks != nil {
-					s.masks[link] &^= uint64(1) << slot
-				}
 			}
 			if slot++; slot == s.slots {
 				slot = 0
@@ -355,37 +362,49 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	return nil
 }
 
-// Release frees the aligned slots previously reserved by owner. Slots not
-// owned by owner are left untouched, so Release is safe to call on partially
-// rolled-back reservations.
+// Release frees the aligned slots of a reservation along path. Only slots
+// that are currently reserved are freed and counted; slots already free and
+// out-of-range starts are left untouched. The State does not know who holds
+// a slot, so the caller must release only a live reservation: its exact
+// path and starts, as passed to a Reserve that succeeded. The owner token is
+// ignored.
 func (s *State) Release(owner int32, path []int, starts []int) {
+	if s.words == 1 {
+		var startBits uint64
+		for _, st := range starts {
+			if st >= 0 && st < s.slots {
+				startBits |= uint64(1) << st
+			}
+		}
+		if startBits == 0 {
+			return
+		}
+		h := 0
+		for _, link := range path {
+			c := rotLIn(startBits, h, s.slots) &^ s.masks[link]
+			s.masks[link] |= c
+			s.free[link] += bits.OnesCount64(c)
+			if h++; h == s.slots {
+				h = 0
+			}
+		}
+		return
+	}
 	for _, st := range starts {
 		if st < 0 || st >= s.slots {
 			continue
 		}
 		slot := st
 		for _, link := range path {
-			idx := link*s.slots + slot
-			if s.tables[idx] == owner {
-				s.tables[idx] = Free
+			if i, b := s.bit(link, slot); s.masks[i]&b == 0 {
+				s.masks[i] |= b
 				s.free[link]++
-				if s.masks != nil {
-					s.masks[link] |= uint64(1) << slot
-				}
 			}
 			if slot++; slot == s.slots {
 				slot = 0
 			}
 		}
 	}
-}
-
-// Reservation records a granted slot allocation: the path and the starting
-// slots on its first link.
-type Reservation struct {
-	Owner  int32
-	Path   []int // link IDs in traversal order
-	Starts []int // starting slots on Path[0], sorted
 }
 
 // MaxGap returns the worst-case number of whole slots a flit waits at the NI

@@ -40,17 +40,34 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// isFree reads the free bit of (link, slot) straight from the masks.
+func isFree(s *State, link, slot int) bool {
+	i, b := s.bit(link, slot)
+	return s.masks[i]&b != 0
+}
+
+// reserveBoth reserves on the state and on the reference, failing the test
+// if either refuses, and then compares them.
+func reserveBoth(t *testing.T, s *State, ref *refTables, owner int32, path, starts []int) {
+	t.Helper()
+	if err := s.Reserve(owner, path, starts); err != nil {
+		t.Fatalf("Reserve(%v, %v): %v", path, starts, err)
+	}
+	if err := ref.reserve(owner, path, starts); err != nil {
+		t.Fatalf("reference reserve(%v, %v): %v", path, starts, err)
+	}
+	checkAgainstRef(t, s, ref, "after Reserve")
+}
+
 func TestReserveAndAlignment(t *testing.T) {
 	s := mustState(t, 3, 8)
-	path := []int{0, 1, 2}
-	if err := s.Reserve(7, path, []int{2}); err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
+	ref := newRefTables(3, 8)
+	reserveBoth(t, s, ref, 7, []int{0, 1, 2}, []int{2})
 	// Contention-free alignment: link 0 slot 2, link 1 slot 3, link 2 slot 4.
-	if s.Owner(0, 2) != 7 || s.Owner(1, 3) != 7 || s.Owner(2, 4) != 7 {
-		t.Error("aligned slots not owned")
+	if isFree(s, 0, 2) || isFree(s, 1, 3) || isFree(s, 2, 4) {
+		t.Error("aligned slots not reserved")
 	}
-	if s.Owner(0, 3) != Free || s.Owner(1, 2) != Free {
+	if !isFree(s, 0, 3) || !isFree(s, 1, 2) {
 		t.Error("unrelated slots disturbed")
 	}
 	if s.FreeSlots(0) != 7 {
@@ -60,12 +77,10 @@ func TestReserveAndAlignment(t *testing.T) {
 
 func TestReserveWrapAround(t *testing.T) {
 	s := mustState(t, 2, 4)
-	path := []int{0, 1}
-	if err := s.Reserve(1, path, []int{3}); err != nil {
-		t.Fatalf("Reserve: %v", err)
-	}
+	ref := newRefTables(2, 4)
+	reserveBoth(t, s, ref, 1, []int{0, 1}, []int{3})
 	// Slot 3 on link 0 wraps to slot 0 on link 1.
-	if s.Owner(1, 0) != 1 {
+	if isFree(s, 1, 0) {
 		t.Error("wrap-around slot not reserved")
 	}
 }
@@ -93,28 +108,38 @@ func TestReserveConflicts(t *testing.T) {
 	}
 }
 
+// TestReleaseOnlyOwn: Release frees exactly the slots of the live
+// reservation it is given, and is a no-op on starts that are already free
+// or out of range.
 func TestReleaseOnlyOwn(t *testing.T) {
-	s := mustState(t, 1, 4)
-	if err := s.Reserve(1, []int{0}, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Reserve(2, []int{0}, []int{1}); err != nil {
-		t.Fatal(err)
-	}
-	// Releasing flow 1's slot with flow 2's token must not free it.
-	s.Release(2, []int{0}, []int{0})
-	if s.Owner(0, 0) != 1 {
-		t.Error("Release freed a slot it did not own")
-	}
+	s := mustState(t, 2, 4)
+	ref := newRefTables(2, 4)
+	reserveBoth(t, s, ref, 1, []int{0}, []int{0})
+	reserveBoth(t, s, ref, 2, []int{0, 1}, []int{1, 3})
 	s.Release(1, []int{0}, []int{0})
-	if s.Owner(0, 0) != Free {
-		t.Error("Release failed to free owned slot")
+	ref.release(1, []int{0}, []int{0})
+	checkAgainstRef(t, s, ref, "after releasing a live reservation")
+	if !isFree(s, 0, 0) || isFree(s, 0, 1) || s.FreeSlots(0) != 2 {
+		t.Errorf("Release freed the wrong slots: link 0 mask %#x, free %d", s.masks[0], s.FreeSlots(0))
 	}
-	// Out-of-range starts are ignored.
-	s.Release(2, []int{0}, []int{-3, 99})
-	if s.Owner(0, 1) != 2 {
-		t.Error("Release with junk starts disturbed state")
+	// Releasing it again, and releasing junk starts, changes nothing.
+	s.Release(1, []int{0}, []int{0})
+	s.Release(2, []int{0, 1}, []int{-3, 99})
+	checkAgainstRef(t, s, ref, "after releasing free and out-of-range starts")
+	s.Release(2, []int{0, 1}, []int{1, 3})
+	ref.release(2, []int{0, 1}, []int{1, 3})
+	checkAgainstRef(t, s, ref, "after releasing everything")
+
+	// A path that visits link 0 twice (hops 0 and 2 land on the same slot
+	// of a 2-slot table) takes and returns that slot once.
+	s, ref = mustState(t, 2, 2), newRefTables(2, 2)
+	reserveBoth(t, s, ref, 3, []int{0, 1, 0}, []int{0})
+	if s.FreeSlots(0) != 1 || s.FreeSlots(1) != 1 {
+		t.Errorf("repeated link: free counts %d, %d, want 1, 1", s.FreeSlots(0), s.FreeSlots(1))
 	}
+	s.Release(3, []int{0, 1, 0}, []int{0})
+	ref.release(3, []int{0, 1, 0}, []int{0})
+	checkAgainstRef(t, s, ref, "after releasing a path with a repeated link")
 }
 
 func TestAvailableStarts(t *testing.T) {
@@ -244,10 +269,10 @@ func TestCloneIndependence(t *testing.T) {
 	if err := c.Reserve(2, []int{0}, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if s.Owner(0, 1) != Free {
+	if !isFree(s, 0, 1) || s.FreeSlots(0) != 3 {
 		t.Error("Clone shares backing storage")
 	}
-	if c.Owner(0, 0) != 1 {
+	if isFree(c, 0, 0) || c.FreeSlots(0) != 2 {
 		t.Error("Clone lost existing reservation")
 	}
 }
@@ -332,6 +357,7 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
+		ref := newRefTables(links, slots)
 		type res struct {
 			owner  int32
 			path   []int
@@ -349,22 +375,22 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 			if err := s.Reserve(owner, path, starts); err != nil {
 				return false // FindAlignedInto result must always be reservable
 			}
+			if ref.reserve(owner, path, starts) != nil {
+				return false
+			}
 			made = append(made, res{owner, path, starts})
 		}
-		// No slot has two owners (trivially true by representation) and every
-		// reservation's slots are correctly owned.
-		for _, r := range made {
-			for _, st := range r.starts {
-				for h, link := range r.path {
-					if s.Owner(link, st+h) != r.owner {
-						return false
-					}
-				}
-			}
+		// Every reservation's slots are reserved, and nothing else is.
+		if !matchesRef(s, ref) {
+			return false
 		}
 		// Release everything; state must be fully free.
 		for _, r := range made {
 			s.Release(r.owner, r.path, r.starts)
+			ref.release(r.owner, r.path, r.starts)
+			if !matchesRef(s, ref) {
+				return false
+			}
 		}
 		for l := 0; l < links; l++ {
 			if s.FreeSlots(l) != slots {
@@ -420,13 +446,13 @@ func TestFindAlignedShapeProperty(t *testing.T) {
 	}
 }
 
-// countFree is the O(T) reference implementation of FreeSlots; the
-// incremental counter must agree with it after any Reserve/Release/Reset
-// sequence.
+// countFree is the O(T) reference implementation of FreeSlots, a count of
+// the link's free bits; the incremental counter must agree with it after
+// any Reserve/Release/Reset sequence.
 func countFree(s *State, link int) int {
 	n := 0
 	for slot := 0; slot < s.Slots(); slot++ {
-		if s.Owner(link, slot) == Free {
+		if isFree(s, link, slot) {
 			n++
 		}
 	}
@@ -438,28 +464,27 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := newRefTables(4, 8)
 	path := []int{0, 1, 2}
 	starts, ok := s.FindAlignedInto(path, 3, nil)
 	if !ok {
 		t.Fatal("FindAlignedInto failed on empty state")
 	}
-	if err := s.Reserve(7, path, starts); err != nil {
-		t.Fatal(err)
-	}
+	reserveBoth(t, s, ref, 7, path, starts)
 	path2 := []int{1, 3}
 	starts2, ok := s.FindAlignedInto(path2, 2, nil)
 	if !ok {
 		t.Fatal("second FindAlignedInto failed")
 	}
-	if err := s.Reserve(8, path2, starts2); err != nil {
-		t.Fatal(err)
-	}
+	reserveBoth(t, s, ref, 8, path2, starts2)
 	for l := 0; l < s.NumLinks(); l++ {
 		if got, want := s.FreeSlots(l), countFree(s, l); got != want {
 			t.Errorf("after reserve: FreeSlots(%d) = %d, table scan = %d", l, got, want)
 		}
 	}
 	s.Release(7, path, starts)
+	ref.release(7, path, starts)
+	checkAgainstRef(t, s, ref, "after Release")
 	for l := 0; l < s.NumLinks(); l++ {
 		if got, want := s.FreeSlots(l), countFree(s, l); got != want {
 			t.Errorf("after release: FreeSlots(%d) = %d, table scan = %d", l, got, want)
@@ -481,17 +506,18 @@ func TestResetRestoresNewState(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Reset()
-	fresh, _ := NewState(3, 6)
-	for l := 0; l < s.NumLinks(); l++ {
-		if s.FreeSlots(l) != fresh.FreeSlots(l) {
-			t.Errorf("link %d: FreeSlots %d after Reset, want %d", l, s.FreeSlots(l), fresh.FreeSlots(l))
-		}
-		for slot := 0; slot < s.Slots(); slot++ {
-			if s.Owner(l, slot) != Free {
-				t.Errorf("link %d slot %d not free after Reset", l, slot)
-			}
-		}
+	checkAgainstRef(t, s, newRefTables(3, 6), "after Reset")
+	// A table wider than a word keeps its last word's unused bits clear.
+	big := mustState(t, 2, 100)
+	if err := big.Reserve(1, []int{0, 1}, []int{5, 70, 99}); err != nil {
+		t.Fatal(err)
 	}
+	big.Reset()
+	fresh := mustState(t, 2, 100)
+	if !slices.Equal(big.masks, fresh.masks) || !slices.Equal(big.free, fresh.free) {
+		t.Errorf("T=100 Reset: masks %#x free %v, NewState masks %#x free %v", big.masks, big.free, fresh.masks, fresh.free)
+	}
+	checkAgainstRef(t, big, newRefTables(2, 100), "T=100 after Reset")
 }
 
 func TestCloneCopiesFreeCounts(t *testing.T) {
@@ -514,36 +540,57 @@ func TestCloneCopiesFreeCounts(t *testing.T) {
 	}
 }
 
-// refTables is the per-slot reference the division-free walks are checked
-// against: plain owner tables indexed with (st+h) mod T on every hop.
+// refTables is the per-slot reference the bitset State is checked against:
+// plain owner tables indexed with (st+h) mod T on every hop, holding refFree
+// or the token of the reservation that holds the slot.
 type refTables struct {
 	slots  int
 	tables []int32
 }
 
+// refFree marks a slot no reservation holds.
+const refFree int32 = -1
+
 func newRefTables(links, slots int) *refTables {
 	r := &refTables{slots: slots, tables: make([]int32, links*slots)}
-	for i := range r.tables {
-		r.tables[i] = Free
-	}
+	r.reset()
 	return r
+}
+
+func (r *refTables) reset() {
+	for i := range r.tables {
+		r.tables[i] = refFree
+	}
+}
+
+func (r *refTables) clone() *refTables {
+	return &refTables{slots: r.slots, tables: slices.Clone(r.tables)}
 }
 
 func (r *refTables) startFree(path []int, st int) bool {
 	for h, link := range path {
-		if r.tables[link*r.slots+(st+h)%r.slots] != Free {
+		if r.tables[link*r.slots+(st+h)%r.slots] != refFree {
 			return false
 		}
 	}
 	return true
 }
 
+// starts lists the free (free == true) or the taken starts of path.
+func (r *refTables) starts(path []int, free bool) []int {
+	var out []int
+	for st := 0; st < r.slots; st++ {
+		if r.startFree(path, st) == free {
+			out = append(out, st)
+		}
+	}
+	return out
+}
+
 func (r *refTables) startMask(path []int) uint64 {
 	var m uint64
-	for st := 0; st < r.slots; st++ {
-		if r.startFree(path, st) {
-			m |= uint64(1) << st
-		}
+	for _, st := range r.starts(path, true) {
+		m |= uint64(1) << st
 	}
 	return m
 }
@@ -559,7 +606,7 @@ func (r *refTables) reserve(owner int32, path, starts []int) error {
 	}
 	for _, st := range starts {
 		for h, link := range path {
-			if i := link*r.slots + (st+h)%r.slots; r.tables[i] == Free {
+			if i := link*r.slots + (st+h)%r.slots; r.tables[i] == refFree {
 				r.tables[i] = owner
 			}
 		}
@@ -574,10 +621,47 @@ func (r *refTables) release(owner int32, path, starts []int) {
 		}
 		for h, link := range path {
 			if i := link*r.slots + (st+h)%r.slots; r.tables[i] == owner {
-				r.tables[i] = Free
+				r.tables[i] = refFree
 			}
 		}
 	}
+}
+
+// findAligned is the reference of FindAlignedInto: for each ideal position
+// i*T/n the nearest still-unused free start by widening search (refNearest's
+// rule, the lower index on a tie), sorted.
+func (r *refTables) findAligned(path []int, n int) ([]int, bool) {
+	avail := r.starts(path, true)
+	if n <= 0 || len(path) == 0 || len(avail) < n {
+		return nil, false
+	}
+	unused := make([]bool, r.slots)
+	for _, st := range avail {
+		unused[st] = true
+	}
+	var chosen []int
+	for i := 0; i < n; i++ {
+		target := i * r.slots / n
+		for d := 0; d < r.slots; d++ {
+			up, down := (target+d)%r.slots, (target-d+r.slots)%r.slots
+			best := -1
+			switch {
+			case unused[up] && unused[down]:
+				best = min(up, down)
+			case unused[up]:
+				best = up
+			case unused[down]:
+				best = down
+			}
+			if best >= 0 {
+				unused[best] = false
+				chosen = append(chosen, best)
+				break
+			}
+		}
+	}
+	slices.Sort(chosen)
+	return chosen, true
 }
 
 // refNearest widens the search one slot at a time in both directions,
@@ -598,61 +682,75 @@ func refNearest(mask uint64, target, slots int) int {
 	return -1
 }
 
-// randomBit returns the index of a uniformly chosen set bit of a non-zero
-// mask.
-func randomBit(rng *rand.Rand, mask uint64) int {
-	for k := rng.Intn(bits.OnesCount64(mask)); k > 0; k-- {
-		mask &= mask - 1
-	}
-	return bits.TrailingZeros64(mask)
-}
-
-// checkAgainstRef compares every table entry, free count and free mask of s
-// with the reference.
-func checkAgainstRef(t *testing.T, s *State, ref *refTables, what string) {
-	t.Helper()
-	if !slices.Equal(s.tables, ref.tables) {
-		t.Fatalf("T=%d %s: tables differ from the mod-T reference", s.slots, what)
-	}
+// refMismatch describes the first difference between the state and the
+// reference — a free bit, a free count, or a stray bit past the last slot
+// of a link's mask — or returns "".
+func refMismatch(s *State, ref *refTables) string {
 	for link := 0; link < s.numLinks; link++ {
-		var mask uint64
 		free := 0
 		for slot := 0; slot < s.slots; slot++ {
-			if ref.tables[link*s.slots+slot] == Free {
-				mask |= uint64(1) << slot
+			want := ref.tables[link*s.slots+slot] == refFree
+			if want {
 				free++
+			}
+			if isFree(s, link, slot) != want {
+				return fmt.Sprintf("link %d slot %d: free %v, reference %v", link, slot, !want, want)
 			}
 		}
 		if s.free[link] != free {
-			t.Fatalf("T=%d %s: link %d free count %d, reference %d", s.slots, what, link, s.free[link], free)
+			return fmt.Sprintf("link %d free count %d, reference %d", link, s.free[link], free)
 		}
-		if s.masks[link] != mask {
-			t.Fatalf("T=%d %s: link %d mask %#x, reference %#x", s.slots, what, link, s.masks[link], mask)
+		if tail := s.slots % 64; tail != 0 {
+			if last := s.masks[(link+1)*s.words-1]; last&^fullMask(tail) != 0 {
+				return fmt.Sprintf("link %d: bits past slot %d set in %#x", link, s.slots, last)
+			}
 		}
+	}
+	return ""
+}
+
+func matchesRef(s *State, ref *refTables) bool { return refMismatch(s, ref) == "" }
+
+// checkAgainstRef compares every free bit and free count of s with the
+// reference.
+func checkAgainstRef(t *testing.T, s *State, ref *refTables, what string) {
+	t.Helper()
+	if d := refMismatch(s, ref); d != "" {
+		t.Fatalf("T=%d %s: %s", s.slots, what, d)
 	}
 }
 
+// pick returns a uniformly chosen element of a non-empty list.
+func pick(rng *rand.Rand, xs []int) int { return xs[rng.Intn(len(xs))] }
+
 // TestDivisionFreeWalksMatchModRef: for every word-sized table (T = 1..64,
-// T = 64 taking fullMask's own branch) and paths up to 3T hops, so the slot
-// index wraps several times, startMask, nearestSet, Reserve and Release
-// agree with a per-slot mod-T reference — tables, free counts, masks, the
-// error text and the start Reserve reports when a start is taken.
+// T = 64 taking fullMask's own branch) and for multi-word tables (T = 65,
+// 96, 128), with paths up to 3T hops, so the slot index wraps several
+// times, startMask, nearestSet, AvailableStarts, Reserve and Release agree
+// with a per-slot mod-T reference — free bits, free counts, the error text
+// and the start Reserve reports when a start is taken.
 func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 	const links = 5
 	rng := rand.New(rand.NewSource(19))
+	var sizes []int
 	for slots := 1; slots <= 64; slots++ {
-		for i := 0; i < 200; i++ {
-			mask := rng.Uint64() & fullMask(slots)
-			if mask == 0 {
-				continue
+		sizes = append(sizes, slots)
+	}
+	for _, slots := range append(sizes, 65, 96, 128) {
+		if slots <= 64 {
+			for i := 0; i < 200; i++ {
+				mask := rng.Uint64() & fullMask(slots)
+				if mask == 0 {
+					continue
+				}
+				target := rng.Intn(slots)
+				if got, want := nearestSet(mask, target, slots), refNearest(mask, target, slots); got != want {
+					t.Fatalf("T=%d mask %#x: nearestSet(%d) = %d, reference %d", slots, mask, target, got, want)
+				}
 			}
-			target := rng.Intn(slots)
-			if got, want := nearestSet(mask, target, slots), refNearest(mask, target, slots); got != want {
-				t.Fatalf("T=%d mask %#x: nearestSet(%d) = %d, reference %d", slots, mask, target, got, want)
+			if got, want := nearestSet(fullMask(slots), slots-1, slots), refNearest(fullMask(slots), slots-1, slots); got != want {
+				t.Fatalf("T=%d full mask: nearestSet(T-1) = %d, reference %d", slots, got, want)
 			}
-		}
-		if got, want := nearestSet(fullMask(slots), slots-1, slots), refNearest(fullMask(slots), slots-1, slots); got != want {
-			t.Fatalf("T=%d full mask: nearestSet(T-1) = %d, reference %d", slots, got, want)
 		}
 
 		s := mustState(t, links, slots)
@@ -671,27 +769,28 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 				for h := range path {
 					path[h] = rng.Intn(links)
 				}
-				if got, want := s.startMask(path), ref.startMask(path); got != want {
-					t.Fatalf("T=%d path len %d: startMask = %#x, reference %#x", slots, plen, got, want)
+				if slots <= 64 {
+					if got, want := s.startMask(path), ref.startMask(path); got != want {
+						t.Fatalf("T=%d path len %d: startMask = %#x, reference %#x", slots, plen, got, want)
+					}
+				}
+				free := ref.starts(path, true)
+				if got := s.AvailableStarts(path); !slices.Equal(got, free) {
+					t.Fatalf("T=%d path len %d: AvailableStarts = %v, reference %v", slots, plen, got, free)
 				}
 				owner := int32(len(live) + 1)
-				if starts := s.AvailableStarts(path); len(starts) > 0 {
-					pick := starts[:1+rng.Intn(len(starts))]
-					if err := s.Reserve(owner, path, pick); err != nil {
-						t.Fatalf("T=%d: Reserve of available starts %v: %v", slots, pick, err)
-					}
-					if err := ref.reserve(owner, path, pick); err != nil {
-						t.Fatalf("T=%d: reference reserve of %v: %v", slots, pick, err)
-					}
-					checkAgainstRef(t, s, ref, "after Reserve")
-					live = append(live, held{owner, path, pick})
+				if len(free) > 0 {
+					chosen := free[:1+rng.Intn(len(free))]
+					reserveBoth(t, s, ref, owner, path, chosen)
+					live = append(live, held{owner, path, chosen})
+					free = ref.starts(path, true)
 				}
 				// A taken start behind a free one: same verdict, same
 				// reported start, same text, and no change to the state.
-				if taken := ^ref.startMask(path) & fullMask(slots); taken != 0 {
-					bad := []int{randomBit(rng, taken), randomBit(rng, taken)}
-					if free := ref.startMask(path); free != 0 {
-						bad = append([]int{randomBit(rng, free)}, bad...)
+				if taken := ref.starts(path, false); len(taken) > 0 {
+					bad := []int{pick(rng, taken), pick(rng, taken)}
+					if len(free) > 0 {
+						bad = append([]int{pick(rng, free)}, bad...)
 					}
 					err, want := s.Reserve(99, path, bad), ref.reserve(99, path, bad)
 					if err == nil || want == nil || err.Error() != want.Error() {
@@ -714,5 +813,42 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 			ref.release(h.owner, h.path, h.starts)
 		}
 		checkAgainstRef(t, s, ref, "after releasing everything")
+	}
+}
+
+// BenchmarkStateReserveRelease times one Reserve and its Release on a
+// half-loaded 64-link state, for tables of 16, 64 and 128 slots, paths of
+// 3–6 distinct links and 1–8 starts per reservation.
+func BenchmarkStateReserveRelease(b *testing.B) {
+	const links = 64
+	for _, slots := range []int{16, 64, 128} {
+		b.Run(fmt.Sprintf("T=%d", slots), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(int64(slots)))
+			s, err := NewState(links, slots)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < links*slots/2; i++ {
+				_ = s.Reserve(0, []int{rng.Intn(links)}, []int{rng.Intn(slots)})
+			}
+			type req struct{ path, starts []int }
+			var reqs []req
+			for len(reqs) < 64 {
+				path := rng.Perm(links)[:3+rng.Intn(4)]
+				if starts, ok := s.FindAlignedInto(path, 1+rng.Intn(8), nil); ok {
+					reqs = append(reqs, req{path, starts})
+				}
+			}
+			b.ReportAllocs()
+			i := 0
+			for b.Loop() {
+				r := reqs[i%len(reqs)]
+				if err := s.Reserve(0, r.path, r.starts); err != nil {
+					b.Fatal(err)
+				}
+				s.Release(0, r.path, r.starts)
+				i++
+			}
+		})
 	}
 }

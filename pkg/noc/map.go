@@ -14,8 +14,9 @@ import (
 // Map runs the full pipeline on the design in-process: pre-processing,
 // the selected search engine, analytic verification and summarization.
 // The context and WithBudget bound the whole search; engines observe
-// cancellation between evaluation steps. Verification failures do not
-// error — they are reported in Result.Violations.
+// cancellation between evaluation steps, and a search they cut short
+// returns its best result so far with Result.Truncated set. Verification
+// failures do not error — they are reported in Result.Violations.
 //
 //	res, err := noc.Map(ctx, design,
 //		noc.WithEngine("portfolio"),
@@ -53,17 +54,19 @@ func Map(ctx context.Context, d *Design, opts ...Option) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	truncated := ctx.Err() != nil // the engines answer with their best so far
 	tm.SearchMS = msSince(searchStart)
 	sumStart := time.Now()
 	summary := service.SummarizeResult(d.Name, prep, res)
 	tm.SummarizeMS = msSince(sumStart)
 	tm.TotalMS = msSince(start)
 	return &Result{
-		Summary: summary,
-		engine:  cfg.engine,
-		mapping: res.Mapping,
-		prep:    prep,
-		timings: tm,
+		Summary:   summary,
+		engine:    cfg.engine,
+		mapping:   res.Mapping,
+		prep:      prep,
+		timings:   tm,
+		truncated: truncated,
 	}, nil
 }
 

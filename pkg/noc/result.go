@@ -32,14 +32,21 @@ var ErrRemoteResult = errors.New("noc: result carries no in-process mapping (map
 type Result struct {
 	Summary
 
-	engine  string
-	mapping *core.Mapping
-	prep    *usecase.Prepared
-	timings Timings
+	engine    string
+	mapping   *core.Mapping
+	prep      *usecase.Prepared
+	timings   Timings
+	truncated bool
 }
 
 // Engine names the search engine that produced the result.
 func (r *Result) Engine() string { return r.engine }
+
+// Truncated reports whether the context — the WithBudget deadline or the
+// caller's own — had ended by the time the search returned: the result is
+// the engine's best so far, not a complete run. Like Timings it is not part
+// of the Summary encoding.
+func (r *Result) Truncated() bool { return r.truncated }
 
 // Timings reports where the wall-clock of the Map call went, broken down by
 // pipeline stage (prepare, search, summarize). The breakdown is diagnostic
