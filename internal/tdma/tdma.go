@@ -331,7 +331,9 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if s.words == 1 {
 		// Hop h holds the start bits rotated left by h. Only bits still free
 		// are cleared and counted, so a link the path visits twice is never
-		// charged twice for one slot.
+		// charged twice for one slot. At T = 64 this word form takes little
+		// over half the time of the per-bit walk below
+		// (BenchmarkStateReserveRelease, bitwalk runs).
 		var startBits uint64
 		for _, st := range starts {
 			startBits |= uint64(1) << st

@@ -2,6 +2,7 @@ package tdma
 
 import (
 	"fmt"
+	"maps"
 	"math/bits"
 	"math/rand"
 	"reflect"
@@ -816,39 +817,71 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 	}
 }
 
+// bitWalkState builds an all-free State of `slots` <= 64 slots that stores
+// two mask words per link, the second one unused, so Reserve and Release
+// take their per-bit walks where a NewState table would take the word form.
+func bitWalkState(links, slots int) *State {
+	s := &State{numLinks: links, slots: slots, words: 2,
+		masks: make([]uint64, 2*links), free: make([]int, links)}
+	for l := range links {
+		s.masks[2*l] = fullMask(slots)
+		s.free[l] = slots
+	}
+	return s
+}
+
 // BenchmarkStateReserveRelease times one Reserve and its Release on a
 // half-loaded 64-link state, for tables of 16, 64 and 128 slots, paths of
-// 3–6 distinct links and 1–8 starts per reservation.
+// 3–6 distinct links and 1–8 starts per reservation. At T = 16 and 64 the
+// bitwalk runs repeat it on a bitWalkState with the same load, so the word
+// form's gain over the per-bit walk stays measurable.
 func BenchmarkStateReserveRelease(b *testing.B) {
 	const links = 64
 	for _, slots := range []int{16, 64, 128} {
-		b.Run(fmt.Sprintf("T=%d", slots), func(b *testing.B) {
-			rng := rand.New(rand.NewSource(int64(slots)))
-			s, err := NewState(links, slots)
-			if err != nil {
-				b.Fatal(err)
+		rng := rand.New(rand.NewSource(int64(slots)))
+		s, err := NewState(links, slots)
+		if err != nil {
+			b.Fatal(err)
+		}
+		states := map[string]*State{fmt.Sprintf("T=%d", slots): s}
+		if slots <= 64 {
+			states[fmt.Sprintf("T=%d/bitwalk", slots)] = bitWalkState(links, slots)
+		}
+		for i := 0; i < links*slots/2; i++ {
+			path, starts := []int{rng.Intn(links)}, []int{rng.Intn(slots)}
+			for _, st := range states {
+				_ = st.Reserve(0, path, starts)
 			}
-			for i := 0; i < links*slots/2; i++ {
-				_ = s.Reserve(0, []int{rng.Intn(links)}, []int{rng.Intn(slots)})
-			}
-			type req struct{ path, starts []int }
-			var reqs []req
-			for len(reqs) < 64 {
-				path := rng.Perm(links)[:3+rng.Intn(4)]
-				if starts, ok := s.FindAlignedInto(path, 1+rng.Intn(8), nil); ok {
-					reqs = append(reqs, req{path, starts})
+		}
+		for name, st := range states {
+			for l := range links {
+				if st.FreeSlots(l) != s.FreeSlots(l) {
+					b.Fatalf("%s: link %d has %d free slots, want %d", name, l, st.FreeSlots(l), s.FreeSlots(l))
 				}
 			}
-			b.ReportAllocs()
-			i := 0
-			for b.Loop() {
-				r := reqs[i%len(reqs)]
-				if err := s.Reserve(0, r.path, r.starts); err != nil {
-					b.Fatal(err)
-				}
-				s.Release(0, r.path, r.starts)
-				i++
+		}
+		type req struct{ path, starts []int }
+		var reqs []req
+		for len(reqs) < 64 {
+			path := rng.Perm(links)[:3+rng.Intn(4)]
+			if starts, ok := s.FindAlignedInto(path, 1+rng.Intn(8), nil); ok {
+				reqs = append(reqs, req{path, starts})
 			}
-		})
+		}
+		for _, name := range slices.Sorted(maps.Keys(states)) {
+			st := states[name]
+			b.Run(name, func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					r := reqs[i%len(reqs)]
+					if err := st.Reserve(0, r.path, r.starts); err != nil {
+						b.Fatal(err)
+					}
+					st.Release(0, r.path, r.starts)
+					i++
+				}
+			})
+		}
 	}
 }
