@@ -10,7 +10,7 @@
 //	       [-topology mesh|torus] [-budget 30s] [-freq 500]
 //	       [-slots 64] [-speculate 4] [-population 16] [-generations 24]
 //	       [-nodes 500000] [-vhdl noc.vhd] [-config prefix]
-//	       [-placement place.txt] [-improve] [-progress]
+//	       [-placement place.txt] [-progress]
 //
 // The engine roster comes from the search registry (noc.Engines()): the
 // greedy constructor, the annealing engines (anneal, portfolio), the
@@ -63,7 +63,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	freq := fs.Float64("freq", 500, "NoC frequency in MHz")
 	slots := fs.Int("slots", 64, "TDMA slot-table size")
 	maxDim := fs.Int("maxdim", 20, "maximum mesh dimension")
-	improve := fs.Bool("improve", false, "run placement refinement after mapping")
 	speculate := fs.Int("speculate", 0,
 		"speculative move-evaluation width for the anneal/portfolio engines: "+
 			"score this many candidate moves concurrently per annealing step (0/1 = serial)")
@@ -109,7 +108,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		noc.WithFrequencyMHz(*freq),
 		noc.WithSlotTableSize(*slots),
 		noc.WithMaxMeshDim(*maxDim),
-		noc.WithImprove(*improve),
 	}
 	if *population > 0 {
 		common = append(common, noc.WithPopulation(*population))

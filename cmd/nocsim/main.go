@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	nocsim -in design.json [-topology mesh|torus|@fabric.json] [-rotations 64]
+//	nocsim -in design.json [-topology mesh|torus] [-rotations 64]
 package main
 
 import (
@@ -13,6 +13,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"nocmap/pkg/noc"
 )
@@ -20,7 +21,7 @@ import (
 func main() {
 	in := flag.String("in", "", "design JSON file (required)")
 	topo := flag.String("topology", "",
-		"interconnect family: mesh|torus|@fabric.json (default: the design's topology tag, else mesh)")
+		"interconnect family: "+strings.Join(noc.TopologyKinds(), "|")+" (default: the design's topology tag, else mesh)")
 	rotations := flag.Int("rotations", 64, "slot-table rotations to simulate")
 	flag.Parse()
 	if *in == "" {

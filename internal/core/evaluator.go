@@ -405,12 +405,20 @@ func sum(xs []int) int {
 // lengths, switch/NI ranges, NI-on-switch consistency and per-NI core
 // capacity. Cores with a negative switch are unattached and skipped.
 func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
+	return ev.validatePlacement(coreSwitch, coreNI, make([]int, ev.numNIs()))
+}
+
+// validatePlacement is ValidatePlacement counting NI seats in the caller's
+// buffer, which must hold at least one entry per NI; sessions pass their
+// own so that TryMove stays allocation-free.
+func (ev *Evaluator) validatePlacement(coreSwitch, coreNI, seats []int) error {
 	if len(coreSwitch) != ev.numCores || len(coreNI) != ev.numCores {
 		return fmt.Errorf("core: fixed placement has wrong length (switch %d, NI %d entries, design has %d cores)",
 			len(coreSwitch), len(coreNI), ev.numCores)
 	}
-	numNIs := ev.top.NumSwitches() * ev.p.NIsPerSwitch
-	seats := make([]int, numNIs)
+	numNIs := ev.numNIs()
+	seats = seats[:numNIs]
+	clear(seats)
 	for c := 0; c < ev.numCores; c++ {
 		s, ni := coreSwitch[c], coreNI[c]
 		if s < 0 {
@@ -425,6 +433,19 @@ func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
 		}
 	}
 	return nil
+}
+
+// numNIs is the fabric's NI count.
+func (ev *Evaluator) numNIs() int { return ev.top.NumSwitches() * ev.p.NIsPerSwitch }
+
+// NIDemand returns the slots core's pairs provably occupy in group g's
+// slot tables on the core's NI links: egress sums the slot demand of the
+// group's pairs core sources, ingress of those it sinks, each pair sized by
+// the group's heaviest same-pair flow. It reads the one demand table
+// (remOutTpl/remInTpl) behind the mapper's NI projection, the session's NI
+// precheck and the exact engine's prune and descent order.
+func (t *templates) NIDemand(g, core int) (egress, ingress int) {
+	return t.remOutTpl[g][core], t.remInTpl[g][core]
 }
 
 // covered reports whether the fix places every communicating core, which
@@ -487,7 +508,7 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
 	m.tierOf = sc.tierOf
 	if !ev.covered(fix) {
 		if sc.remOut == nil {
-			numGroups, numNIs := len(ev.prep.Groups), ev.top.NumSwitches()*ev.p.NIsPerSwitch
+			numGroups, numNIs := len(ev.prep.Groups), ev.numNIs()
 			sc.remOut = grid[int](numGroups, ev.numCores)
 			sc.remIn = grid[int](numGroups, ev.numCores)
 			sc.niRemOut = grid[int](numGroups, numNIs)
@@ -528,22 +549,21 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 	return res, err
 }
 
-// attempt runs one constructive/configuration pass and, on success, hands
-// the final TDMA states and reservation journal to the caller (the growth
-// loop and Session initialization keep them). The scratch arena backs the
-// run: a failed attempt recycles it, a successful one detaches it — the
-// pool lazily allocates a replacement — so the frequent outcome of a
-// saturated fabric (infeasible) costs no state allocation at all.
-func (ev *Evaluator) attempt(fix *placementFix) (*Mapping, []*tdma.State, []resRecord, error) {
+// attempt runs the constructive pass of the growth loop on the evaluator's
+// fabric. The scratch arena backs the run: a failed attempt recycles it,
+// a successful one detaches it — the growth loop is done with the fabric,
+// and the pool lazily allocates a replacement — so the frequent outcome of
+// a saturated fabric (infeasible) costs no state allocation at all.
+func (ev *Evaluator) attempt() (*Mapping, Stats, error) {
 	sc := ev.getScratch()
-	m := ev.mapperFor(sc, fix)
+	m := ev.mapperFor(sc, nil)
 	mapping, err := m.run()
 	if err != nil {
 		sc.journal = m.journal
 		ev.putScratch(sc)
-		return nil, nil, nil, err
+		return nil, Stats{}, err
 	}
-	return mapping, m.states, m.journal, nil
+	return mapping, computeStats(mapping, m.states), nil
 }
 
 // Infeasibility sentinels of the reservation primitive. The move loop of a

@@ -6,6 +6,7 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"nocmap/internal/core"
@@ -72,6 +73,26 @@ func randomPlacement(rng *rand.Rand, top *topology.Topology, p core.Params, numC
 		cs[c] = seats[c] / p.NIsPerSwitch
 	}
 	return cs, cn
+}
+
+// feasibleSession positions a session at the first random placement of the
+// evaluator's fabric that evaluates feasibly, trying up to 50.
+func feasibleSession(t *testing.T, ev *core.Evaluator, rng *rand.Rand, p core.Params, numCores int) *core.Session {
+	t.Helper()
+	for trial := 0; trial < 50; trial++ {
+		cs, cn := randomPlacement(rng, ev.Topology(), p, numCores)
+		res, err := ev.Evaluate(cs, cn)
+		if err != nil {
+			continue
+		}
+		sess, err := ev.SessionFrom(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	t.Fatal("no feasible start found for the session")
+	return nil
 }
 
 func sameResult(t *testing.T, label string, a, b *core.Result) {
@@ -170,8 +191,9 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 
 // TestEvaluateFixedValidatesPlacement: nil, short, out-of-range,
 // wrong-switch and overfull placements from a custom engine must surface as
-// errors from a fresh Evaluator and from a shared one, never as panics deep
-// in the configuration phase.
+// errors from a fresh Evaluator, from a shared one and from a session's
+// TryMove, never as panics deep in the configuration phase. A rejected
+// TryMove leaves the session unchanged with no move pending.
 func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 	prep, numCores := evalDesign(t)
 	p := evalParams()
@@ -213,6 +235,12 @@ func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 		name   string
 		cs, cn []int
 	}{"overfull NI", ocs, ocn})
+	sess := feasibleSession(t, ev, rand.New(rand.NewSource(5)), p, numCores)
+	// Every core is listed as moved, so only the placement check can reject.
+	all := make([]int, numCores)
+	for c := range all {
+		all[c] = c
+	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {
@@ -226,9 +254,14 @@ func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 			if _, err := ev.Evaluate(tc.cs, tc.cn); err == nil {
 				t.Errorf("Evaluator.Evaluate accepted %s", tc.name)
 			}
-			if _, err := ev.NewSession(tc.cs, tc.cn); err == nil {
-				t.Errorf("NewSession accepted %s", tc.name)
+			before := sess.Result()
+			if _, err := sess.TryMove(tc.cs, tc.cn, all...); err == nil || !strings.Contains(err.Error(), "fixed placement") {
+				t.Errorf("Session.TryMove on %s: err %v, want the placement check's rejection", tc.name, err)
 			}
+			if _, err := sess.Clone(); err != nil {
+				t.Fatalf("move pending after a rejected TryMove: %v", err)
+			}
+			sameResult(t, tc.name, sess.Result(), before)
 		})
 	}
 }
@@ -257,16 +290,7 @@ func TestSessionMovesStayVerifiedAndUndoRestores(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(11))
-	var sess *core.Session
-	for trial := 0; trial < 50 && sess == nil; trial++ {
-		cs, cn := randomPlacement(rng, top, p, numCores)
-		if s, err := ev.NewSession(cs, cn); err == nil {
-			sess = s
-		}
-	}
-	if sess == nil {
-		t.Fatal("no feasible start found for the session")
-	}
+	sess := feasibleSession(t, ev, rng, p, numCores)
 	moves, kept := 0, 0
 	for it := 0; it < 200; it++ {
 		before := sess.Result()
@@ -318,17 +342,7 @@ func TestSessionRejectsUnlistedMoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(3))
-	var sess *core.Session
-	for trial := 0; trial < 50 && sess == nil; trial++ {
-		cs, cn := randomPlacement(rng, top, p, numCores)
-		if s, err := ev.NewSession(cs, cn); err == nil {
-			sess = s
-		}
-	}
-	if sess == nil {
-		t.Fatal("no feasible start found")
-	}
+	sess := feasibleSession(t, ev, rand.New(rand.NewSource(3)), p, numCores)
 	cs, cn := sess.Placement()
 	x, y := 0, 1
 	for cn[x] == cn[y] {

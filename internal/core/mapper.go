@@ -56,18 +56,14 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 		if fabricHook != nil {
 			fabricHook(ev)
 		}
-		m, states, _, err := ev.attempt(nil)
+		m, stats, err := ev.attempt()
 		if err != nil {
 			attempts = append(attempts, Attempt{Dim: dim, Err: err.Error()})
 			lastErr = err
 			continue
 		}
 		attempts = append(attempts, Attempt{Dim: dim})
-		res := &Result{Mapping: m, Attempts: attempts, Stats: computeStats(m, states)}
-		if p.Improve {
-			res = improveResult(ev, res)
-		}
-		return res, nil
+		return &Result{Mapping: m, Attempts: attempts, Stats: stats}, nil
 	}
 	return nil, &InfeasibleError{MaxDim: p.MaxMeshDim, Attempts: attempts, Last: lastErr}
 }
@@ -216,7 +212,7 @@ func (m *mapper) placeFixed(fix *placementFix) {
 		m.coreNI[i] = -1
 	}
 	m.switchCores = make([]int, m.top.NumSwitches())
-	m.niCores = make([]int, m.top.NumSwitches()*m.p.NIsPerSwitch)
+	m.niCores = make([]int, m.numNIs())
 	if fix != nil {
 		for c, s := range fix.CoreSwitch {
 			if s >= 0 {
@@ -281,29 +277,50 @@ func (m *mapper) run() (*Mapping, error) {
 			return nil, err
 		}
 	}
-	mapping := &Mapping{
+	configs, err := m.configsOf(m.configs)
+	if err != nil {
+		return nil, err
+	}
+	return &Mapping{
 		Topology:   m.top,
 		Params:     m.p,
 		Prep:       m.prep,
 		CoreSwitch: m.coreSwitch,
 		CoreNI:     m.coreNI,
-	}
-	// Per-use-case configurations are restrictions of the group
-	// configuration to the use-case's own flows; assignments are shared.
-	mapping.Configs = make([]*Config, len(m.prep.UseCases))
-	for uc, pairs := range m.ucPairs {
+		Configs:    configs,
+	}, nil
+}
+
+// configsOf materializes the per-use-case configurations from a dense
+// [group][pair] assignment table: a use-case's configuration is the
+// restriction of its group's assignments to the use-case's own pairs, and
+// the use-cases of a group share the Assignment values. The mapper and
+// Session.Result both build a Mapping's Configs here.
+func (ev *Evaluator) configsOf(asn [][]*Assignment) ([]*Config, error) {
+	configs := make([]*Config, len(ev.prep.UseCases))
+	for uc, pairs := range ev.ucPairs {
 		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(pairs))}
-		g := m.prep.GroupOf[uc]
+		g := ev.prep.GroupOf[uc]
 		for i, ps := range pairs {
-			a := m.configs[g][m.ucPairIdx[uc][i]]
+			a := asn[g][ev.ucPairIdx[uc][i]]
 			if a == nil {
 				return nil, fmt.Errorf("core: internal: flow %d->%d of use-case %d unassigned", ps.key.Src, ps.key.Dst, uc)
 			}
 			cfg.Assignments[ps.key] = a
 		}
-		mapping.Configs[uc] = cfg
+		configs[uc] = cfg
 	}
-	return mapping, nil
+	return configs, nil
+}
+
+// newAssignment copies a granted reservation's path and starts into a
+// fresh Assignment; one buffer holds both copies, and the capped path
+// cannot grow into the starts.
+func newAssignment(path, starts []int) *Assignment {
+	buf := make([]int, len(path)+len(starts))
+	np := copy(buf, path)
+	copy(buf[np:], starts)
+	return &Assignment{Path: buf[:np:np], Starts: buf[np:], SlotCount: len(starts)}
 }
 
 // projectedNIUsed returns the projected slot usage of an NI link in group g:
@@ -697,12 +714,8 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, l
 	if err := m.reserveSlotsInto(m.res, m.states[g], srcS, dstS, egress, ingress, slots0, latBudget, m.rec); err != nil {
 		return m.reserveError(err, m.res.cands, key, srcS, dstS, slots0, latBudget, bw)
 	}
-	// One buffer holds both copies; the capped path cannot grow into starts.
-	buf := make([]int, len(m.rec.path)+len(m.rec.start))
-	np := copy(buf, m.rec.path)
-	copy(buf[np:], m.rec.start)
-	path, starts := buf[:np:np], buf[np:]
-	m.configs[g][pi] = &Assignment{Path: path, Starts: starts, SlotCount: len(starts)}
+	a := newAssignment(m.rec.path, m.rec.start)
+	m.configs[g][pi] = a
 	// The pair's projected demand is now realized.
 	demand := 0
 	if m.remOut != nil {
@@ -712,7 +725,7 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, l
 		m.niRemOut[g][m.coreNI[key.Src]] -= demand
 		m.niRemIn[g][m.coreNI[key.Dst]] -= demand
 	}
-	m.journal = append(m.journal, resRecord{group: g, path: path, start: starts, key: key,
+	m.journal = append(m.journal, resRecord{group: g, path: a.Path, start: a.Starts, key: key,
 		demand: demand, idx: pi, hops: m.rec.hops})
 	return nil
 }

@@ -369,22 +369,3 @@ func TestAblationUnifiedSlots(t *testing.T) {
 		t.Error("non-unified variant failed entirely")
 	}
 }
-
-func TestImprovePreservesFeasibility(t *testing.T) {
-	var flows []traffic.Flow
-	for i := 0; i < 12; i++ {
-		flows = append(flows, traffic.Flow{
-			Src: traffic.CoreID(i), Dst: traffic.CoreID((i + 3) % 12), BandwidthMBs: 400,
-		})
-	}
-	u := &traffic.UseCase{Name: "ring", Flows: flows}
-	p := DefaultParams()
-	p.Improve = true
-	p.ImproveIters = 16
-	res := mustMap(t, prep(t, 12, u), 12, p)
-	base := DefaultParams()
-	ref := mustMap(t, prep(t, 12, u), 12, base)
-	if res.Stats.AvgMeshHops > ref.Stats.AvgMeshHops+1e-9 {
-		t.Errorf("improve worsened hops: %v > %v", res.Stats.AvgMeshHops, ref.Stats.AvgMeshHops)
-	}
-}

@@ -7,7 +7,6 @@ import (
 	"nocmap/internal/route"
 	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
-	"nocmap/internal/traffic"
 )
 
 // Session is incremental evaluation over one evolving placement. It owns a
@@ -158,6 +157,7 @@ func (ev *Evaluator) newSessionShell() *Session {
 	s.sc.res.route = route.NewScratch()
 	s.sc.affected = make([]int32, 0, numPairs)
 	s.sc.seenPair = make([]bool, numPairs)
+	s.sc.seats = make([]int, ev.numNIs())
 	s.sc.buckets = make([][]groupPair, numGroups)
 	return s
 }
@@ -232,38 +232,6 @@ func (ev *Evaluator) pathHops(path []int) int32 {
 		}
 	}
 	return hops
-}
-
-// NewSession fully evaluates the placement and, on success, returns a
-// session positioned at it. Every communicating core must be placed: a
-// session evaluates moves of an existing complete placement, it does not
-// run the constructive placement phase.
-func (ev *Evaluator) NewSession(coreSwitch, coreNI []int) (*Session, error) {
-	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
-		return nil, err
-	}
-	fix := &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI}
-	if !ev.covered(fix) {
-		return nil, fmt.Errorf("core: session placement leaves communicating cores unattached")
-	}
-	mapping, states, journal, err := ev.attempt(fix)
-	if err != nil {
-		return nil, err
-	}
-	s := ev.newSessionShell()
-	copy(s.cs, coreSwitch)
-	copy(s.cn, coreNI)
-	s.states = states
-	// Adopt the journal's records: the successful attempt detached its
-	// scratch, so the records — and their path/start buffers — are
-	// exclusively this session's and can enter the recycling pool.
-	for i := range journal {
-		r := &journal[i]
-		s.recs[r.group][r.idx] = r
-	}
-	s.stats = computeStats(mapping, states)
-	s.initCross()
-	return s, nil
 }
 
 // SessionFrom positions a session at an existing Result's configuration
@@ -387,7 +355,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	if s.pending {
 		return Stats{}, errPendingMove
 	}
-	if err := s.validatePlacement(coreSwitch, coreNI); err != nil {
+	if err := s.ev.validatePlacement(coreSwitch, coreNI, s.sc.seats); err != nil {
 		return Stats{}, err
 	}
 	for _, c := range moved {
@@ -618,37 +586,6 @@ func (s *Session) rollbackMove() {
 	}
 }
 
-// validatePlacement is ValidatePlacement against session-owned scratch.
-func (s *Session) validatePlacement(coreSwitch, coreNI []int) error {
-	ev := s.ev
-	if len(coreSwitch) != ev.numCores || len(coreNI) != ev.numCores {
-		return fmt.Errorf("core: fixed placement has wrong length (switch %d, NI %d entries, design has %d cores)",
-			len(coreSwitch), len(coreNI), ev.numCores)
-	}
-	numNIs := ev.top.NumSwitches() * ev.p.NIsPerSwitch
-	if cap(s.sc.seats) < numNIs {
-		s.sc.seats = make([]int, numNIs)
-	}
-	seats := s.sc.seats[:numNIs]
-	for i := range seats {
-		seats[i] = 0
-	}
-	for c := 0; c < ev.numCores; c++ {
-		sw, ni := coreSwitch[c], coreNI[c]
-		if sw < 0 {
-			continue
-		}
-		if sw >= ev.top.NumSwitches() || ni < 0 || ni >= numNIs || ni/ev.p.NIsPerSwitch != sw {
-			return fmt.Errorf("core: fixed placement of core %d (switch %d, NI %d) invalid", c, sw, ni)
-		}
-		seats[ni]++
-		if seats[ni] > ev.p.CoresPerNI {
-			return fmt.Errorf("core: fixed placement overfills NI %d (%d cores, capacity %d)", ni, seats[ni], ev.p.CoresPerNI)
-		}
-	}
-	return nil
-}
-
 // niCapacityCheck rejects moves that are infeasible regardless of routing:
 // every pair a core sources (sinks) crosses its NI's egress (ingress) link,
 // and each pair needs at least its bandwidth-driven slot count there, so a
@@ -784,36 +721,26 @@ func (s *Session) Result() *Result {
 	if s.pending {
 		panic("core: Session.Result with a pending move")
 	}
+	asn := grid[*Assignment](len(s.recs), len(s.ev.pairList))
+	for g, recs := range s.recs {
+		for idx, r := range recs {
+			if r != nil {
+				asn[g][idx] = newAssignment(r.path, r.start)
+			}
+		}
+	}
+	configs, err := s.ev.configsOf(asn)
+	if err != nil {
+		// A committed session holds a reservation for every (group, pair).
+		panic(err)
+	}
 	mapping := &Mapping{
 		Topology:   s.ev.top,
 		Params:     s.ev.p,
 		Prep:       s.ev.prep,
 		CoreSwitch: append([]int(nil), s.cs...),
 		CoreNI:     append([]int(nil), s.cn...),
-	}
-	// One shared Assignment per (group, pair), mirroring the mapper.
-	asn := make([]map[traffic.PairKey]*Assignment, len(s.recs))
-	for g := range s.recs {
-		asn[g] = make(map[traffic.PairKey]*Assignment)
-		for _, r := range s.recs[g] {
-			if r == nil {
-				continue
-			}
-			asn[g][r.key] = &Assignment{
-				Path:      append([]int(nil), r.path...),
-				Starts:    append([]int(nil), r.start...),
-				SlotCount: len(r.start),
-			}
-		}
-	}
-	mapping.Configs = make([]*Config, len(s.ev.prep.UseCases))
-	for uc := range s.ev.prep.UseCases {
-		g := s.ev.prep.GroupOf[uc]
-		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(s.ev.ucPairs[uc]))}
-		for _, ps := range s.ev.ucPairs[uc] {
-			cfg.Assignments[ps.key] = asn[g][ps.key]
-		}
-		mapping.Configs[uc] = cfg
+		Configs:    configs,
 	}
 	dim := topology.Dim{Rows: s.ev.top.Rows, Cols: s.ev.top.Cols}
 	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: s.stats}

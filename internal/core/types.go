@@ -61,11 +61,6 @@ type Params struct {
 	// are selected on bandwidth alone and slots are assigned post hoc
 	// (ablation A2, approximating a non-unified flow as criticized in §5).
 	DisableUnifiedSlots bool
-	// Improve enables the placement-refinement pass (extension X1, the
-	// vertex-swap exploration the paper cites from [19]).
-	Improve bool
-	// ImproveIters bounds the refinement pass (default 64 swaps).
-	ImproveIters int
 }
 
 // DefaultParams returns the architecture defaults used throughout the
@@ -82,7 +77,6 @@ func DefaultParams() Params {
 		Topology:            topology.MeshSpec(),
 		Cost:                route.DefaultCostParams(),
 		PlacementCandidates: 6,
-		ImproveIters:        64,
 	}
 }
 

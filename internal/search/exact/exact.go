@@ -36,7 +36,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
-	"nocmap/internal/tdma"
+	"nocmap/internal/store"
 	"nocmap/internal/topology"
 	"nocmap/internal/usecase"
 )
@@ -90,9 +90,13 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 
 	best := base
 	incSwitches := base.Mapping.SwitchCount()
-	b := newBnb(prep, numCores, p, opts, base)
-
 	evals := search.NewEvalCache(prep, numCores, p)
+	baseEv, err := evals.For(base.Mapping.Topology)
+	if err != nil {
+		return nil, err
+	}
+	b := newBnb(baseEv, prep, numCores, p, opts, base)
+
 	lb, exact := 0, false
 	for _, dim := range topology.GrowthSequence(p.MaxMeshDim) {
 		s := dim.Switches()
@@ -117,7 +121,7 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 		if outcome == dimFeasible {
 			// Optimal: feasible here, infeasible everywhere smaller.
 			exact = true
-			if opts.Weights.Of(res) < opts.Weights.Of(best)-1e-12 {
+			if opts.Weights.Of(res) < opts.Weights.Of(best)-store.CostEps {
 				best = res
 				best.LowerBoundSwitches = lb
 				best.LowerBoundExact = true
@@ -141,8 +145,10 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 }
 
 // bnb carries the state of one branch-and-bound run across candidate
-// fabrics: the descent order, the per-(core, group) minimum slot demands
-// and the remaining weighted node budget.
+// fabrics: the descent order and the remaining weighted node budget. The
+// per-(group, core) slot demands the prune and the order read are the
+// evaluator's (core.Evaluator.NIDemand), the table the mapper projects NI
+// load from.
 type bnb struct {
 	prep     *usecase.Prepared
 	numCores int
@@ -154,43 +160,12 @@ type bnb struct {
 	// order lists the attached cores most-constrained first (highest total
 	// slot demand, then lowest index) — failing early keeps the tree small.
 	order []int
-	// egressNeed[c][g] / ingressNeed[c][g] are the slots core c's pairs
-	// provably occupy on its NI's egress / ingress link in group g's slot
-	// table: the sum of ceil(bw/slotBW) over the group's distinct pairs
-	// with c as source / destination, sized by the group's heaviest flow.
-	egressNeed, ingressNeed [][]int
 }
 
-func newBnb(prep *usecase.Prepared, numCores int, p core.Params, opts search.Options, base *core.Result) *bnb {
+func newBnb(ev *core.Evaluator, prep *usecase.Prepared, numCores int, p core.Params, opts search.Options, base *core.Result) *bnb {
 	b := &bnb{prep: prep, numCores: numCores, p: p, opts: opts, nodes: opts.Nodes}
 	if b.nodes == 0 {
 		b.nodes = defaultNodeBudget
-	}
-	groups := len(prep.Groups)
-	b.egressNeed = make([][]int, numCores)
-	b.ingressNeed = make([][]int, numCores)
-	for c := 0; c < numCores; c++ {
-		b.egressNeed[c] = make([]int, groups)
-		b.ingressNeed[c] = make([]int, groups)
-	}
-	slotBW := p.SlotBandwidthMBs()
-	for g, members := range prep.Groups {
-		// Distinct pairs of the group, sized by the heaviest same-pair flow
-		// — exactly how the mapper sizes shared reservations.
-		maxBW := make(map[[2]int]float64)
-		for _, uc := range members {
-			for _, f := range prep.UseCases[uc].Flows {
-				k := [2]int{int(f.Src), int(f.Dst)}
-				if f.BandwidthMBs > maxBW[k] {
-					maxBW[k] = f.BandwidthMBs
-				}
-			}
-		}
-		for k, bw := range maxBW {
-			need := tdma.SlotsNeeded(bw, slotBW)
-			b.egressNeed[k[0]][g] += need
-			b.ingressNeed[k[1]][g] += need
-		}
 	}
 	attached := make([]int, 0, numCores)
 	for c, s := range base.Mapping.CoreSwitch {
@@ -200,8 +175,9 @@ func newBnb(prep *usecase.Prepared, numCores int, p core.Params, opts search.Opt
 	}
 	demand := func(c int) int {
 		total := 0
-		for g := 0; g < groups; g++ {
-			total += b.egressNeed[c][g] + b.ingressNeed[c][g]
+		for g := range prep.Groups {
+			out, in := ev.NIDemand(g, c)
+			total += out + in
 		}
 		return total
 	}
@@ -247,6 +223,21 @@ func (b *bnb) searchDim(ctx context.Context, evals *search.EvalCache, dim topolo
 		cs[c], cn[c] = -1, -1
 	}
 
+	// load adds sign times core c's slot demand to NI ni's per-group sums
+	// and reports whether every sum still fits the slot table.
+	load := func(ni, c, sign int) bool {
+		fits := true
+		for g := 0; g < groups; g++ {
+			out, in := ev.NIDemand(g, c)
+			egress[ni][g] += sign * out
+			ingress[ni][g] += sign * in
+			if egress[ni][g] > T || ingress[ni][g] > T {
+				fits = false
+			}
+		}
+		return fits
+	}
+
 	var res *core.Result
 	var dfs func(i int) dimOutcome
 	dfs = func(i int) dimOutcome {
@@ -270,15 +261,7 @@ func (b *bnb) searchDim(ctx context.Context, evals *search.EvalCache, dim topolo
 				continue
 			}
 			b.nodes--
-			fits := true
-			for g := 0; g < groups; g++ {
-				egress[ni][g] += b.egressNeed[c][g]
-				ingress[ni][g] += b.ingressNeed[c][g]
-				if egress[ni][g] > T || ingress[ni][g] > T {
-					fits = false
-				}
-			}
-			if fits {
+			if load(ni, c, 1) {
 				niLoad[ni]++
 				cn[c] = ni
 				cs[c] = ni / b.p.NIsPerSwitch
@@ -286,17 +269,11 @@ func (b *bnb) searchDim(ctx context.Context, evals *search.EvalCache, dim topolo
 				niLoad[ni]--
 				cn[c], cs[c] = -1, -1
 				if out != dimInfeasible {
-					for g := 0; g < groups; g++ {
-						egress[ni][g] -= b.egressNeed[c][g]
-						ingress[ni][g] -= b.ingressNeed[c][g]
-					}
+					load(ni, c, -1)
 					return out
 				}
 			}
-			for g := 0; g < groups; g++ {
-				egress[ni][g] -= b.egressNeed[c][g]
-				ingress[ni][g] -= b.ingressNeed[c][g]
-			}
+			load(ni, c, -1)
 			if b.nodes <= 0 {
 				return dimExhausted
 			}

@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"nocmap/internal/core"
+	"nocmap/internal/store"
 	"nocmap/internal/topology"
 	"nocmap/internal/usecase"
 )
@@ -101,7 +102,7 @@ func (k *Kit) run(ctx context.Context, base *core.Result, improve Improver) {
 		// restart effort: a size some other engine already beat is not
 		// worth probing.
 		if k.Opts.Board != nil {
-			if res, cost, ok := k.Opts.Board.Best(); ok && cost < k.bestCost-1e-12 {
+			if res, cost, ok := k.Opts.Board.Best(); ok && cost < k.bestCost-store.CostEps {
 				k.best, k.bestCost = res, cost
 			}
 		}
@@ -218,7 +219,7 @@ func (k *Kit) shuffledPlacement(seats []int, attached []int) (cs, cn []int) {
 // Consider makes r the incumbent when it scores strictly better, publishing
 // it to Options.Board and emitting one StageImproved event.
 func (k *Kit) Consider(r *core.Result) {
-	if c := k.Opts.Weights.Of(r); c < k.bestCost-1e-12 {
+	if c := k.Opts.Weights.Of(r); c < k.bestCost-store.CostEps {
 		k.best, k.bestCost = r, c
 		if k.Opts.Board != nil {
 			k.Opts.Board.Publish(r, c)
@@ -230,7 +231,7 @@ func (k *Kit) Consider(r *core.Result) {
 // ConsiderSession is Consider for the session's committed configuration
 // scoring cost; the result is materialized only when it improves.
 func (k *Kit) ConsiderSession(sess *core.Session, cost float64) {
-	if cost < k.bestCost-1e-12 {
+	if cost < k.bestCost-store.CostEps {
 		k.Consider(sess.Result())
 	}
 }

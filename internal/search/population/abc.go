@@ -5,6 +5,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/usecase"
 )
 
@@ -87,7 +88,7 @@ func (d *driver) probeSource(m *indiv, switches int, attached []int) {
 		return
 	}
 	cost := d.Opts.Weights.OfParts(switches, stats)
-	if cost < m.cost-1e-12 {
+	if cost < m.cost-store.CostEps {
 		m.sess.Keep()
 		d.Counts.Accepted++
 		m.cost = cost

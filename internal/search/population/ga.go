@@ -5,6 +5,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/usecase"
 )
 
@@ -66,7 +67,7 @@ func (d *driver) tournament(pop []*indiv, k int) int {
 	best := d.Rng.Intn(len(pop))
 	for i := 1; i < k; i++ {
 		c := d.Rng.Intn(len(pop))
-		if pop[c].cost < pop[best].cost-1e-12 {
+		if pop[c].cost < pop[best].cost-store.CostEps {
 			best = c
 		}
 	}

@@ -5,6 +5,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/usecase"
 )
 
@@ -75,11 +76,11 @@ func (psoEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			if !d.adopt(m, switches, d.csBuf, d.cnBuf) {
 				continue
 			}
-			if m.cost < pbestCost[i]-1e-12 {
+			if m.cost < pbestCost[i]-store.CostEps {
 				pbestCost[i] = m.cost
 				_, pbestCN[i] = m.sess.Placement()
 			}
-			if m.cost < gbestCost-1e-12 {
+			if m.cost < gbestCost-store.CostEps {
 				gbestCost = m.cost
 				gbestCN = append(gbestCN[:0], pbestCN[i]...)
 				d.ConsiderSession(m.sess, m.cost)

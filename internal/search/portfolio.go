@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"nocmap/internal/core"
+	"nocmap/internal/store"
 	"nocmap/internal/usecase"
 )
 
@@ -129,7 +130,7 @@ func pickBest(base *core.Result, results []outcome, w CostWeights) *core.Result 
 			continue // the greedy base already guarantees a feasible result
 		}
 		c := w.Of(o.res)
-		if c < bestCost-1e-12 || (c < bestCost+1e-12 && o.order < bestOrder) {
+		if c < bestCost-store.CostEps || (c < bestCost+store.CostEps && o.order < bestOrder) {
 			best, bestCost, bestOrder = o.res, c, o.order
 		}
 	}

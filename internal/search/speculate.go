@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"nocmap/internal/core"
+	"nocmap/internal/store"
 )
 
 // Speculative move evaluation. A serial annealing chain scores one
@@ -189,7 +190,7 @@ func (a annealer) annealBatch(ctx context.Context, sess *core.Session, switches 
 		// one gets the chain's single Metropolis draw.
 		bestK := -1
 		for k := 0; k < batch; k++ {
-			if results[k].ok && (bestK < 0 || results[k].cost < results[bestK].cost-1e-12) {
+			if results[k].ok && (bestK < 0 || results[k].cost < results[bestK].cost-store.CostEps) {
 				bestK = k
 			}
 		}
@@ -310,7 +311,7 @@ type incumbent struct {
 func (b *IncumbentBoard) Publish(r *core.Result, cost float64) bool {
 	for {
 		cur := b.best.Load()
-		if cur != nil && cost >= cur.cost-1e-12 {
+		if cur != nil && cost >= cur.cost-store.CostEps {
 			return false
 		}
 		if b.best.CompareAndSwap(cur, &incumbent{res: r, cost: cost}) {

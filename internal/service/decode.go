@@ -143,20 +143,17 @@ func (d *bodyDecoder) decode(b []byte, mr *MapRequest) bool {
 		case "max_dim":
 			bit = 1 << 11
 			out.MaxDim = ptr(d.int())
-		case "improve":
-			bit = 1 << 12
-			out.Improve = d.bool()
 		case "timeout_ms":
-			bit = 1 << 13
+			bit = 1 << 12
 			out.TimeoutMS = d.int64()
 		case "async":
-			bit = 1 << 14
+			bit = 1 << 13
 			out.Async = d.bool()
 		case "mode":
-			bit = 1 << 15
+			bit = 1 << 14
 			out.Mode = d.str()
 		case "wait_ms":
-			bit = 1 << 16
+			bit = 1 << 15
 			out.WaitMS = d.int64()
 		}
 		d.once(&seen, bit)

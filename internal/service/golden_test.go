@@ -98,10 +98,6 @@ var goldenCases = []goldenCase{
 		result: "5cdfd4b9305460ac32bf942c9a7b4c2164701d9915356707a55224588ebf891b",
 		trace:  "dbe0e361fa08796ec21e8bf7b9d103cb7b4620d37577fb11d4cf23ce06fcdd46",
 		events: "2b2a31515524d26aa83d714269a20d60e8e7a77541a2b025ec1fd3702c990a17"},
-	{name: "D2/improve", design: bench.D2, params: func(p *core.Params) { p.Improve = true },
-		result: "629e81ace8af0582e26032640eef05b42175261cd7d1626fb93316654fc5f1a4",
-		trace:  "122aa512d199aeddec8fb67288bf529431ed14d3dbda3a9689791ce640a45634",
-		events: "2b2a31515524d26aa83d714269a20d60e8e7a77541a2b025ec1fd3702c990a17"},
 	{name: "D4/anneal", design: bench.D4, params: at300MHz,
 		engine: "anneal", opts: defaultsWith(func(o *search.Options) { o.Seed, o.Iters = 2, 300 }),
 		result: "49f57fcb05788a2b453d733b868ae645e2c035c7062f98633d777993bfa156d2",
@@ -211,9 +207,9 @@ func eventText(events []search.Event) string {
 
 // TestMapGolden pins the wire result and the search trace of the growth
 // loop and of the search engines on the paper designs, both synthetic
-// classes, a torus, the ablations and the refinement pass. Any change to
-// the constructive mapper, the evaluator or the verifier that alters a
-// single output byte shows up here.
+// classes, a torus and the ablations. Any change to the constructive
+// mapper, the evaluator or the verifier that alters a single output byte
+// shows up here.
 func TestMapGolden(t *testing.T) {
 	for _, gc := range goldenCases {
 		t.Run(gc.name, func(t *testing.T) {

@@ -38,11 +38,10 @@ type MapRequest struct {
 	Population  *int `json:"population,omitempty"`
 	Generations *int `json:"generations,omitempty"`
 	Nodes       *int `json:"nodes,omitempty"`
-	// FreqMHz, Slots, MaxDim, Improve override core.DefaultParams.
+	// FreqMHz, Slots, MaxDim override core.DefaultParams.
 	FreqMHz *float64 `json:"freq_mhz,omitempty"`
 	Slots   *int     `json:"slots,omitempty"`
 	MaxDim  *int     `json:"max_dim,omitempty"`
-	Improve bool     `json:"improve,omitempty"`
 	// TimeoutMS is the job deadline, measured from when a worker picks the
 	// job up; an answer it cuts short is served as truncated, never stored.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -155,7 +154,6 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 	if mr.MaxDim != nil {
 		req.Params.MaxMeshDim = *mr.MaxDim
 	}
-	req.Params.Improve = mr.Improve
 	if mr.TimeoutMS > 0 {
 		req.Timeout = time.Duration(mr.TimeoutMS) * time.Millisecond
 	}

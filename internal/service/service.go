@@ -152,12 +152,13 @@ func (r *Request) Key() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "nocmap-request-v1\ndesign %s\nengine %s\n", r.Design.Digest(), r.Engine)
 	p := r.Params
-	fmt.Fprintf(h, "params %d %s %d %d %d %d %d %s %s %s %d %d %t %t %t %d\n",
+	// The "false 64" keeps old keys valid: a removed placement-refinement
+	// switch and its default iteration count hashed there.
+	fmt.Fprintf(h, "params %d %s %d %d %d %d %d %s %s %s %d %d %t %t false 64\n",
 		p.LinkWidthBits, hexf(p.FreqMHz), p.SlotTableSize, p.SlotCycles,
 		p.NIsPerSwitch, p.CoresPerNI, p.MaxMeshDim, p.Topology.CanonicalID(),
 		hexf(p.Cost.HopCost), hexf(p.Cost.LoadWeight), p.Cost.MaxCandidates,
-		p.PlacementCandidates, p.DisableMappedPreference, p.DisableUnifiedSlots,
-		p.Improve, p.ImproveIters)
+		p.PlacementCandidates, p.DisableMappedPreference, p.DisableUnifiedSlots)
 	o := r.Opts
 	o.Workers = 0
 	if r.Engine == "greedy" {

@@ -10,6 +10,7 @@ import (
 
 	"nocmap/internal/core"
 	"nocmap/internal/search"
+	"nocmap/internal/store"
 	"nocmap/internal/usecase"
 )
 
@@ -102,7 +103,7 @@ func (st *jobStream) append(e StreamEvent) bool {
 		return false
 	}
 	if e.Response != nil {
-		if e.Cost > st.bestCost-costEps && !e.Final {
+		if e.Cost > st.bestCost-store.CostEps && !e.Final {
 			return false // not a strict job-level improvement
 		}
 		if e.Cost < st.bestCost {
@@ -124,7 +125,7 @@ func (st *jobStream) append(e StreamEvent) bool {
 func (st *jobStream) wouldImprove(cost float64) bool {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return !st.closed && cost < st.bestCost-costEps
+	return !st.closed && cost < st.bestCost-store.CostEps
 }
 
 // next returns the events with Seq > after and whether the stream is
@@ -165,10 +166,6 @@ func (st *jobStream) latest() *Response {
 	}
 	return nil
 }
-
-// costEps is the strict-improvement tolerance, matching the engines' own
-// incumbent comparison.
-const costEps = 1e-12
 
 // costOfResult scores a wire Result under the weights the producing request
 // ran with: the identical scalar the engines minimize, recomputed from the

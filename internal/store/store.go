@@ -29,10 +29,11 @@ import (
 	"fmt"
 )
 
-// CostEps is the strict-improvement tolerance shared with the search
-// engines' incumbent comparison: costs within CostEps are ties, and a tie
-// may replace the resident entry (the final result of a streamed run wins
-// ties so the stored envelope carries its timings).
+// CostEps is the one strict-improvement tolerance of every cost
+// comparison: the store's, the search engines' incumbent tests and the
+// service's stream read it. Costs within CostEps are ties, and a tie may
+// replace the resident entry (the final result of a streamed run wins ties
+// so the stored envelope carries its timings).
 const CostEps = 1e-12
 
 // Entry is one stored result: an opaque value scored by the scalar cost

@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // State holds the slot tables of every link of one NoC configuration. The
@@ -47,6 +46,10 @@ type State struct {
 	// Larger tables walk the bits one slot at a time.
 	masks []uint64
 	free  []int // per-link free-slot count, kept in sync by Reserve/Release
+	// starts is FindAlignedInto's scratch bitset of aligned starts on
+	// tables of several words, allocated on first use and never shared
+	// with a clone.
+	starts []uint64
 }
 
 // fullMask returns the all-free mask for a table of `slots` bits.
@@ -125,6 +128,7 @@ func (s *State) Clone() *State {
 	c := *s
 	c.masks = slices.Clone(s.masks)
 	c.free = slices.Clone(s.free)
+	c.starts = nil
 	return &c
 }
 
@@ -203,28 +207,15 @@ func (s *State) startMask(path []int) uint64 {
 	return acc
 }
 
-// AvailableStarts lists the starting slots (on the first link) from which a
-// flit could traverse the whole path without conflict.
-func (s *State) AvailableStarts(path []int) []int {
-	if len(path) == 0 {
-		return nil
-	}
-	var starts []int
-	for st := 0; st < s.slots; st++ {
-		if s.startFree(path, st) {
-			starts = append(starts, st)
-		}
-	}
-	return starts
-}
-
 // FindAlignedInto selects n starting slots for a reservation along path,
 // spreading them as evenly as possible around the table to minimize the
 // worst-case waiting gap, and writes them into buf (append semantics from
 // buf[:0]; pass nil to allocate). It returns nil, false if fewer than n
 // aligned starts exist; the path must be non-empty. With a word-sized
 // table (slots <= 64) a probe costs one rotate-AND per link plus a
-// constant number of word operations per chosen start (nearestSet), and a
+// constant number of word operations per chosen start (nearestSet).
+// Larger tables collect the aligned starts into a scratch bitset with the
+// per-start walk and pick from it a word at a time (nearestSetWords). A
 // successful probe performs no heap allocation beyond buf's one-time
 // growth — the evaluation paths reuse one buffer per reservation record.
 // The returned starts are sorted ascending.
@@ -232,68 +223,126 @@ func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	if n <= 0 || len(path) == 0 {
 		return nil, false
 	}
-	if s.words == 1 {
-		// The popcount decides feasibility before any slot is materialized —
-		// on loaded fabrics most alignment probes fail, and a failed probe
-		// costs one rotate-AND per link.
-		acc := s.startMask(path)
-		count := bits.OnesCount64(acc)
-		if count < n {
-			return nil, false
+	if s.words > 1 {
+		return s.findAlignedWords(path, n, buf)
+	}
+	// The popcount decides feasibility before any slot is materialized —
+	// on loaded fabrics most alignment probes fail, and a failed probe
+	// costs one rotate-AND per link.
+	acc := s.startMask(path)
+	count := bits.OnesCount64(acc)
+	if count < n {
+		return nil, false
+	}
+	chosen := buf[:0]
+	if count == n {
+		for a := acc; a != 0; a &= a - 1 {
+			chosen = append(chosen, bits.TrailingZeros64(a))
 		}
-		chosen := buf[:0]
-		if count == n {
-			for a := acc; a != 0; a &= a - 1 {
-				chosen = append(chosen, bits.TrailingZeros64(a))
-			}
-			return chosen, true
+		return chosen, true
+	}
+	// Greedy even spacing: for each ideal position i*T/n take the nearest
+	// still-unused available slot (cyclically, the lower index on a tie),
+	// found with two rotations instead of a scan over the free bits.
+	for i := 0; i < n; i++ {
+		best := nearestSet(acc, i*s.slots/n, s.slots)
+		acc &^= uint64(1) << best
+		chosen = append(chosen, best)
+	}
+	// Insertion sort: n is small and the slice is nearly sorted.
+	for i := 1; i < len(chosen); i++ {
+		for j := i; j > 0 && chosen[j] < chosen[j-1]; j-- {
+			chosen[j], chosen[j-1] = chosen[j-1], chosen[j]
 		}
-		// Greedy even spacing: for each ideal position i*T/n take the nearest
-		// still-unused available slot (cyclically, the lower index on a tie),
-		// found with two rotations instead of a scan over the free bits.
-		for i := 0; i < n; i++ {
-			best := nearestSet(acc, i*s.slots/n, s.slots)
-			acc &^= uint64(1) << best
-			chosen = append(chosen, best)
+	}
+	return chosen, true
+}
+
+// findAlignedWords is FindAlignedInto on a table of several words: the
+// same even-spacing pick over the scratch bitset of the path's aligned
+// starts.
+func (s *State) findAlignedWords(path []int, n int, buf []int) ([]int, bool) {
+	if len(s.starts) < s.words {
+		s.starts = make([]uint64, s.words)
+	}
+	acc := s.starts[:s.words]
+	clear(acc)
+	count := 0
+	for st := 0; st < s.slots; st++ {
+		if s.startFree(path, st) {
+			acc[st>>6] |= uint64(1) << (st & 63)
+			count++
 		}
-		// Insertion sort: n is small and the slice is nearly sorted.
-		for i := 1; i < len(chosen); i++ {
-			for j := i; j > 0 && chosen[j] < chosen[j-1]; j-- {
-				chosen[j], chosen[j-1] = chosen[j-1], chosen[j]
+	}
+	if count < n {
+		return nil, false
+	}
+	chosen := buf[:0]
+	if count == n {
+		for w, x := range acc {
+			for ; x != 0; x &= x - 1 {
+				chosen = append(chosen, w<<6+bits.TrailingZeros64(x))
 			}
 		}
 		return chosen, true
 	}
-	avail := s.AvailableStarts(path)
-	if len(avail) < n {
-		return nil, false
+	for i := 0; i < n; i++ {
+		best := nearestSetWords(acc, i*s.slots/n, s.slots)
+		acc[best>>6] &^= uint64(1) << (best & 63)
+		chosen = append(chosen, best)
 	}
-	if len(avail) == n {
-		return append(buf[:0], avail...), true
-	}
-	// Large-table fallback (slots > 64): correctness over allocation
-	// discipline.
-	chosen := buf[:0]
-	{
-		used := make(map[int]bool, n)
-		for i := 0; i < n; i++ {
-			target := i * s.slots / n
-			best, bestDist := -1, s.slots+1
-			for _, a := range avail {
-				if used[a] {
-					continue
-				}
-				d := cyclicDist(a, target, s.slots)
-				if d < bestDist || (d == bestDist && a < best) {
-					best, bestDist = a, d
-				}
-			}
-			used[best] = true
-			chosen = append(chosen, best)
-		}
-	}
-	sort.Ints(chosen)
+	slices.Sort(chosen)
 	return chosen, true
+}
+
+// nearestSetWords is nearestSet on a non-empty bitset of slots bits held
+// in several words: the set bit cyclically nearest to target, the lower
+// index of two at equal distance.
+func nearestSetWords(acc []uint64, target, slots int) int {
+	up, down := nextSetWords(acc, target), prevSetWords(acc, target)
+	fwd, bwd := up-target, target-down
+	if fwd < 0 {
+		fwd += slots
+	}
+	if bwd < 0 {
+		bwd += slots
+	}
+	switch {
+	case fwd < bwd:
+		return up
+	case bwd < fwd:
+		return down
+	}
+	return min(up, down)
+}
+
+// nextSetWords returns the first set bit of the non-empty bitset at or
+// after from, wrapping past the last word to bit 0.
+func nextSetWords(acc []uint64, from int) int {
+	w := from >> 6
+	x := acc[w] &^ (uint64(1)<<(from&63) - 1)
+	for x == 0 {
+		if w++; w == len(acc) {
+			w = 0
+		}
+		x = acc[w]
+	}
+	return w<<6 + bits.TrailingZeros64(x)
+}
+
+// prevSetWords returns the last set bit of the non-empty bitset at or
+// before from, wrapping below bit 0 to the last word.
+func prevSetWords(acc []uint64, from int) int {
+	w := from >> 6
+	x := acc[w] & (uint64(2)<<(from&63) - 1)
+	for x == 0 {
+		if w == 0 {
+			w = len(acc)
+		}
+		w--
+		x = acc[w]
+	}
+	return w<<6 + 63 - bits.LeadingZeros64(x)
 }
 
 // Reserve claims the aligned slots along path. The starts must be free (as
@@ -469,15 +518,4 @@ func SlotsNeeded(bandwidthMBs, slotBandwidthMBs float64) int {
 		n++
 	}
 	return n
-}
-
-func cyclicDist(a, b, m int) int {
-	d := a - b
-	if d < 0 {
-		d = -d
-	}
-	if m-d < d {
-		d = m - d
-	}
-	return d
 }

@@ -143,20 +143,137 @@ func TestReleaseOnlyOwn(t *testing.T) {
 	checkAgainstRef(t, s, ref, "after releasing a path with a repeated link")
 }
 
-func TestAvailableStarts(t *testing.T) {
+// TestFindAlignedAllStarts: asking for every aligned start returns them
+// all, ascending, and asking for one more fails — on a fresh table and
+// after a reservation takes one start.
+func TestFindAlignedAllStarts(t *testing.T) {
 	s := mustState(t, 2, 4)
-	if got := s.AvailableStarts(nil); got != nil {
-		t.Errorf("empty path starts = %v", got)
+	path := []int{0, 1}
+	if got, ok := s.FindAlignedInto(path, 4, nil); !ok || !slices.Equal(got, []int{0, 1, 2, 3}) {
+		t.Errorf("fresh table starts = %v,%v, want all 4", got, ok)
 	}
-	if got := s.AvailableStarts([]int{0, 1}); len(got) != 4 {
-		t.Errorf("fresh table starts = %v, want all 4", got)
+	if _, ok := s.FindAlignedInto(path, 5, nil); ok {
+		t.Error("fresh table granted more starts than slots")
 	}
-	if err := s.Reserve(5, []int{0, 1}, []int{1}); err != nil {
+	if err := s.Reserve(5, path, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	got := s.AvailableStarts([]int{0, 1})
-	if !reflect.DeepEqual(got, []int{0, 2, 3}) {
-		t.Errorf("starts after reservation = %v, want [0 2 3]", got)
+	if got, ok := s.FindAlignedInto(path, 3, nil); !ok || !slices.Equal(got, []int{0, 2, 3}) {
+		t.Errorf("starts after reservation = %v,%v, want [0 2 3]", got, ok)
+	}
+	if _, ok := s.FindAlignedInto(path, 4, nil); ok {
+		t.Error("granted a start the reservation holds")
+	}
+}
+
+// availableStarts lists the starts free along the whole path, ascending.
+func availableStarts(s *State, path []int) []int {
+	var starts []int
+	for st := 0; st < s.slots; st++ {
+		if s.startFree(path, st) {
+			starts = append(starts, st)
+		}
+	}
+	return starts
+}
+
+func cyclicDist(a, b, m int) int {
+	d := a - b
+	if d < 0 {
+		d = -d
+	}
+	if m-d < d {
+		d = m - d
+	}
+	return d
+}
+
+// findAlignedScan is the pick FindAlignedInto made on tables over 64 slots
+// before the word bitset: for each ideal position i*T/n, a scan over the
+// list of aligned starts for the nearest one not yet used (the lower index
+// on a tie), sorted.
+func findAlignedScan(s *State, path []int, n int) ([]int, bool) {
+	avail := availableStarts(s, path)
+	if n <= 0 || len(path) == 0 || len(avail) < n {
+		return nil, false
+	}
+	if len(avail) == n {
+		return avail, true
+	}
+	used := make(map[int]bool, n)
+	var chosen []int
+	for i := 0; i < n; i++ {
+		target := i * s.slots / n
+		best, bestDist := -1, s.slots+1
+		for _, a := range avail {
+			if used[a] {
+				continue
+			}
+			if d := cyclicDist(a, target, s.slots); d < bestDist || (d == bestDist && a < best) {
+				best, bestDist = a, d
+			}
+		}
+		used[best] = true
+		chosen = append(chosen, best)
+	}
+	slices.Sort(chosen)
+	return chosen, true
+}
+
+// TestFindAlignedWordsMatchesScan: on random T = 128 states the word
+// bitset pick chooses exactly the starts findAlignedScan chose, for every
+// feasible n and one past it.
+func TestFindAlignedWordsMatchesScan(t *testing.T) {
+	const links, slots = 6, 128
+	rng := rand.New(rand.NewSource(128))
+	for trial := 0; trial < 40; trial++ {
+		s := mustState(t, links, slots)
+		for i := rng.Intn(3 * slots); i > 0; i-- {
+			path := []int{rng.Intn(links), rng.Intn(links)}
+			_ = s.Reserve(0, path, []int{rng.Intn(slots)}) // may be taken; fine
+		}
+		for probe := 0; probe < 8; probe++ {
+			path := make([]int, 1+rng.Intn(4))
+			for h := range path {
+				path[h] = rng.Intn(links)
+			}
+			avail := len(availableStarts(s, path))
+			for n := 1; n <= avail+1; n++ {
+				got, ok := s.FindAlignedInto(path, n, nil)
+				want, wantOK := findAlignedScan(s, path, n)
+				if ok != wantOK || !slices.Equal(got, want) {
+					t.Fatalf("trial %d path %v n %d: FindAlignedInto = %v,%v; scan %v,%v", trial, path, n, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+// TestFindAlignedLargeTableZeroAlloc: on a T = 128 table a successful
+// probe allocates nothing once the caller's buffer is sized (the scratch
+// bitset is allocated by the first probe).
+func TestFindAlignedLargeTableZeroAlloc(t *testing.T) {
+	const slots = 128
+	s := mustState(t, 3, slots)
+	for st := 0; st < slots; st += 3 {
+		if err := s.Reserve(0, []int{0, 1}, []int{st}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := []int{0, 1, 2}
+	buf := make([]int, 0, slots)
+	if _, ok := s.FindAlignedInto(path, 7, buf); !ok {
+		t.Fatal("warm-up probe failed")
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, n := range []int{1, 7, 40} {
+			if _, ok := s.FindAlignedInto(path, n, buf); !ok {
+				t.Fatalf("probe of %d starts failed", n)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("FindAlignedInto at T=%d: %v allocs per run, want 0", slots, allocs)
 	}
 }
 
@@ -424,7 +541,7 @@ func TestFindAlignedShapeProperty(t *testing.T) {
 		n := 1 + rng.Intn(4)
 		starts, ok := s.FindAlignedInto(path, n, nil)
 		if !ok {
-			return len(s.AvailableStarts(path)) < n
+			return len(availableStarts(s, path)) < n
 		}
 		if len(starts) != n {
 			return false
@@ -727,7 +844,7 @@ func pick(rng *rand.Rand, xs []int) int { return xs[rng.Intn(len(xs))] }
 // TestDivisionFreeWalksMatchModRef: for every word-sized table (T = 1..64,
 // T = 64 taking fullMask's own branch) and for multi-word tables (T = 65,
 // 96, 128), with paths up to 3T hops, so the slot index wraps several
-// times, startMask, nearestSet, AvailableStarts, Reserve and Release agree
+// times, startMask, nearestSet, FindAlignedInto, Reserve and Release agree
 // with a per-slot mod-T reference — free bits, free counts, the error text
 // and the start Reserve reports when a start is taken.
 func TestDivisionFreeWalksMatchModRef(t *testing.T) {
@@ -776,8 +893,11 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 					}
 				}
 				free := ref.starts(path, true)
-				if got := s.AvailableStarts(path); !slices.Equal(got, free) {
-					t.Fatalf("T=%d path len %d: AvailableStarts = %v, reference %v", slots, plen, got, free)
+				if got, ok := s.FindAlignedInto(path, len(free), nil); len(free) > 0 && (!ok || !slices.Equal(got, free)) {
+					t.Fatalf("T=%d path len %d: FindAlignedInto of every start = %v, reference %v", slots, plen, got, free)
+				}
+				if got, ok := s.FindAlignedInto(path, len(free)+1, nil); ok {
+					t.Fatalf("T=%d path len %d: FindAlignedInto granted %v, reference has only %v", slots, plen, got, free)
 				}
 				owner := int32(len(live) + 1)
 				if len(free) > 0 {

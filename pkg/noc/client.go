@@ -210,9 +210,6 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	mr.FreqMHz = cfg.freq
 	mr.Slots = cfg.slots
 	mr.MaxDim = cfg.maxDim
-	if cfg.improve != nil {
-		mr.Improve = *cfg.improve
-	}
 	return mr, nil
 }
 

@@ -16,7 +16,7 @@ type Option func(*config)
 // also needs.
 type config struct {
 	engine   string
-	topology string // "", "mesh", "torus" or "@fabric.json"; "" = design's tag
+	topology string // "", "mesh" or "torus"; "" = design's tag
 	params   core.Params
 	opts     search.Options
 
@@ -31,7 +31,6 @@ type config struct {
 	freq        *float64
 	slots       *int
 	maxDim      *int
-	improve     *bool
 
 	// Local-only knobs (rejected by Client.Map).
 	paramsSet  bool
@@ -87,11 +86,6 @@ func WithSlotTableSize(n int) Option {
 // WithMaxMeshDim caps the growth loop at n x n.
 func WithMaxMeshDim(n int) Option {
 	return func(c *config) { c.params.MaxMeshDim = n; c.maxDim = &n }
-}
-
-// WithImprove toggles the placement-refinement pass after mapping.
-func WithImprove(on bool) Option {
-	return func(c *config) { c.params.Improve = on; c.improve = &on }
 }
 
 // WithSeed sets the base PRNG seed of the stochastic engines; a fixed seed
