@@ -127,7 +127,11 @@ type evalScratch struct {
 	tierOf            []uint8
 	remOut, remIn     [][]int
 	niRemOut, niRemIn [][]int
-	journal           []resRecord
+	// journal backs the mapper's journal, sized once for every reservation
+	// the templates can grant; configs is the running mapper's assignment
+	// table, whose entries hold the journaled paths and starts.
+	journal []journalEntry
+	configs [][]*Assignment
 	// res and rec are the reservation primitive's working state: the
 	// route-query scratch and the probe record whose buffers a granted
 	// reservation is cloned out of.
@@ -480,6 +484,11 @@ func (ev *Evaluator) getScratch() *evalScratch {
 	}
 	sc.tierBits = make([]uint64, int(tierDone)*((len(ev.pairList)+63)/64))
 	sc.tierOf = make([]uint8, len(ev.pairList))
+	reservations := 0
+	for _, pairs := range ev.groupPairs {
+		reservations += len(pairs)
+	}
+	sc.journal = make([]journalEntry, 0, reservations)
 	sc.res.route = route.NewScratch()
 	return sc
 }
@@ -489,10 +498,12 @@ func (ev *Evaluator) getScratch() *evalScratch {
 // arena to the pool.
 func (ev *Evaluator) putScratch(sc *evalScratch) {
 	for i := len(sc.journal) - 1; i >= 0; i-- {
-		r := sc.journal[i]
-		sc.states[r.group].Release(0, r.path, r.start)
+		e := sc.journal[i]
+		a := sc.configs[e.group][e.idx]
+		sc.states[e.group].Release(0, a.Path, a.Starts)
 	}
 	sc.journal = sc.journal[:0]
+	sc.configs = nil
 	ev.pool.Put(sc)
 }
 
@@ -524,6 +535,7 @@ func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
 		m.niRemOut, m.niRemIn = sc.niRemOut, sc.niRemIn
 	}
 	m.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
+	sc.configs = m.configs
 	m.placeFixed(fix)
 	return m
 }
@@ -577,11 +589,10 @@ var (
 )
 
 // reserveScratch is the working state of reserveSlotsInto: the route-query
-// scratch, the shared path probe buffer, and the number of candidate paths
-// the last call probed (for the failure text).
+// scratch and the number of candidate paths the last call probed (for the
+// failure text).
 type reserveScratch struct {
 	route *route.Scratch
-	full  []int
 	cands int
 }
 
@@ -589,12 +600,13 @@ type reserveScratch struct {
 // state: candidate paths cheapest-first (from the per-pair cache), slot
 // count escalating from the bandwidth demand slots0 when the latency
 // budget (in slots; negative means none) needs a smaller gap. Both come
-// precomputed from the templates (pairSlots, pairPlan.latSlots). On success
-// the reservation is committed to st and recorded in rec — path and start
-// buffers come from (and are retained by) the record, so callers that keep
-// the reservation beyond the record's next use must clone them. Route
-// queries reuse the scratch, and infeasibility is reported through shared
-// sentinel errors.
+// precomputed from the templates (pairSlots, pairPlan.latSlots). Each
+// candidate's full path is built in rec's path buffer and claimed with one
+// tdma.State.ReserveAligned, so on success the reservation is committed to
+// st and recorded in rec — path and start buffers come from (and are
+// retained by) the record, so callers that keep the reservation beyond the
+// record's next use must clone them. Route queries reuse the scratch, and
+// infeasibility is reported through shared sentinel errors.
 func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
 	srcS, dstS, egress, ingress, slots0, latBudget int, rec *resRecord) error {
 	T := ev.p.SlotTableSize
@@ -602,10 +614,12 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
 		return errOverCapacity
 	}
 	if cap(rec.start) < T {
-		// A reservation never holds more than T starts; sizing the record's
-		// buffer once keeps every later probe allocation-free no matter which
-		// pair the recycled record serves.
+		// A reservation never holds more than T starts, nor a simple path
+		// more links than the switches plus the two NI links; sizing the
+		// record's buffers once keeps every later probe allocation-free no
+		// matter which pair the recycled record serves.
 		rec.start = make([]int, 0, T)
+		rec.path = make([]int, 0, ev.top.NumSwitches()+1)
 	}
 	var meshCands []route.Path
 	if srcS != dstS {
@@ -623,27 +637,13 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
 	}
 	sc.cands = len(meshCands)
 	for _, cand := range meshCands {
-		full := sc.full[:0]
-		full = append(full, egress)
+		path := append(rec.path[:0], egress)
 		for _, l := range cand {
-			full = append(full, int(l))
+			path = append(path, int(l))
 		}
-		full = append(full, ingress)
-		sc.full = full
-		for n := slots0; n <= T; n++ {
-			starts, ok := st.FindAlignedInto(full, n, rec.start[:0])
-			if !ok {
-				break // more slots cannot become available
-			}
-			rec.start = starts // retain buffer growth across rejected probes
-			if latBudget >= 0 && tdma.WorstCaseLatencySlots(starts, len(full), T) > latBudget {
-				continue // spread more slots to shrink the gap
-			}
-			if err := st.Reserve(0, full, starts); err != nil {
-				return fmt.Errorf("internal: reserve after FindAlignedInto: %w", err)
-			}
-			rec.path = append(rec.path[:0], full...)
-			rec.start = starts
+		rec.path = append(path, ingress)
+		var ok bool
+		if rec.start, ok = st.ReserveAligned(rec.path, slots0, latBudget, rec.start); ok {
 			rec.hops = ev.pathHops(rec.path)
 			return nil
 		}

@@ -101,3 +101,10 @@ func (s *Session) CrossSumsError() error {
 // PendingRebuilds reports how many groups the pending move re-routed from
 // scratch after their delta re-route wedged.
 func (s *Session) PendingRebuilds() int { return len(s.pm.rebuilt) }
+
+// SetGroupOrder sets the order in which the session's moves evaluate the
+// groups; order must be a permutation of the group indices.
+func (s *Session) SetGroupOrder(order []int) { copy(s.order, order) }
+
+// NumGroups reports the design's smooth-switching group count.
+func (s *Session) NumGroups() int { return len(s.order) }

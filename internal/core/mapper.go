@@ -179,15 +179,26 @@ type mapper struct {
 	res *reserveScratch
 	rec *resRecord
 
-	journal []resRecord
+	// journal lists the attempt's live reservations in grant order; the
+	// path and starts of each are in configs.
+	journal []journalEntry
 }
 
-type resRecord struct {
-	group  int
-	path   []int
-	start  []int
-	key    traffic.PairKey
+// journalEntry is one granted reservation of the constructive pass: the
+// group, the pair's dense index and the NI demand projection it realized
+// (zero when no projection is kept).
+type journalEntry struct {
+	group  int32
+	idx    int32
 	demand int
+}
+
+// resRecord is one reservation: the probe record of the reservation
+// primitive, and a session's live record.
+type resRecord struct {
+	group int
+	path  []int
+	start []int
 	// idx and hops serve the session's dense bookkeeping: the pair's index
 	// in the evaluator's pairList and the mesh-hop count of path.
 	idx  int32
@@ -725,21 +736,24 @@ func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, l
 		m.niRemOut[g][m.coreNI[key.Src]] -= demand
 		m.niRemIn[g][m.coreNI[key.Dst]] -= demand
 	}
-	m.journal = append(m.journal, resRecord{group: g, path: a.Path, start: a.Starts, key: key,
-		demand: demand, idx: pi, hops: m.rec.hops})
+	m.journal = append(m.journal, journalEntry{group: int32(g), idx: pi, demand: demand})
 	return nil
 }
 
+// rollback releases the reservations journaled after mark, newest first,
+// and returns their demand to the projections.
 func (m *mapper) rollback(mark int) {
 	for i := len(m.journal) - 1; i >= mark; i-- {
-		r := m.journal[i]
-		m.states[r.group].Release(0, r.path, r.start)
-		m.configs[r.group][r.idx] = nil
+		e := m.journal[i]
+		a := m.configs[e.group][e.idx]
+		m.states[e.group].Release(0, a.Path, a.Starts)
+		m.configs[e.group][e.idx] = nil
 		if m.remOut != nil {
-			m.remOut[r.group][r.key.Src] += r.demand
-			m.remIn[r.group][r.key.Dst] += r.demand
-			m.niRemOut[r.group][m.coreNI[r.key.Src]] += r.demand
-			m.niRemIn[r.group][m.coreNI[r.key.Dst]] += r.demand
+			key := m.pairList[e.idx]
+			m.remOut[e.group][key.Src] += e.demand
+			m.remIn[e.group][key.Dst] += e.demand
+			m.niRemOut[e.group][m.coreNI[key.Src]] += e.demand
+			m.niRemIn[e.group][m.coreNI[key.Dst]] += e.demand
 		}
 	}
 	m.journal = m.journal[:mark]

@@ -13,21 +13,27 @@ import (
 // fully-configured state (every flow of every group routed and reserved)
 // and evaluates a move — a few cores changing seats — by tearing down and
 // re-routing only the pairs whose endpoints moved, instead of
-// re-configuring the world. When the delta path cannot re-route a pair
-// (the incremental order wedges where a from-scratch pass would not), it
-// falls back to a full re-evaluation transparently — and because the
-// groups of a fixed placement never share slot tables, that fallback
-// decomposes per smooth-switching group: only the wedged group is re-routed
-// from scratch, and one group's from-scratch failure rejects the move
-// without evaluating the rest.
+// re-configuring the world. The groups of a fixed placement never share
+// slot tables, so a move is evaluated one smooth-switching group at a
+// time: the group's affected pairs are torn down and re-routed against
+// its standing reservations, and when that delta path cannot re-route a
+// pair (the incremental order wedges where a from-scratch pass would not),
+// the group alone falls back to a from-scratch re-route. One group's
+// from-scratch failure rejects the move without tearing down or evaluating
+// the groups after it.
 //
 // Before any routing, a move passes two necessary-capacity prechecks. The
 // switch-side one reads sums the session keeps current: per group and
 // switch, the slot demand crossing into and out of the switch under the
 // placement. A move shifts only its affected pairs' share of those sums
 // (and a rejected or undone move shifts it back), so the precheck never
-// rescans the design. The re-route then walks per-group buckets of the
-// affected pairs, filled while the teardown walks each pair's groups.
+// rescans the design. The affected pairs are then filed into per-group
+// buckets, and the groups are evaluated in the session's group order, in
+// which a group whose from-scratch pass rejected a move moves to the
+// front: the next infeasible move most often fails in the same group, and
+// is then rejected before any other group is touched. Every group's
+// verdict and reservations are independent of the order, so it changes
+// only how soon an infeasible move is rejected, never an outcome.
 //
 // A move is two-phase: TryMove reserves the new configuration and returns
 // its statistics with the move pending; Keep commits it, Undo restores the
@@ -80,6 +86,11 @@ type Session struct {
 	// buffers — across moves.
 	freeRecs []*resRecord
 
+	// order is the sequence TryMove evaluates the groups in, a permutation
+	// of the group indices; a group whose from-scratch pass fails moves to
+	// its front.
+	order []int
+
 	sc moveScratch
 }
 
@@ -87,6 +98,10 @@ type Session struct {
 // reused across moves.
 type pendingMove struct {
 	stats Stats
+
+	// reached lists the groups whose affected pairs the move tore down, in
+	// evaluation order; only they have anything to commit or undo.
+	reached []int
 
 	// Delta bookkeeping per group: records released by the teardown and
 	// fresh records the re-route granted.
@@ -111,8 +126,9 @@ type moveScratch struct {
 	seenPair []bool
 	seats    []int
 	swCheck  []int
-	// buckets lists, per group, the affected pairs the group re-routes, in
-	// ascending affected order. Every bucket is empty between moves.
+	// buckets lists, per group, the affected pairs the group tears down
+	// and re-routes, in ascending pair order. Every bucket is empty between
+	// moves.
 	buckets [][]groupPair
 }
 
@@ -154,6 +170,11 @@ func (ev *Evaluator) newSessionShell() *Session {
 	s.pm.oldByGroup = make([][]*resRecord, numGroups)
 	s.pm.newByGroup = make([][]*resRecord, numGroups)
 	s.pm.snap = make([][]*resRecord, numGroups)
+	s.pm.reached = make([]int, 0, numGroups)
+	s.order = make([]int, numGroups)
+	for g := range s.order {
+		s.order[g] = g
+	}
 	s.sc.res.route = route.NewScratch()
 	s.sc.affected = make([]int32, 0, numPairs)
 	s.sc.seenPair = make([]bool, numPairs)
@@ -284,7 +305,7 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 				continue
 			}
 			r := s.getRec()
-			r.group, r.key, r.idx = g, ps.key, idx
+			r.group, r.idx = g, idx
 			r.path = append(r.path[:0], a.Path...)
 			r.start = append(r.start[:0], a.Starts...)
 			r.hops = ev.pathHops(r.path)
@@ -312,6 +333,7 @@ func (s *Session) Clone() (*Session, error) {
 	copy(c.cs, s.cs)
 	copy(c.cn, s.cn)
 	c.stats = s.stats
+	copy(c.order, s.order)
 	copy(c.crossOut, s.crossOut)
 	copy(c.crossIn, s.crossIn)
 	for g := range s.states {
@@ -321,7 +343,7 @@ func (s *Session) Clone() (*Session, error) {
 				continue
 			}
 			nr := c.getRec()
-			nr.group, nr.key, nr.idx, nr.hops = r.group, r.key, r.idx, r.hops
+			nr.group, nr.idx, nr.hops = r.group, r.idx, r.hops
 			nr.path = append(nr.path[:0], r.path...)
 			nr.start = append(nr.start[:0], r.start...)
 			c.recs[g][idx] = nr
@@ -425,52 +447,37 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	s.cn, s.cnAlt = s.cnAlt, s.cn
 	pm.swapped = true
 
-	// Tear down every affected pair, filing it into the bucket of each
-	// group that re-routes it.
+	// File every affected pair into the bucket of each group that
+	// re-routes it; nothing is torn down yet.
 	buckets := s.sc.buckets
 	for _, idx := range affected {
 		for gi, g := range s.ev.planOf[idx].groups {
-			r := s.recs[g][idx]
-			if r == nil {
+			if s.recs[g][idx] == nil {
 				s.clearBuckets()
 				s.rollbackMove()
 				return Stats{}, fmt.Errorf("core: internal: pair %d missing from group %d", idx, g)
 			}
-			s.states[g].Release(0, r.path, r.start)
-			s.recs[g][idx] = nil
-			pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
 			buckets[g] = append(buckets[g], groupPair{idx: idx, gi: int32(gi)})
 		}
 	}
 
-	// Re-route group by group. The groups of a fixed placement are fully
-	// independent — each owns its slot tables — so a group whose delta
-	// re-route wedges falls back to a from-scratch re-route of that group
-	// alone (identical to its share of a full re-evaluation), and a group
-	// whose from-scratch pass fails proves the whole move infeasible
-	// without touching the remaining groups.
-	for g, bucket := range buckets {
-		buckets[g] = bucket[:0]
-		ok := true
-		for _, e := range bucket {
-			key := s.ev.pairList[e.idx]
-			rec := s.getRec()
-			err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g],
-				s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-				s.ev.pairSlots[g][e.idx], s.ev.planOf[e.idx].latSlots[e.gi], rec)
-			if err != nil {
-				s.putRec(rec)
-				ok = false
-				break
-			}
-			rec.group, rec.key, rec.idx = g, key, e.idx
-			s.recs[g][e.idx] = rec
-			pm.newByGroup[g] = append(pm.newByGroup[g], rec)
-		}
-		if ok {
+	// Evaluate group by group in the session's order. The groups of a
+	// fixed placement are fully independent — each owns its slot tables —
+	// so a group whose delta re-route wedges falls back to a from-scratch
+	// re-route of that group alone (identical to its share of a full
+	// re-evaluation), and a group whose from-scratch pass fails proves the
+	// whole move infeasible: it moves to the front of the order, and the
+	// groups after it are never torn down.
+	for k, g := range s.order {
+		bucket := buckets[g]
+		if len(bucket) == 0 {
 			continue
 		}
-		if err := s.rebuildGroup(g); err != nil {
+		buckets[g] = bucket[:0]
+		pm.reached = append(pm.reached, g)
+		if !s.rerouteGroup(g, bucket) && s.rebuildGroup(g) != nil {
+			copy(s.order[1:k+1], s.order[:k])
+			s.order[0] = g
 			s.clearBuckets()
 			s.rollbackMove()
 			return Stats{}, errMoveInfeasible
@@ -479,6 +486,36 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	pm.stats = s.statsFromRecs()
 	s.pending = true
 	return pm.stats, nil
+}
+
+// rerouteGroup tears down group g's affected pairs (its bucket) and
+// re-routes them in ascending pair order against the group's standing
+// reservations. It reports false as soon as a pair does not fit; the
+// records granted so far stay pending for rebuildGroup to undo.
+func (s *Session) rerouteGroup(g int, bucket []groupPair) bool {
+	pm := &s.pm
+	st, recs := s.states[g], s.recs[g]
+	for _, e := range bucket {
+		r := recs[e.idx]
+		st.Release(0, r.path, r.start)
+		recs[e.idx] = nil
+		pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
+	}
+	for _, e := range bucket {
+		key := s.ev.pairList[e.idx]
+		rec := s.getRec()
+		err := s.ev.reserveSlotsInto(&s.sc.res, st,
+			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
+			s.ev.pairSlots[g][e.idx], s.ev.planOf[e.idx].latSlots[e.gi], rec)
+		if err != nil {
+			s.putRec(rec)
+			return false
+		}
+		rec.group, rec.idx = g, e.idx
+		recs[e.idx] = rec
+		pm.newByGroup[g] = append(pm.newByGroup[g], rec)
+	}
+	return true
 }
 
 // rebuildGroup re-routes every pair of group g from scratch in the global
@@ -524,7 +561,7 @@ func (s *Session) rebuildGroup(g int) error {
 			pm.rebuilt = pm.rebuilt[:len(pm.rebuilt)-1]
 			return err
 		}
-		rec.group, rec.key, rec.idx = g, key, pd.idx
+		rec.group, rec.idx = g, pd.idx
 		cur[pd.idx] = rec
 	}
 	return nil
@@ -553,15 +590,15 @@ func (s *Session) restoreGroupFromSnap(g int) {
 	copy(cur, s.pm.snap[g])
 }
 
-// rollbackMove restores every group and the placement to the pre-move
-// configuration and recycles the rejected records.
+// rollbackMove restores every group the move reached and the placement to
+// the pre-move configuration and recycles the rejected records.
 func (s *Session) rollbackMove() {
 	pm := &s.pm
 	for _, g := range pm.rebuilt {
 		s.restoreGroupFromSnap(g)
 	}
 	pm.rebuilt = pm.rebuilt[:0]
-	for g := range pm.newByGroup {
+	for _, g := range pm.reached {
 		lst := pm.newByGroup[g]
 		for i := len(lst) - 1; i >= 0; i-- {
 			r := lst[i]
@@ -578,6 +615,7 @@ func (s *Session) rollbackMove() {
 		}
 		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
 	}
+	pm.reached = pm.reached[:0]
 	if pm.swapped {
 		s.shiftCross(s.cs, s.csAlt)
 		s.cs, s.csAlt = s.csAlt, s.cs
@@ -691,13 +729,14 @@ func (s *Session) Keep() {
 		}
 	}
 	pm.rebuilt = pm.rebuilt[:0]
-	for g := range pm.oldByGroup {
+	for _, g := range pm.reached {
 		for _, r := range pm.oldByGroup[g] {
 			s.putRec(r)
 		}
 		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
 		pm.newByGroup[g] = pm.newByGroup[g][:0]
 	}
+	pm.reached = pm.reached[:0]
 	pm.swapped = false
 	s.pending = false
 }

@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
-// FuzzState runs random Reserve, Release, FindAlignedInto, Reset and Clone
-// sequences against the per-slot refTables model, for tables of 2 to 130
-// slots (one and several mask words) and paths that may visit a link more
-// than once. After every step the free bits and free counts must match the
-// reference, FindAlignedInto must pick the reference's starts, and Reserve
-// must give the reference's verdict and error text.
+// FuzzState runs random Reserve, Release, FindAlignedInto, ReserveAligned,
+// Reset and Clone sequences against the per-slot refTables model, for
+// tables of 2 to 130 slots (one and several mask words) and paths that may
+// visit a link more than once. After every step the free bits and free
+// counts must match the reference, FindAlignedInto must pick the
+// reference's starts, Reserve must give the reference's verdict and error
+// text, and ReserveAligned must claim what the reference's FindAlignedInto
+// and Reserve sequence, escalating the start count to meet a random latency
+// budget (or none), claims.
 func FuzzState(f *testing.F) {
 	for _, slots := range []uint8{2, 3, 7, 16, 63, 64, 65, 96, 128, 130} {
 		f.Add(slots, uint8(slots%5), int64(slots))
@@ -38,7 +41,7 @@ func FuzzState(f *testing.F) {
 			return path
 		}
 		for step := 0; step < 64; step++ {
-			switch op := rng.Intn(10); {
+			switch op := rng.Intn(12); {
 			case op < 4: // FindAlignedInto, then reserve what it found
 				path, n := randPath(), 1+rng.Intn(8)
 				got, ok := s.FindAlignedInto(path, n, nil)
@@ -74,7 +77,36 @@ func FuzzState(f *testing.F) {
 				s.Release(h.owner, h.path, h.starts)
 				ref.release(h.owner, h.path, h.starts)
 				live = slices.Delete(live, k, k+1)
-			case op == 8: // release starts that are free or out of range: a no-op
+			case op < 10: // ReserveAligned against the escalating reference
+				path, n := randPath(), 1+rng.Intn(8)
+				budget := -1 // none
+				if rng.Intn(3) > 0 {
+					budget = len(path) + 1 + rng.Intn(slots+1)
+				}
+				var want []int
+				wantOK := false
+				for k := n; !wantOK; k++ {
+					starts, ok := ref.findAligned(path, k)
+					if !ok {
+						break
+					}
+					if budget < 0 || WorstCaseLatencySlots(starts, len(path), slots) <= budget {
+						want, wantOK = starts, true
+					}
+				}
+				got, ok := s.ReserveAligned(path, n, budget, nil)
+				if ok != wantOK || (ok && !slices.Equal(got, want)) {
+					t.Fatalf("T=%d ReserveAligned(%v, %d, budget %d) = %v, %v; reference %v, %v",
+						slots, path, n, budget, got, ok, want, wantOK)
+				}
+				if ok {
+					owner := int32(step)
+					if err := ref.reserve(owner, path, want); err != nil {
+						t.Fatalf("T=%d reference refuses the claimed starts %v: %v", slots, want, err)
+					}
+					live = append(live, held{owner, path, got})
+				}
+			case op == 10: // release starts that are free or out of range: a no-op
 				path := randPath()
 				junk := []int{-1 - rng.Intn(3), slots + rng.Intn(3)}
 				if free := ref.starts(path, true); len(free) > 0 {

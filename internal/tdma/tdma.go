@@ -234,28 +234,85 @@ func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	if count < n {
 		return nil, false
 	}
-	chosen := buf[:0]
+	return appendStarts(buf[:0], pickAligned(acc, count, n, s.slots)), true
+}
+
+// ReserveAligned is FindAlignedInto and Reserve in one claim, with the
+// latency escalation of a reservation folded in: it picks n starts along
+// path as FindAlignedInto would, and while their worst-case latency
+// (WorstCaseLatencySlots) exceeds latBudget it retries with one start more,
+// up to every aligned start of the path; a negative latBudget accepts the
+// first pick. The accepted starts are reserved, written into buf (append
+// semantics from buf[:0]) and returned with true. When no count fits, the
+// state is unchanged and buf[:0], false is returned, so callers keep the
+// buffer. On a word-sized table the path's aligned-start mask is computed
+// once for every count tried, and the claim is one word pass per link;
+// larger tables run FindAlignedInto and Reserve per count. A claim
+// performs no heap allocation beyond buf's one-time growth.
+func (s *State) ReserveAligned(path []int, n, latBudget int, buf []int) ([]int, bool) {
+	if n <= 0 || len(path) == 0 {
+		return buf[:0], false
+	}
+	if s.words > 1 {
+		for ; n <= s.slots; n++ {
+			starts, ok := s.FindAlignedInto(path, n, buf[:0])
+			if !ok {
+				break // more starts cannot become available
+			}
+			buf = starts
+			if latBudget >= 0 && WorstCaseLatencySlots(starts, len(path), s.slots) > latBudget {
+				continue
+			}
+			if err := s.Reserve(0, path, starts); err != nil {
+				panic(fmt.Sprintf("tdma: internal: reserve after FindAlignedInto: %v", err))
+			}
+			return starts, true
+		}
+		return buf[:0], false
+	}
+	acc := s.startMask(path)
+	count := bits.OnesCount64(acc)
+	for ; n <= count; n++ {
+		chosen := pickAligned(acc, count, n, s.slots)
+		buf = appendStarts(buf[:0], chosen)
+		if latBudget >= 0 && WorstCaseLatencySlots(buf, len(path), s.slots) > latBudget {
+			continue // spread more starts to shrink the gap
+		}
+		// The all-or-nothing check of Reserve: every chosen start is free
+		// along the whole path iff its bits are a subset of the mask.
+		if chosen&^acc != 0 {
+			panic("tdma: internal: picked start is not aligned-free")
+		}
+		s.claimBits(path, chosen)
+		return buf, true
+	}
+	return buf[:0], false
+}
+
+// pickAligned returns, as a bitset, the n starts of the aligned-start mask
+// acc (which holds count >= n starts) that FindAlignedInto selects: for
+// each ideal position i*T/n the nearest still-unused start (cyclically,
+// the lower index on a tie), found with two rotations instead of a scan
+// over the free bits.
+func pickAligned(acc uint64, count, n, slots int) uint64 {
 	if count == n {
-		for a := acc; a != 0; a &= a - 1 {
-			chosen = append(chosen, bits.TrailingZeros64(a))
-		}
-		return chosen, true
+		return acc
 	}
-	// Greedy even spacing: for each ideal position i*T/n take the nearest
-	// still-unused available slot (cyclically, the lower index on a tie),
-	// found with two rotations instead of a scan over the free bits.
+	var chosen uint64
 	for i := 0; i < n; i++ {
-		best := nearestSet(acc, i*s.slots/n, s.slots)
-		acc &^= uint64(1) << best
-		chosen = append(chosen, best)
+		best := uint64(1) << nearestSet(acc, i*slots/n, slots)
+		acc &^= best
+		chosen |= best
 	}
-	// Insertion sort: n is small and the slice is nearly sorted.
-	for i := 1; i < len(chosen); i++ {
-		for j := i; j > 0 && chosen[j] < chosen[j-1]; j-- {
-			chosen[j], chosen[j-1] = chosen[j-1], chosen[j]
-		}
+	return chosen
+}
+
+// appendStarts appends the set bits of m to buf in ascending order.
+func appendStarts(buf []int, m uint64) []int {
+	for ; m != 0; m &= m - 1 {
+		buf = append(buf, bits.TrailingZeros64(m))
 	}
-	return chosen, true
+	return buf
 }
 
 // findAlignedWords is FindAlignedInto on a table of several words: the
@@ -378,24 +435,14 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 		}
 	}
 	if s.words == 1 {
-		// Hop h holds the start bits rotated left by h. Only bits still free
-		// are cleared and counted, so a link the path visits twice is never
-		// charged twice for one slot. At T = 64 this word form takes little
-		// over half the time of the per-bit walk below
-		// (BenchmarkStateReserveRelease, bitwalk runs).
+		// At T = 64 the word form (claimBits) takes little over half the
+		// time of the per-bit walk below (BenchmarkStateReserveRelease,
+		// bitwalk runs).
 		var startBits uint64
 		for _, st := range starts {
 			startBits |= uint64(1) << st
 		}
-		h := 0
-		for _, link := range path {
-			c := rotLIn(startBits, h, s.slots) & s.masks[link]
-			s.masks[link] &^= c
-			s.free[link] -= bits.OnesCount64(c)
-			if h++; h == s.slots {
-				h = 0
-			}
-		}
+		s.claimBits(path, startBits)
 		return nil
 	}
 	for _, st := range starts {
@@ -411,6 +458,22 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 		}
 	}
 	return nil
+}
+
+// claimBits reserves the starts startBits along path on a word-sized
+// table: hop h clears the still-free bits of the start bits rotated left
+// by h and subtracts their popcount, so a link the path visits twice is
+// never charged twice for one slot.
+func (s *State) claimBits(path []int, startBits uint64) {
+	h := 0
+	for _, link := range path {
+		c := rotLIn(startBits, h, s.slots) & s.masks[link]
+		s.masks[link] &^= c
+		s.free[link] -= bits.OnesCount64(c)
+		if h++; h == s.slots {
+			h = 0
+		}
+	}
 }
 
 // Release frees the aligned slots of a reservation along path. Only slots

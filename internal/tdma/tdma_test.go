@@ -277,6 +277,35 @@ func TestFindAlignedLargeTableZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReserveAlignedZeroAlloc: at T = 64 (one mask word) and T = 128 (the
+// FindAlignedInto and Reserve sequence) a successful claim allocates
+// nothing once the caller's buffer is sized, with and without a latency
+// budget that makes it escalate the start count.
+func TestReserveAlignedZeroAlloc(t *testing.T) {
+	for _, slots := range []int{64, 128} {
+		s := mustState(t, 3, slots)
+		for st := 0; st < slots; st += 3 {
+			if err := s.Reserve(0, []int{0, 1}, []int{st}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		path := []int{0, 1, 2}
+		buf := make([]int, 0, slots)
+		allocs := testing.AllocsPerRun(100, func() {
+			for _, c := range []struct{ n, budget int }{{1, -1}, {7, -1}, {2, slots / 4}, {40, slots}} {
+				starts, ok := s.ReserveAligned(path, c.n, c.budget, buf)
+				if !ok {
+					t.Fatalf("T=%d: claim of %d starts (budget %d) failed", slots, c.n, c.budget)
+				}
+				s.Release(0, path, starts)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("ReserveAligned at T=%d: %v allocs per run, want 0", slots, allocs)
+		}
+	}
+}
+
 func TestFindAlignedSpacing(t *testing.T) {
 	s := mustState(t, 1, 8)
 	starts, ok := s.FindAlignedInto([]int{0}, 2, nil)
@@ -948,6 +977,81 @@ func bitWalkState(links, slots int) *State {
 		s.free[l] = slots
 	}
 	return s
+}
+
+// findThenReserve is ReserveAligned as separate calls: FindAlignedInto per
+// start count, escalating while the latency budget is missed, then a
+// validated Reserve of the accepted starts.
+func findThenReserve(s *State, path []int, n, budget int, buf []int) ([]int, bool) {
+	for ; n <= s.slots; n++ {
+		starts, ok := s.FindAlignedInto(path, n, buf[:0])
+		if !ok {
+			break
+		}
+		buf = starts
+		if budget >= 0 && WorstCaseLatencySlots(starts, len(path), s.slots) > budget {
+			continue
+		}
+		if err := s.Reserve(0, path, starts); err != nil {
+			panic(err)
+		}
+		return starts, true
+	}
+	return buf[:0], false
+}
+
+// BenchmarkReserveAligned times one successful claim and its Release on a
+// half-loaded 64-link state, for tables of 16, 64 and 128 slots, paths of
+// 3–6 distinct links, 1–4 starts asked for and, on half the claims, a
+// latency budget that makes the count escalate. The claim runs are
+// ReserveAligned; the find+reserve runs do the same work as
+// FindAlignedInto and Reserve calls (findThenReserve) on the same state.
+func BenchmarkReserveAligned(b *testing.B) {
+	const links = 64
+	for _, slots := range []int{16, 64, 128} {
+		rng := rand.New(rand.NewSource(int64(slots)))
+		s, err := NewState(links, slots)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < links*slots/2; i++ {
+			_ = s.Reserve(0, []int{rng.Intn(links)}, []int{rng.Intn(slots)})
+		}
+		type req struct {
+			path      []int
+			n, budget int
+		}
+		var reqs []req
+		for len(reqs) < 64 {
+			r := req{path: rng.Perm(links)[:3+rng.Intn(4)], n: 1 + rng.Intn(4), budget: -1}
+			if rng.Intn(2) == 0 {
+				r.budget = len(r.path) + 1 + slots/(r.n+1)
+			}
+			if starts, ok := findThenReserve(s, r.path, r.n, r.budget, nil); ok {
+				s.Release(0, r.path, starts)
+				reqs = append(reqs, r)
+			}
+		}
+		buf := make([]int, 0, slots)
+		for _, form := range []struct {
+			name  string
+			claim func(*State, []int, int, int, []int) ([]int, bool)
+		}{{"claim", (*State).ReserveAligned}, {"find+reserve", findThenReserve}} {
+			b.Run(fmt.Sprintf("T=%d/%s", slots, form.name), func(b *testing.B) {
+				b.ReportAllocs()
+				i := 0
+				for b.Loop() {
+					r := reqs[i%len(reqs)]
+					starts, ok := form.claim(s, r.path, r.n, r.budget, buf)
+					if !ok {
+						b.Fatal("claim failed")
+					}
+					s.Release(0, r.path, starts)
+					i++
+				}
+			})
+		}
+	}
 }
 
 // BenchmarkStateReserveRelease times one Reserve and its Release on a
