@@ -105,6 +105,3 @@ func (s *Session) PendingRebuilds() int { return len(s.pm.rebuilt) }
 // SetGroupOrder sets the order in which the session's moves evaluate the
 // groups; order must be a permutation of the group indices.
 func (s *Session) SetGroupOrder(order []int) { copy(s.order, order) }
-
-// NumGroups reports the design's smooth-switching group count.
-func (s *Session) NumGroups() int { return len(s.order) }

@@ -372,7 +372,10 @@ func (s *Session) PlacementInto(coreSwitch, coreNI []int) {
 // from the session's current placement only at the listed moved cores. On
 // success the move is pending — commit with Keep or roll back with Undo —
 // and the returned Stats describe the new configuration. On error the
-// session is unchanged and no move is pending.
+// session's configuration is unchanged and no move is pending; a move
+// rejected by a group's from-scratch pass moves that group to the front of
+// the session's group order, which decides how soon later infeasible moves
+// are rejected but never a verdict, a reservation or a statistic.
 func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error) {
 	if s.pending {
 		return Stats{}, errPendingMove

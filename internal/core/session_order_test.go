@@ -49,7 +49,7 @@ func TestSessionGroupOrderInvariant(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				n := sess.NumGroups()
+				n := len(prep.Groups)
 				order := make([]int, n)
 				for i := range order {
 					switch variant {
