@@ -23,7 +23,7 @@
 //	POST /v1/map       map one design (async with {"async":true},
 //	                   serve-then-improve with {"mode":"stream"})
 //	GET  /v1/jobs/{id} poll an async job
-//	GET  /v1/jobs/{id}/events  anytime-results stream (SSE; ?mode=poll)
+//	GET  /v1/jobs/{id}/events  anytime-results stream (SSE; resume with ?after)
 //	GET  /v1/designs/{digest}  cached result for a request digest (404 if absent)
 //	GET  /v1/stats     cache, store and pool gauges
 //	GET  /v1/metrics   Prometheus text exposition

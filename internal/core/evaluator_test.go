@@ -294,7 +294,7 @@ func TestSessionMovesStayVerifiedAndUndoRestores(t *testing.T) {
 	moves, kept := 0, 0
 	for it := 0; it < 200; it++ {
 		before := sess.Result()
-		cs, cn := sess.Placement()
+		cs, cn := placementOf(sess, numCores)
 		x, y := rng.Intn(numCores), rng.Intn(numCores)
 		if x == y || cn[x] == cn[y] {
 			continue
@@ -343,7 +343,7 @@ func TestSessionRejectsUnlistedMoves(t *testing.T) {
 		t.Fatal(err)
 	}
 	sess := feasibleSession(t, ev, rand.New(rand.NewSource(3)), p, numCores)
-	cs, cn := sess.Placement()
+	cs, cn := placementOf(sess, numCores)
 	x, y := 0, 1
 	for cn[x] == cn[y] {
 		y++

@@ -100,7 +100,7 @@ func (s *Session) CrossSumsError() error {
 
 // PendingRebuilds reports how many groups the pending move re-routed from
 // scratch after their delta re-route wedged.
-func (s *Session) PendingRebuilds() int { return len(s.pm.rebuilt) }
+func (s *Session) PendingRebuilds() int { return s.pm.rebuilds }
 
 // SetGroupOrder sets the order in which the session's moves evaluate the
 // groups; order must be a permutation of the group indices.

@@ -40,12 +40,15 @@ import (
 // previous configuration exactly. This is the shape a Metropolis acceptance
 // loop needs — the annealer scores the candidate before deciding.
 //
+// A move is undone through one per-group journal, whichever way the group
+// was re-routed: the records it released and the records it granted.
+//
 // The move path performs no heap allocation in steady state: records,
-// their path/start buffers, the pending-move bookkeeping and every scratch
-// live on the session and are recycled move over move (the per-group
-// rebuild fallback and error formatting on cold validation paths are the
-// deliberate exceptions). BenchmarkSessionMove gates this at 0 allocs/op
-// in CI.
+// their path/start buffers, the journals and every scratch live on the
+// session and are recycled move over move (a group's journal grows to the
+// group's pair count on its first rebuild, and error formatting on cold
+// validation paths is the deliberate exception). BenchmarkSessionMove
+// gates this at 0 allocs/op in CI.
 //
 // The configurations a session reaches by deltas are always feasible,
 // verified reservations, but they are not guaranteed to be the same
@@ -103,20 +106,17 @@ type pendingMove struct {
 	// evaluation order; only they have anything to commit or undo.
 	reached []int
 
-	// Delta bookkeeping per group: records released by the teardown and
-	// fresh records the re-route granted.
+	// The journal of every reached group: the records the move released
+	// (the bucket's for a delta re-route, all of the group's for a
+	// from-scratch rebuild) and the fresh records it granted. Keep recycles
+	// the old ones; rollbackMove releases the new ones and re-reserves the
+	// old ones.
 	oldByGroup [][]*resRecord
 	newByGroup [][]*resRecord
 
-	// rebuilt lists the groups the fallback re-evaluated from scratch;
-	// snap[g] then holds the group's complete pre-move record set
-	// (restored wholesale on Undo).
-	rebuilt []int
-	snap    [][]*resRecord
-
-	// swapped records whether the placement buffers were exchanged, so a
-	// rollback from any point restores them correctly.
-	swapped bool
+	// rebuilds counts the reached groups that fell back to a from-scratch
+	// rebuild.
+	rebuilds int
 }
 
 // moveScratch is the reusable working state of one session's moves.
@@ -169,7 +169,6 @@ func (ev *Evaluator) newSessionShell() *Session {
 	}
 	s.pm.oldByGroup = make([][]*resRecord, numGroups)
 	s.pm.newByGroup = make([][]*resRecord, numGroups)
-	s.pm.snap = make([][]*resRecord, numGroups)
 	s.pm.reached = make([]int, 0, numGroups)
 	s.order = make([]int, numGroups)
 	for g := range s.order {
@@ -355,14 +354,8 @@ func (s *Session) Clone() (*Session, error) {
 // Stats returns the statistics of the current committed configuration.
 func (s *Session) Stats() Stats { return s.stats }
 
-// Placement returns copies of the current placement.
-func (s *Session) Placement() (coreSwitch, coreNI []int) {
-	return append([]int(nil), s.cs...), append([]int(nil), s.cn...)
-}
-
 // PlacementInto copies the current placement into the caller's buffers
-// (each must have the design's core count) — the allocation-free form of
-// Placement for proposal loops.
+// (each must have the design's core count).
 func (s *Session) PlacementInto(coreSwitch, coreNI []int) {
 	copy(coreSwitch, s.cs)
 	copy(coreNI, s.cn)
@@ -448,7 +441,6 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 	copy(s.cnAlt, coreNI)
 	s.cs, s.csAlt = s.csAlt, s.cs
 	s.cn, s.cnAlt = s.cnAlt, s.cn
-	pm.swapped = true
 
 	// File every affected pair into the bucket of each group that
 	// re-routes it; nothing is torn down yet.
@@ -478,7 +470,7 @@ func (s *Session) TryMove(coreSwitch, coreNI []int, moved ...int) (Stats, error)
 		}
 		buckets[g] = bucket[:0]
 		pm.reached = append(pm.reached, g)
-		if !s.rerouteGroup(g, bucket) && s.rebuildGroup(g) != nil {
+		if !s.rerouteGroup(g, bucket) && !s.rebuildGroup(g) {
 			copy(s.order[1:k+1], s.order[:k])
 			s.order[0] = g
 			s.clearBuckets()
@@ -522,85 +514,50 @@ func (s *Session) rerouteGroup(g int, bucket []groupPair) bool {
 }
 
 // rebuildGroup re-routes every pair of group g from scratch in the global
-// order, after undoing the group's partial delta. On success the group
-// carries exactly the configuration a full re-evaluation of the placement
-// would grant it; on failure the group is restored to its pre-move
-// configuration.
-func (s *Session) rebuildGroup(g int) error {
+// order, the group's share of a full re-evaluation of the placement. It
+// drops the partial delta's grants, journals every other live record of the
+// group as released and resets the group's slot tables, so whatever the
+// outcome, rollbackMove restores the group from its journals like any
+// delta. It reports false when a pair does not fit.
+func (s *Session) rebuildGroup(g int) bool {
 	pm := &s.pm
+	st, recs := s.states[g], s.recs[g]
 	for _, r := range pm.newByGroup[g] {
-		s.states[g].Release(0, r.path, r.start)
-		s.recs[g][r.idx] = nil
+		recs[r.idx] = nil
 		s.putRec(r)
 	}
 	pm.newByGroup[g] = pm.newByGroup[g][:0]
-	// Snapshot the pre-move record set: the current (untouched) records
-	// plus the ones the teardown released.
-	if pm.snap[g] == nil {
-		pm.snap[g] = make([]*resRecord, len(s.recs[g]))
+	for _, pd := range s.ev.groupPairs[g] {
+		if r := recs[pd.idx]; r != nil {
+			recs[pd.idx] = nil
+			pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
+		}
 	}
-	snap := pm.snap[g]
-	copy(snap, s.recs[g])
-	for _, r := range pm.oldByGroup[g] {
-		snap[r.idx] = r
-	}
-	pm.oldByGroup[g] = pm.oldByGroup[g][:0]
-	pm.rebuilt = append(pm.rebuilt, g)
-
-	s.states[g].Reset()
-	cur := s.recs[g]
-	for i := range cur {
-		cur[i] = nil
-	}
+	st.Reset()
+	pm.rebuilds++
 	for _, pd := range s.ev.groupPairs[g] {
 		key := pd.key
 		rec := s.getRec()
-		err := s.ev.reserveSlotsInto(&s.sc.res, s.states[g],
+		err := s.ev.reserveSlotsInto(&s.sc.res, st,
 			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
 			pd.slots, pd.latSlots, rec)
 		if err != nil {
 			s.putRec(rec)
-			s.restoreGroupFromSnap(g)
-			pm.rebuilt = pm.rebuilt[:len(pm.rebuilt)-1]
-			return err
+			return false
 		}
 		rec.group, rec.idx = g, pd.idx
-		cur[pd.idx] = rec
+		recs[pd.idx] = rec
+		pm.newByGroup[g] = append(pm.newByGroup[g], rec)
 	}
-	return nil
+	return true
 }
 
-// restoreGroupFromSnap resets group g's state, frees its current records and
-// replays the snapshot taken by rebuildGroup.
-func (s *Session) restoreGroupFromSnap(g int) {
-	cur := s.recs[g]
-	for i, r := range cur {
-		if r != nil {
-			s.putRec(r)
-			cur[i] = nil
-		}
-	}
-	s.states[g].Reset()
-	for _, r := range s.pm.snap[g] {
-		if r == nil {
-			continue
-		}
-		if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
-			// The set was simultaneously live before; replay cannot conflict.
-			panic(fmt.Sprintf("core: internal: group restore failed: %v", err))
-		}
-	}
-	copy(cur, s.pm.snap[g])
-}
-
-// rollbackMove restores every group the move reached and the placement to
-// the pre-move configuration and recycles the rejected records.
+// rollbackMove restores every group the move reached from its journal and
+// the placement and cross-switch sums to the pre-move configuration, and
+// recycles the rejected records. It runs only after TryMove adopted the
+// candidate placement.
 func (s *Session) rollbackMove() {
 	pm := &s.pm
-	for _, g := range pm.rebuilt {
-		s.restoreGroupFromSnap(g)
-	}
-	pm.rebuilt = pm.rebuilt[:0]
 	for _, g := range pm.reached {
 		lst := pm.newByGroup[g]
 		for i := len(lst) - 1; i >= 0; i-- {
@@ -619,12 +576,10 @@ func (s *Session) rollbackMove() {
 		pm.oldByGroup[g] = pm.oldByGroup[g][:0]
 	}
 	pm.reached = pm.reached[:0]
-	if pm.swapped {
-		s.shiftCross(s.cs, s.csAlt)
-		s.cs, s.csAlt = s.csAlt, s.cs
-		s.cn, s.cnAlt = s.cnAlt, s.cn
-		pm.swapped = false
-	}
+	pm.rebuilds = 0
+	s.shiftCross(s.cs, s.csAlt)
+	s.cs, s.csAlt = s.csAlt, s.cs
+	s.cn, s.cnAlt = s.cnAlt, s.cn
 }
 
 // niCapacityCheck rejects moves that are infeasible regardless of routing:
@@ -723,15 +678,6 @@ func (s *Session) Keep() {
 	}
 	pm := &s.pm
 	s.stats = pm.stats
-	for _, g := range pm.rebuilt {
-		for i, r := range pm.snap[g] {
-			if r != nil {
-				s.putRec(r)
-				pm.snap[g][i] = nil
-			}
-		}
-	}
-	pm.rebuilt = pm.rebuilt[:0]
 	for _, g := range pm.reached {
 		for _, r := range pm.oldByGroup[g] {
 			s.putRec(r)
@@ -740,7 +686,7 @@ func (s *Session) Keep() {
 		pm.newByGroup[g] = pm.newByGroup[g][:0]
 	}
 	pm.reached = pm.reached[:0]
-	pm.swapped = false
+	pm.rebuilds = 0
 	s.pending = false
 }
 

@@ -20,7 +20,7 @@ import (
 // from-scratch evaluation of its current placement.
 func sessionOracle(t *testing.T, label string, fx *evalFixture, sess *core.Session) {
 	t.Helper()
-	cs, cn := sess.Placement()
+	cs, cn := placementOf(sess, fx.numCores)
 	want, err := core.EvaluateFresh(fx.prep, fx.numCores, fx.top, cs, cn, fx.p)
 	if err != nil {
 		t.Fatalf("%s: oracle rejects the session's own placement: %v", label, err)
@@ -75,9 +75,16 @@ func swapCandidates(base *core.Result) [][2]int {
 	return out
 }
 
+// placementOf returns copies of the session's current placement.
+func placementOf(sess *core.Session, numCores int) (cs, cn []int) {
+	cs, cn = make([]int, numCores), make([]int, numCores)
+	sess.PlacementInto(cs, cn)
+	return cs, cn
+}
+
 // applySwap produces the placement with cores x and y exchanged.
-func applySwap(sess *core.Session, x, y int) (cs, cn []int) {
-	cs, cn = sess.Placement()
+func applySwap(fx *evalFixture, sess *core.Session, x, y int) (cs, cn []int) {
+	cs, cn = placementOf(sess, fx.numCores)
 	cs[x], cs[y] = cs[y], cs[x]
 	cn[x], cn[y] = cn[y], cn[x]
 	return cs, cn
@@ -119,7 +126,7 @@ func TestSessionCloneInterleavedKeepUndo(t *testing.T) {
 		attempts := make([]attempt, workers)
 		for w, sess := range sessions {
 			mv := cands[rng.Intn(len(cands))]
-			cs, cn := applySwap(sess, mv[0], mv[1])
+			cs, cn := applySwap(fx, sess, mv[0], mv[1])
 			if _, err := sess.TryMove(cs, cn, mv[0], mv[1]); err == nil {
 				attempts[w] = attempt{ok: true, x: mv[0], y: mv[1]}
 			}
@@ -144,7 +151,7 @@ func TestSessionCloneInterleavedKeepUndo(t *testing.T) {
 		}
 		if winner >= 0 {
 			// Losers replay the winner's committed placement.
-			wcs, wcn := sessions[winner].Placement()
+			wcs, wcn := placementOf(sessions[winner], fx.numCores)
 			for w, sess := range sessions {
 				if w == winner {
 					continue
@@ -198,12 +205,12 @@ func TestSessionUndoAfterFailedTryMove(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := sess.Stats()
-	csBase, cnBase := sess.Placement()
+	csBase, cnBase := placementOf(sess, fx.numCores)
 
 	// Failure 1: a placement that moves a core without listing it.
 	cands := swapCandidates(fx.base)
 	mv := cands[0]
-	cs, cn := applySwap(sess, mv[0], mv[1])
+	cs, cn := applySwap(fx, sess, mv[0], mv[1])
 	if _, err := sess.TryMove(cs, cn); err == nil {
 		t.Fatal("TryMove with an unlisted moved core succeeded")
 	}
@@ -219,7 +226,7 @@ func TestSessionUndoAfterFailedTryMove(t *testing.T) {
 	sess.Undo()
 
 	// The placement must be untouched by either failure.
-	csNow, cnNow := sess.Placement()
+	csNow, cnNow := placementOf(sess, fx.numCores)
 	for c := range csBase {
 		if csNow[c] != csBase[c] || cnNow[c] != cnBase[c] {
 			t.Fatalf("failed TryMove moved core %d", c)
@@ -237,7 +244,7 @@ func TestSessionUndoAfterFailedTryMove(t *testing.T) {
 	// And a double Undo around a pending move stays exact: the second is a
 	// no-op.
 	mv2 := cands[1]
-	cs2, cn2 := applySwap(sess, mv2[0], mv2[1])
+	cs2, cn2 := applySwap(fx, sess, mv2[0], mv2[1])
 	if _, err := sess.TryMove(cs2, cn2, mv2[0], mv2[1]); err == nil {
 		committed := sess.Stats()
 		sess.Undo()

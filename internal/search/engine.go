@@ -51,9 +51,6 @@ type Options struct {
 	// Seeds is the number of multi-start annealers the portfolio launches in
 	// addition to the greedy engine.
 	Seeds int
-	// Workers caps the goroutines of the portfolio pool (default: one per
-	// job).
-	Workers int
 	// Iters is the number of annealing moves per start.
 	Iters int
 	// SpecK enables speculative move evaluation: each annealing step
@@ -148,8 +145,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("search: iters %d invalid", o.Iters)
 	case o.Restarts < 0:
 		return fmt.Errorf("search: restarts %d invalid", o.Restarts)
-	case o.Workers < 0:
-		return fmt.Errorf("search: workers %d invalid", o.Workers)
 	case o.SpecK < 0 || o.SpecK > 64:
 		return fmt.Errorf("search: speculation width %d invalid (want 0..64)", o.SpecK)
 	case o.Population < 0:

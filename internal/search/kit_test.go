@@ -46,9 +46,9 @@ func TestProposeInvariants(t *testing.T) {
 			attached := attachedCores(base.Mapping.CoreSwitch)
 			var feasible, failed int
 			for i := 0; i < 400; i++ {
-				beforeCS, beforeCN := sess.Placement()
+				beforeCS, beforeCN := placementOf(sess, n)
 				stats, _, ok := k.Propose(sess, attached)
-				cs, cn := sess.Placement()
+				cs, cn := placementOf(sess, n)
 				if !ok {
 					failed++
 					if !slices.Equal(cs, beforeCS) || !slices.Equal(cn, beforeCN) {
@@ -68,7 +68,7 @@ func TestProposeInvariants(t *testing.T) {
 				}
 				if i%2 == 1 {
 					sess.Undo()
-					if cs, cn := sess.Placement(); !slices.Equal(cs, beforeCS) || !slices.Equal(cn, beforeCN) {
+					if cs, cn := placementOf(sess, n); !slices.Equal(cs, beforeCS) || !slices.Equal(cn, beforeCN) {
 						t.Fatalf("proposal %d: Undo did not restore the placement", i)
 					}
 					continue
@@ -91,4 +91,11 @@ func TestProposeInvariants(t *testing.T) {
 			}
 		})
 	}
+}
+
+// placementOf returns copies of the session's current placement.
+func placementOf(sess *core.Session, numCores int) (cs, cn []int) {
+	cs, cn = make([]int, numCores), make([]int, numCores)
+	sess.PlacementInto(cs, cn)
+	return cs, cn
 }

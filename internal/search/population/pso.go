@@ -49,8 +49,8 @@ func (psoEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 	pbestCN := make([][]int, len(pop))
 	pbestCost := make([]float64, len(pop))
 	for i, m := range pop {
-		_, cn := m.sess.Placement()
-		pbestCN[i] = cn
+		pbestCN[i] = make([]int, len(d.cnBuf))
+		m.sess.PlacementInto(d.csBuf, pbestCN[i]) // csBuf is scratch here
 		pbestCost[i] = m.cost
 	}
 	gbest := rankedIndices(pop)[0]
@@ -78,7 +78,7 @@ func (psoEvolver) evolve(ctx context.Context, d *driver, ev *core.Evaluator,
 			}
 			if m.cost < pbestCost[i]-store.CostEps {
 				pbestCost[i] = m.cost
-				_, pbestCN[i] = m.sess.Placement()
+				m.sess.PlacementInto(d.csBuf, pbestCN[i]) // csBuf is scratch here
 			}
 			if m.cost < gbestCost-store.CostEps {
 				gbestCost = m.cost

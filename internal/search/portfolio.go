@@ -81,29 +81,16 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 		jobs = append(jobs, job{order: i + 1, engine: Anneal{}, opts: o})
 	}
 
-	// Zero and over-large Workers values clamp to one goroutine per job.
-	workers := opts.Workers
-	if workers <= 0 || workers > len(jobs) {
-		workers = len(jobs)
-	}
 	results := make([]outcome, len(jobs))
-	queue := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for i, j := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range queue {
-				j := jobs[i]
-				res, err := j.engine.Search(ctx, prep, numCores, p, j.opts)
-				results[i] = outcome{order: j.order, res: res, err: err}
-			}
+			res, err := j.engine.Search(ctx, prep, numCores, p, j.opts)
+			results[i] = outcome{order: j.order, res: res, err: err}
 		}()
 	}
-	for i := range jobs {
-		queue <- i
-	}
-	close(queue)
 	wg.Wait()
 
 	best := pickBest(base, results, opts.Weights)

@@ -152,9 +152,6 @@ func (d *bodyDecoder) decode(b []byte, mr *MapRequest) bool {
 		case "mode":
 			bit = 1 << 14
 			out.Mode = d.str()
-		case "wait_ms":
-			bit = 1 << 15
-			out.WaitMS = d.int64()
 		}
 		d.once(&seen, bit)
 	}

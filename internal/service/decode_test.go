@@ -200,7 +200,7 @@ func FuzzDecodeMapRequest(f *testing.F) {
 		`{"name":"b","flows":[{"src":2,"dst":0,"bandwidth_mbs":7}]}],"parallel_sets":[[0,1]],"smooth_pairs":[[1,0]]}`
 	full := `{"design":` + small + `,"engine":"anneal","topology":"torus","seed":-3,"seeds":2,"iters":50,` +
 		`"population":8,"generations":4,"nodes":100,"freq_mhz":412.5,"slots":16,"max_dim":6,` +
-		`"timeout_ms":9000,"async":false,"mode":"stream","wait_ms":10}`
+		`"timeout_ms":9000,"async":false,"mode":"stream"}`
 	for _, body := range []string{
 		string(perfbenchBody(f, bot, "cold-1", greedySuffix)),
 		string(perfbenchBody(f, d1, "stream-2", streamSuffix)),

@@ -51,21 +51,14 @@ type MapRequest struct {
 	// Mode selects the answer discipline. "stream" serves-then-improves:
 	// the greedy result is computed inline and returned with HTTP 202 in
 	// milliseconds while the requested engine keeps improving in the
-	// background; incumbent improvements arrive on GET /v1/jobs/{id}/events
-	// (SSE, or long-poll with ?mode=poll). Empty (or "sync") keeps the
-	// blocking behavior. Mode and Async are mutually exclusive.
+	// background; incumbent improvements arrive over SSE on
+	// GET /v1/jobs/{id}/events. Empty (or "sync") keeps the blocking
+	// behavior. Mode and Async are mutually exclusive.
 	Mode string `json:"mode,omitempty"`
-	// WaitMS, with the stream mode, bounds how long POST /v1/map waits for the
-	// background improvement before answering with the best incumbent so
-	// far — the "pay only for the quality you wait for" knob. WaitMS alone
-	// (no Mode) implies stream mode.
-	WaitMS int64 `json:"wait_ms,omitempty"`
 }
 
 // streaming reports whether the request asked for serve-then-improve mode.
-func (mr *MapRequest) streaming() bool {
-	return mr.Mode == "stream" || (mr.Mode == "" && mr.WaitMS > 0)
-}
+func (mr *MapRequest) streaming() bool { return mr.Mode == "stream" }
 
 // maxSearchWidth bounds the seeds and population fields of one request.
 // The portfolio starts one goroutine per seed and the population engines
@@ -167,8 +160,8 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 //	                     {"mode":"stream"} serves the greedy result in a 202
 //	                     immediately and improves in the background
 //	GET  /v1/jobs/{id} — job state (queued|running|done|failed) and result
-//	GET  /v1/jobs/{id}/events — serve-then-improve event stream (SSE by
-//	                     default, ?mode=poll long-poll; resume with ?after)
+//	GET  /v1/jobs/{id}/events — serve-then-improve event stream (SSE;
+//	                     resume with ?after or Last-Event-ID)
 //	GET  /v1/designs/{digest} — the cached result for a request digest
 //	                     (404 when the store holds none, 503 once closed)
 //	GET  /v1/stats     — cache hit/miss counters, store and pool gauges
@@ -237,13 +230,6 @@ func NewHandler(s *Service) http.Handler {
 			if err != nil {
 				writeError(w, statusOf(err), err)
 				return
-			}
-			if mr.WaitMS > 0 && st.State != StateDone && st.State != StateFailed {
-				// Trade patience for quality: wait up to WaitMS for the
-				// background improvement, then answer with the best so far.
-				wctx, cancel := context.WithTimeout(r.Context(), time.Duration(mr.WaitMS)*time.Millisecond)
-				st, _ = s.WaitJob(wctx, st.ID)
-				cancel()
 			}
 			writeJSON(w, http.StatusAccepted, st)
 			return

@@ -269,7 +269,7 @@ func TestServerErrorPaths(t *testing.T) {
 	// design and a misspelt top-level field (which would otherwise run the
 	// default silently) are both rejected with a 400 that names the field,
 	// and so are the removed wall-clock budget, even with a valid duration,
-	// and the removed placement-refinement switch.
+	// the removed placement-refinement switch and the removed wait_ms.
 	unknown := []struct{ route, body, field string }{
 		{"/v1/map", fmt.Sprintf(`{"design":%s,"engine":"anneal","iter":300}`, d1Raw(t)), "iter"},
 		{"/v1/map", `{"design":{"name":"x","num_cores":2,"bogus":1,"use_cases":[{"name":"u","flows":[]}]}}`, "bogus"},
@@ -277,6 +277,7 @@ func TestServerErrorPaths(t *testing.T) {
 		{"/v1/map", fmt.Sprintf(`{"design":%s,"seeds":2,"iters":5,"enigne":"anneal"}`, d1Raw(t)), "enigne"},
 		{"/v1/map", fmt.Sprintf(`{"design":%s,"engine":"anneal","budget":"30s"}`, d1Raw(t)), "budget"},
 		{"/v1/map", fmt.Sprintf(`{"design":%s,"improve":true}`, d1Raw(t)), "improve"},
+		{"/v1/map", fmt.Sprintf(`{"design":%s,"mode":"stream","wait_ms":5000}`, d1Raw(t)), "wait_ms"},
 	}
 	for _, c := range unknown {
 		resp, body := postRaw(t, ts.URL+c.route, c.body)

@@ -158,7 +158,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	resp, body = postJSON(t, ts.URL+"/v1/map", MapRequest{
 		Design: designJSON(t, d1Design(t)), Engine: "anneal", Seed: &seed,
-		Mode: "stream", WaitMS: 30_000,
+		Mode: "stream",
 	})
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("streamed anneal map = %d: %s", resp.StatusCode, body)
@@ -167,8 +167,14 @@ func TestMetricsEndToEnd(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
-	if st.State != StateDone {
-		t.Fatalf("streamed anneal not done within its wait: %+v", st)
+	// Follow the stream to its final event; the job snapshot is read under
+	// the service lock the final event was published and counted under.
+	evs := readSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", "")
+	if final := evs[len(evs)-1]; final.Stage != StreamDone {
+		t.Fatalf("streamed anneal ended with %+v, want done", final)
+	}
+	if code := getJSON(t, ts.URL+"/v1/jobs/"+st.ID, &st); code != http.StatusOK || st.State != StateDone {
+		t.Fatalf("streamed anneal after its final event: HTTP %d, %+v", code, st)
 	}
 	streamed := scrapeMetrics(t, ts.URL)
 	if events := counterOf(t, streamed, "noc_stream_events_total"); events < 6 {

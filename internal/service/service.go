@@ -160,13 +160,13 @@ func (r *Request) Key() (string, error) {
 		hexf(p.Cost.HopCost), hexf(p.Cost.LoadWeight), p.Cost.MaxCandidates,
 		p.PlacementCandidates, p.DisableMappedPreference, p.DisableUnifiedSlots)
 	o := r.Opts
-	o.Workers = 0
 	if r.Engine == "greedy" {
 		o = search.Options{}
 	}
-	// The 0 after Seeds keeps old keys valid: a removed budget hashed there.
-	fmt.Fprintf(h, "opts %d %d 0 %d %d %d %d %d %d %s %s %s\n",
-		o.Seed, o.Seeds, o.Workers, o.Iters, o.Restarts,
+	// The two 0s after Seeds keep old keys valid: a removed budget and the
+	// removed portfolio worker cap (always hashed as 0) sat there.
+	fmt.Fprintf(h, "opts %d %d 0 0 %d %d %d %d %d %s %s %s\n",
+		o.Seed, o.Seeds, o.Iters, o.Restarts,
 		o.Population, o.Generations, o.Nodes,
 		hexf(o.Weights.SwitchCount), hexf(o.Weights.MeanHops), hexf(o.Weights.MaxUtil))
 	return hex.EncodeToString(h.Sum(nil)), nil

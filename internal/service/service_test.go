@@ -508,7 +508,6 @@ func TestRequestKeyValidation(t *testing.T) {
 	}
 	g2 := testRequest("greedy", d)
 	g2.Opts.Seed = 99
-	g2.Opts.Workers = 7
 	kg, err := g2.Key()
 	if err != nil {
 		t.Fatal(err)

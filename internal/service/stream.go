@@ -45,7 +45,7 @@ const (
 )
 
 // StreamEvent is one anytime-results notification on a job's event log,
-// served over SSE (and long-poll) at GET /v1/jobs/{id}/events.
+// served over SSE at GET /v1/jobs/{id}/events.
 type StreamEvent struct {
 	// Seq is the monotonically increasing incumbent sequence number,
 	// starting at 1; event seq k is the k-th event of the job.
@@ -74,9 +74,9 @@ type StreamEvent struct {
 
 // jobStream is one job's append-only event log plus the change broadcast
 // its readers block on. It has its own mutex — events are appended from the
-// worker running the job while SSE handlers and long-pollers read
-// concurrently — and must never be locked while the service mutex is
-// wanted (the converse order, service mutex then stream, is allowed).
+// worker running the job while SSE handlers read concurrently — and must
+// never be locked while the service mutex is wanted (the converse order,
+// service mutex then stream, is allowed).
 type jobStream struct {
 	mu     sync.Mutex
 	events []StreamEvent
@@ -287,19 +287,6 @@ func (s *Service) streamTap(j *Job) func(search.Event) {
 	}
 }
 
-// Events returns the job's stream events with Seq > after and whether the
-// stream is complete; ok is false for unknown (or already forgotten) jobs.
-func (s *Service) Events(id string, after int64) (evs []StreamEvent, done, ok bool) {
-	s.mu.Lock()
-	j, found := s.jobs[id]
-	s.mu.Unlock()
-	if !found {
-		return nil, false, false
-	}
-	evs, done, _ = j.stream.next(after)
-	return evs, done, true
-}
-
 // WaitEvents blocks until the job has events past after, its stream
 // completes, or ctx expires; it returns the new events (possibly none on a
 // completed stream) and whether the stream is complete. Unknown jobs and
@@ -322,21 +309,4 @@ func (s *Service) WaitEvents(ctx context.Context, id string, after int64) ([]Str
 			return nil, false, ctx.Err()
 		}
 	}
-}
-
-// WaitJob blocks until the job finishes or ctx expires and returns the
-// latest snapshot either way; ok is false for unknown jobs. It is how the
-// wait_ms form of a streamed request trades patience for quality.
-func (s *Service) WaitJob(ctx context.Context, id string) (JobStatus, bool) {
-	s.mu.Lock()
-	j, found := s.jobs[id]
-	s.mu.Unlock()
-	if !found {
-		return JobStatus{}, false
-	}
-	select {
-	case <-j.done:
-	case <-ctx.Done():
-	}
-	return s.Job(id)
 }

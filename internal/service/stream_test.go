@@ -549,9 +549,64 @@ func TestStreamDisconnectDoesNotLeak(t *testing.T) {
 	})
 }
 
-// TestJobEventsLongPoll drives the ?mode=poll fallback: pages resume from
-// `after`, Next advances, and the final page reports done.
-func TestJobEventsLongPoll(t *testing.T) {
+// readSSE follows a job's SSE stream at url, resuming past lastEventID
+// when it is set, until the server closes the stream after the final
+// event. It returns the events in arrival order and requires every frame's
+// id to carry its event's seq and the stream to be non-empty.
+func readSSE(t *testing.T, url, lastEventID string) []StreamEvent {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lastEventID != "" {
+		req.Header.Set("Last-Event-ID", lastEventID)
+	}
+	resp, err := (&http.Client{Timeout: 30 * time.Second}).Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		b, _ := io.ReadAll(resp.Body)
+		t.Fatalf("GET %s: HTTP %d: %s", url, resp.StatusCode, b)
+	}
+	var (
+		evs []StreamEvent
+		id  string
+	)
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(nil, 8<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "id: "):
+			id = strings.TrimPrefix(line, "id: ")
+		case strings.HasPrefix(line, "data: "):
+			var e StreamEvent
+			if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e); err != nil {
+				t.Fatalf("SSE data %q: %v", line, err)
+			}
+			if id != fmt.Sprint(e.Seq) {
+				t.Fatalf("SSE frame id %q carries seq %d", id, e.Seq)
+			}
+			evs = append(evs, e)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("read SSE %s: %v", url, err)
+	}
+	if len(evs) == 0 {
+		t.Fatalf("GET %s: empty SSE stream", url)
+	}
+	return evs
+}
+
+// TestJobEventsResume re-opens a finished job's SSE stream past seq k, once
+// with ?after=k and once with the Last-Event-ID header: each must replay
+// exactly the events past k, in seq order, ending with done. A mode query
+// parameter (the retired long-poll form) is a 400 naming it.
+func TestJobEventsResume(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
 	ts := httptest.NewServer(NewHandler(s))
@@ -561,75 +616,38 @@ func TestJobEventsLongPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var (
-		after int64
-		all   []StreamEvent
-		done  bool
-	)
-	for !done {
-		resp, err := http.Get(fmt.Sprintf("%s/v1/jobs/%s/events?mode=poll&after=%d&wait_ms=5000", ts.URL, st.ID, after))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var page EventsPage
-		if err := json.NewDecoder(resp.Body).Decode(&page); err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("poll status %d", resp.StatusCode)
-		}
-		for _, e := range page.Events {
-			if e.Seq <= after {
-				t.Fatalf("poll page replayed seq %d despite after=%d", e.Seq, after)
-			}
-		}
-		all = append(all, page.Events...)
-		if len(page.Events) > 0 && page.Next != page.Events[len(page.Events)-1].Seq {
-			t.Fatalf("page Next=%d, last seq=%d", page.Next, page.Events[len(page.Events)-1].Seq)
-		}
-		after, done = page.Next, page.Done
-	}
+	url := ts.URL + "/v1/jobs/" + st.ID + "/events"
+	all := readSSE(t, url, "")
 	if len(all) < 2 || all[len(all)-1].Stage != StreamDone {
-		t.Fatalf("long-polled stream: %d events, last %+v", len(all), all[len(all)-1])
+		t.Fatalf("full stream: %d events, last %+v", len(all), all[len(all)-1])
 	}
 	for i, e := range all {
 		if e.Seq != int64(i)+1 {
-			t.Fatalf("long-poll reassembly out of order at %d: %+v", i, e)
+			t.Fatalf("full stream out of order at %d: %+v", i, e)
 		}
 	}
-}
+	k := len(all) / 2
+	want := mustJSON(t, all[k:])
+	for form, got := range map[string][]StreamEvent{
+		"?after":        readSSE(t, fmt.Sprintf("%s?after=%d", url, k), ""),
+		"Last-Event-ID": readSSE(t, url, fmt.Sprint(k)),
+	} {
+		if g := mustJSON(t, got); g != want {
+			t.Errorf("resume past seq %d with %s:\n got %s\nwant %s", k, form, g, want)
+		}
+	}
 
-// TestMapWaitMS pins the wait_ms form: the request streams, waits up to the
-// given patience for the background run, and answers with the best-so-far
-// snapshot — done when the job beat the wait, still improving otherwise.
-func TestMapWaitMS(t *testing.T) {
-	s := New(Config{Workers: 2})
-	defer s.Close()
-	ts := httptest.NewServer(NewHandler(s))
-	defer ts.Close()
-
-	raw := designJSON(t, d1Design(t))
-	seed := int64(2)
-	body, _ := json.Marshal(MapRequest{Design: raw, Engine: "anneal", Seed: &seed, WaitMS: 20_000})
-	resp, err := http.Post(ts.URL+"/v1/map", "application/json", strings.NewReader(string(body)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		b, _ := io.ReadAll(resp.Body)
-		t.Fatalf("wait_ms map: status %d: %s", resp.StatusCode, b)
-	}
-	var st JobStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if !st.Stream || st.Result == nil {
-		t.Fatalf("wait_ms reply: %+v", st)
-	}
-	if st.State != StateDone {
-		t.Fatalf("20s patience did not cover a D1 anneal: %+v", st)
+	for _, q := range []string{"?mode=poll", "?mode=sse", "?after=1&mode="} {
+		resp, err := http.Get(url + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var e struct{ Error string }
+		err = json.NewDecoder(resp.Body).Decode(&e)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, `"mode"`) {
+			t.Errorf("GET events%s: HTTP %d %q (%v), want 400 naming mode", q, resp.StatusCode, e.Error, err)
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -112,19 +111,8 @@ func TestTruncatedStreamNotStored(t *testing.T) {
 	if err := json.Unmarshal(body, &st); err != nil {
 		t.Fatal(err)
 	}
-	var (
-		page  EventsPage
-		final StreamEvent
-	)
-	for !page.Done {
-		url := fmt.Sprintf("%s/v1/jobs/%s/events?mode=poll&after=%d&wait_ms=5000", ts.URL, st.ID, page.Next)
-		if code := getJSON(t, url, &page); code != http.StatusOK {
-			t.Fatalf("poll events: HTTP %d", code)
-		}
-		if n := len(page.Events); n > 0 {
-			final = page.Events[n-1]
-		}
-	}
+	evs := readSSE(t, ts.URL+"/v1/jobs/"+st.ID+"/events", "")
+	final := evs[len(evs)-1]
 	if final.Stage != StreamDone || final.Response == nil || !final.Response.Truncated {
 		t.Fatalf("final event of a deadline-cut stream: %+v, want done and truncated", final)
 	}

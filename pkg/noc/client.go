@@ -173,9 +173,8 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 
 // BuildMapRequest translates a design plus options into the wire form of
 // POST /v1/map. Local-only options (WithProgress, WithWeights, WithParams,
-// WithWorkers, WithRestarts, WithSpeculation) are rejected: the service
-// computes with its own configuration so results stay cacheable across
-// callers.
+// WithRestarts, WithSpeculation) are rejected: the service computes with its
+// own configuration so results stay cacheable across callers.
 func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	cfg := newConfig(opts)
 	var mr MapRequest
@@ -186,8 +185,6 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 		return mr, fmt.Errorf("noc: WithWeights is local-only; the service scores with its configured weights")
 	case cfg.paramsSet:
 		return mr, fmt.Errorf("noc: WithParams is local-only; use the individual overrides (WithFrequencyMHz, WithSlotTableSize, ...)")
-	case cfg.workers != nil:
-		return mr, fmt.Errorf("noc: WithWorkers is local-only; the service sizes its own pool")
 	case cfg.restarts != nil:
 		return mr, fmt.Errorf("noc: WithRestarts is local-only; the service runs with its default restart count")
 	case cfg.speculate != nil:

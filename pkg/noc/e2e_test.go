@@ -127,7 +127,6 @@ func TestBuildMapRequestRejectsLocalOnlyOptions(t *testing.T) {
 		{"WithProgress", noc.WithProgress(func(noc.Event) {})},
 		{"WithWeights", noc.WithWeights(noc.DefaultWeights())},
 		{"WithParams", noc.WithParams(noc.DefaultParams())},
-		{"WithWorkers", noc.WithWorkers(2)},
 		{"WithRestarts", noc.WithRestarts(2)},
 	}
 	for _, c := range cases {

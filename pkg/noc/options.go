@@ -35,7 +35,6 @@ type config struct {
 	// Local-only knobs (rejected by Client.Map).
 	paramsSet  bool
 	weightsSet bool
-	workers    *int
 	restarts   *int
 	speculate  *int
 }
@@ -137,12 +136,6 @@ func WithRestarts(n int) Option {
 // result so far; the daemon serves that as Truncated and never stores it.
 func WithBudget(d time.Duration) Option {
 	return func(c *config) { c.budget = d }
-}
-
-// WithWorkers caps the portfolio's concurrent annealers (default: one
-// goroutine per member). Local mapping only.
-func WithWorkers(n int) Option {
-	return func(c *config) { c.opts.Workers = n; c.workers = &n }
 }
 
 // WithSpeculation sets the speculative evaluation width of the annealing
