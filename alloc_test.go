@@ -1,7 +1,8 @@
 // Allocation regression gates: the annealer's move path (PlacementInto +
 // TryMove + Undo) must run without heap allocations once the session's
 // buffers reach steady state, on every D1-D4 design, and one greedy
-// core.Map must stay under its allocation ceiling. BenchmarkSessionMove
+// core.Map and one Evaluator.Evaluate of D4 must each stay under an
+// allocation ceiling. BenchmarkSessionMove
 // reports the same move path with -benchmem, using caller-owned placement
 // buffers.
 package nocmap_test
@@ -236,6 +237,56 @@ func TestMapAllocs(t *testing.T) {
 	t.Logf("core.Map(D4): %.0f allocs/op (ceiling %d)", allocs, mapAllocCeiling)
 	if allocs > mapAllocCeiling {
 		t.Fatalf("core.Map(D4) allocates %.0f times per run, ceiling %d", allocs, mapAllocCeiling)
+	}
+}
+
+// evaluateAllocCeiling bounds the allocations of one Evaluator.Evaluate of
+// D4 at its greedy placement, which the fixed pass rejects in group 12
+// (the constructive pass routed in another order): one assignment per
+// reservation of the groups before it, the assignment table and the error.
+// The measured count is 2084 (go1.24, linux/amd64), where the pair-major
+// pass this replaced cost 3171. The pooled scratch arena is drawn warm; the
+// headroom covers the race detector, under which sync.Pool drops a share
+// of its items and a refill adds about 20 allocations per run on average
+// (2101–2119 measured).
+const evaluateAllocCeiling = 2200
+
+// TestEvaluateAllocs is the fixed-placement allocation gate: a warm
+// evaluator reserves each group's pairs on pooled state and allocates only
+// the granted assignments and the outcome. Skipped under NOCMAP_SKIP_ALLOC_GATE and coverage
+// instrumentation, like the other gates.
+func TestEvaluateAllocs(t *testing.T) {
+	if os.Getenv("NOCMAP_SKIP_ALLOC_GATE") != "" {
+		t.Skip("NOCMAP_SKIP_ALLOC_GATE set")
+	}
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates inside the measured path")
+	}
+	d, err := bench.D4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := usecase.Prepare(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := core.DefaultParams()
+	base, err := core.Map(prep, d.NumCores(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := base.Mapping
+	ev, err := core.NewEvaluator(prep, d.NumCores(), m.Topology, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, verdict := ev.Evaluate(m.CoreSwitch, m.CoreNI)
+	allocs := testing.AllocsPerRun(20, func() {
+		ev.Evaluate(m.CoreSwitch, m.CoreNI)
+	})
+	t.Logf("Evaluate(D4 greedy placement): %.0f allocs/op (ceiling %d), verdict %v", allocs, evaluateAllocCeiling, verdict)
+	if allocs > evaluateAllocCeiling {
+		t.Fatalf("Evaluate(D4 greedy placement) allocates %.0f times per run, ceiling %d", allocs, evaluateAllocCeiling)
 	}
 }
 

@@ -59,8 +59,8 @@ type templates struct {
 	// 2), sorted once and only read by evaluations.
 	flowsTpl []flowInst
 	// pairList holds the distinct pairs in first-occurrence (descending
-	// bandwidth) order — the order the fully-fixed configuration phase
-	// routes them in. A pair's position in it is its dense index, which
+	// bandwidth) order — the order a fixed-placement evaluation routes each
+	// group's pairs in. A pair's position in it is its dense index, which
 	// every per-pair table below is indexed by.
 	pairList []traffic.PairKey
 	// planOf precomputes, per pair, everything the routing step derives from
@@ -71,7 +71,7 @@ type templates struct {
 	// heaviest same-pair flow (zero where the group does not use the pair).
 	pairSlots [][]int
 	// remOutTpl/remInTpl are the initial per-group, per-core not-yet-routed
-	// slot demands; partial-placement evaluations copy and consume them.
+	// slot demands; every growth attempt copies and consumes them.
 	remOutTpl, remInTpl [][]int
 	// active lists the cores that appear in at least one flow.
 	active []int
@@ -122,14 +122,15 @@ type pairDemand struct {
 type evalScratch struct {
 	states []*tdma.State
 	// tierBits backs the mapper's three tier bitsets; tierOf its per-pair
-	// tiers.
+	// tiers; remOut through niRemIn its NI demand projections.
 	tierBits          []uint64
 	tierOf            []uint8
 	remOut, remIn     [][]int
 	niRemOut, niRemIn [][]int
-	// journal backs the mapper's journal, sized once for every reservation
-	// the templates can grant; configs is the running mapper's assignment
-	// table, whose entries hold the journaled paths and starts.
+	// journal lists the evaluation's live reservations, sized once for
+	// every reservation the templates can grant; configs is the
+	// evaluation's assignment table, whose entries hold the journaled paths
+	// and starts.
 	journal []journalEntry
 	configs [][]*Assignment
 	// res and rec are the reservation primitive's working state: the
@@ -336,10 +337,9 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 	}
 	// Per-group routing worklists in global (bandwidth-sorted) pair order.
 	// With a fixed placement the groups never interact — each owns its slot
-	// tables and candidate costs read only its own state — so evaluating a
-	// group against this list alone reproduces exactly what a full pass
-	// would grant it. The session's per-group rebuild fallback rests on
-	// this decomposition.
+	// tables and candidate costs read only its own state — so Evaluate and
+	// the session's per-group rebuild fallback both route a group against
+	// this list alone.
 	t.groupPairs = buckets[pairDemand](groupPairs)
 	for pi, key := range t.pairList {
 		plan := &t.planOf[pi]
@@ -406,8 +406,9 @@ func sum(xs []int) int {
 
 // ValidatePlacement checks a fixed placement against the evaluator's
 // topology and NI shape without running the configuration phase: slice
-// lengths, switch/NI ranges, NI-on-switch consistency and per-NI core
-// capacity. Cores with a negative switch are unattached and skipped.
+// lengths, switch/NI ranges, NI-on-switch consistency, per-NI core
+// capacity and that every communicating core is attached. Cores with a
+// negative switch are unattached and skipped.
 func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
 	return ev.validatePlacement(coreSwitch, coreNI, make([]int, ev.numNIs()))
 }
@@ -436,6 +437,11 @@ func (ev *Evaluator) validatePlacement(coreSwitch, coreNI, seats []int) error {
 			return fmt.Errorf("core: fixed placement overfills NI %d (%d cores, capacity %d)", ni, seats[ni], ev.p.CoresPerNI)
 		}
 	}
+	for _, c := range ev.active {
+		if coreSwitch[c] < 0 {
+			return fmt.Errorf("core: fixed placement leaves communicating core %d unattached", c)
+		}
+	}
 	return nil
 }
 
@@ -450,21 +456,6 @@ func (ev *Evaluator) numNIs() int { return ev.top.NumSwitches() * ev.p.NIsPerSwi
 // precheck and the exact engine's prune and descent order.
 func (t *templates) NIDemand(g, core int) (egress, ingress int) {
 	return t.remOutTpl[g][core], t.remInTpl[g][core]
-}
-
-// covered reports whether the fix places every communicating core, which
-// lets the evaluation skip the NI demand projections entirely (they only
-// steer the placement of unmapped cores).
-func (ev *Evaluator) covered(fix *placementFix) bool {
-	if fix == nil {
-		return false
-	}
-	for _, c := range ev.active {
-		if fix.CoreSwitch[c] < 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // getScratch draws (or creates) a clean scratch arena.
@@ -484,6 +475,11 @@ func (ev *Evaluator) getScratch() *evalScratch {
 	}
 	sc.tierBits = make([]uint64, int(tierDone)*((len(ev.pairList)+63)/64))
 	sc.tierOf = make([]uint8, len(ev.pairList))
+	numGroups, numNIs := len(ev.prep.Groups), ev.numNIs()
+	sc.remOut = grid[int](numGroups, ev.numCores)
+	sc.remIn = grid[int](numGroups, ev.numCores)
+	sc.niRemOut = grid[int](numGroups, numNIs)
+	sc.niRemIn = grid[int](numGroups, numNIs)
 	reservations := 0
 	for _, pairs := range ev.groupPairs {
 		reservations += len(pairs)
@@ -507,58 +503,76 @@ func (ev *Evaluator) putScratch(sc *evalScratch) {
 	ev.pool.Put(sc)
 }
 
-// mapperFor assembles a mapper over the scratch arena. Immutable tables are
+// mapperFor assembles a mapper over the scratch arena with no core placed
+// and every pair in the no-endpoint-mapped tier. Immutable tables are
 // shared with the evaluator; mutable ones are copied from the templates.
-func (ev *Evaluator) mapperFor(sc *evalScratch, fix *placementFix) *mapper {
-	m := &mapper{Evaluator: ev, states: sc.states, journal: sc.journal[:0], res: &sc.res, rec: &sc.rec}
+func (ev *Evaluator) mapperFor(sc *evalScratch) *mapper {
+	m := &mapper{Evaluator: ev, states: sc.states, journal: sc.journal[:0], res: &sc.res, rec: &sc.rec,
+		remOut: sc.remOut, remIn: sc.remIn, niRemOut: sc.niRemOut, niRemIn: sc.niRemIn}
 	clear(sc.tierBits)
 	words := len(sc.tierBits) / len(m.tiers)
 	for t := range m.tiers {
 		m.tiers[t] = sc.tierBits[t*words : (t+1)*words]
 	}
 	m.tierOf = sc.tierOf
-	if !ev.covered(fix) {
-		if sc.remOut == nil {
-			numGroups, numNIs := len(ev.prep.Groups), ev.numNIs()
-			sc.remOut = grid[int](numGroups, ev.numCores)
-			sc.remIn = grid[int](numGroups, ev.numCores)
-			sc.niRemOut = grid[int](numGroups, numNIs)
-			sc.niRemIn = grid[int](numGroups, numNIs)
-		}
-		for g := range sc.remOut {
-			copy(sc.remOut[g], ev.remOutTpl[g])
-			copy(sc.remIn[g], ev.remInTpl[g])
-			clear(sc.niRemOut[g])
-			clear(sc.niRemIn[g])
-		}
-		m.remOut, m.remIn = sc.remOut, sc.remIn
-		m.niRemOut, m.niRemIn = sc.niRemOut, sc.niRemIn
+	for pi := range m.pairList {
+		m.tierOf[pi] = tierNone
+		m.tiers[tierNone][pi>>6] |= 1 << (pi & 63)
+	}
+	for g := range sc.remOut {
+		copy(sc.remOut[g], ev.remOutTpl[g])
+		copy(sc.remIn[g], ev.remInTpl[g])
+		clear(sc.niRemOut[g])
+		clear(sc.niRemIn[g])
 	}
 	m.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
 	sc.configs = m.configs
-	m.placeFixed(fix)
+	m.coreSwitch = make([]int, ev.numCores)
+	m.coreNI = make([]int, ev.numCores)
+	for c := range m.coreSwitch {
+		m.coreSwitch[c], m.coreNI[c] = -1, -1
+	}
+	m.switchCores = make([]int, ev.top.NumSwitches())
+	m.niCores = make([]int, ev.numNIs())
 	return m
 }
 
-// Evaluate runs the configuration phase on a fixed core placement using the
-// pooled scratch state and returns the complete Result. The output is
-// bit-identical to a fresh Evaluator's on the same inputs; only the fixed
-// per-call costs are gone.
+// Evaluate runs the configuration phase on a fixed core placement, which
+// must attach every communicating core, and returns the complete Result.
+// The groups of a fixed placement never interact — each owns its slot
+// tables — so the pass reserves each group's pairs in the global order
+// (groupPairs) on the group's own state, as a session's rebuildGroup
+// does; the first pair that does not fit rejects the placement. The states
+// come from the pooled scratch arena, so only the result is allocated.
 func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
 		return nil, err
 	}
 	sc := ev.getScratch()
-	m := ev.mapperFor(sc, &placementFix{CoreSwitch: coreSwitch, CoreNI: coreNI})
-	mapping, err := m.run()
-	res := (*Result)(nil)
-	if err == nil {
-		dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
-		res = &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(mapping, m.states)}
+	defer ev.putScratch(sc)
+	sc.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
+	for g, pairs := range ev.groupPairs {
+		for _, pd := range pairs {
+			if err := ev.reserveSlotsInto(&sc.res, sc.states[g], coreSwitch, coreNI, pd.key, pd.slots, pd.latSlots, &sc.rec); err != nil {
+				return nil, fmt.Errorf("core: group %d: %w", g, ev.reserveError(err, sc.res.cands, coreSwitch, g, pd.idx))
+			}
+			sc.configs[g][pd.idx] = newAssignment(sc.rec.path, sc.rec.start)
+			sc.journal = append(sc.journal, journalEntry{group: int32(g), idx: pd.idx})
+		}
 	}
-	sc.journal = m.journal
-	ev.putScratch(sc)
-	return res, err
+	configs, err := ev.configsOf(sc.configs)
+	if err != nil {
+		return nil, err
+	}
+	cs, cn := slices.Clone(coreSwitch), slices.Clone(coreNI)
+	for c, s := range cs {
+		if s < 0 {
+			cs[c], cn[c] = -1, -1 // unattached
+		}
+	}
+	mapping := &Mapping{Topology: ev.top, Params: ev.p, Prep: ev.prep, CoreSwitch: cs, CoreNI: cn, Configs: configs}
+	dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
+	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(mapping, sc.states)}, nil
 }
 
 // attempt runs the constructive pass of the growth loop on the evaluator's
@@ -568,7 +582,7 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 // a saturated fabric (infeasible) costs no state allocation at all.
 func (ev *Evaluator) attempt() (*Mapping, Stats, error) {
 	sc := ev.getScratch()
-	m := ev.mapperFor(sc, nil)
+	m := ev.mapperFor(sc)
 	mapping, err := m.run()
 	if err != nil {
 		sc.journal = m.journal
@@ -597,8 +611,9 @@ type reserveScratch struct {
 }
 
 // reserveSlotsInto selects a path and aligned slots for one pair on one
-// state: candidate paths cheapest-first (from the per-pair cache), slot
-// count escalating from the bandwidth demand slots0 when the latency
+// state under the placement (coreSwitch, coreNI): candidate paths
+// cheapest-first (from the per-pair cache) between the pair's NI links,
+// slot count escalating from the bandwidth demand slots0 when the latency
 // budget (in slots; negative means none) needs a smaller gap. Both come
 // precomputed from the templates (pairSlots, pairPlan.latSlots). Each
 // candidate's full path is built in rec's path buffer and claimed with one
@@ -607,12 +622,14 @@ type reserveScratch struct {
 // retained by) the record, so callers that keep the reservation beyond the
 // record's next use must clone them. Route queries reuse the scratch, and
 // infeasibility is reported through shared sentinel errors.
-func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
-	srcS, dstS, egress, ingress, slots0, latBudget int, rec *resRecord) error {
+func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, coreSwitch, coreNI []int,
+	key traffic.PairKey, slots0, latBudget int, rec *resRecord) error {
 	T := ev.p.SlotTableSize
 	if slots0 > T {
 		return errOverCapacity
 	}
+	srcS, dstS := coreSwitch[key.Src], coreSwitch[key.Dst]
+	egress, ingress := ev.niEgress(coreNI[key.Src]), ev.niIngress(coreNI[key.Dst])
 	if cap(rec.start) < T {
 		// A reservation never holds more than T starts, nor a simple path
 		// more links than the switches plus the two NI links; sizing the
@@ -654,17 +671,21 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State,
 // sameSwitchCands is the single empty mesh path of a src==dst reservation.
 var sameSwitchCands = []route.Path{nil}
 
-// reserveError expands a reserveSlotsInto sentinel into the descriptive
-// error the constructive pass reports; cands is the number of candidate
-// paths the failed call probed, and slots0, latBudget and bw are the
-// pair's demand, latency budget and reservation bandwidth.
-func (ev *Evaluator) reserveError(cause error, cands int, key traffic.PairKey, srcS, dstS, slots0, latBudget int, bw float64) error {
+// reserveError expands a reserveSlotsInto sentinel for pair idx in group
+// g under the placement coreSwitch into the descriptive error the
+// constructive pass and Evaluate report; cands is the number of candidate
+// paths the failed call probed.
+func (ev *Evaluator) reserveError(cause error, cands int, coreSwitch []int, g int, idx int32) error {
+	key, plan := ev.pairList[idx], &ev.planOf[idx]
+	i := slices.Index(plan.groups, g)
+	slots0, latBudget := ev.pairSlots[g][idx], plan.latSlots[i]
 	switch cause {
 	case errOverCapacity:
 		return fmt.Errorf("flow %d->%d needs %d slots, table has %d (bandwidth %0.1f exceeds link capacity %0.1f MB/s)",
-			key.Src, key.Dst, slots0, ev.p.SlotTableSize, bw, ev.p.LinkBandwidthMBs())
+			key.Src, key.Dst, slots0, ev.p.SlotTableSize, plan.bw[i], ev.p.LinkBandwidthMBs())
 	case errNoPath:
-		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)", key.Src, key.Dst, srcS, dstS, slots0)
+		return fmt.Errorf("flow %d->%d: no feasible path %d->%d (%d slots)",
+			key.Src, key.Dst, coreSwitch[key.Src], coreSwitch[key.Dst], slots0)
 	case errNoAligned:
 		return fmt.Errorf("flow %d->%d: no aligned slots (need %d, latency budget %d slots) on any of %d paths",
 			key.Src, key.Dst, slots0, latBudget, cands)

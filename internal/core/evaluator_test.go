@@ -6,9 +6,11 @@ package core_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"nocmap/internal/bench"
 	"nocmap/internal/core"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
@@ -134,9 +136,11 @@ func sameResult(t *testing.T, label string, a, b *core.Result) {
 
 // TestEvaluatorMatchesEvaluateFixed: one shared Evaluator (pooled scratch,
 // cached path tables) must produce bit-identical Results to a fresh
-// Evaluator per call (core.EvaluateFresh) on randomized placements, across
-// a mesh and two tori, with infeasible placements interleaved so
-// the arena is also proven clean after failed evaluations.
+// Evaluator per call (core.EvaluateFresh) and to the pair-major reference
+// pass (EvaluateReference) on randomized placements, across a mesh and two
+// tori, with infeasible placements interleaved so the arena is also proven
+// clean after failed evaluations. The reference comparison then runs on
+// D1–D4 (see evaluateMatrix).
 func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 	prep, numCores := evalDesign(t)
 	p := evalParams()
@@ -171,6 +175,7 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 				t.Fatalf("%s: feasibility diverged: shared err=%v, fresh err=%v", label, gotErr, wantErr)
 			}
 			evaluated++
+			matchesReference(t, label, ev, cs, cn, got, gotErr)
 			if gotErr != nil {
 				continue
 			}
@@ -187,10 +192,133 @@ func TestEvaluatorMatchesEvaluateFixed(t *testing.T) {
 	if evaluated < 50 {
 		t.Fatalf("only %d placements compared, want >= 50", evaluated)
 	}
+	evaluateMatrix(t)
+}
+
+// matchesReference holds one Evaluate outcome to the pair-major reference
+// pass on the same placement: the same verdict and a DeepEqual result.
+func matchesReference(t *testing.T, label string, ev *core.Evaluator, cs, cn []int, got *core.Result, gotErr error) bool {
+	t.Helper()
+	want, wantErr := ev.EvaluateReference(cs, cn)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: Evaluate err=%v, pair-major reference err=%v", label, gotErr, wantErr)
+	}
+	if gotErr == nil && !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Evaluate result differs from the pair-major reference's", label)
+	}
+	return gotErr == nil
+}
+
+// evaluateMatrix holds Evaluate to the pair-major reference on D1–D4 at
+// T = 16, 32, 64 and 128 on mesh and torus, under the default params and
+// with each of the mapped-endpoint preference and unified slots disabled.
+// Each case evaluates, on the fabric greedy maps onto, the greedy
+// placement, swaps and relocations of its attached cores and full
+// shuffles of them.
+func evaluateMatrix(t *testing.T) {
+	t.Helper()
+	compared, feasible := 0, 0
+	for _, design := range []string{"D1", "D2", "D3", "D4"} {
+		d, err := bench.ByName(design)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := usecase.Prepare(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		numCores := d.NumCores()
+		for _, slots := range []int{16, 32, 64, 128} {
+			for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus} {
+				for variant := 0; variant < 3; variant++ {
+					p := core.DefaultParams()
+					p.SlotTableSize = slots
+					p.Topology = topology.Spec{Kind: kind}
+					p.DisableMappedPreference = variant == 1
+					p.DisableUnifiedSlots = variant == 2
+					label := fmt.Sprintf("%s/T=%d/%s/variant %d", design, slots, kind, variant)
+					base, err := core.Map(prep, numCores, p)
+					if err != nil && p.DisableMappedPreference {
+						// Greedy without the preference finds no fabric (D3 at
+						// T = 16); the preference steers only the growth loop,
+						// so evaluate around greedy's placement with it.
+						withPref := p
+						withPref.DisableMappedPreference = false
+						base, err = core.Map(prep, numCores, withPref)
+					}
+					if err != nil {
+						t.Fatalf("%s: %v", label, err)
+					}
+					m := base.Mapping
+					ev, err := core.NewEvaluator(prep, numCores, m.Topology, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var attached []int
+					for c, s := range m.CoreSwitch {
+						if s >= 0 {
+							attached = append(attached, c)
+						}
+					}
+					numNIs := m.Topology.NumSwitches() * p.NIsPerSwitch
+					seats := make([]int, 0, numNIs*p.CoresPerNI)
+					for ni := 0; ni < numNIs; ni++ {
+						for k := 0; k < p.CoresPerNI; k++ {
+							seats = append(seats, ni)
+						}
+					}
+					rng := rand.New(rand.NewSource(int64(slots)*7 + int64(design[1])*3 + int64(variant)))
+					cs, cn := make([]int, numCores), make([]int, numCores)
+					for trial := 0; trial < 8; trial++ {
+						copy(cs, m.CoreSwitch)
+						copy(cn, m.CoreNI)
+						a, b := attached[rng.Intn(len(attached))], attached[rng.Intn(len(attached))]
+						switch {
+						case trial == 0: // the greedy placement
+						case trial < 4: // swap two attached cores
+							cs[a], cs[b] = cs[b], cs[a]
+							cn[a], cn[b] = cn[b], cn[a]
+						case trial < 6: // relocate one core to an NI with a free seat
+							ni := rng.Intn(numNIs)
+							if count(cn, ni) >= p.CoresPerNI {
+								continue
+							}
+							cs[a], cn[a] = ni/p.NIsPerSwitch, ni
+						default: // shuffle the attached cores over every seat
+							rng.Shuffle(len(seats), func(i, j int) { seats[i], seats[j] = seats[j], seats[i] })
+							for i, c := range attached {
+								cs[c], cn[c] = seats[i]/p.NIsPerSwitch, seats[i]
+							}
+						}
+						got, err := ev.Evaluate(cs, cn)
+						compared++
+						if matchesReference(t, fmt.Sprintf("%s trial %d", label, trial), ev, cs, cn, got, err) {
+							feasible++
+						}
+					}
+				}
+			}
+		}
+	}
+	t.Logf("%d placements compared with the pair-major reference, %d feasible", compared, feasible)
+	if feasible < compared/4 {
+		t.Errorf("only %d of %d placements feasible; the comparison barely exercises routing", feasible, compared)
+	}
+}
+
+func count(xs []int, v int) int {
+	n := 0
+	for _, x := range xs {
+		if x == v {
+			n++
+		}
+	}
+	return n
 }
 
 // TestEvaluateFixedValidatesPlacement: nil, short, out-of-range,
-// wrong-switch and overfull placements from a custom engine must surface as
+// wrong-switch and overfull placements, and placements leaving a
+// communicating core unattached, from a custom engine must surface as
 // errors from a fresh Evaluator, from a shared one and from a session's
 // TryMove, never as panics deep in the configuration phase. A rejected
 // TryMove leaves the session unchanged with no move pending.
@@ -231,10 +359,23 @@ func TestEvaluateFixedValidatesPlacement(t *testing.T) {
 		{"NI on wrong switch", good, replace(goodNI, 0, goodNI[1]+p.NIsPerSwitch)},
 	}
 	ocs, ocn := overfull()
-	cases = append(cases, struct {
+	detached := func(cores ...int) ([]int, []int) {
+		cs, cn := append([]int(nil), good...), append([]int(nil), goodNI...)
+		for _, c := range cores {
+			cs[c], cn[c] = -1, -1
+		}
+		return cs, cn
+	}
+	d1cs, d1cn := detached(0)
+	d2cs, d2cn := detached(2, 5)
+	cases = append(cases, []struct {
 		name   string
 		cs, cn []int
-	}{"overfull NI", ocs, ocn})
+	}{
+		{"overfull NI", ocs, ocn},
+		{"communicating core unattached", d1cs, d1cn},
+		{"two communicating cores unattached", d2cs, d2cn},
+	}...)
 	sess := feasibleSession(t, ev, rand.New(rand.NewSource(5)), p, numCores)
 	// Every core is listed as moved, so only the placement check can reject.
 	all := make([]int, numCores)

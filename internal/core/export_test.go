@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"slices"
 
+	"nocmap/internal/route"
+	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
 	"nocmap/internal/usecase"
 )
@@ -22,6 +24,51 @@ func EvaluateFresh(prep *usecase.Prepared, numCores int, top *topology.Topology,
 		return nil, err
 	}
 	return ev.Evaluate(coreSwitch, coreNI)
+}
+
+// EvaluateReference is the pair-major fixed-placement pass Evaluate's
+// group-by-group pass replaced: every pair in pairList order, each reserved
+// in its groups in plan order, on fresh slot tables. Evaluate must return
+// a DeepEqual result and the same verdict; only its rejection text may
+// name another pair.
+func (ev *Evaluator) EvaluateReference(coreSwitch, coreNI []int) (*Result, error) {
+	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
+		return nil, err
+	}
+	states := make([]*tdma.State, len(ev.prep.Groups))
+	for g := range states {
+		st, err := tdma.NewState(ev.totalLinks, ev.p.SlotTableSize)
+		if err != nil {
+			return nil, err
+		}
+		states[g] = st
+	}
+	asn := grid[*Assignment](len(states), len(ev.pairList))
+	sc := reserveScratch{route: route.NewScratch()}
+	var rec resRecord
+	for pi, key := range ev.pairList {
+		plan := &ev.planOf[pi]
+		for i, g := range plan.groups {
+			if err := ev.reserveSlotsInto(&sc, states[g], coreSwitch, coreNI, key, ev.pairSlots[g][pi], plan.latSlots[i], &rec); err != nil {
+				return nil, fmt.Errorf("core: reference: pair %d->%d, group %d: %w", key.Src, key.Dst, g, err)
+			}
+			asn[g][pi] = newAssignment(rec.path, rec.start)
+		}
+	}
+	configs, err := ev.configsOf(asn)
+	if err != nil {
+		return nil, err
+	}
+	cs, cn := make([]int, ev.numCores), make([]int, ev.numCores)
+	for c := range cs {
+		cs[c], cn[c] = -1, -1
+		if coreSwitch[c] >= 0 {
+			cs[c], cn[c] = coreSwitch[c], coreNI[c]
+		}
+	}
+	mapping := &Mapping{Topology: ev.top, Params: ev.p, Prep: ev.prep, CoreSwitch: cs, CoreNI: cn, Configs: configs}
+	dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
+	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(mapping, states)}, nil
 }
 
 // Move-rejection sentinels, for the session's differential tests.

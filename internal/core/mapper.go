@@ -101,12 +101,6 @@ func validateInput(prep *usecase.Prepared, numCores int) error {
 	return nil
 }
 
-// placementFix pins the core placement for configuration-only runs.
-type placementFix struct {
-	CoreSwitch []int
-	CoreNI     []int
-}
-
 // flowInst is one flow occurrence in the bandwidth-sorted template list.
 // Attempts only read it: what is still to route is tracked per pair, in the
 // mapper's tier bitsets.
@@ -164,13 +158,11 @@ type mapper struct {
 	// demand the core will still source or sink. Projected NI occupancy
 	// (current reservations + remaining demand of the NI's cores) steers
 	// placement: greedy per-flow decisions would otherwise co-locate cores
-	// whose later flows overrun the NI. Both tables are nil when the fix
-	// places every communicating core — no placement decisions remain, so
-	// no projection is ever read.
+	// whose later flows overrun the NI.
 	remOut [][]int
 	remIn  [][]int
 	// niRemOut/niRemIn hold, per group and NI, the sum of remOut/remIn over
-	// the cores attached to the NI; nil exactly when remOut is.
+	// the cores attached to the NI.
 	niRemOut [][]int
 	niRemIn  [][]int
 
@@ -184,13 +176,12 @@ type mapper struct {
 	journal []journalEntry
 }
 
-// journalEntry is one granted reservation of the constructive pass: the
-// group, the pair's dense index and the NI demand projection it realized
-// (zero when no projection is kept).
+// journalEntry is one granted reservation of an evaluation: the group and
+// the pair's dense index. Its path and starts are in the assignment table,
+// its slot demand in pairSlots.
 type journalEntry struct {
-	group  int32
-	idx    int32
-	demand int
+	group int32
+	idx   int32
 }
 
 // resRecord is one reservation: the probe record of the reservation
@@ -210,32 +201,6 @@ type placement struct {
 	srcSwitch          int
 	dstSwitch          int
 	src, dst           traffic.CoreID
-}
-
-// placeFixed initializes the placement arrays, applies the fix, if any
-// (validated by the caller through ValidatePlacement), and sorts every pair
-// into its preference tier.
-func (m *mapper) placeFixed(fix *placementFix) {
-	m.coreSwitch = make([]int, m.numCores)
-	m.coreNI = make([]int, m.numCores)
-	for i := range m.coreSwitch {
-		m.coreSwitch[i] = -1
-		m.coreNI[i] = -1
-	}
-	m.switchCores = make([]int, m.top.NumSwitches())
-	m.niCores = make([]int, m.numNIs())
-	if fix != nil {
-		for c, s := range fix.CoreSwitch {
-			if s >= 0 {
-				m.attach(traffic.CoreID(c), s, fix.CoreNI[c])
-			}
-		}
-	}
-	for pi := range m.pairList {
-		t := m.tierFor(int32(pi))
-		m.tierOf[pi] = t
-		m.tiers[t][pi>>6] |= 1 << (pi & 63)
-	}
 }
 
 // tierFor is pair pi's preference tier under the current placement.
@@ -412,7 +377,7 @@ func (m *mapper) placeAndRoute(pi int32) error {
 			continue
 		}
 		mark := len(m.journal)
-		err := m.routeGroups(f.key, pi, plan)
+		err := m.routeGroups(pi, plan)
 		if err == nil {
 			m.moveTier(pi, tierDone)
 			if pl.placeSrc {
@@ -667,11 +632,9 @@ func (m *mapper) attach(core traffic.CoreID, s, ni int) {
 	m.coreNI[core] = ni
 	m.switchCores[s]++
 	m.niCores[ni]++
-	if m.remOut != nil {
-		for g := range m.niRemOut {
-			m.niRemOut[g][ni] += m.remOut[g][core]
-			m.niRemIn[g][ni] += m.remIn[g][core]
-		}
+	for g := range m.niRemOut {
+		m.niRemOut[g][ni] += m.remOut[g][core]
+		m.niRemIn[g][ni] += m.remIn[g][core]
 	}
 }
 
@@ -680,11 +643,9 @@ func (m *mapper) unplace(core traffic.CoreID) {
 	if s >= 0 {
 		m.switchCores[s]--
 		m.niCores[ni]--
-		if m.remOut != nil {
-			for g := range m.niRemOut {
-				m.niRemOut[g][ni] -= m.remOut[g][core]
-				m.niRemIn[g][ni] -= m.remIn[g][core]
-			}
+		for g := range m.niRemOut {
+			m.niRemOut[g][ni] -= m.remOut[g][core]
+			m.niRemIn[g][ni] -= m.remIn[g][core]
 		}
 	}
 	m.coreSwitch[core] = -1
@@ -700,43 +661,35 @@ func (m *mapper) undoPlacement(pl placement) {
 	}
 }
 
-// routeGroups reserves the pair in every group of its routing plan: the
+// routeGroups reserves pair pi in every group of its routing plan: the
 // reservation is sized by the group's heaviest same-pair flow and must
 // satisfy the group's tightest latency constraint; it is recorded once in
 // the group's shared state (Algorithm 2 steps 4-6).
-func (m *mapper) routeGroups(key traffic.PairKey, pi int32, plan *pairPlan) error {
+func (m *mapper) routeGroups(pi int32, plan *pairPlan) error {
 	for i, g := range plan.groups {
-		if err := m.reservePair(g, key, pi, plan.bw[i], plan.latSlots[i]); err != nil {
+		if err := m.reservePair(g, pi, plan.latSlots[i]); err != nil {
 			return fmt.Errorf("group %d: %w", g, err)
 		}
 	}
 	return nil
 }
 
-// reservePair selects a path and aligned slots for one pair in one group's
-// state (via the evaluator's shared reservation primitive) and journals the
-// result. The probe runs in the attempt's scratch record; only a granted
-// reservation's path and starts are copied out of it.
-func (m *mapper) reservePair(g int, key traffic.PairKey, pi int32, bw float64, latBudget int) error {
-	srcS, dstS := m.coreSwitch[key.Src], m.coreSwitch[key.Dst]
-	egress := m.niEgress(m.coreNI[key.Src])
-	ingress := m.niIngress(m.coreNI[key.Dst])
-	slots0 := m.pairSlots[g][pi]
-	if err := m.reserveSlotsInto(m.res, m.states[g], srcS, dstS, egress, ingress, slots0, latBudget, m.rec); err != nil {
-		return m.reserveError(err, m.res.cands, key, srcS, dstS, slots0, latBudget, bw)
+// reservePair selects a path and aligned slots for pair pi in group g's
+// state (via the evaluator's shared reservation primitive) and journals
+// the result. The probe runs in the attempt's scratch record; only a
+// granted reservation's path and starts are copied out of it.
+func (m *mapper) reservePair(g int, pi int32, latBudget int) error {
+	key, slots := m.pairList[pi], m.pairSlots[g][pi]
+	if err := m.reserveSlotsInto(m.res, m.states[g], m.coreSwitch, m.coreNI, key, slots, latBudget, m.rec); err != nil {
+		return m.reserveError(err, m.res.cands, m.coreSwitch, g, pi)
 	}
-	a := newAssignment(m.rec.path, m.rec.start)
-	m.configs[g][pi] = a
+	m.configs[g][pi] = newAssignment(m.rec.path, m.rec.start)
 	// The pair's projected demand is now realized.
-	demand := 0
-	if m.remOut != nil {
-		demand = slots0
-		m.remOut[g][key.Src] -= demand
-		m.remIn[g][key.Dst] -= demand
-		m.niRemOut[g][m.coreNI[key.Src]] -= demand
-		m.niRemIn[g][m.coreNI[key.Dst]] -= demand
-	}
-	m.journal = append(m.journal, journalEntry{group: int32(g), idx: pi, demand: demand})
+	m.remOut[g][key.Src] -= slots
+	m.remIn[g][key.Dst] -= slots
+	m.niRemOut[g][m.coreNI[key.Src]] -= slots
+	m.niRemIn[g][m.coreNI[key.Dst]] -= slots
+	m.journal = append(m.journal, journalEntry{group: int32(g), idx: pi})
 	return nil
 }
 
@@ -748,13 +701,11 @@ func (m *mapper) rollback(mark int) {
 		a := m.configs[e.group][e.idx]
 		m.states[e.group].Release(0, a.Path, a.Starts)
 		m.configs[e.group][e.idx] = nil
-		if m.remOut != nil {
-			key := m.pairList[e.idx]
-			m.remOut[e.group][key.Src] += e.demand
-			m.remIn[e.group][key.Dst] += e.demand
-			m.niRemOut[e.group][m.coreNI[key.Src]] += e.demand
-			m.niRemIn[e.group][m.coreNI[key.Dst]] += e.demand
-		}
+		key, slots := m.pairList[e.idx], m.pairSlots[e.group][e.idx]
+		m.remOut[e.group][key.Src] += slots
+		m.remIn[e.group][key.Dst] += slots
+		m.niRemOut[e.group][m.coreNI[key.Src]] += slots
+		m.niRemIn[e.group][m.coreNI[key.Dst]] += slots
 	}
 	m.journal = m.journal[:mark]
 }

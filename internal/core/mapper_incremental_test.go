@@ -68,7 +68,7 @@ func stepAttempt(t *testing.T, tpl *templates, top *topology.Topology) bool {
 	t.Helper()
 	ev := tpl.on(top)
 	sc := ev.getScratch()
-	m := ev.mapperFor(sc, nil)
+	m := ev.mapperFor(sc)
 	defer func() {
 		sc.journal = m.journal
 		ev.putScratch(sc)

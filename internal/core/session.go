@@ -497,11 +497,9 @@ func (s *Session) rerouteGroup(g int, bucket []groupPair) bool {
 		pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
 	}
 	for _, e := range bucket {
-		key := s.ev.pairList[e.idx]
 		rec := s.getRec()
-		err := s.ev.reserveSlotsInto(&s.sc.res, st,
-			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-			s.ev.pairSlots[g][e.idx], s.ev.planOf[e.idx].latSlots[e.gi], rec)
+		err := s.ev.reserveSlotsInto(&s.sc.res, st, s.cs, s.cn,
+			s.ev.pairList[e.idx], s.ev.pairSlots[g][e.idx], s.ev.planOf[e.idx].latSlots[e.gi], rec)
 		if err != nil {
 			s.putRec(rec)
 			return false
@@ -536,11 +534,8 @@ func (s *Session) rebuildGroup(g int) bool {
 	st.Reset()
 	pm.rebuilds++
 	for _, pd := range s.ev.groupPairs[g] {
-		key := pd.key
 		rec := s.getRec()
-		err := s.ev.reserveSlotsInto(&s.sc.res, st,
-			s.cs[key.Src], s.cs[key.Dst], s.ev.niEgress(s.cn[key.Src]), s.ev.niIngress(s.cn[key.Dst]),
-			pd.slots, pd.latSlots, rec)
+		err := s.ev.reserveSlotsInto(&s.sc.res, st, s.cs, s.cn, pd.key, pd.slots, pd.latSlots, rec)
 		if err != nil {
 			s.putRec(rec)
 			return false

@@ -113,7 +113,7 @@ func checkCommitted(t *testing.T, label string, sess *core.Session) *core.Result
 // D1 and D2 sessions. Every committed result must verify clean with stats
 // equal to a from-scratch recomputation, Undo must restore the exact
 // pre-move result, and a move the session rejects must also be rejected by
-// a from-scratch evaluation of the same placement. After every operation
+// the pair-major reference evaluation of the same placement. After every operation
 // the maintained cross-switch sums must match a recomputation, and every
 // precheck verdict must match the full-scan oracle's.
 //
@@ -170,7 +170,7 @@ func FuzzSessionMoves(f *testing.F) {
 			}
 			stats, err := tryMoveChecked(t, fmt.Sprintf("op %d", i/3), b.ev, sess, cs, cn, moved...)
 			if err != nil {
-				if _, ferr := b.ev.Evaluate(cs, cn); ferr == nil {
+				if _, ferr := b.ev.EvaluateReference(cs, cn); ferr == nil {
 					t.Fatalf("op %d: session rejected %v (%v), from-scratch evaluation accepts it", i/3, moved, err)
 				}
 				if got := sess.Result(); !reflect.DeepEqual(got, committed) {

@@ -48,15 +48,6 @@ func (g *Undirected) AddEdge(u, v int) error {
 	return nil
 }
 
-// HasEdge reports whether the undirected edge (u, v) exists.
-func (g *Undirected) HasEdge(u, v int) bool {
-	if u < 0 || u >= g.n || v < 0 || v >= g.n {
-		return false
-	}
-	_, ok := g.adj[u][v]
-	return ok
-}
-
 // Degree returns the number of neighbours of v, or 0 if v is out of range.
 func (g *Undirected) Degree(v int) int {
 	if v < 0 || v >= g.n {
@@ -186,30 +177,10 @@ var ErrNoPath = errors.New("graph: no path")
 // ShortestPath runs Dijkstra from src to dst under cost. It returns the arc
 // indices of a least-cost path and the total cost. Arcs priced negative or
 // +Inf are treated as absent. Ties are broken deterministically by preferring
-// lower vertex indices.
+// lower vertex indices. It is ShortestPathInto on a fresh scratch, so the
+// path is the caller's.
 func (g *Directed) ShortestPath(src, dst int, cost CostFunc) ([]int, float64, error) {
-	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
-		return nil, 0, fmt.Errorf("graph: shortest path endpoints (%d,%d) out of range [0,%d)", src, dst, g.n)
-	}
-	dist, via := g.dijkstra(src, cost, dst)
-	if via == nil || (dist[dst] != dist[dst]) || dist[dst] < 0 { // NaN or unreached marker
-		return nil, 0, ErrNoPath
-	}
-	if via[dst] == -1 && src != dst {
-		return nil, 0, ErrNoPath
-	}
-	// Reconstruct.
-	var rev []int
-	for v := dst; v != src; {
-		a := via[v]
-		rev = append(rev, a)
-		v = g.arcs[a].From
-	}
-	path := make([]int, len(rev))
-	for i := range rev {
-		path[i] = rev[len(rev)-1-i]
-	}
-	return path, dist[dst], nil
+	return g.ShortestPathInto(src, dst, cost, &SPScratch{})
 }
 
 // ShortestTree runs Dijkstra from src under cost and returns, for each
@@ -219,7 +190,7 @@ func (g *Directed) ShortestTree(src int, cost CostFunc) (dist []float64, via []i
 	if src < 0 || src >= g.n {
 		return nil, nil, fmt.Errorf("graph: shortest tree source %d out of range [0,%d)", src, g.n)
 	}
-	dist, via = g.dijkstra(src, cost, -1)
+	dist, via = g.dijkstraInto(src, cost, -1, &SPScratch{})
 	return dist, via, nil
 }
 
@@ -264,7 +235,7 @@ func (sc *SPScratch) grow(n int) {
 
 // ShortestPathInto is ShortestPath with every working allocation drawn from
 // the scratch: the returned path slice is owned by the scratch and valid
-// only until its next use. Results are identical to ShortestPath.
+// only until its next use.
 func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) ([]int, float64, error) {
 	if src < 0 || src >= g.n || dst < 0 || dst >= g.n {
 		return nil, 0, fmt.Errorf("graph: shortest path endpoints (%d,%d) out of range [0,%d)", src, dst, g.n)
@@ -292,14 +263,9 @@ func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) 
 
 const unreached = -1.0
 
-// dijkstra computes least costs from src. dist[v] < 0 marks unreachable.
-// If stop >= 0, the search terminates once stop is settled.
-func (g *Directed) dijkstra(src int, cost CostFunc, stop int) ([]float64, []int) {
-	return g.dijkstraInto(src, cost, stop, &SPScratch{})
-}
-
-// dijkstraInto is dijkstra over scratch-owned arrays. The returned slices
-// alias the scratch.
+// dijkstraInto computes least costs from src over scratch-owned arrays.
+// dist[v] < 0 marks unreachable. If stop >= 0, the search terminates once
+// stop is settled. The returned slices alias the scratch.
 func (g *Directed) dijkstraInto(src int, cost CostFunc, stop int, sc *SPScratch) ([]float64, []int) {
 	sc.grow(g.n)
 	dist, via, done := sc.dist, sc.via, sc.done

@@ -104,30 +104,6 @@ func Prepare(d *traffic.Design) (*Prepared, error) {
 	return p, nil
 }
 
-// SwitchingGraph exposes the graph built during Prepare for inspection and
-// visualization. It rebuilds the same structure Prepare uses.
-func SwitchingGraph(d *traffic.Design) (*graph.Undirected, error) {
-	p, err := Prepare(d)
-	if err != nil {
-		return nil, err
-	}
-	sg := graph.NewUndirected(len(p.UseCases))
-	for _, pair := range d.SmoothPairs {
-		if err := sg.AddEdge(pair[0], pair[1]); err != nil {
-			return nil, err
-		}
-	}
-	for ci, set := range d.ParallelSets {
-		compIdx := p.NumOriginal + ci
-		for _, idx := range set {
-			if err := sg.AddEdge(compIdx, idx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	return sg, nil
-}
-
 // ReconfigurableSwitches counts the unordered use-case pairs (i, j) whose
 // transition permits re-configuration (different groups) and those that must
 // be smooth (same group). It quantifies the flexibility Phase 2 discovered.

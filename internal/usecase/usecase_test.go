@@ -127,25 +127,6 @@ func TestPrepareRejectsInvalidDesign(t *testing.T) {
 	}
 }
 
-func TestSwitchingGraphStructure(t *testing.T) {
-	sg, err := SwitchingGraph(fig4Design())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sg.N() != 10 {
-		t.Fatalf("N = %d, want 10", sg.N())
-	}
-	// Compound U_123 (8) connected to 0,1,2; U_45 (9) to 3,4; smooth 5-6.
-	for _, e := range [][2]int{{8, 0}, {8, 1}, {8, 2}, {9, 3}, {9, 4}, {5, 6}} {
-		if !sg.HasEdge(e[0], e[1]) {
-			t.Errorf("missing edge %v", e)
-		}
-	}
-	if sg.HasEdge(0, 3) || sg.HasEdge(7, 5) {
-		t.Error("unexpected edges present")
-	}
-}
-
 // Property: groups partition the use-case set; every use-case appears in
 // exactly one group, and GroupOf is consistent with Groups.
 func TestGroupsPartitionProperty(t *testing.T) {
