@@ -27,6 +27,7 @@ import (
 	"math"
 	"net/http"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -116,6 +117,16 @@ func (h *Histogram) Observe(v float64) {
 			return
 		}
 	}
+}
+
+// snapshot reads the per-bucket counts (the last is the +Inf bucket) and
+// the sum.
+func (h *Histogram) snapshot() (counts []int64, sum float64) {
+	counts = make([]int64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return counts, h.Sum()
 }
 
 // Count reads the total number of observations.
@@ -324,9 +335,24 @@ func (r *Registry) Histogram(name, help string, buckets ...float64) *Histogram {
 	}
 	h := newHistogram(buckets)
 	r.register(name, help, "histogram", nil, func(w *errWriter, n string) {
-		renderHistogram(w, n, nil, nil, h)
+		counts, sum := h.snapshot()
+		renderHistogram(w, n, nil, nil, h.bounds, counts, sum)
 	})
 	return h
+}
+
+// HistogramFunc registers a histogram whose distribution is read by fn at
+// scrape time — for a distribution another subsystem already keeps (the Go
+// runtime's GC pauses). fn fills counts, one per bucket upper bound plus a
+// last +Inf bucket, and returns the sum of the observations. fn must be
+// safe for concurrent use and must not call back into the registry.
+func (r *Registry) HistogramFunc(name, help string, buckets []float64, fn func(counts []int64) (sum float64)) {
+	bounds := slices.Sorted(slices.Values(buckets))
+	r.register(name, help, "histogram", nil, func(w *errWriter, n string) {
+		counts := make([]int64, len(bounds)+1)
+		sum := fn(counts)
+		renderHistogram(w, n, nil, nil, bounds, counts, sum)
+	})
 }
 
 // HistogramVec registers and returns a new labeled histogram family; every
@@ -339,7 +365,8 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	r.register(name, help, "histogram", labels, func(w *errWriter, n string) {
 		values, children := hv.snapshot()
 		for i, h := range children {
-			renderHistogram(w, n, labels, values[i], h)
+			counts, sum := h.snapshot()
+			renderHistogram(w, n, labels, values[i], h.bounds, counts, sum)
 		}
 	})
 	return hv
@@ -373,21 +400,21 @@ func (r *Registry) Handler() http.Handler {
 	})
 }
 
-// renderHistogram writes the cumulative _bucket series plus _sum and _count.
-// The +Inf bucket and _count are computed from the same per-bucket reads, so
-// they always agree within one scrape.
-func renderHistogram(w *errWriter, name string, labels, values []string, h *Histogram) {
+// renderHistogram writes the cumulative _bucket series plus _sum and _count
+// from one read of the per-bucket counts (the last is the +Inf bucket), so
+// the +Inf bucket and _count always agree within one scrape.
+func renderHistogram(w *errWriter, name string, labels, values []string, bounds []float64, counts []int64, sum float64) {
 	var cum int64
 	bl := append(append([]string(nil), labels...), "le")
-	for i, bound := range h.bounds {
-		cum += h.counts[i].Load()
+	for i, bound := range bounds {
+		cum += counts[i]
 		bv := append(append([]string(nil), values...), formatFloat(bound))
 		w.seriesInt(name+"_bucket", bl, bv, cum)
 	}
-	cum += h.counts[len(h.bounds)].Load()
+	cum += counts[len(bounds)]
 	bv := append(append([]string(nil), values...), "+Inf")
 	w.seriesInt(name+"_bucket", bl, bv, cum)
-	w.seriesFloat(name+"_sum", labels, values, h.Sum())
+	w.seriesFloat(name+"_sum", labels, values, sum)
 	w.seriesInt(name+"_count", labels, values, cum)
 }
 

@@ -97,6 +97,25 @@ noc_latency_seconds_count 5
 	}
 }
 
+func TestHistogramFuncExposition(t *testing.T) {
+	r := NewRegistry()
+	r.HistogramFunc("noc_pause_seconds", "Read at scrape time.", []float64{1, 0.1}, func(counts []int64) float64 {
+		copy(counts, []int64{2, 1, 4})
+		return 9.5
+	})
+	out := render(t, r)
+	want := `# TYPE noc_pause_seconds histogram
+noc_pause_seconds_bucket{le="0.1"} 2
+noc_pause_seconds_bucket{le="1"} 3
+noc_pause_seconds_bucket{le="+Inf"} 7
+noc_pause_seconds_sum 9.5
+noc_pause_seconds_count 7
+`
+	if !strings.Contains(out, want) {
+		t.Errorf("histogram exposition wrong:\nwant:\n%s\ngot:\n%s", want, out)
+	}
+}
+
 func TestHistogramVecSharedBuckets(t *testing.T) {
 	r := NewRegistry()
 	hv := r.HistogramVec("noc_engine_duration_seconds", "Engine latency.", []float64{1}, "engine")

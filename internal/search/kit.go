@@ -3,6 +3,7 @@ package search
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"slices"
 
 	"nocmap/internal/core"
@@ -76,6 +77,9 @@ type Kit struct {
 	// specK > 1 probes restarts in concurrent waves (the annealer's
 	// Options.SpecK; the population engines never speculate).
 	specK int
+
+	// proposals counts Propose calls, the clock of the cooperative yield.
+	proposals int
 
 	// Proposal scratch, reused across the run: the candidate placement, the
 	// NI occupancy and the free-seat list. The session's move path
@@ -277,14 +281,30 @@ func (k *Kit) Move(cs, cn []int, attached []int) (moved [2]int, from int, ok boo
 	return [2]int{x, x}, from, true
 }
 
+// yieldStride is the number of proposals between two cooperative yields of
+// the move loop. A move is about 50 µs of CPU-bound work, so the loop
+// yields about every millisecond, while the runtime preempts a running
+// goroutine only about every 10 ms. Without the yield, a goroutine the
+// network wakes (a streamed request's admission, an SSE writer) waits on a
+// P that two improvement workers keep busy.
+const yieldStride = 16
+
+// yield is the move loop's cooperative yield. It reads and writes no
+// search state, so it cannot change a result; tests swap it to count.
+var yield = runtime.Gosched
+
 // Propose draws one Move of the session's placement and evaluates it
 // incrementally. When the configuration phase rejects the candidate — some
 // use-case's flows no longer route or fit their slot tables — a randomly
 // picked moved core is repaired once (see repair). On ok the move is left
 // pending on the session for the caller to Keep or Undo; otherwise the
 // session is unchanged. tried reports whether the draw yielded a move, so
-// a TryMove ran.
+// a TryMove ran. Every yieldStride-th call first yields the processor.
 func (k *Kit) Propose(sess *core.Session, attached []int) (stats core.Stats, tried, ok bool) {
+	k.proposals++
+	if k.proposals%yieldStride == 0 {
+		yield()
+	}
 	sess.PlacementInto(k.cs, k.cn)
 	moved, from, ok := k.Move(k.cs, k.cn, attached)
 	if !ok {

@@ -1,7 +1,10 @@
 package search
 
 import (
+	"context"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -98,4 +101,61 @@ func placementOf(sess *core.Session, numCores int) (cs, cn []int) {
 	cs, cn = make([]int, numCores), make([]int, numCores)
 	sess.PlacementInto(cs, cn)
 	return cs, cn
+}
+
+// TestMoveLoopYieldStride pins the move loop's cooperative yield: an anneal
+// yields once every 16 proposals, and the yield changes nothing. The
+// annealer proposes once per move it counts, so a run of M moves yields
+// M/16 times. The stride is the one the paired stream-anneal records
+// chose; changing it needs new records, not just a new number here. The counted run (whose hook does not yield)
+// and a run with the real yield return the same result and the same event
+// stream.
+func TestMoveLoopYieldStride(t *testing.T) {
+	prep, n := prepared(t, "D2")
+	p := core.DefaultParams()
+	run := func(hook func()) (*core.Result, []Event) {
+		saved := yield
+		yield = hook
+		defer func() { yield = saved }()
+		var events []Event
+		opts := DefaultOptions()
+		opts.Seed = 3
+		opts.Iters = 500
+		opts.Progress = func(e Event) { events = append(events, e) }
+		res, err := Anneal{}.Search(context.Background(), prep, n, p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, events
+	}
+	const stride = 16
+	if yieldStride != stride {
+		t.Fatalf("yieldStride = %d, pinned at %d", yieldStride, stride)
+	}
+	var yields int64
+	counted, countedEvents := run(func() { yields++ })
+	done := countedEvents[len(countedEvents)-1]
+	if done.Stage != StageDone || done.Moves < 10*stride {
+		t.Fatalf("final event %+v: want StageDone after at least %d moves", done, 10*stride)
+	}
+	if want := done.Moves / stride; yields != want {
+		t.Errorf("%d moves yielded %d times, want %d (one per %d proposals)", done.Moves, yields, want, stride)
+	}
+
+	yielded, yieldedEvents := run(runtime.Gosched)
+	if yielded.Stats != counted.Stats ||
+		!slices.Equal(yielded.Mapping.CoreSwitch, counted.Mapping.CoreSwitch) ||
+		!slices.Equal(yielded.Mapping.CoreNI, counted.Mapping.CoreNI) ||
+		!reflect.DeepEqual(yielded.Mapping.Configs, counted.Mapping.Configs) {
+		t.Errorf("the yield changed the result: %+v vs %+v", yielded.Stats, counted.Stats)
+	}
+	if len(yieldedEvents) != len(countedEvents) {
+		t.Fatalf("the yield changed the event stream: %d vs %d events", len(yieldedEvents), len(countedEvents))
+	}
+	for i := range yieldedEvents {
+		if yieldedEvents[i].Stage != countedEvents[i].Stage || yieldedEvents[i].Counts != countedEvents[i].Counts {
+			t.Errorf("event %d: %v %+v with the yield, %v %+v without", i,
+				yieldedEvents[i].Stage, yieldedEvents[i].Counts, countedEvents[i].Stage, countedEvents[i].Counts)
+		}
+	}
 }

@@ -77,6 +77,19 @@ const (
 	maxNodes       = 10000000
 )
 
+// Fabric limits bound the slots and max_dim fields of one request, before
+// anything is allocated from them. A slot table costs ⌈slots/64⌉ words per
+// link in every use-case group's state, so "slots": 2000000000 would ask
+// for about 250 MB per link per group. The growth sequence lists about
+// max_dim²/2 shapes and sorts them by insertion, a cost that grows as
+// max_dim⁴, and each fabric tried builds its own route table. Each limit
+// sits far above every in-repo use (tables of at most 128 slots, growth to
+// 20 by default and to 40 in the largest runs).
+const (
+	maxSlots   = 1024
+	maxMeshDim = 64
+)
+
 // ToRequest validates the wire form into a service Request.
 func (mr *MapRequest) ToRequest() (Request, error) {
 	var req Request
@@ -142,9 +155,15 @@ func (mr *MapRequest) ToRequest() (Request, error) {
 		req.Params.FreqMHz = *mr.FreqMHz
 	}
 	if mr.Slots != nil {
+		if *mr.Slots > maxSlots {
+			return req, fmt.Errorf("service: slots %d exceeds the limit of %d", *mr.Slots, maxSlots)
+		}
 		req.Params.SlotTableSize = *mr.Slots
 	}
 	if mr.MaxDim != nil {
+		if *mr.MaxDim > maxMeshDim {
+			return req, fmt.Errorf("service: max_dim %d exceeds the limit of %d", *mr.MaxDim, maxMeshDim)
+		}
 		req.Params.MaxMeshDim = *mr.MaxDim
 	}
 	if mr.TimeoutMS > 0 {
@@ -205,6 +224,7 @@ func NewHandler(s *Service) http.Handler {
 	}
 
 	handle("POST", "/v1/map", func(w http.ResponseWriter, r *http.Request) {
+		start := time.Now()
 		var mr MapRequest
 		if !decodeBody(w, r, &mr) {
 			return
@@ -232,6 +252,7 @@ func NewHandler(s *Service) http.Handler {
 				return
 			}
 			writeJSON(w, http.StatusAccepted, st)
+			s.met.streamAdmit.Observe(time.Since(start).Seconds())
 			return
 		}
 		if mr.Async {

@@ -412,34 +412,47 @@ func TestServerSearchWidthLimit(t *testing.T) {
 	}
 }
 
-// TestServerEffortLimit: an iters, generations or nodes count above its
-// limit is refused with a 400 naming the field and the limit, and no engine
-// run starts. Unbounded, 1<<30 anneal moves without a budget hold a worker
-// for hours.
+// TestServerEffortLimit: an iters, generations, nodes, slots or max_dim
+// value above its limit is refused with a 400 naming the field and the
+// limit, and no engine run starts. Unbounded, 1<<30 anneal moves without a
+// budget hold a worker for hours, 2000000000 slots ask for about 250 MB of
+// slot table per link and group, and the growth sequence's cost grows as
+// max_dim⁴. The over-limit values go only through decode and ToRequest;
+// no mapping ever runs at them.
 func TestServerEffortLimit(t *testing.T) {
 	ts, s := newTestServer(t)
 	limits := []struct {
 		field, engine string
-		limit         int
-	}{{"iters", "anneal", maxIters}, {"generations", "ga", maxGenerations}, {"nodes", "exact", maxNodes}}
+		limit, value  int
+	}{
+		{"iters", "anneal", maxIters, 1 << 30},
+		{"generations", "ga", maxGenerations, 1 << 30},
+		{"nodes", "exact", maxNodes, 1 << 30},
+		{"slots", "greedy", maxSlots, 2000000000},
+		{"slots", "greedy", maxSlots, maxSlots + 1},
+		{"max_dim", "greedy", maxMeshDim, 3000},
+		{"max_dim", "greedy", maxMeshDim, maxMeshDim + 1},
+	}
 	for _, l := range limits {
-		resp, body := postRaw(t, ts.URL+"/v1/map", fmt.Sprintf(`{"design":%s,"engine":%q,"%s":%d}`, d1Raw(t), l.engine, l.field, 1<<30))
+		resp, body := postRaw(t, ts.URL+"/v1/map", fmt.Sprintf(`{"design":%s,"engine":%q,"%s":%d}`, d1Raw(t), l.engine, l.field, l.value))
 		var e struct{ Error string }
 		if err := json.Unmarshal(body, &e); err != nil {
 			t.Fatalf("%s: error body %s: %v", l.field, body, err)
 		}
 		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(e.Error, l.field) || !strings.Contains(e.Error, strconv.Itoa(l.limit)) {
-			t.Errorf("%s = 1<<30: HTTP %d %q, want 400 naming the field and the limit %d", l.field, resp.StatusCode, e.Error, l.limit)
+			t.Errorf("%s = %d: HTTP %d %q, want 400 naming the field and the limit %d", l.field, l.value, resp.StatusCode, e.Error, l.limit)
 		}
 	}
 	if st := s.Stats(); st.JobsDone != 0 || st.CacheMisses != 0 {
 		t.Errorf("over-long requests reached the engines: %+v", st)
 	}
 	// The limits themselves are accepted.
-	mr := MapRequest{Design: d1JSON(t), Iters: new(int), Generations: new(int), Nodes: new(int)}
+	mr := MapRequest{Design: d1JSON(t), Iters: new(int), Generations: new(int), Nodes: new(int),
+		Slots: new(int), MaxDim: new(int)}
 	*mr.Iters, *mr.Generations, *mr.Nodes = maxIters, maxGenerations, maxNodes
+	*mr.Slots, *mr.MaxDim = maxSlots, maxMeshDim
 	if _, err := mr.ToRequest(); err != nil {
-		t.Errorf("iters, generations and nodes at their limits rejected: %v", err)
+		t.Errorf("iters, generations, nodes, slots and max_dim at their limits rejected: %v", err)
 	}
 }
 

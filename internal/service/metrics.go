@@ -1,6 +1,9 @@
 package service
 
 import (
+	"math"
+	rtmetrics "runtime/metrics"
+	"sort"
 	"time"
 
 	"nocmap/internal/metrics"
@@ -43,6 +46,7 @@ type serviceMetrics struct {
 	cacheUpgrades  *metrics.Counter
 	dedupJoins     *metrics.Counter
 	streamEvents   *metrics.Counter
+	streamAdmit    *metrics.Histogram // POST /v1/map entry to the 202 of a streamed request
 
 	jobs          *metrics.CounterVec   // by terminal status: done | failed
 	engineSeconds *metrics.HistogramVec // end-to-end engine-run latency by engine
@@ -77,6 +81,9 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 		cacheUpgrades:  reg.Counter("noc_cache_upgrades_total", "Cache entries replaced in place by a strictly better result from a streamed run."),
 		dedupJoins:     reg.Counter("noc_dedup_joins_total", "Requests that joined an identical in-flight run (single-flight)."),
 		streamEvents:   reg.Counter("noc_stream_events_total", "Events published on job event logs (serve-then-improve streams)."),
+		streamAdmit: reg.Histogram("noc_stream_admit_seconds",
+			"Server-side time to first result of a streamed request: POST /v1/map handler entry to its 202 written.",
+			admitBuckets...),
 
 		jobs: reg.CounterVec("noc_jobs_total", "Finished jobs by terminal status.", "status"),
 		engineSeconds: reg.HistogramVec("noc_engine_duration_seconds",
@@ -128,6 +135,7 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 		})
 	reg.GaugeFunc("noc_cache_entries", "Results resident in the result store (local tier).",
 		func() float64 { return float64(s.store.Len()) })
+	registerRuntimeMetrics(reg)
 	// The disk byte gauge registers only on a disk store, so a
 	// memory-backed daemon's exposition stays free of an always-zero
 	// series.
@@ -136,6 +144,58 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 			func() float64 { return float64(d.Bytes()) })
 	}
 	return m
+}
+
+// admitBuckets are the bounds, in seconds, of noc_stream_admit_seconds:
+// 250 µs to 1 s around a greedy admission of about 2 ms.
+var admitBuckets = []float64{0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1}
+
+// gcPauseBuckets are the bounds, in seconds, of noc_go_gc_pause_seconds:
+// 10 µs to 100 ms.
+var gcPauseBuckets = []float64{1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 0.1}
+
+// registerRuntimeMetrics exports the process's runtime health, read from
+// runtime/metrics at scrape time: goroutines, heap object bytes (the series
+// perfbench samples for runtime.heap_peak_mb) and the GC pause
+// distribution.
+func registerRuntimeMetrics(reg *metrics.Registry) {
+	reg.GaugeFunc("noc_go_goroutines", "Live goroutines (runtime/metrics /sched/goroutines:goroutines).",
+		func() float64 { return float64(readRuntime("/sched/goroutines:goroutines").Uint64()) })
+	reg.GaugeFunc("noc_go_heap_objects_bytes",
+		"Bytes of heap objects, live or not yet swept (runtime/metrics /memory/classes/heap/objects:bytes).",
+		func() float64 { return float64(readRuntime("/memory/classes/heap/objects:bytes").Uint64()) })
+	reg.HistogramFunc("noc_go_gc_pause_seconds",
+		"Stop-the-world GC pauses since process start (runtime/metrics /sched/pauses/total/gc:seconds); the sum is a lower bound from the runtime's bucket edges.",
+		gcPauseBuckets, func(counts []int64) float64 {
+			return rebucket(readRuntime("/sched/pauses/total/gc:seconds").Float64Histogram(), gcPauseBuckets, counts)
+		})
+}
+
+// readRuntime reads one runtime/metrics sample.
+func readRuntime(name string) rtmetrics.Value {
+	s := []rtmetrics.Sample{{Name: name}}
+	rtmetrics.Read(s)
+	return s[0].Value
+}
+
+// rebucket folds a runtime histogram into counts over the upper bounds
+// (counts has one more slot, for +Inf). Each runtime bucket [lo, hi) lands
+// in the first bound at or above hi, so no observation is counted below
+// its value. It returns the sum of the buckets' lower edges, a lower bound
+// on the sum of the observations (the runtime keeps no sum).
+func rebucket(h *rtmetrics.Float64Histogram, bounds []float64, counts []int64) float64 {
+	var sum float64
+	for i, n := range h.Counts {
+		if n == 0 {
+			continue
+		}
+		lo, hi := h.Buckets[i], h.Buckets[i+1]
+		counts[sort.SearchFloat64s(bounds, hi)] += int64(n)
+		if lo > 0 && !math.IsInf(lo, 1) {
+			sum += float64(n) * lo
+		}
+	}
+	return sum
 }
 
 // progressTap wraps a job's progress callback so every engine event also

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -83,6 +84,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantMetric(t, cold, "noc_cache_upgrades_total", "0")
 	wantMetric(t, cold, "noc_dedup_joins_total", "0")
 	wantMetric(t, cold, "noc_stream_events_total", "0")
+	wantMetric(t, cold, "noc_stream_admit_seconds_count", "0")
 	wantMetric(t, cold, "noc_queue_capacity", "64")
 	wantMetric(t, cold, "noc_workers", "2")
 
@@ -183,6 +185,25 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 	if upgrades := counterOf(t, streamed, "noc_cache_upgrades_total"); upgrades < 1 {
 		t.Errorf("noc_cache_upgrades_total = %v after an improving stream, want >= 1", upgrades)
+	}
+	// Each of the two streamed requests timed its admission once; the
+	// sync and gated requests above are not streams.
+	wantMetric(t, streamed, "noc_stream_admit_seconds_count", "2")
+	if sum := counterOf(t, streamed, "noc_stream_admit_seconds_sum"); sum <= 0 {
+		t.Errorf("noc_stream_admit_seconds_sum = %v, want > 0", sum)
+	}
+
+	// Runtime health, read from runtime/metrics at scrape time. A forced
+	// collection makes at least one GC pause certain.
+	runtime.GC()
+	streamed = scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"noc_go_goroutines", "noc_go_heap_objects_bytes", "noc_go_gc_pause_seconds_count"} {
+		if v := counterOf(t, streamed, name); v <= 0 {
+			t.Errorf("%s = %v, want > 0", name, v)
+		}
+	}
+	if inf, n := metricValue(t, streamed, `noc_go_gc_pause_seconds_bucket{le="+Inf"}`), metricValue(t, streamed, "noc_go_gc_pause_seconds_count"); inf != n {
+		t.Errorf("GC pause +Inf bucket %s disagrees with its count %s", inf, n)
 	}
 
 	if path := os.Getenv("METRICS_SNAPSHOT_FILE"); path != "" {

@@ -32,7 +32,9 @@ import (
 // Writes are crash-safe: the envelope lands in a temp file, is fsynced,
 // renamed into place (atomic on POSIX), and the directory is fsynced
 // before the index row is appended and fsynced. Startup recovery trusts
-// only entries whose index row matches the object file's size; objects
+// only entries whose index row matches the object file's size, and reads
+// such an entry's cost from its object before a write first compares
+// against it (the row may predate a same-size upgrade); objects
 // missing from the index (a crash between rename and index append) are
 // re-verified byte-for-byte and adopted, and everything else is
 // quarantined. The store never overwrites a resident entry with a
@@ -55,6 +57,12 @@ type Disk struct {
 type diskMeta struct {
 	cost float64
 	size int64
+	// unchecked marks an entry recovery trusted by its index row and
+	// object size alone. A crash between an upgrade's rename and its index
+	// row leaves a newer object behind the older row, and at equal size
+	// nothing tells them apart, so the cost is read from the object before
+	// a write compares against it.
+	unchecked bool
 }
 
 // RecoveryReport summarizes one Open's startup recovery.
@@ -173,6 +181,7 @@ func (d *Disk) recover() error {
 			d.Recovered.Quarantined++
 			continue
 		}
+		m.unchecked = true
 		d.meta[digest] = m
 		d.bytes += m.size
 	}
@@ -239,6 +248,19 @@ func (d *Disk) readObject(digest string) (*envelope, int64, error) {
 		return nil, 0, fmt.Errorf("store: object %s checksum mismatch", digest)
 	}
 	return &env, int64(len(data)), nil
+}
+
+// check reads an unchecked entry's cost from its object and reports the
+// entry, or quarantines a torn object and reports none.
+func (d *Disk) check(digest string) (diskMeta, bool) {
+	env, size, err := d.readObject(digest)
+	if err != nil {
+		d.quarantine(digest)
+		return diskMeta{}, false
+	}
+	m := diskMeta{cost: env.Cost, size: size}
+	d.meta[digest] = m
+	return m, true
 }
 
 // quarantine moves a torn object aside (never deletes: the bytes may still
@@ -310,6 +332,9 @@ func (d *Disk) write(ctx context.Context, digest string, e Entry, upgrade bool) 
 		return PutResult{}, ErrClosed
 	}
 	cur, existed := d.meta[digest]
+	if existed && cur.unchecked {
+		cur, existed = d.check(digest)
+	}
 	if existed && worse(e.Cost, cur.cost) {
 		return PutResult{}, nil // never downgrade a durable entry
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -110,11 +111,15 @@ func TestDiskNeverDowngradesEvenAcrossRestart(t *testing.T) {
 	}
 }
 
-// TestDiskCrashRecovery is the torn-write satellite: entries are written,
-// one object file is truncated mid-body and another entry's index row is
-// corrupted, and the reopened store must serve the clean entries,
-// quarantine the torn one, and accept a fresh Put of the same digest.
+// TestDiskCrashRecovery tears a store on disk and reopens it. First one
+// object file is truncated mid-body and another entry's index row is
+// corrupted: the reopened store must serve the clean entries, quarantine
+// the torn one, and accept a fresh Put of the same digest. Then every
+// object file and the index are truncated at every byte offset in turn
+// (see crashSweep).
 func TestDiskCrashRecovery(t *testing.T) {
+	t.Run("sweep", crashSweep)
+
 	root := t.TempDir()
 	d := openDisk(t, root)
 	for i := 1; i <= 4; i++ {
@@ -187,6 +192,100 @@ func TestDiskCrashRecovery(t *testing.T) {
 	defer d3.Close()
 	if e, ok := mustGet(t, d3, digestN(2)); !ok || e.Val.(*payload).N != 2 {
 		t.Fatal("re-Put entry not durable")
+	}
+}
+
+// crashSweep builds a store that saw puts, a same-size upgrade and an
+// eviction, then truncates one of its files — each object file and the
+// index in turn — at every byte offset and reopens it. Recovery must serve
+// each digest as one of the versions written for it, cost and value, or
+// not at all; never torn bytes. And the store must still refuse to replace
+// a served entry with a costlier one: recovery may not remember a cost the
+// served object does not carry.
+func crashSweep(t *testing.T) {
+	type version struct {
+		cost float64
+		val  payload
+	}
+	// The upgrade of entry 1 keeps the object's size, so only its cost and
+	// body tell the two versions apart.
+	written := map[string][]version{
+		digestN(1): {{5, payload{Name: "v1", N: 1}}, {3, payload{Name: "v2", N: 1}}},
+		digestN(2): {{7, payload{Name: "v1", N: 2}}},
+		digestN(3): {{4, payload{Name: "v1", N: 3}}},
+		digestN(4): {{6, payload{Name: "v1", N: 4}}},
+	}
+	root := t.TempDir()
+	d := openDisk(t, root)
+	for _, i := range []int{1, 2, 3, 4} {
+		v := written[digestN(i)][0]
+		mustPut(t, d, digestN(i), v.cost, &v.val)
+	}
+	up := written[digestN(1)][1]
+	if pr, err := d.UpgradeIfBetter(ctx, digestN(1), Entry{Cost: up.cost, Val: &up.val}); err != nil || !pr.Installed {
+		t.Fatalf("upgrade: %+v, %v", pr, err)
+	}
+	if !d.Evict(digestN(3)) {
+		t.Fatal("evict reported false")
+	}
+	d.Close()
+	files := map[string][]byte{}
+	var targets []string
+	err := filepath.WalkDir(root, func(path string, de os.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		data, err := os.ReadFile(path)
+		files[rel] = data
+		targets = append(targets, rel)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(targets) != 4 { // index.log and the objects of entries 1, 2 and 4
+		t.Fatalf("store files %v, want the index and three objects", targets)
+	}
+
+	work := t.TempDir()
+	for _, target := range targets {
+		for cut := range len(files[target]) {
+			dir := filepath.Join(work, fmt.Sprintf("%d", cut))
+			for rel, data := range files {
+				if rel == target {
+					data = data[:cut]
+				}
+				if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, rel)), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(filepath.Join(dir, rel), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			d := openDisk(t, dir)
+			for digest, versions := range written {
+				e, ok, err := d.Get(ctx, digest)
+				if err != nil {
+					t.Fatalf("%s cut at %d: Get(%s): %v", target, cut, digest, err)
+				}
+				if !ok {
+					continue
+				}
+				p := *e.Val.(*payload)
+				if !slices.Contains(versions, version{e.Cost, p}) {
+					t.Fatalf("%s cut at %d: %s served as cost %v %+v, never written", target, cut, digest, e.Cost, p)
+				}
+				worse := payload{Name: "worse", N: p.N}
+				if pr := mustPut(t, d, digest, e.Cost+1, &worse); pr.Installed {
+					t.Fatalf("%s cut at %d: %s served at cost %v, then replaced by cost %v", target, cut, digest, e.Cost, e.Cost+1)
+				}
+			}
+			d.Close()
+			if err := os.RemoveAll(dir); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
