@@ -202,9 +202,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 			t.Errorf("%s = %v, want > 0", name, v)
 		}
 	}
-	if inf, n := metricValue(t, streamed, `noc_go_gc_pause_seconds_bucket{le="+Inf"}`), metricValue(t, streamed, "noc_go_gc_pause_seconds_count"); inf != n {
-		t.Errorf("GC pause +Inf bucket %s disagrees with its count %s", inf, n)
-	}
 
 	if path := os.Getenv("METRICS_SNAPSHOT_FILE"); path != "" {
 		if err := os.WriteFile(path, []byte(streamed), 0o644); err != nil {
