@@ -54,20 +54,25 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-// decodeMapRequest reads body and decodes it into mr, which must be zero.
-// It fails exactly when, and with the error that, a strict json.Decoder
-// (DisallowUnknownFields) reading body would.
-func decodeMapRequest(body io.Reader, mr *MapRequest) error {
-	d := bodyPool.Get().(*bodyDecoder)
-	defer d.release()
+// read reads body whole into the decoder's buffer and returns the read
+// error, if any; the bytes read before it stay buffered.
+func (d *bodyDecoder) read(body io.Reader) error {
 	d.buf.Reset()
 	_, err := d.buf.ReadFrom(body)
-	if err == nil && d.decode(d.buf.Bytes(), mr) {
+	return err
+}
+
+// decodeRequest decodes the buffered body into mr, which must be zero;
+// readErr is what read returned. It fails exactly when, and with the error
+// that, a strict json.Decoder (DisallowUnknownFields) reading the body
+// would.
+func (d *bodyDecoder) decodeRequest(readErr error, mr *MapRequest) error {
+	if readErr == nil && d.decode(d.buf.Bytes(), mr) {
 		return nil
 	}
 	var src io.Reader = bytes.NewReader(d.buf.Bytes())
-	if err != nil {
-		src = io.MultiReader(src, errReader{err})
+	if readErr != nil {
+		src = io.MultiReader(src, errReader{readErr})
 	}
 	return decodeStrict(src, mr)
 }

@@ -37,6 +37,25 @@ func stdlibDecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// decodeMapRequest reads body and decodes it into mr, which must be zero,
+// through a pooled decoder, as the POST /v1/map handler does.
+func decodeMapRequest(body io.Reader, mr *MapRequest) error {
+	d := bodyPool.Get().(*bodyDecoder)
+	defer d.release()
+	return d.decodeRequest(d.read(body), mr)
+}
+
+// decodeBody is the handler's decode of a POST /v1/map body bounded by
+// maxBodyBytes: on failure it writes the handler's 413 or 400 reply and
+// returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, mr *MapRequest) bool {
+	if err := decodeMapRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), mr); err != nil {
+		writeDecodeError(w, err)
+		return false
+	}
+	return true
+}
+
 // fastDecode runs the fast path alone on body.
 func fastDecode(body []byte, mr *MapRequest) bool {
 	var d bodyDecoder

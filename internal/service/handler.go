@@ -225,8 +225,21 @@ func NewHandler(s *Service) http.Handler {
 
 	handle("POST", "/v1/map", func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
+		d := bodyPool.Get().(*bodyDecoder)
+		defer d.release()
+		readErr := d.read(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+		body := d.buf.Bytes()
+		var h uint64
+		if readErr == nil {
+			h = s.memo.hash(body)
+			if resp, ok, err := s.mapRepeat(r.Context(), h, body); ok {
+				writeAnswer(w, resp, err)
+				return
+			}
+		}
 		var mr MapRequest
-		if !decodeBody(w, r, &mr) {
+		if err := d.decodeRequest(readErr, &mr); err != nil {
+			writeDecodeError(w, err)
 			return
 		}
 		req, err := mr.ToRequest()
@@ -266,11 +279,11 @@ func NewHandler(s *Service) http.Handler {
 			return
 		}
 		resp, err := s.Map(r.Context(), req)
-		if err != nil {
-			writeError(w, statusOf(err), err)
-			return
+		if err == nil && resp.Cached && readErr == nil {
+			// A sync body answered from the store is a proven repeat.
+			s.memo.put(h, body, resp.Key)
 		}
-		writeJSON(w, http.StatusOK, resp)
+		writeAnswer(w, resp, err)
 	})
 
 	handle("GET", "/v1/jobs/{id}", func(w http.ResponseWriter, r *http.Request) {
@@ -361,25 +374,29 @@ func (r *statusRecorder) Flush() {
 // grown past maxPooledBody are not pooled again.
 const maxBodyBytes = 8 << 20
 
-// decodeBody decodes a POST /v1/map body, design included, strictly:
-// unknown fields at every level of nesting are rejected, and the body is
-// bounded by maxBodyBytes. decodeMapRequest makes one pass of a byte-level
-// lexer over a pooled buffer and hands everything outside its canonical
-// subset to the stdlib decode, so the verdict and error are encoding/json's.
-// On failure it writes the reply — 413 for an oversize body, 400 otherwise —
-// and returns false.
-func decodeBody(w http.ResponseWriter, r *http.Request, mr *MapRequest) bool {
-	err := decodeMapRequest(http.MaxBytesReader(w, r.Body, maxBodyBytes), mr)
+// writeDecodeError answers a POST /v1/map body the decode rejected: 413
+// for a body over maxBodyBytes, 400 otherwise. The body is decoded
+// strictly, design included: unknown fields at every level of nesting are
+// rejected. bodyDecoder.decodeRequest makes one pass of a byte-level lexer
+// over the pooled buffer and hands everything outside its canonical subset
+// to the stdlib decode, so the verdict and error are encoding/json's.
+func writeDecodeError(w http.ResponseWriter, err error) {
 	var tooBig *http.MaxBytesError
-	switch {
-	case err == nil:
-		return true
-	case errors.As(err, &tooBig):
+	if errors.As(err, &tooBig) {
 		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooBig.Limit))
-	default:
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+		return
 	}
-	return false
+	writeError(w, http.StatusBadRequest, fmt.Errorf("decode request: %w", err))
+}
+
+// writeAnswer writes the reply to a sync POST /v1/map: the response, or
+// the error's status.
+func writeAnswer(w http.ResponseWriter, resp *Response, err error) {
+	if err != nil {
+		writeError(w, statusOf(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // statusOf maps service errors to HTTP status codes. Unrecognized errors map

@@ -45,6 +45,7 @@ type serviceMetrics struct {
 	cacheEvictions *metrics.Counter
 	cacheUpgrades  *metrics.Counter
 	dedupJoins     *metrics.Counter
+	memoHits       *metrics.Counter // repeated bodies answered by the request memo
 	streamEvents   *metrics.Counter
 	streamAdmit    *metrics.Histogram // POST /v1/map entry to the 202 of a streamed request
 
@@ -80,6 +81,7 @@ func newServiceMetrics(reg *metrics.Registry, s *Service) *serviceMetrics {
 		cacheEvictions: reg.Counter("noc_cache_evictions_total", "Results evicted from the LRU result cache."),
 		cacheUpgrades:  reg.Counter("noc_cache_upgrades_total", "Cache entries replaced in place by a strictly better result from a streamed run."),
 		dedupJoins:     reg.Counter("noc_dedup_joins_total", "Requests that joined an identical in-flight run (single-flight)."),
+		memoHits:       reg.Counter("noc_request_memo_hits_total", "POST /v1/map bodies answered from the request memo without a decode (each also counts as a cache hit or a dedup join)."),
 		streamEvents:   reg.Counter("noc_stream_events_total", "Events published on job event logs (serve-then-improve streams)."),
 		streamAdmit: reg.Histogram("noc_stream_admit_seconds",
 			"Server-side time to first result of a streamed request: POST /v1/map handler entry to its 202 written.",

@@ -61,9 +61,9 @@ func designJSON(t *testing.T, d *traffic.Design) *traffic.DesignJSON {
 	return d.JSON()
 }
 
-// TestMetricsEndToEnd drives the service through a map, a cache hit, and
-// three concurrent deduplicated maps over HTTP and asserts the exact counter
-// deltas on /v1/metrics. CacheEntries=1 additionally forces an observable
+// TestMetricsEndToEnd drives the service through a map, a cache hit, a
+// memo-answered repeat and three concurrent deduplicated maps over HTTP and
+// asserts the exact counter deltas on /v1/metrics. CacheEntries=1 additionally forces an observable
 // eviction.
 // When METRICS_SNAPSHOT_FILE is set the final scrape is written there, which
 // CI lints for naming conventions and uploads as a build artifact.
@@ -83,14 +83,16 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantMetric(t, cold, "noc_cache_evictions_total", "0")
 	wantMetric(t, cold, "noc_cache_upgrades_total", "0")
 	wantMetric(t, cold, "noc_dedup_joins_total", "0")
+	wantMetric(t, cold, "noc_request_memo_hits_total", "0")
 	wantMetric(t, cold, "noc_stream_events_total", "0")
 	wantMetric(t, cold, "noc_stream_admit_seconds_count", "0")
 	wantMetric(t, cold, "noc_queue_capacity", "64")
 	wantMetric(t, cold, "noc_workers", "2")
 
-	// One miss, then one hit on the identical request.
+	// One miss, then one hit on the identical request, which memoizes the
+	// body, then one memo answer of it.
 	mapReq := MapRequest{Design: designJSON(t, testDesign("metrics-d")), Engine: "greedy"}
-	for range 2 {
+	for range 3 {
 		resp, body := postJSON(t, ts.URL+"/v1/map", mapReq)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("POST /v1/map = %d: %s", resp.StatusCode, body)
@@ -119,7 +121,8 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wg.Wait()
 
 	final := scrapeMetrics(t, ts.URL)
-	wantMetric(t, final, "noc_cache_hits_total", "1")
+	wantMetric(t, final, "noc_cache_hits_total", "2")
+	wantMetric(t, final, "noc_request_memo_hits_total", "1")
 	wantMetric(t, final, "noc_cache_misses_total", "2")
 	wantMetric(t, final, "noc_dedup_joins_total", "2")
 	// The gated result landed in the 1-entry cache, evicting the greedy one.
@@ -128,9 +131,9 @@ func TestMetricsEndToEnd(t *testing.T) {
 	wantMetric(t, final, `noc_jobs_total{status="done"}`, "2")
 	wantMetric(t, final, `noc_engine_duration_seconds_count{engine="greedy"}`, "1")
 	wantMetric(t, final, `noc_engine_duration_seconds_count{engine="gate-metrics"}`, "1")
-	wantMetric(t, final, `noc_http_requests_total{route="/v1/map",status="200"}`, "5")
-	if v := metricValue(t, final, `noc_http_request_duration_seconds_count{route="/v1/map"}`); v != "5" {
-		t.Errorf("map route histogram count = %s, want 5", v)
+	wantMetric(t, final, `noc_http_requests_total{route="/v1/map",status="200"}`, "6")
+	if v := metricValue(t, final, `noc_http_request_duration_seconds_count{route="/v1/map"}`); v != "6" {
+		t.Errorf("map route histogram count = %s, want 6", v)
 	}
 	if strings.Contains(final, `route="/v1/batch"`) {
 		t.Error("exposition still carries a /v1/batch route label")
@@ -139,7 +142,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("noc_uptime_seconds = %s, want > 0", v)
 	}
 	// Every finished job above published exactly its final event on its
-	// stream log (the sync cache hit synthesizes no job): 2 jobs, 2 events.
+	// stream log (the sync cache hits synthesize no job): 2 jobs, 2 events.
 	wantMetric(t, final, "noc_stream_events_total", "2")
 	wantMetric(t, final, "noc_cache_upgrades_total", "0")
 

@@ -283,6 +283,9 @@ type Service struct {
 	// self-locking and is never called with s.mu held: the disk backend
 	// does file I/O that must not serialize admission.
 	store store.Store
+	// memo maps repeated POST /v1/map bodies to their request keys
+	// (memo.go). It is self-locking.
+	memo *requestMemo
 
 	mu       sync.Mutex
 	closed   bool
@@ -307,6 +310,7 @@ func New(cfg Config) *Service {
 		jobs:   make(map[string]*Job),
 		flight: make(map[string]*Job),
 		store:  cfg.Store,
+		memo:   newRequestMemo(),
 		log:    cfg.Logger,
 	}
 	if s.store == nil {
@@ -375,6 +379,11 @@ func (s *Service) Map(ctx context.Context, req Request) (*Response, error) {
 	if err != nil || resp != nil {
 		return resp, err
 	}
+	return s.await(ctx, j)
+}
+
+// await waits for the job's outcome; the context bounds only the wait.
+func (s *Service) await(ctx context.Context, j *Job) (*Response, error) {
 	select {
 	case <-j.done:
 		return s.outcome(j)
@@ -411,59 +420,22 @@ const (
 // admit is the one front door for every mode: single-flight join, store
 // lookup, then registration and enqueue. The returned Response is non-nil
 // only for a sync hit; every other success returns the job to follow.
-//
-// The store read runs outside the service mutex — a disk backend pays
-// file latency there, which must not serialize every other request — and
-// the flight table is checked under the lock after it. A live flight is
-// joined whether the read hit or missed: a streamed run's interim entry is
-// not its answer. Of N concurrent identical misses exactly one registers
-// the flight (one miss), the rest join it (deduped). A run that finished
-// between the two locked sections may have stored its answer after the
-// read and left the flight table before the check, so then the store is
-// read again: one engine run per key, and one answer per digest, however
-// the read and the finish interleave.
 func (s *Service) admit(ctx context.Context, req Request, mode admitMode) (*Job, *Response, error) {
 	key, err := req.Key()
 	if err != nil {
 		return nil, nil, err
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, nil, ErrClosed
+	f, resp, err := s.lookup(ctx, key)
+	if err != nil {
+		return nil, nil, err
 	}
-	// finish stores a run's answer and then, under s.mu, counts the job
-	// and deletes its flight: a moved count means a flight may have ended
-	// unseen.
-	settled := s.jobsDone + s.jobsFailed
-	s.mu.Unlock()
-	var (
-		resp *Response
-		hit  bool
-	)
-	for {
-		resp, hit = s.storeGet(ctx, key)
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return nil, nil, ErrClosed
-		}
-		if f, ok := s.flight[key]; ok {
-			s.met.dedupJoins.Inc()
-			s.mu.Unlock()
-			s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", f.ID)
-			return f, nil, nil
-		}
-		// A run finished since the count was taken: a miss may predate its
-		// answer and a hit may be its interim entry, so read again.
-		n := s.jobsDone + s.jobsFailed
-		if n == settled {
-			break
-		}
-		settled = n
+	if f != nil {
+		s.met.dedupJoins.Inc()
 		s.mu.Unlock()
+		s.log.Debug("joined in-flight run", "request_id", req.RequestID, "key", key, "job", f.ID)
+		return f, nil, nil
 	}
-	if hit {
+	if resp != nil {
 		s.met.cacheHits.Inc()
 		if mode == modeSync {
 			s.mu.Unlock()
@@ -510,6 +482,53 @@ func (s *Service) admit(ctx context.Context, req Request, mode admitMode) (*Job,
 		return nil, nil, err
 	}
 	return j, nil, nil
+}
+
+// lookup is admission's store read and flight check for key, shared by
+// admit and the request memo. Unless it fails (ErrClosed) it returns with
+// s.mu held: f is a live run of key to join, else resp is the stored
+// answer, nil on a miss.
+//
+// The store read runs outside the service mutex — a disk backend pays
+// file latency there, which must not serialize every other request — and
+// the flight table is checked under the lock after it. A live flight is
+// joined whether the read hit or missed: a streamed run's interim entry is
+// not its answer. Of N concurrent identical misses exactly one registers
+// the flight (one miss), the rest join it (deduped). A run that finished
+// between the two locked sections may have stored its answer after the
+// read and left the flight table before the check, so then the store is
+// read again: one engine run per key, and one answer per digest, however
+// the read and the finish interleave.
+func (s *Service) lookup(ctx context.Context, key string) (f *Job, resp *Response, err error) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		return nil, nil, ErrClosed
+	}
+	// finish stores a run's answer and then, under s.mu, counts the job
+	// and deletes its flight: a moved count means a flight may have ended
+	// unseen.
+	settled := s.jobsDone + s.jobsFailed
+	s.mu.Unlock()
+	for {
+		resp, _ = s.storeGet(ctx, key)
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			return nil, nil, ErrClosed
+		}
+		if f := s.flight[key]; f != nil {
+			return f, nil, nil
+		}
+		// A run finished since the count was taken: a miss may predate its
+		// answer and a hit may be its interim entry, so read again.
+		n := s.jobsDone + s.jobsFailed
+		if n == settled {
+			return nil, resp, nil
+		}
+		settled = n
+		s.mu.Unlock()
+	}
 }
 
 // enqueue hands an admitted job to the pool. With block set it waits for
