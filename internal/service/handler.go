@@ -280,7 +280,8 @@ func NewHandler(s *Service) http.Handler {
 		}
 		resp, err := s.Map(r.Context(), req)
 		if err == nil && resp.Cached && readErr == nil {
-			// A sync body answered from the store is a proven repeat.
+			// A sync body answered from the store is a proven repeat, and
+			// a stored answer carries the key it was stored under.
 			s.memo.put(h, body, resp.Key)
 		}
 		writeAnswer(w, resp, err)

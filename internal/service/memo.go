@@ -78,11 +78,11 @@ func (m *requestMemo) put(h uint64, body []byte, key string) {
 
 // mapRepeat answers a POST /v1/map body the memo holds, through admission's
 // lookup of its key: a live run of the key is joined, else a stored answer
-// is served as a hit. ok is false when the memo does not hold the body, or
-// holds it but its key is neither running nor stored (the store evicted
-// it), or the service is closing: the caller then runs the full path on the
-// same bytes.
-func (s *Service) mapRepeat(ctx context.Context, h uint64, body []byte) (resp *Response, ok bool, err error) {
+// is served as a hit. It reports false when the memo does not hold the
+// body, or holds it but its key is neither running nor stored (the store
+// evicted it), or the service is closing: the caller then runs the full
+// path on the same bytes.
+func (s *Service) mapRepeat(ctx context.Context, h uint64, body []byte) (*Response, bool, error) {
 	key, ok := s.memo.key(h, body)
 	if !ok {
 		return nil, false, nil
@@ -91,22 +91,21 @@ func (s *Service) mapRepeat(ctx context.Context, h uint64, body []byte) (resp *R
 	if err != nil {
 		return nil, false, nil
 	}
-	id := RequestIDFrom(ctx)
 	switch {
 	case f != nil:
 		s.met.dedupJoins.Inc()
-		s.met.memoHits.Inc()
-		s.mu.Unlock()
-		s.log.Debug("memo hit joined in-flight run", "request_id", id, "key", key, "job", f.ID)
-		resp, err := s.await(ctx, f)
-		return resp, true, err
 	case resp != nil:
 		s.met.cacheHits.Inc()
-		s.met.memoHits.Inc()
+	default:
 		s.mu.Unlock()
-		s.log.Debug("memo hit", "request_id", id, "key", key)
-		return resp.cached(), true, nil
+		return nil, false, nil
 	}
+	s.met.memoHits.Inc()
 	s.mu.Unlock()
-	return nil, false, nil
+	s.log.Debug("memo hit", "request_id", RequestIDFrom(ctx), "key", key, "joined", f != nil)
+	if f != nil {
+		resp, err = s.await(ctx, f)
+		return resp, true, err
+	}
+	return resp.cached(), true, nil
 }

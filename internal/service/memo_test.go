@@ -322,6 +322,22 @@ func TestMemoJoinsFlight(t *testing.T) {
 	}
 }
 
+// TestMemoBounded: the memo never holds more than memoEntries bodies, and
+// the entry a full memo takes in is served.
+func TestMemoBounded(t *testing.T) {
+	m := newRequestMemo()
+	body := []byte(`{"design":{}}`)
+	for h := range uint64(memoEntries + 10) {
+		m.put(h, body, "k")
+	}
+	if n := len(m.entries); n != memoEntries {
+		t.Errorf("memo holds %d entries, want %d", n, memoEntries)
+	}
+	if key, ok := m.key(memoEntries+9, body); !ok || key != "k" {
+		t.Errorf("the last entry put is not served: %q, %t", key, ok)
+	}
+}
+
 // TestMemoHitAllocs gates the allocations of one memo-answered
 // POST /v1/map of D1 from the memory store, served through httptest,
 // recorder and request included. Measured: 49 allocs/op (go1.24,
