@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -120,24 +121,91 @@ type pairDemand struct {
 
 // evalScratch is the reusable mutable state of one evaluation.
 type evalScratch struct {
+	// states holds one residual slot-table state per smooth-switching
+	// group: group members share a single NoC configuration (paper Section
+	// 4), so a reservation made for any member occupies slots for all of
+	// them. With no smooth-switching constraints every group is a singleton
+	// and this degenerates to the per-use-case data structures of
+	// Algorithm 2.
 	states []*tdma.State
 	// tierBits backs the mapper's three tier bitsets; tierOf its per-pair
-	// tiers; remOut through niRemIn its NI demand projections.
-	tierBits          []uint64
-	tierOf            []uint8
+	// tiers.
+	tierBits []uint64
+	tierOf   []uint8
+	// remOut/remIn hold, per group and core, the not-yet-reserved slot
+	// demand the core will still source or sink; niRemOut/niRemIn the sums
+	// over the cores attached to each NI. Projected NI occupancy (current
+	// reservations + remaining demand of the NI's cores) steers the
+	// mapper's placement: greedy per-flow decisions would otherwise
+	// co-locate cores whose later flows overrun the NI.
 	remOut, remIn     [][]int
 	niRemOut, niRemIn [][]int
-	// journal lists the evaluation's live reservations, sized once for
-	// every reservation the templates can grant; configs is the
-	// evaluation's assignment table, whose entries hold the journaled paths
-	// and starts.
+	// journal lists the evaluation's live reservations in grant order,
+	// sized once for every reservation the templates can grant, and tape
+	// holds their paths and starts back to back in the same order, so a
+	// LIFO rollback truncates both. configs is the [group][pair] table of
+	// journal positions (journal index + 1; zero where the pair is not
+	// reserved). Only a finished evaluation copies assignments off the tape.
 	journal []journalEntry
-	configs [][]*Assignment
+	tape    []int
+	configs [][]int32
 	// res and rec are the reservation primitive's working state: the
-	// route-query scratch and the probe record whose buffers a granted
-	// reservation is cloned out of.
+	// route-query scratch and the probe record a granted reservation is
+	// copied onto the tape from.
 	res reserveScratch
 	rec resRecord
+}
+
+// journalEntry is one granted reservation of an evaluation: the group, the
+// pair's dense index and where its path and starts lie on the tape (the
+// path at off, its starts right after it). Its slot demand is in pairSlots.
+type journalEntry struct {
+	group, idx     int32
+	off            int
+	pathLen, slots int32
+}
+
+// grant records the reservation the primitive just claimed in rec as pair
+// idx of group g: its path and starts go onto the tape, its entry onto the
+// journal and its position into the assignment table.
+func (sc *evalScratch) grant(g int, idx int32) {
+	off := len(sc.tape)
+	sc.tape = append(append(sc.tape, sc.rec.path...), sc.rec.start...)
+	sc.journal = append(sc.journal, journalEntry{group: int32(g), idx: idx, off: off,
+		pathLen: int32(len(sc.rec.path)), slots: int32(len(sc.rec.start))})
+	sc.configs[g][idx] = int32(len(sc.journal))
+}
+
+// reservation returns the path and starts journal entry e holds on the
+// tape.
+func (sc *evalScratch) reservation(e journalEntry) (path, starts []int) {
+	p := e.off + int(e.pathLen)
+	return sc.tape[e.off:p], sc.tape[p : p+int(e.slots)]
+}
+
+// forget empties the journal, the tape and the assignment table without
+// releasing the reservations, for a caller that discards the states.
+func (sc *evalScratch) forget() {
+	for _, e := range sc.journal {
+		sc.configs[e.group][e.idx] = 0
+	}
+	sc.journal, sc.tape = sc.journal[:0], sc.tape[:0]
+}
+
+// unwind releases the reservations journaled from mark on, newest first,
+// and drops them from the journal, the tape and the assignment table.
+func (sc *evalScratch) unwind(mark int) {
+	if mark >= len(sc.journal) {
+		return
+	}
+	for i := len(sc.journal) - 1; i >= mark; i-- {
+		e := sc.journal[i]
+		path, starts := sc.reservation(e)
+		sc.states[e.group].Release(0, path, starts)
+		sc.configs[e.group][e.idx] = 0
+	}
+	sc.tape = sc.tape[:sc.journal[mark].off]
+	sc.journal = sc.journal[:mark]
 }
 
 // NewEvaluator validates the inputs once and precomputes the shared
@@ -181,22 +249,26 @@ func (t *templates) on(top *topology.Topology) *Evaluator {
 // Topology returns the fabric the evaluator scores placements on.
 func (ev *Evaluator) Topology() *topology.Topology { return ev.top }
 
-// flowOrder is the global work-list order: descending bandwidth, then
-// ascending pair, then ascending use-case.
-func flowOrder(a, b flowInst) int {
-	if a.bw != b.bw {
-		if a.bw > b.bw {
-			return -1
-		}
-		return 1
+// flowKey is the compact sort key of one flow occurrence; ascending keys
+// are the global work-list order (Algorithm 2 step 2): descending
+// bandwidth, then ascending pair, then ascending use-case. bw is the
+// complemented IEEE bits of the bandwidth, which validation holds positive
+// and finite, so the bits order like the values; pair packs src<<32|dst and
+// at packs the use-case and the flow's index in it as uc<<32|idx (core IDs
+// index per-core tables and use-cases and flows are slice positions, so
+// each fits 32 bits).
+type flowKey struct {
+	bw, pair, at uint64
+}
+
+func (a flowKey) compare(b flowKey) int {
+	switch {
+	case a.bw != b.bw:
+		return cmp.Compare(a.bw, b.bw)
+	case a.pair != b.pair:
+		return cmp.Compare(a.pair, b.pair)
 	}
-	if c := cmp.Compare(a.key.Src, b.key.Src); c != 0 {
-		return c
-	}
-	if c := cmp.Compare(a.key.Dst, b.key.Dst); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.uc, b.uc)
+	return cmp.Compare(a.at, b.at)
 }
 
 // groupStat accumulates one group's heaviest bandwidth and tightest latency
@@ -218,30 +290,75 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 	for uc, u := range prep.UseCases {
 		ucFlows[uc] = len(u.Flows)
 	}
-	t.flowsTpl = make([]flowInst, 0, sum(ucFlows))
+	numFlows := sum(ucFlows)
+	keys := make([]flowKey, 0, numFlows)
 	for uc, u := range prep.UseCases {
 		for idx, f := range u.Flows {
-			t.flowsTpl = append(t.flowsTpl, flowInst{
-				uc: uc, idx: idx, bw: f.BandwidthMBs, lat: f.MaxLatencyNS, key: f.Key(),
+			keys = append(keys, flowKey{
+				bw:   ^math.Float64bits(f.BandwidthMBs),
+				pair: uint64(f.Src)<<32 | uint64(f.Dst),
+				at:   uint64(uc)<<32 | uint64(idx),
 			})
 		}
 	}
-	// flowOrder is total (use-case validation forbids duplicate pairs), so
-	// an unstable sort yields the one order a stable sort would.
-	slices.SortFunc(t.flowsTpl, flowOrder)
-	pairIdx := make(map[traffic.PairKey]int32)
+	// Sort natively on one word first — the high half of the bandwidth key
+	// above the flow's position in keys — and then each run of equal high
+	// halves (equal or nearly equal bandwidths) by the full key. The keys are
+	// distinct (use-case validation forbids duplicate pairs), so this is the
+	// one order any sort by flowKey.compare yields.
+	order := make([]uint64, numFlows)
+	for i, k := range keys {
+		order[i] = k.bw&^math.MaxUint32 | uint64(i)
+	}
+	slices.Sort(order)
+	for lo := 0; lo < numFlows; {
+		hi := lo + 1
+		for hi < numFlows && order[hi]>>32 == order[lo]>>32 {
+			hi++
+		}
+		if hi-lo > 1 {
+			slices.SortFunc(order[lo:hi], func(a, b uint64) int { return keys[uint32(a)].compare(keys[uint32(b)]) })
+		}
+		lo = hi
+	}
+	t.flowsTpl = make([]flowInst, numFlows)
+	for i, o := range order {
+		k := keys[uint32(o)]
+		uc, idx := int(k.at>>32), int(uint32(k.at))
+		f := prep.UseCases[uc].Flows[idx]
+		t.flowsTpl[i] = flowInst{uc: uc, idx: idx, bw: f.BandwidthMBs, lat: f.MaxLatencyNS, key: f.Key()}
+	}
+	// Dense pair indices in first-occurrence order of the sorted list, found
+	// without a map: pairAt holds a pair's index plus one (zero: not seen
+	// yet), up to 64 cores at src*numCores+dst and past that at the pair's
+	// rank among the sorted distinct pair words.
+	slot := func(key traffic.PairKey) int { return int(key.Src)*numCores + int(key.Dst) }
+	size := numCores * numCores
+	if numCores > 64 {
+		words := make([]uint64, numFlows)
+		for i, k := range keys {
+			words[i] = k.pair
+		}
+		slices.Sort(words)
+		words = slices.Compact(words)
+		slot = func(key traffic.PairKey) int {
+			r, _ := slices.BinarySearch(words, uint64(key.Src)<<32|uint64(key.Dst))
+			return r
+		}
+		size = len(words)
+	}
+	pairAt := make([]int32, size)
 	var pairInsts []int
 	for i := range t.flowsTpl {
 		f := &t.flowsTpl[i]
-		pi, seen := pairIdx[f.key]
-		if !seen {
-			pi = int32(len(t.pairList))
-			pairIdx[f.key] = pi
+		at := &pairAt[slot(f.key)]
+		if *at == 0 {
 			t.pairList = append(t.pairList, f.key)
 			pairInsts = append(pairInsts, 0)
+			*at = int32(len(t.pairList))
 		}
-		f.pair = pi
-		pairInsts[pi]++
+		f.pair = *at - 1
+		pairInsts[f.pair]++
 	}
 	numPairs := len(t.pairList)
 	t.planOf = make([]pairPlan, numPairs)
@@ -356,8 +473,11 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 	for uc, u := range prep.UseCases {
 		for _, f := range u.Flows {
 			t.ucPairs[uc] = append(t.ucPairs[uc], ucPairStat{key: f.Key(), bw: f.BandwidthMBs})
-			t.ucPairIdx[uc] = append(t.ucPairIdx[uc], pairIdx[f.Key()])
 		}
+		t.ucPairIdx[uc] = t.ucPairIdx[uc][:len(u.Flows)]
+	}
+	for _, f := range t.flowsTpl {
+		t.ucPairIdx[f.uc][f.idx] = f.pair
 	}
 	seen := make([]bool, numCores)
 	for _, f := range t.flowsTpl {
@@ -463,7 +583,40 @@ func (ev *Evaluator) getScratch() *evalScratch {
 	if sc, ok := ev.pool.Get().(*evalScratch); ok {
 		return sc
 	}
+	return ev.refit(ev.newScratch())
+}
+
+// newScratch allocates the fabric-independent tables of a scratch arena,
+// sized by the design alone: the tiers, the per-core projections, the
+// assignment table, the journal and the tape. The growth loop carries one
+// arena from fabric to fabric (see attempt); refit adds the rest.
+func (t *templates) newScratch() *evalScratch {
 	sc := &evalScratch{}
+	numGroups, numPairs := len(t.prep.Groups), len(t.pairList)
+	sc.tierBits = make([]uint64, int(tierDone)*((numPairs+63)/64))
+	sc.tierOf = make([]uint8, numPairs)
+	sc.remOut = grid[int](numGroups, t.numCores)
+	sc.remIn = grid[int](numGroups, t.numCores)
+	sc.configs = grid[int32](numGroups, numPairs)
+	reservations, slots := 0, 0
+	for _, pairs := range t.groupPairs {
+		reservations += len(pairs)
+		for _, pd := range pairs {
+			slots += pd.slots
+		}
+	}
+	sc.journal = make([]journalEntry, 0, reservations)
+	// Room for every reservation's bandwidth-driven starts and a path of
+	// the two NI links and two mesh hops; longer paths and latency
+	// escalation grow the tape by append.
+	sc.tape = make([]int, 0, slots+4*reservations)
+	sc.res.route = route.NewScratch()
+	return sc
+}
+
+// refit gives sc, whose journal must be empty, the per-fabric tables of the
+// evaluator's fabric: fresh slot-table states and per-NI projections.
+func (ev *Evaluator) refit(sc *evalScratch) *evalScratch {
 	sc.states = make([]*tdma.State, len(ev.prep.Groups))
 	for g := range sc.states {
 		st, err := tdma.NewState(ev.totalLinks, ev.p.SlotTableSize)
@@ -473,19 +626,8 @@ func (ev *Evaluator) getScratch() *evalScratch {
 		}
 		sc.states[g] = st
 	}
-	sc.tierBits = make([]uint64, int(tierDone)*((len(ev.pairList)+63)/64))
-	sc.tierOf = make([]uint8, len(ev.pairList))
-	numGroups, numNIs := len(ev.prep.Groups), ev.numNIs()
-	sc.remOut = grid[int](numGroups, ev.numCores)
-	sc.remIn = grid[int](numGroups, ev.numCores)
-	sc.niRemOut = grid[int](numGroups, numNIs)
-	sc.niRemIn = grid[int](numGroups, numNIs)
-	reservations := 0
-	for _, pairs := range ev.groupPairs {
-		reservations += len(pairs)
-	}
-	sc.journal = make([]journalEntry, 0, reservations)
-	sc.res.route = route.NewScratch()
+	sc.niRemOut = grid[int](len(sc.states), ev.numNIs())
+	sc.niRemIn = grid[int](len(sc.states), ev.numNIs())
 	return sc
 }
 
@@ -493,28 +635,35 @@ func (ev *Evaluator) getScratch() *evalScratch {
 // the states to all-free without an O(links*slots) wipe) and returns the
 // arena to the pool.
 func (ev *Evaluator) putScratch(sc *evalScratch) {
-	for i := len(sc.journal) - 1; i >= 0; i-- {
-		e := sc.journal[i]
-		a := sc.configs[e.group][e.idx]
-		sc.states[e.group].Release(0, a.Path, a.Starts)
-	}
-	sc.journal = sc.journal[:0]
-	sc.configs = nil
+	sc.unwind(0)
 	ev.pool.Put(sc)
+}
+
+// configsOnTape materializes the per-use-case configurations of the
+// scratch's journaled reservations: one exactly sized []Assignment, in
+// journal order, over one []int copy of the tape, so a result never
+// aliases pooled scratch.
+func (ev *Evaluator) configsOnTape(sc *evalScratch) ([]*Config, error) {
+	asn := make([]Assignment, 0, len(sc.journal))
+	buf := make([]int, 0, len(sc.tape))
+	for _, e := range sc.journal {
+		path, starts := sc.reservation(e)
+		asn, buf = appendAssignment(asn, buf, path, starts)
+	}
+	return ev.configsOf(sc.configs, asn)
 }
 
 // mapperFor assembles a mapper over the scratch arena with no core placed
 // and every pair in the no-endpoint-mapped tier. Immutable tables are
 // shared with the evaluator; mutable ones are copied from the templates.
+// The arena must hold no reservation.
 func (ev *Evaluator) mapperFor(sc *evalScratch) *mapper {
-	m := &mapper{Evaluator: ev, states: sc.states, journal: sc.journal[:0], res: &sc.res, rec: &sc.rec,
-		remOut: sc.remOut, remIn: sc.remIn, niRemOut: sc.niRemOut, niRemIn: sc.niRemIn}
+	m := &mapper{Evaluator: ev, evalScratch: sc}
 	clear(sc.tierBits)
 	words := len(sc.tierBits) / len(m.tiers)
 	for t := range m.tiers {
 		m.tiers[t] = sc.tierBits[t*words : (t+1)*words]
 	}
-	m.tierOf = sc.tierOf
 	for pi := range m.pairList {
 		m.tierOf[pi] = tierNone
 		m.tiers[tierNone][pi>>6] |= 1 << (pi & 63)
@@ -525,8 +674,6 @@ func (ev *Evaluator) mapperFor(sc *evalScratch) *mapper {
 		clear(sc.niRemOut[g])
 		clear(sc.niRemIn[g])
 	}
-	m.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
-	sc.configs = m.configs
 	m.coreSwitch = make([]int, ev.numCores)
 	m.coreNI = make([]int, ev.numCores)
 	for c := range m.coreSwitch {
@@ -550,17 +697,15 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 	}
 	sc := ev.getScratch()
 	defer ev.putScratch(sc)
-	sc.configs = grid[*Assignment](len(ev.prep.Groups), len(ev.pairList))
 	for g, pairs := range ev.groupPairs {
 		for _, pd := range pairs {
 			if err := ev.reserveSlotsInto(&sc.res, sc.states[g], coreSwitch, coreNI, pd.key, pd.slots, pd.latSlots, &sc.rec); err != nil {
 				return nil, fmt.Errorf("core: group %d: %w", g, ev.reserveError(err, sc.res.cands, coreSwitch, g, pd.idx))
 			}
-			sc.configs[g][pd.idx] = newAssignment(sc.rec.path, sc.rec.start)
-			sc.journal = append(sc.journal, journalEntry{group: int32(g), idx: pd.idx})
+			sc.grant(g, pd.idx)
 		}
 	}
-	configs, err := ev.configsOf(sc.configs)
+	configs, err := ev.configsOnTape(sc)
 	if err != nil {
 		return nil, err
 	}
@@ -576,17 +721,16 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 }
 
 // attempt runs the constructive pass of the growth loop on the evaluator's
-// fabric. The scratch arena backs the run: a failed attempt recycles it,
-// a successful one detaches it — the growth loop is done with the fabric,
-// and the pool lazily allocates a replacement — so the frequent outcome of
-// a saturated fabric (infeasible) costs no state allocation at all.
-func (ev *Evaluator) attempt() (*Mapping, Stats, error) {
-	sc := ev.getScratch()
-	m := ev.mapperFor(sc)
+// fabric, over the arena sc refitted to it. The growth loop derives a fresh
+// evaluator per fabric, drops it after this one call and carries the arena
+// to the next fabric, whose refit replaces the slot-table states: so a
+// failed attempt releases none of its reservations and only forgets its
+// journal. A successful attempt copies its assignments off the tape.
+func (ev *Evaluator) attempt(sc *evalScratch) (*Mapping, Stats, error) {
+	m := ev.mapperFor(ev.refit(sc))
 	mapping, err := m.run()
 	if err != nil {
-		sc.journal = m.journal
-		ev.putScratch(sc)
+		sc.forget()
 		return nil, Stats{}, err
 	}
 	return mapping, computeStats(mapping, m.states), nil
@@ -620,7 +764,7 @@ type reserveScratch struct {
 // tdma.State.ReserveAligned, so on success the reservation is committed to
 // st and recorded in rec — path and start buffers come from (and are
 // retained by) the record, so callers that keep the reservation beyond the
-// record's next use must clone them. Route queries reuse the scratch, and
+// record's next use must copy them. Route queries reuse the scratch, and
 // infeasibility is reported through shared sentinel errors.
 func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, coreSwitch, coreNI []int,
 	key traffic.PairKey, slots0, latBudget int, rec *resRecord) error {

@@ -43,7 +43,8 @@ func (ev *Evaluator) EvaluateReference(coreSwitch, coreNI []int) (*Result, error
 		}
 		states[g] = st
 	}
-	asn := grid[*Assignment](len(states), len(ev.pairList))
+	at := grid[int32](len(states), len(ev.pairList))
+	var asn []Assignment
 	sc := reserveScratch{route: route.NewScratch()}
 	var rec resRecord
 	for pi, key := range ev.pairList {
@@ -52,10 +53,11 @@ func (ev *Evaluator) EvaluateReference(coreSwitch, coreNI []int) (*Result, error
 			if err := ev.reserveSlotsInto(&sc, states[g], coreSwitch, coreNI, key, ev.pairSlots[g][pi], plan.latSlots[i], &rec); err != nil {
 				return nil, fmt.Errorf("core: reference: pair %d->%d, group %d: %w", key.Src, key.Dst, g, err)
 			}
-			asn[g][pi] = newAssignment(rec.path, rec.start)
+			asn = append(asn, Assignment{Path: slices.Clone(rec.path), Starts: slices.Clone(rec.start), SlotCount: len(rec.start)})
+			at[g][pi] = int32(len(asn))
 		}
 	}
-	configs, err := ev.configsOf(asn)
+	configs, err := ev.configsOf(at, asn)
 	if err != nil {
 		return nil, err
 	}

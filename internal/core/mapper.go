@@ -8,7 +8,6 @@ import (
 	"slices"
 
 	"nocmap/internal/route"
-	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
@@ -37,6 +36,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	// The flow list, routing plans and demand projections do not depend on
 	// the fabric: build them once and share them across every fabric tried.
 	tpl := newTemplates(prep, numCores, p)
+	sc := tpl.newScratch()
 	active := len(tpl.active)
 	var attempts []Attempt
 	var lastErr error
@@ -56,7 +56,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 		if fabricHook != nil {
 			fabricHook(ev)
 		}
-		m, stats, err := ev.attempt()
+		m, stats, err := ev.attempt(sc)
 		if err != nil {
 			attempts = append(attempts, Attempt{Dim: dim, Err: err.Error()})
 			lastErr = err
@@ -124,22 +124,15 @@ const (
 
 // mapper carries the working state of one attempt on one topology. The
 // immutable tables (pair slot demands, routing plans) are the embedded
-// Evaluator's; the mutable ones are per attempt, drawn from the
-// evaluator's scratch pool or freshly allocated. Every table a growth step
+// Evaluator's; the mutable ones — slot-table states, demand projections,
+// the reservation tape and the assignment table — are the embedded scratch
+// arena's, and the placement is per attempt. Every table a growth step
 // reads is kept current incrementally, so no step rescans the flow list or
 // the cores: the next flow is a find-first-set over the tier bitsets, and an
 // NI's projected demand is one lookup in niRemOut/niRemIn.
 type mapper struct {
 	*Evaluator
-
-	// One residual state and one configuration per smooth-switching group:
-	// group members share a single NoC configuration (paper Section 4), so a
-	// reservation made for any member occupies slots for all of them. With
-	// no smooth-switching constraints every group is a singleton and this
-	// degenerates to the per-use-case data structures of Algorithm 2.
-	states []*tdma.State
-	// configs holds each group's assignments by dense pair index.
-	configs [][]*Assignment
+	*evalScratch
 
 	coreSwitch  []int
 	coreNI      []int
@@ -151,37 +144,7 @@ type mapper struct {
 	// pairList is in first-occurrence order of the sorted flow list and a
 	// pair's instances are routed together, so the lowest set bit of a tier
 	// is the pair of the heaviest remaining flow of that tier.
-	tiers  [tierDone][]uint64
-	tierOf []uint8
-
-	// remOut/remIn hold, per group and core, the not-yet-reserved slot
-	// demand the core will still source or sink. Projected NI occupancy
-	// (current reservations + remaining demand of the NI's cores) steers
-	// placement: greedy per-flow decisions would otherwise co-locate cores
-	// whose later flows overrun the NI.
-	remOut [][]int
-	remIn  [][]int
-	// niRemOut/niRemIn hold, per group and NI, the sum of remOut/remIn over
-	// the cores attached to the NI.
-	niRemOut [][]int
-	niRemIn  [][]int
-
-	// res and rec are the reservation primitive's scratch: every probe
-	// runs in rec's buffers, and a granted reservation is cloned out.
-	res *reserveScratch
-	rec *resRecord
-
-	// journal lists the attempt's live reservations in grant order; the
-	// path and starts of each are in configs.
-	journal []journalEntry
-}
-
-// journalEntry is one granted reservation of an evaluation: the group and
-// the pair's dense index. Its path and starts are in the assignment table,
-// its slot demand in pairSlots.
-type journalEntry struct {
-	group int32
-	idx   int32
+	tiers [tierDone][]uint64
 }
 
 // resRecord is one reservation: the probe record of the reservation
@@ -253,7 +216,7 @@ func (m *mapper) run() (*Mapping, error) {
 			return nil, err
 		}
 	}
-	configs, err := m.configsOf(m.configs)
+	configs, err := m.configsOnTape(m.evalScratch)
 	if err != nil {
 		return nil, err
 	}
@@ -268,35 +231,39 @@ func (m *mapper) run() (*Mapping, error) {
 }
 
 // configsOf materializes the per-use-case configurations from a dense
-// [group][pair] assignment table: a use-case's configuration is the
+// [group][pair] table of positions in asn (index + 1; zero where the group
+// holds no reservation for the pair): a use-case's configuration is the
 // restriction of its group's assignments to the use-case's own pairs, and
-// the use-cases of a group share the Assignment values. The mapper and
-// Session.Result both build a Mapping's Configs here.
-func (ev *Evaluator) configsOf(asn [][]*Assignment) ([]*Config, error) {
+// the use-cases of a group share the Assignment values. The mapper,
+// Evaluate and Session.Result all build a Mapping's Configs here.
+func (ev *Evaluator) configsOf(at [][]int32, asn []Assignment) ([]*Config, error) {
 	configs := make([]*Config, len(ev.prep.UseCases))
+	cfgs := make([]Config, len(configs))
 	for uc, pairs := range ev.ucPairs {
-		cfg := &Config{Assignments: make(map[traffic.PairKey]*Assignment, len(pairs))}
+		cfg := &cfgs[uc]
+		cfg.Assignments = make(map[traffic.PairKey]*Assignment, len(pairs))
 		g := ev.prep.GroupOf[uc]
 		for i, ps := range pairs {
-			a := asn[g][ev.ucPairIdx[uc][i]]
-			if a == nil {
+			k := at[g][ev.ucPairIdx[uc][i]]
+			if k == 0 {
 				return nil, fmt.Errorf("core: internal: flow %d->%d of use-case %d unassigned", ps.key.Src, ps.key.Dst, uc)
 			}
-			cfg.Assignments[ps.key] = a
+			cfg.Assignments[ps.key] = &asn[k-1]
 		}
 		configs[uc] = cfg
 	}
 	return configs, nil
 }
 
-// newAssignment copies a granted reservation's path and starts into a
-// fresh Assignment; one buffer holds both copies, and the capped path
-// cannot grow into the starts.
-func newAssignment(path, starts []int) *Assignment {
-	buf := make([]int, len(path)+len(starts))
-	np := copy(buf, path)
-	copy(buf[np:], starts)
-	return &Assignment{Path: buf[:np:np], Starts: buf[np:], SlotCount: len(starts)}
+// appendAssignment copies a reservation's path and starts onto buf, which
+// must have room for both (so earlier copies never move), and appends the
+// assignment over the copies to asn. Both slices are capped: appending to
+// one cannot overwrite the other or a neighbour.
+func appendAssignment(asn []Assignment, buf, path, starts []int) ([]Assignment, []int) {
+	p := len(buf) + len(path)
+	buf = append(append(buf, path...), starts...)
+	s := len(buf)
+	return append(asn, Assignment{Path: buf[p-len(path) : p : p], Starts: buf[p:s:s], SlotCount: len(starts)}), buf
 }
 
 // projectedNIUsed returns the projected slot usage of an NI link in group g:
@@ -675,37 +642,31 @@ func (m *mapper) routeGroups(pi int32, plan *pairPlan) error {
 }
 
 // reservePair selects a path and aligned slots for pair pi in group g's
-// state (via the evaluator's shared reservation primitive) and journals
-// the result. The probe runs in the attempt's scratch record; only a
-// granted reservation's path and starts are copied out of it.
+// state (via the evaluator's shared reservation primitive) and records the
+// grant on the tape. The probe runs in the attempt's scratch record.
 func (m *mapper) reservePair(g int, pi int32, latBudget int) error {
 	key, slots := m.pairList[pi], m.pairSlots[g][pi]
-	if err := m.reserveSlotsInto(m.res, m.states[g], m.coreSwitch, m.coreNI, key, slots, latBudget, m.rec); err != nil {
+	if err := m.reserveSlotsInto(&m.res, m.states[g], m.coreSwitch, m.coreNI, key, slots, latBudget, &m.rec); err != nil {
 		return m.reserveError(err, m.res.cands, m.coreSwitch, g, pi)
 	}
-	m.configs[g][pi] = newAssignment(m.rec.path, m.rec.start)
+	m.grant(g, pi)
 	// The pair's projected demand is now realized.
 	m.remOut[g][key.Src] -= slots
 	m.remIn[g][key.Dst] -= slots
 	m.niRemOut[g][m.coreNI[key.Src]] -= slots
 	m.niRemIn[g][m.coreNI[key.Dst]] -= slots
-	m.journal = append(m.journal, journalEntry{group: int32(g), idx: pi})
 	return nil
 }
 
-// rollback releases the reservations journaled after mark, newest first,
-// and returns their demand to the projections.
+// rollback returns the demand of the reservations journaled after mark to
+// the projections and unwinds them off the tape.
 func (m *mapper) rollback(mark int) {
-	for i := len(m.journal) - 1; i >= mark; i-- {
-		e := m.journal[i]
-		a := m.configs[e.group][e.idx]
-		m.states[e.group].Release(0, a.Path, a.Starts)
-		m.configs[e.group][e.idx] = nil
+	for _, e := range m.journal[mark:] {
 		key, slots := m.pairList[e.idx], m.pairSlots[e.group][e.idx]
 		m.remOut[e.group][key.Src] += slots
 		m.remIn[e.group][key.Dst] += slots
 		m.niRemOut[e.group][m.coreNI[key.Src]] += slots
 		m.niRemIn[e.group][m.coreNI[key.Dst]] += slots
 	}
-	m.journal = m.journal[:mark]
+	m.unwind(mark)
 }

@@ -69,10 +69,7 @@ func stepAttempt(t *testing.T, tpl *templates, top *topology.Topology) bool {
 	ev := tpl.on(top)
 	sc := ev.getScratch()
 	m := ev.mapperFor(sc)
-	defer func() {
-		sc.journal = m.journal
-		ev.putScratch(sc)
-	}()
+	defer ev.putScratch(sc)
 	routed := make([]bool, len(tpl.pairList))
 	for step := 0; ; step++ {
 		where := fmt.Sprintf("%s step %d", top, step)

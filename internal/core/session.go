@@ -704,15 +704,27 @@ func (s *Session) Result() *Result {
 	if s.pending {
 		panic("core: Session.Result with a pending move")
 	}
-	asn := grid[*Assignment](len(s.recs), len(s.ev.pairList))
-	for g, recs := range s.recs {
-		for idx, r := range recs {
+	n, total := 0, 0
+	for _, recs := range s.recs {
+		for _, r := range recs {
 			if r != nil {
-				asn[g][idx] = newAssignment(r.path, r.start)
+				n++
+				total += len(r.path) + len(r.start)
 			}
 		}
 	}
-	configs, err := s.ev.configsOf(asn)
+	at := grid[int32](len(s.recs), len(s.ev.pairList))
+	asn := make([]Assignment, 0, n)
+	buf := make([]int, 0, total)
+	for g, recs := range s.recs {
+		for idx, r := range recs {
+			if r != nil {
+				asn, buf = appendAssignment(asn, buf, r.path, r.start)
+				at[g][idx] = int32(len(asn))
+			}
+		}
+	}
+	configs, err := s.ev.configsOf(at, asn)
 	if err != nil {
 		// A committed session holds a reservation for every (group, pair).
 		panic(err)

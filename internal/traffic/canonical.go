@@ -8,28 +8,65 @@ import (
 	"strconv"
 )
 
-// Canonicalize returns a semantically identical deep copy of the design in
-// canonical form: use-cases sorted by name (with ParallelSets and SmoothPairs
-// re-indexed to follow), flows within each use-case sorted by (src, dst),
-// compound part lists sorted, every parallel set sorted ascending with the
-// sets themselves in lexicographic order, smooth pairs normalized to
-// (low, high) and sorted, and the topology tag normalized (empty → "mesh").
-// Core order is preserved — core IDs are positional and renumbering them
-// would change the design's meaning.
+// Digest returns a deterministic SHA-256 hex digest of the design's
+// canonical form: use-cases sorted by name (with ParallelSets and
+// SmoothPairs re-indexed to follow), flows within each use-case sorted by
+// (src, dst), compound part lists sorted, every parallel set sorted
+// ascending with the sets themselves in lexicographic order, smooth pairs
+// normalized to (low, high) and sorted, and the topology tag normalized
+// (empty → "mesh"). Core order is preserved — core IDs are positional and
+// renumbering them would change the design's meaning.
 //
-// Two designs that differ only in use-case order, flow order, or the order
-// of the parallel/smooth declarations canonicalize to equal values, which is
-// what makes Digest a usable cache key. Designs on different fabrics do NOT
-// canonicalize equal: the topology tag is part of the design's meaning.
-func (d *Design) Canonicalize() *Design {
-	out := &Design{Name: d.Name, Topology: d.Topology}
-	if out.Topology == "" {
-		out.Topology = "mesh"
-	}
-	out.Cores = append([]Core(nil), d.Cores...)
+// So the digest of a valid design is independent of JSON field order,
+// use-case order, flow order, and the order of the parallel/smooth
+// declarations, which is what makes it a usable cache key — but it does
+// depend on the topology tag, so the same traffic targeted at a mesh and at
+// a torus digests differently. Bandwidth and latency values are encoded as
+// exact hexadecimal floats — no rounding, no locale, no float-printing
+// ambiguity.
+func (d *Design) Digest() string {
+	sum := sha256.Sum256(appendCanonical(nil, d))
+	return hex.EncodeToString(sum[:])
+}
 
-	// Sort use-cases by name and remember where each old index went.
-	perm := make([]int, len(d.UseCases)) // perm[old] = position in sorted order
+// appendCanonical appends the canonical byte encoding of the design to b,
+// writing it through sorted permutations instead of a sorted copy; a nil b
+// is allocated at about the encoding's size, so the encoding is written
+// without regrowth. The format is versioned (v2 added the topology tag) so
+// an encoding change invalidates old digests instead of colliding with
+// them. Strings are quoted by strconv.Quote and lists written as
+// "[a b c]": the bytes fmt's %q and %v produced when the format was
+// defined. They must never change within a version, because durable result
+// stores are keyed by the digest (TestDigestGolden pins it).
+func appendCanonical(b []byte, d *Design) []byte {
+	flows, maxFlows := 0, 0
+	for _, u := range d.UseCases {
+		flows += len(u.Flows)
+		maxFlows = max(maxFlows, len(u.Flows))
+	}
+	if b == nil {
+		b = make([]byte, 0, 64+32*len(d.Cores)+64*len(d.UseCases)+48*flows)
+	}
+	topology := d.Topology
+	if topology == "" {
+		topology = "mesh"
+	}
+	b = append(b, "nocmap-design-v2\nname "...)
+	b = strconv.AppendQuote(b, d.Name)
+	b = append(b, "\ntopology "...)
+	b = strconv.AppendQuote(b, topology)
+	b = append(b, "\ncores "...)
+	b = strconv.AppendInt(b, int64(len(d.Cores)), 10)
+	b = append(b, '\n')
+	for _, core := range d.Cores {
+		b = append(b, "core "...)
+		b = strconv.AppendInt(b, int64(core.ID), 10)
+		b = append(b, ' ')
+		b = strconv.AppendQuote(b, core.Name)
+		b = append(b, '\n')
+	}
+
+	// Use-cases by name; perm[old] is a use-case's canonical position.
 	order := make([]int, len(d.UseCases))
 	for i := range order {
 		order[i] = i
@@ -37,113 +74,28 @@ func (d *Design) Canonicalize() *Design {
 	slices.SortFunc(order, func(a, b int) int {
 		return cmp.Compare(d.UseCases[a].Name, d.UseCases[b].Name)
 	})
+	perm := make([]int, len(d.UseCases))
+	keys, at := make([]uint64, maxFlows), make([]int32, maxFlows)
+	var parts []string
 	for newIdx, oldIdx := range order {
 		perm[oldIdx] = newIdx
-		u := d.UseCases[oldIdx].Clone()
-		u.SortByPair()
-		slices.Sort(u.Parts)
-		out.UseCases = append(out.UseCases, u)
-	}
-
-	for _, set := range d.ParallelSets {
-		ns := make([]int, len(set))
-		for i, idx := range set {
-			ns[i] = perm[idx]
-		}
-		slices.Sort(ns)
-		out.ParallelSets = append(out.ParallelSets, ns)
-	}
-	slices.SortFunc(out.ParallelSets, slices.Compare)
-
-	for _, p := range d.SmoothPairs {
-		a, b := perm[p[0]], perm[p[1]]
-		if a > b {
-			a, b = b, a
-		}
-		out.SmoothPairs = append(out.SmoothPairs, [2]int{a, b})
-	}
-	slices.SortFunc(out.SmoothPairs, func(x, y [2]int) int {
-		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
-	})
-	return out
-}
-
-// SortByPair orders the use-case's flows by (src, dst). Validate guarantees
-// pair uniqueness, so this order is total; it is the canonical flow order
-// used by Digest (SortFlows, by contrast, is the mapper's bandwidth-first
-// processing order).
-func (u *UseCase) SortByPair() {
-	slices.SortFunc(u.Flows, func(a, b Flow) int {
-		switch {
-		case a.Src < b.Src:
-			return -1
-		case a.Src > b.Src:
-			return 1
-		case a.Dst < b.Dst:
-			return -1
-		case a.Dst > b.Dst:
-			return 1
-		}
-		return 0
-	})
-}
-
-// Digest returns a deterministic SHA-256 hex digest of the canonicalized
-// design. It is independent of JSON field order, use-case order, flow order,
-// and the order of the parallel/smooth declarations, so it identifies a
-// design up to those permutations — but it does depend on the topology tag,
-// so the same traffic targeted at a mesh and at a torus digests differently.
-// Bandwidth and latency values are encoded as exact hexadecimal floats — no
-// rounding, no locale, no float-printing ambiguity.
-func (d *Design) Digest() string {
-	sum := sha256.Sum256(appendCanonical(nil, d.Canonicalize()))
-	return hex.EncodeToString(sum[:])
-}
-
-// appendCanonical appends the canonical byte encoding of an
-// already-canonicalized design to b; a nil b is allocated at about the
-// encoding's size, so the encoding is written without regrowth. The format is versioned (v2 added the
-// topology tag) so an encoding change invalidates old digests instead of
-// colliding with them. Strings are quoted by strconv.Quote and lists
-// written as "[a b c]": the bytes fmt's %q and %v produced when the format
-// was defined. They must never change within a version, because durable
-// result stores are keyed by the digest (TestDigestGolden pins it).
-func appendCanonical(b []byte, c *Design) []byte {
-	if b == nil {
-		flows := 0
-		for _, u := range c.UseCases {
-			flows += len(u.Flows)
-		}
-		b = make([]byte, 0, 64+32*len(c.Cores)+64*len(c.UseCases)+48*flows)
-	}
-	b = append(b, "nocmap-design-v2\nname "...)
-	b = strconv.AppendQuote(b, c.Name)
-	b = append(b, "\ntopology "...)
-	b = strconv.AppendQuote(b, c.Topology)
-	b = append(b, "\ncores "...)
-	b = strconv.AppendInt(b, int64(len(c.Cores)), 10)
-	b = append(b, '\n')
-	for _, core := range c.Cores {
-		b = append(b, "core "...)
-		b = strconv.AppendInt(b, int64(core.ID), 10)
-		b = append(b, ' ')
-		b = strconv.AppendQuote(b, core.Name)
-		b = append(b, '\n')
-	}
-	for _, u := range c.UseCases {
+		u := d.UseCases[oldIdx]
 		b = append(b, "usecase "...)
 		b = strconv.AppendQuote(b, u.Name)
 		b = append(b, " compound="...)
 		b = strconv.AppendBool(b, u.Compound)
 		b = append(b, " parts=["...)
-		for i, p := range u.Parts {
+		parts = append(parts[:0], u.Parts...)
+		slices.Sort(parts)
+		for i, p := range parts {
 			if i > 0 {
 				b = append(b, ' ')
 			}
 			b = strconv.AppendQuote(b, p)
 		}
 		b = append(b, "]\n"...)
-		for _, f := range u.Flows {
+		for _, j := range pairOrder(u.Flows, keys, at) {
+			f := u.Flows[j]
 			b = append(b, "flow "...)
 			b = strconv.AppendInt(b, int64(f.Src), 10)
 			b = append(b, ' ')
@@ -155,7 +107,29 @@ func appendCanonical(b []byte, c *Design) []byte {
 			b = append(b, '\n')
 		}
 	}
-	for _, set := range c.ParallelSets {
+
+	sets := make([][]int, 0, len(d.ParallelSets))
+	for _, set := range d.ParallelSets {
+		ns := make([]int, len(set))
+		for i, idx := range set {
+			ns[i] = perm[idx]
+		}
+		slices.Sort(ns)
+		sets = append(sets, ns)
+	}
+	slices.SortFunc(sets, slices.Compare)
+	smooth := make([][2]int, 0, len(d.SmoothPairs))
+	for _, p := range d.SmoothPairs {
+		a, b := perm[p[0]], perm[p[1]]
+		if a > b {
+			a, b = b, a
+		}
+		smooth = append(smooth, [2]int{a, b})
+	}
+	slices.SortFunc(smooth, func(x, y [2]int) int {
+		return cmp.Or(cmp.Compare(x[0], y[0]), cmp.Compare(x[1], y[1]))
+	})
+	for _, set := range sets {
 		b = append(b, "parallel ["...)
 		for i, idx := range set {
 			if i > 0 {
@@ -165,7 +139,7 @@ func appendCanonical(b []byte, c *Design) []byte {
 		}
 		b = append(b, "]\n"...)
 	}
-	for _, p := range c.SmoothPairs {
+	for _, p := range smooth {
 		b = append(b, "smooth "...)
 		b = strconv.AppendInt(b, int64(p[0]), 10)
 		b = append(b, ' ')
@@ -174,3 +148,30 @@ func appendCanonical(b []byte, c *Design) []byte {
 	}
 	return b
 }
+
+// pairOrder returns the indices of the flows in (src, dst) order, in at,
+// using keys as scratch; each must have room for every flow. A valid
+// design's pairs are distinct and in [0, 2^32), so each packs into one word
+// as src<<32|dst and a flow's canonical position is its key's rank among
+// the sorted keys. Repeated keys, which only an invalid design has, take
+// consecutive ranks in flow order.
+func pairOrder(flows []Flow, keys []uint64, at []int32) []int32 {
+	keys, at = keys[:len(flows)], at[:len(flows)]
+	for i, f := range flows {
+		keys[i] = pairWord(f)
+		at[i] = -1
+	}
+	slices.Sort(keys)
+	for j, f := range flows {
+		r, _ := slices.BinarySearch(keys, pairWord(f))
+		for at[r] >= 0 {
+			r++
+		}
+		at[r] = int32(j)
+	}
+	return at
+}
+
+// pairWord packs a flow's pair into one word as src<<32|dst, in pair order
+// for endpoints in [0, 2^32).
+func pairWord(f Flow) uint64 { return uint64(f.Src)<<32 | uint64(uint32(f.Dst)) }

@@ -95,10 +95,11 @@ func TestDigestGolden(t *testing.T) {
 	}
 }
 
-// TestDigestAllocs gates the digest's allocations on D4: a small constant
-// plus two per use-case (its canonical copy and that copy's flow slice).
-// The sorts allocate nothing, and nothing is allocated per encoded line or
-// flow.
+// TestDigestAllocs gates the digest's allocations on D4 at a small
+// constant (7 measured): the encoding buffer, the use-case and flow
+// permutations and the hex string. The canonical form is written through
+// sorted permutations of the design, so nothing is allocated per use-case,
+// encoded line or flow.
 func TestDigestAllocs(t *testing.T) {
 	if os.Getenv("NOCMAP_SKIP_ALLOC_GATE") != "" {
 		t.Skip("NOCMAP_SKIP_ALLOC_GATE set")
@@ -110,12 +111,8 @@ func TestDigestAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	flows := 0
-	for _, u := range d.UseCases {
-		flows += len(u.Flows)
-	}
-	limit := float64(16 + 2*len(d.UseCases))
+	const limit = 10
 	if got := testing.AllocsPerRun(20, func() { d.Digest() }); got > limit {
-		t.Errorf("D4 digest: %.0f allocs/op, want <= %.0f (%d use-cases, %d flows)", got, limit, len(d.UseCases), flows)
+		t.Errorf("D4 digest: %.0f allocs/op, want <= %d (%d use-cases)", got, limit, len(d.UseCases))
 	}
 }

@@ -29,6 +29,12 @@ func FuzzDesignJSON(f *testing.F) {
 		}
 		want := d.Digest()
 
+		// The encoding written through permutations must be the sorted
+		// copy's.
+		if got, ref := appendCanonical(nil, d), appendCanonical(nil, canonicalReference(d)); !bytes.Equal(got, ref) {
+			t.Fatalf("canonical encoding\n%s\ndiffers from the reference's\n%s\n(input %q)", got, ref, data)
+		}
+
 		// Reversing the use-case order (remapping the index-bearing
 		// declarations to follow) must not change the digest.
 		perm := reverseUseCases(d)

@@ -8,8 +8,10 @@
 package traffic
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -62,28 +64,92 @@ type UseCase struct {
 // latency, and no duplicate (src,dst) pairs (per Definition 2 the flows of a
 // use-case are the communication between pairs of cores, so a pair appears
 // at most once; aggregate duplicates before constructing the use-case).
+//
+// The verdict is that of checking the flows in order and stopping at the
+// first that fails a check or repeats an earlier pair, but no set is
+// built: the flows before the first failing one are checked for repeats
+// afterwards (see firstRepeat).
 func (u *UseCase) Validate(numCores int) error {
-	seen := make(map[PairKey]struct{}, len(u.Flows))
+	bad, badErr := len(u.Flows), error(nil)
 	for i, f := range u.Flows {
-		if f.Src < 0 || int(f.Src) >= numCores || f.Dst < 0 || int(f.Dst) >= numCores {
-			return fmt.Errorf("traffic: use-case %q flow %d: endpoint out of range [0,%d)", u.Name, i, numCores)
+		if err := u.checkFlow(i, f, numCores); err != nil {
+			bad, badErr = i, err
+			break
 		}
-		if f.Src == f.Dst {
-			return fmt.Errorf("traffic: use-case %q flow %d: self-flow on core %d", u.Name, i, f.Src)
-		}
-		if f.BandwidthMBs <= 0 || math.IsNaN(f.BandwidthMBs) || math.IsInf(f.BandwidthMBs, 0) {
-			return fmt.Errorf("traffic: use-case %q flow %d: bandwidth %v not positive finite", u.Name, i, f.BandwidthMBs)
-		}
-		if f.MaxLatencyNS < 0 || math.IsNaN(f.MaxLatencyNS) {
-			return fmt.Errorf("traffic: use-case %q flow %d: latency %v negative", u.Name, i, f.MaxLatencyNS)
-		}
-		k := f.Key()
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("traffic: use-case %q: duplicate flow %d->%d", u.Name, f.Src, f.Dst)
-		}
-		seen[k] = struct{}{}
+	}
+	if j := firstRepeat(u.Flows[:bad], numCores); j >= 0 {
+		return fmt.Errorf("traffic: use-case %q: duplicate flow %d->%d", u.Name, u.Flows[j].Src, u.Flows[j].Dst)
+	}
+	return badErr
+}
+
+// checkFlow checks flow i on its own: endpoints in range, no self-flow,
+// positive finite bandwidth and non-negative latency.
+func (u *UseCase) checkFlow(i int, f Flow, numCores int) error {
+	switch {
+	case f.Src < 0 || int(f.Src) >= numCores || f.Dst < 0 || int(f.Dst) >= numCores:
+		return fmt.Errorf("traffic: use-case %q flow %d: endpoint out of range [0,%d)", u.Name, i, numCores)
+	case f.Src == f.Dst:
+		return fmt.Errorf("traffic: use-case %q flow %d: self-flow on core %d", u.Name, i, f.Src)
+	case f.BandwidthMBs <= 0 || math.IsNaN(f.BandwidthMBs) || math.IsInf(f.BandwidthMBs, 0):
+		return fmt.Errorf("traffic: use-case %q flow %d: bandwidth %v not positive finite", u.Name, i, f.BandwidthMBs)
+	case f.MaxLatencyNS < 0 || math.IsNaN(f.MaxLatencyNS):
+		return fmt.Errorf("traffic: use-case %q flow %d: latency %v negative", u.Name, i, f.MaxLatencyNS)
 	}
 	return nil
+}
+
+// firstRepeat returns the index of the first flow whose pair an earlier
+// flow already has, or -1. Every endpoint must lie in [0, numCores). Up to
+// 64 cores every ordered pair has a bit in a stack bitset. Larger designs
+// sort the pairs in a stack buffer (a heap one past 128 flows); a repeat,
+// which only a rejected use-case has, is then located by one more pass over
+// the flows.
+func firstRepeat(flows []Flow, numCores int) int {
+	if numCores <= 64 {
+		var seen [64 * 64 / 64]uint64
+		for j, f := range flows {
+			b := int(f.Src)*numCores + int(f.Dst)
+			if seen[b>>6]&(1<<(b&63)) != 0 {
+				return j
+			}
+			seen[b>>6] |= 1 << (b & 63)
+		}
+		return -1
+	}
+	var stack [128]PairKey
+	keys := stack[:0]
+	if len(flows) > len(stack) {
+		keys = make([]PairKey, 0, len(flows))
+	}
+	for _, f := range flows {
+		keys = append(keys, f.Key())
+	}
+	slices.SortFunc(keys, comparePairs)
+	var reps []PairKey // one copy of each repeated pair, in sorted order
+	for i := 1; i < len(keys); i++ {
+		if keys[i] == keys[i-1] && (len(reps) == 0 || reps[len(reps)-1] != keys[i]) {
+			reps = append(reps, keys[i])
+		}
+	}
+	if len(reps) == 0 {
+		return -1
+	}
+	seen := make([]bool, len(reps))
+	for j, f := range flows {
+		if r, ok := slices.BinarySearchFunc(reps, f.Key(), comparePairs); ok {
+			if seen[r] {
+				return j
+			}
+			seen[r] = true
+		}
+	}
+	panic("traffic: internal: repeated pair not found")
+}
+
+// comparePairs orders pair keys by (src, dst).
+func comparePairs(a, b PairKey) int {
+	return cmp.Or(cmp.Compare(a.Src, b.Src), cmp.Compare(a.Dst, b.Dst))
 }
 
 // TotalBandwidth returns the sum of the bandwidths of all flows, in MB/s.
