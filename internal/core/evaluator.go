@@ -303,9 +303,9 @@ func newTemplates(prep *usecase.Prepared, numCores int, p Params) *templates {
 	}
 	// Sort natively on one word first — the high half of the bandwidth key
 	// above the flow's position in keys — and then each run of equal high
-	// halves (equal or nearly equal bandwidths) by the full key. The keys are
-	// distinct (use-case validation forbids duplicate pairs), so this is the
-	// one order any sort by flowKey.compare yields.
+	// halves (equal or nearly equal bandwidths) by the full key. No two keys
+	// are equal (their at fields differ), so this is the one order any sort
+	// by flowKey.compare yields.
 	order := make([]uint64, numFlows)
 	for i, k := range keys {
 		order[i] = k.bw&^math.MaxUint32 | uint64(i)

@@ -7,7 +7,7 @@ import (
 
 // FuzzDesignJSON feeds arbitrary bytes to the design parser. The parser must
 // never panic, and for every design it accepts the canonical digest must be
-// stable under the permutations Canonicalize promises to erase: use-case
+// stable under the permutations the canonical form erases: use-case
 // order (with parallel/smooth indices remapped to follow), flow order, and
 // a JSON write/read round trip.
 func FuzzDesignJSON(f *testing.F) {

@@ -262,9 +262,9 @@ type Design struct {
 	// SUC input); both members must share one NoC configuration.
 	SmoothPairs [][2]int
 	// Topology tags the interconnect family the design targets: "mesh" or
-	// "torus". Empty means mesh. The tag participates
-	// in Canonicalize and Digest, so otherwise identical designs on
-	// different fabrics never share a cache key.
+	// "torus". Empty means mesh. The tag participates in Digest, so
+	// otherwise identical designs on different fabrics never share a cache
+	// key.
 	Topology string
 }
 
