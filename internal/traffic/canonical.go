@@ -150,28 +150,35 @@ func appendCanonical(b []byte, d *Design) []byte {
 }
 
 // pairOrder returns the indices of the flows in (src, dst) order, in at,
-// using keys as scratch; each must have room for every flow. A valid
-// design's pairs are distinct and in [0, 2^32), so each packs into one word
-// as src<<32|dst and a flow's canonical position is its key's rank among
-// the sorted keys. Repeated keys, which only an invalid design has, take
-// consecutive ranks in flow order.
+// using keys as scratch; each must have room for every flow. Flows with the
+// same pair, which only an invalid design has, keep their relative order.
+// When every core ID is below 2^21 and there are at most 2^22 flows (any
+// design a request body can carry), each flow packs into one word as
+// src<<43|dst<<22|index and one native sort orders them; otherwise a stable
+// comparison sort of the indices does.
 func pairOrder(flows []Flow, keys []uint64, at []int32) []int32 {
+	const idBits, idxBits = 21, 22
 	keys, at = keys[:len(flows)], at[:len(flows)]
+	packed := len(flows) <= 1<<idxBits
 	for i, f := range flows {
-		keys[i] = pairWord(f)
-		at[i] = -1
-	}
-	slices.Sort(keys)
-	for j, f := range flows {
-		r, _ := slices.BinarySearch(keys, pairWord(f))
-		for at[r] >= 0 {
-			r++
+		if f.Src < 0 || f.Src >= 1<<idBits || f.Dst < 0 || f.Dst >= 1<<idBits {
+			packed = false
+			break
 		}
-		at[r] = int32(j)
+		keys[i] = uint64(f.Src)<<(idBits+idxBits) | uint64(f.Dst)<<idxBits | uint64(i)
 	}
+	if packed {
+		slices.Sort(keys)
+		for r, k := range keys {
+			at[r] = int32(k & (1<<idxBits - 1))
+		}
+		return at
+	}
+	for i := range at {
+		at[i] = int32(i)
+	}
+	slices.SortStableFunc(at, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(flows[a].Src, flows[b].Src), cmp.Compare(flows[a].Dst, flows[b].Dst))
+	})
 	return at
 }
-
-// pairWord packs a flow's pair into one word as src<<32|dst, in pair order
-// for endpoints in [0, 2^32).
-func pairWord(f Flow) uint64 { return uint64(f.Src)<<32 | uint64(uint32(f.Dst)) }

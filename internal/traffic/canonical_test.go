@@ -3,6 +3,7 @@ package traffic
 import (
 	"bytes"
 	"cmp"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -201,5 +202,30 @@ func TestDigestDistinguishesTopologies(t *testing.T) {
 	}
 	if c := string(appendCanonical(nil, mk(""))); !strings.Contains(c, "\ntopology \"mesh\"\n") {
 		t.Errorf("canonical form of an untagged design is not tagged mesh:\n%s", c)
+	}
+}
+
+// TestPairOrder: both forms of pairOrder — one packed word per flow for
+// small core IDs, a comparison sort past 2^21 — list the flows in (src,
+// dst) order with repeated pairs in flow order.
+func TestPairOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, ids := range []int{8, 1 << 30} {
+		flows := make([]Flow, 300)
+		for i := range flows {
+			flows[i] = Flow{Src: CoreID(rng.Intn(ids)), Dst: CoreID(rng.Intn(ids))}
+		}
+		flows[299], flows[150] = flows[3], flows[3]
+		want := make([]int32, len(flows))
+		for i := range want {
+			want[i] = int32(i)
+		}
+		slices.SortStableFunc(want, func(a, b int32) int {
+			return cmp.Or(cmp.Compare(flows[a].Src, flows[b].Src), cmp.Compare(flows[a].Dst, flows[b].Dst))
+		})
+		got := pairOrder(flows, make([]uint64, len(flows)), make([]int32, len(flows)))
+		if !slices.Equal(got, want) {
+			t.Errorf("core IDs below %d: pairOrder = %v, want %v", ids, got, want)
+		}
 	}
 }
