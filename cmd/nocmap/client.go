@@ -41,28 +41,10 @@ func printRemoteSummary(stdout, stderr io.Writer, server, verdict string, resp *
 	if resp.Truncated {
 		verdict += ", truncated by the deadline and not stored"
 	}
-	r := resp.Result
-	fabric := r.Topology
-	if fabric == "" {
-		fabric = "mesh"
-	}
+	r := &resp.Result
 	fmt.Fprintf(stdout, "design %q: %d cores, %d use-cases (server %s, %s)\n",
 		r.Design, len(r.CoreSwitch), len(r.UseCases), server, verdict)
-	fmt.Fprintf(stdout, "mapped onto %dx%d %s (%d switches) at %.0f MHz (engine %s)\n",
-		r.Rows, r.Cols, fabric, r.Switches, freq, resp.Engine)
-	fmt.Fprintf(stdout, "stats: max link utilization %.1f%%, avg mesh hops %.2f, %d slot entries reserved\n",
-		r.MaxLinkUtil*100, r.AvgMeshHops, r.SlotsReserved)
-	fmt.Fprintln(stdout, boundLine(r.LowerBoundSwitches, r.OptimalityGap, r.BoundSource, r.BoundExact))
-	if len(r.Violations) > 0 {
-		for _, v := range r.Violations {
-			fmt.Fprintln(stderr, "verify:", v)
-		}
-		return fmt.Errorf("%d verification violations", len(r.Violations))
-	}
-	fmt.Fprintln(stdout, "verification: all invariants hold")
-	fmt.Fprintf(stdout, "area: %.3f mm^2 (switches, 0.13um model); power: %.1f mW at %.0f MHz\n",
-		r.AreaMM2, r.PowerMW, freq)
-	return nil
+	return printSummary(stdout, stderr, r, resp.Engine, freq)
 }
 
 // runRemoteStream maps the design in serve-then-improve mode: every

@@ -189,21 +189,9 @@ func runLocal(stdout, stderr io.Writer, in string, freq float64, slots, speculat
 	if res.Truncated() {
 		engine += ", truncated by the deadline"
 	}
-	fmt.Fprintf(stdout, "mapped onto %s at %.0f MHz (engine %s)\n", res.Fabric(), freq, engine)
-	fmt.Fprintf(stdout, "stats: max link utilization %.1f%%, avg mesh hops %.2f, %d slot entries reserved\n",
-		res.MaxLinkUtil*100, res.AvgMeshHops, res.SlotsReserved)
-	fmt.Fprintln(stdout, boundLine(res.LowerBoundSwitches, res.OptimalityGap, res.BoundSource, res.BoundExact))
-
-	if len(res.Violations) > 0 {
-		for _, v := range res.Violations {
-			fmt.Fprintln(stderr, "verify:", v)
-		}
-		return fmt.Errorf("%d verification violations", len(res.Violations))
+	if err := printSummary(stdout, stderr, &res.Summary, engine, freq); err != nil {
+		return err
 	}
-	fmt.Fprintln(stdout, "verification: all invariants hold")
-
-	fmt.Fprintf(stdout, "area: %.3f mm^2 (switches, 0.13um model); power: %.1f mW at %.0f MHz\n",
-		res.AreaMM2, res.PowerMW, freq)
 
 	if simulate {
 		problems, err := res.SimVerify(16 * slots)
@@ -244,14 +232,30 @@ func runLocal(stdout, stderr io.Writer, in string, freq float64, slots, speculat
 	return nil
 }
 
-// boundLine renders the lower-bound/optimality-gap report shared by local
-// and remote summaries.
-func boundLine(lb int, gap float64, source string, exact bool) string {
-	line := fmt.Sprintf("bound: any feasible mapping needs >= %d switches (%s)", lb, source)
-	if exact {
-		return line + "; this mapping is proven optimal in switch count"
+// printSummary prints the summary lines local and remote runs share: the
+// fabric and engine, the load stats, the switch-count bound, the
+// verification verdict (each violation to stderr, returned as an error) and
+// the area and power estimates.
+func printSummary(stdout, stderr io.Writer, r *noc.Summary, engine string, freq float64) error {
+	fmt.Fprintf(stdout, "mapped onto %s at %.0f MHz (engine %s)\n", r.Fabric(), freq, engine)
+	fmt.Fprintf(stdout, "stats: max link utilization %.1f%%, avg mesh hops %.2f, %d slot entries reserved\n",
+		r.MaxLinkUtil*100, r.AvgMeshHops, r.SlotsReserved)
+	fmt.Fprintf(stdout, "bound: any feasible mapping needs >= %d switches (%s)", r.LowerBoundSwitches, r.BoundSource)
+	if r.BoundExact {
+		fmt.Fprintln(stdout, "; this mapping is proven optimal in switch count")
+	} else {
+		fmt.Fprintf(stdout, "; optimality gap %.1f%%\n", r.OptimalityGap*100)
 	}
-	return line + fmt.Sprintf("; optimality gap %.1f%%", gap*100)
+	if len(r.Violations) > 0 {
+		for _, v := range r.Violations {
+			fmt.Fprintln(stderr, "verify:", v)
+		}
+		return fmt.Errorf("%d verification violations", len(r.Violations))
+	}
+	fmt.Fprintln(stdout, "verification: all invariants hold")
+	fmt.Fprintf(stdout, "area: %.3f mm^2 (switches, 0.13um model); power: %.1f mW at %.0f MHz\n",
+		r.AreaMM2, r.PowerMW, freq)
+	return nil
 }
 
 func writeFile(name string, fn func(io.Writer) error) error {

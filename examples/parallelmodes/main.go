@@ -37,12 +37,7 @@ func main() {
 	base := 0.0
 	for k := 1; k <= 4; k++ {
 		comp := traffic.Combine(fmt.Sprintf("parallel-%d", k), d.UseCases[:k])
-		solo := &usecase.Prepared{
-			UseCases:    []*traffic.UseCase{comp},
-			Groups:      [][]int{{0}},
-			GroupOf:     []int{0},
-			NumOriginal: 1,
-		}
+		solo := usecase.Single(comp)
 		f, err := power.MinFeasibleFrequency(solo, d.NumCores(), m, grid)
 		if err != nil {
 			fmt.Printf("%10d %14s %16s\n", k, "infeasible", "-")

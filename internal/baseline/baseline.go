@@ -74,12 +74,5 @@ func WorstCase(ucs []*traffic.UseCase) *traffic.UseCase {
 // and the single-use-case mapper runs on the result. The returned mapping
 // has one configuration serving every use-case.
 func Map(prep *usecase.Prepared, numCores int, p core.Params) (*core.Result, error) {
-	wc := WorstCase(prep.UseCases)
-	wcPrep := &usecase.Prepared{
-		UseCases:    []*traffic.UseCase{wc},
-		Groups:      [][]int{{0}},
-		GroupOf:     []int{0},
-		NumOriginal: 1,
-	}
-	return core.Map(wcPrep, numCores, p)
+	return core.Map(usecase.Single(WorstCase(prep.UseCases)), numCores, p)
 }

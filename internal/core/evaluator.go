@@ -150,10 +150,13 @@ type evalScratch struct {
 	tape    []int
 	configs [][]int32
 	// res and rec are the reservation primitive's working state: the
-	// route-query scratch and the probe record a granted reservation is
+	// route-query scratch (the mapper also ranks placements on its
+	// least-cost tree there) and the probe record a granted reservation is
 	// copied onto the tape from.
 	res reserveScratch
 	rec resRecord
+	// seats counts the cores per NI while Evaluate validates a placement.
+	seats []int
 }
 
 // journalEntry is one granted reservation of an evaluation: the group, the
@@ -524,18 +527,13 @@ func sum(xs []int) int {
 	return n
 }
 
-// ValidatePlacement checks a fixed placement against the evaluator's
+// validatePlacement checks a fixed placement against the evaluator's
 // topology and NI shape without running the configuration phase: slice
 // lengths, switch/NI ranges, NI-on-switch consistency, per-NI core
 // capacity and that every communicating core is attached. Cores with a
-// negative switch are unattached and skipped.
-func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
-	return ev.validatePlacement(coreSwitch, coreNI, make([]int, ev.numNIs()))
-}
-
-// validatePlacement is ValidatePlacement counting NI seats in the caller's
-// buffer, which must hold at least one entry per NI; sessions pass their
-// own so that TryMove stays allocation-free.
+// negative switch are unattached and skipped. It counts NI seats in the
+// caller's buffer, which must hold at least one entry per NI: Evaluate
+// passes its pooled arena's and sessions their own, so neither allocates.
 func (ev *Evaluator) validatePlacement(coreSwitch, coreNI, seats []int) error {
 	if len(coreSwitch) != ev.numCores || len(coreNI) != ev.numCores {
 		return fmt.Errorf("core: fixed placement has wrong length (switch %d, NI %d entries, design has %d cores)",
@@ -583,7 +581,9 @@ func (ev *Evaluator) getScratch() *evalScratch {
 	if sc, ok := ev.pool.Get().(*evalScratch); ok {
 		return sc
 	}
-	return ev.refit(ev.newScratch())
+	sc := ev.refit(ev.newScratch())
+	sc.seats = make([]int, ev.numNIs())
+	return sc
 }
 
 // newScratch allocates the fabric-independent tables of a scratch arena,
@@ -692,11 +692,11 @@ func (ev *Evaluator) mapperFor(sc *evalScratch) *mapper {
 // does; the first pair that does not fit rejects the placement. The states
 // come from the pooled scratch arena, so only the result is allocated.
 func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
-	if err := ev.ValidatePlacement(coreSwitch, coreNI); err != nil {
-		return nil, err
-	}
 	sc := ev.getScratch()
 	defer ev.putScratch(sc)
+	if err := ev.validatePlacement(coreSwitch, coreNI, sc.seats); err != nil {
+		return nil, err
+	}
 	for g, pairs := range ev.groupPairs {
 		for _, pd := range pairs {
 			if err := ev.reserveSlotsInto(&sc.res, sc.states[g], coreSwitch, coreNI, pd.key, pd.slots, pd.latSlots, &sc.rec); err != nil {

@@ -26,6 +26,11 @@ func EvaluateFresh(prep *usecase.Prepared, numCores int, top *topology.Topology,
 	return ev.Evaluate(coreSwitch, coreNI)
 }
 
+// ValidatePlacement runs the fixed-placement check on a fresh seat buffer.
+func (ev *Evaluator) ValidatePlacement(coreSwitch, coreNI []int) error {
+	return ev.validatePlacement(coreSwitch, coreNI, make([]int, ev.numNIs()))
+}
+
 // EvaluateReference is the pair-major fixed-placement pass Evaluate's
 // group-by-group pass replaced: every pair in pairList order, each reserved
 // in its groups in plan order, on fresh slot tables. Evaluate must return

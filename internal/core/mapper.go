@@ -7,7 +7,6 @@ import (
 	"math/bits"
 	"slices"
 
-	"nocmap/internal/route"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
@@ -284,23 +283,6 @@ func (m *mapper) projectedNIUsed(ni, g int, role niRole, extraCore int) int {
 	return used
 }
 
-// bestProjectedNI returns the lowest projected usage over the NIs of switch
-// s that still have core capacity, or -1 when all NIs are full.
-func (m *mapper) bestProjectedNI(s, g int, role niRole, extraCore int) int {
-	base := s * m.p.NIsPerSwitch
-	best := -1
-	for ni := base; ni < base+m.p.NIsPerSwitch; ni++ {
-		if m.niCores[ni] >= m.p.CoresPerNI {
-			continue
-		}
-		u := m.projectedNIUsed(ni, g, role, extraCore)
-		if best < 0 || u < best {
-			best = u
-		}
-	}
-	return best
-}
-
 // chooseNext implements Algorithm 2 step 3: the pair of the heaviest
 // remaining flow, preferring flows between already-mapped cores, then flows
 // with one mapped endpoint — the lowest set bit of the first non-empty tier.
@@ -363,6 +345,10 @@ func (m *mapper) placeAndRoute(pi int32) error {
 		f.key.Src, f.key.Dst, f.bw, m.prep.UseCases[f.uc].Name, lastErr)
 }
 
+// placementCandidates bounds how many candidate switches are examined when
+// placing an unmapped core.
+const placementCandidates = 6
+
 // candidatePlacements enumerates (src switch, dst switch) options for the
 // flow's endpoints, cheapest placements first.
 func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
@@ -406,7 +392,7 @@ func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
 			// slots are free there.
 			for _, c := range m.rankPlacements(s, g, dst, s) {
 				out = append(out, placement{placeSrc: true, placeDst: true, srcSwitch: s, dstSwitch: c, src: src, dst: dst})
-				if len(out) >= m.p.PlacementCandidates {
+				if len(out) >= placementCandidates {
 					return out, nil
 				}
 			}
@@ -498,7 +484,7 @@ func byDistance(a, b switchCand) int {
 func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []int {
 	// Rank reachability with a 1-slot requirement: per-link feasibility for
 	// the actual reservation is re-checked during routing.
-	dist, err := route.LeastCostTree(m.top, m.states[group], topology.SwitchID(from), 1, m.p.Cost)
+	dist, err := m.paths.LeastCostTreeInto(m.res.route, m.states[group], topology.SwitchID(from), 1, m.p.Cost)
 	if err != nil {
 		return nil
 	}
@@ -526,8 +512,8 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 		cands = append(cands, switchCand{s, d + m.attachPenalty(worst)})
 	}
 	slices.SortStableFunc(cands, byDistance)
-	if len(cands) > m.p.PlacementCandidates {
-		cands = cands[:m.p.PlacementCandidates]
+	if len(cands) > placementCandidates {
+		cands = cands[:placementCandidates]
 	}
 	out := make([]int, len(cands))
 	for i, c := range cands {

@@ -55,7 +55,6 @@ func TestParamsValidateRejects(t *testing.T) {
 		func(p *Params) { p.NIsPerSwitch = 0 },
 		func(p *Params) { p.CoresPerNI = -1 },
 		func(p *Params) { p.MaxMeshDim = 0 },
-		func(p *Params) { p.PlacementCandidates = 0 },
 	}
 	for i, f := range mut {
 		p := DefaultParams()
@@ -331,7 +330,7 @@ func TestMapRejectsBadInput(t *testing.T) {
 		t.Error("nil prep accepted")
 	}
 	u := &traffic.UseCase{Name: "u", Flows: []traffic.Flow{{Src: 0, Dst: 9, BandwidthMBs: 10}}}
-	pr := &usecase.Prepared{UseCases: []*traffic.UseCase{u}, Groups: [][]int{{0}}, GroupOf: []int{0}, NumOriginal: 1}
+	pr := usecase.Single(u)
 	if _, err := Map(pr, 2, DefaultParams()); err == nil {
 		t.Error("out-of-range flow accepted")
 	}

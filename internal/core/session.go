@@ -273,10 +273,10 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 	if m.Topology.NumSwitches() != ev.top.NumSwitches() || m.Topology.NumLinks() != ev.top.NumLinks() {
 		return nil, fmt.Errorf("core: result fabric %s does not match evaluator fabric %s", m.Topology, ev.top)
 	}
-	if err := ev.ValidatePlacement(m.CoreSwitch, m.CoreNI); err != nil {
+	s := ev.newSessionShell()
+	if err := ev.validatePlacement(m.CoreSwitch, m.CoreNI, s.sc.seats); err != nil {
 		return nil, err
 	}
-	s := ev.newSessionShell()
 	copy(s.cs, m.CoreSwitch)
 	copy(s.cn, m.CoreNI)
 	for g := range s.states {

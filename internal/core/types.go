@@ -50,9 +50,6 @@ type Params struct {
 	Topology topology.Spec
 	// Cost weights the path-selection objective.
 	Cost route.CostParams
-	// PlacementCandidates bounds how many candidate switches are examined
-	// when placing an unmapped core (default 6).
-	PlacementCandidates int
 
 	// DisableMappedPreference turns off Algorithm 2's preference for flows
 	// whose endpoints are already mapped (ablation A1).
@@ -67,16 +64,15 @@ type Params struct {
 // evaluation.
 func DefaultParams() Params {
 	return Params{
-		LinkWidthBits:       32,
-		FreqMHz:             500,
-		SlotTableSize:       64,
-		SlotCycles:          3,
-		NIsPerSwitch:        2,
-		CoresPerNI:          4,
-		MaxMeshDim:          20,
-		Topology:            topology.MeshSpec(),
-		Cost:                route.DefaultCostParams(),
-		PlacementCandidates: 6,
+		LinkWidthBits: 32,
+		FreqMHz:       500,
+		SlotTableSize: 64,
+		SlotCycles:    3,
+		NIsPerSwitch:  2,
+		CoresPerNI:    4,
+		MaxMeshDim:    20,
+		Topology:      topology.MeshSpec(),
+		Cost:          route.DefaultCostParams(),
 	}
 }
 
@@ -95,8 +91,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: NI shape %dx%d invalid", p.NIsPerSwitch, p.CoresPerNI)
 	case p.MaxMeshDim < 1:
 		return fmt.Errorf("core: max mesh dim %d invalid", p.MaxMeshDim)
-	case p.PlacementCandidates < 1:
-		return fmt.Errorf("core: placement candidates %d invalid", p.PlacementCandidates)
 	}
 	return p.Topology.Validate()
 }

@@ -249,12 +249,7 @@ func Fig7c(maxParallel int) ([]ParallelPoint, error) {
 	var out []ParallelPoint
 	for k := 1; k <= maxParallel; k++ {
 		comp := traffic.Combine(fmt.Sprintf("par%d", k), d.UseCases[:k])
-		solo := &usecase.Prepared{
-			UseCases:    []*traffic.UseCase{comp},
-			Groups:      [][]int{{0}},
-			GroupOf:     []int{0},
-			NumOriginal: 1,
-		}
+		solo := usecase.Single(comp)
 		pt := ParallelPoint{Parallel: k}
 		f, err := power.MinFeasibleFrequency(solo, d.NumCores(), res.Mapping, grid)
 		if err == nil {

@@ -30,9 +30,6 @@ func NewUndirected(n int) *Undirected {
 	return &Undirected{n: n, adj: adj}
 }
 
-// N reports the number of vertices.
-func (g *Undirected) N() int { return g.n }
-
 // AddEdge inserts the undirected edge (u, v). It returns an error if either
 // endpoint is out of range. Self-loops are accepted but have no effect on
 // connectivity.
@@ -46,14 +43,6 @@ func (g *Undirected) AddEdge(u, v int) error {
 	g.adj[u][v] = struct{}{}
 	g.adj[v][u] = struct{}{}
 	return nil
-}
-
-// Degree returns the number of neighbours of v, or 0 if v is out of range.
-func (g *Undirected) Degree(v int) int {
-	if v < 0 || v >= g.n {
-		return 0
-	}
-	return len(g.adj[v])
 }
 
 // Neighbors returns the sorted neighbour list of v.
@@ -140,12 +129,6 @@ func NewDirected(n int) *Directed {
 	return &Directed{n: n, out: make([][]int, n)}
 }
 
-// N reports the number of vertices.
-func (g *Directed) N() int { return g.n }
-
-// Arc returns the arc with index i.
-func (g *Directed) Arc(i int) Arc { return g.arcs[i] }
-
 // AddArc appends a directed arc and returns its index. The index doubles as
 // the arc ID handed back in paths.
 func (g *Directed) AddArc(from, to int) (int, error) {
@@ -174,40 +157,6 @@ type CostFunc func(arc Arc) float64
 // cost function.
 var ErrNoPath = errors.New("graph: no path")
 
-// ShortestPath runs Dijkstra from src to dst under cost. It returns the arc
-// indices of a least-cost path and the total cost. Arcs priced negative or
-// +Inf are treated as absent. Ties are broken deterministically by preferring
-// lower vertex indices. It is ShortestPathInto on a fresh scratch, so the
-// path is the caller's.
-func (g *Directed) ShortestPath(src, dst int, cost CostFunc) ([]int, float64, error) {
-	return g.ShortestPathInto(src, dst, cost, &SPScratch{})
-}
-
-// ShortestTree runs Dijkstra from src under cost and returns, for each
-// vertex, the cost of the best path from src (negative if unreachable) and
-// the incoming arc on that path (-1 for src and unreachable vertices).
-func (g *Directed) ShortestTree(src int, cost CostFunc) (dist []float64, via []int, err error) {
-	if src < 0 || src >= g.n {
-		return nil, nil, fmt.Errorf("graph: shortest tree source %d out of range [0,%d)", src, g.n)
-	}
-	dist, via = g.dijkstraInto(src, cost, -1, &SPScratch{})
-	return dist, via, nil
-}
-
-// PathVertices expands a path of arc indices into the vertex sequence it
-// visits, starting from the first arc's tail.
-func (g *Directed) PathVertices(path []int) []int {
-	if len(path) == 0 {
-		return nil
-	}
-	verts := make([]int, 0, len(path)+1)
-	verts = append(verts, g.arcs[path[0]].From)
-	for _, a := range path {
-		verts = append(verts, g.arcs[a].To)
-	}
-	return verts
-}
-
 // SPScratch is the reusable state of repeated shortest-path queries on one
 // goroutine: the Dijkstra working arrays, the heap and the path buffer. A
 // zero SPScratch is ready to use; buffers grow to the graph size on first
@@ -233,7 +182,10 @@ func (sc *SPScratch) grow(n int) {
 	sc.done = sc.done[:n]
 }
 
-// ShortestPathInto is ShortestPath with every working allocation drawn from
+// ShortestPathInto runs Dijkstra from src to dst under cost. It returns the
+// arc indices of a least-cost path and the total cost. Arcs priced negative
+// or +Inf are treated as absent. Ties are broken deterministically by
+// preferring lower vertex indices. Every working allocation is drawn from
 // the scratch: the returned path slice is owned by the scratch and valid
 // only until its next use.
 func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) ([]int, float64, error) {
@@ -259,6 +211,17 @@ func (g *Directed) ShortestPathInto(src, dst int, cost CostFunc, sc *SPScratch) 
 	}
 	sc.path = path
 	return path, dist[dst], nil
+}
+
+// ShortestTreeInto runs Dijkstra from src under cost and returns, for each
+// vertex, the cost of the best path from src (negative if unreachable). The
+// returned slice is owned by the scratch and valid only until its next use.
+func (g *Directed) ShortestTreeInto(src int, cost CostFunc, sc *SPScratch) ([]float64, error) {
+	if src < 0 || src >= g.n {
+		return nil, fmt.Errorf("graph: shortest tree source %d out of range [0,%d)", src, g.n)
+	}
+	dist, _ := g.dijkstraInto(src, cost, -1, sc)
+	return dist, nil
 }
 
 const unreached = -1.0

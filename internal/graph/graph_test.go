@@ -11,8 +11,8 @@ import (
 
 func TestUndirectedBasics(t *testing.T) {
 	g := NewUndirected(4)
-	if g.N() != 4 {
-		t.Fatalf("N = %d, want 4", g.N())
+	if g.n != 4 {
+		t.Fatalf("N = %d, want 4", g.n)
 	}
 	if err := g.AddEdge(0, 1); err != nil {
 		t.Fatalf("AddEdge: %v", err)
@@ -23,11 +23,11 @@ func TestUndirectedBasics(t *testing.T) {
 	if !reflect.DeepEqual(g.Neighbors(0), []int{1}) || !reflect.DeepEqual(g.Neighbors(1), []int{0}) {
 		t.Error("edge (0,1) should exist in both directions")
 	}
-	if g.Degree(2) != 0 || g.Degree(3) != 0 {
+	if len(g.adj[2]) != 0 || len(g.adj[3]) != 0 {
 		t.Error("edge (2,3) should not exist")
 	}
-	if g.Degree(0) != 1 || g.Degree(1) != 1 {
-		t.Errorf("degrees = %d,%d, want 1,1", g.Degree(0), g.Degree(1))
+	if len(g.adj[0]) != 1 || len(g.adj[1]) != 1 {
+		t.Errorf("degrees = %d,%d, want 1,1", len(g.adj[0]), len(g.adj[1]))
 	}
 }
 
@@ -45,8 +45,8 @@ func TestUndirectedSelfLoopIgnored(t *testing.T) {
 	if err := g.AddEdge(0, 0); err != nil {
 		t.Fatalf("self loop rejected: %v", err)
 	}
-	if g.Degree(0) != 0 {
-		t.Errorf("self loop should not change degree, got %d", g.Degree(0))
+	if len(g.adj[0]) != 0 {
+		t.Errorf("self loop should not change degree, got %d", len(g.adj[0]))
 	}
 	comps := g.Components()
 	if len(comps) != 2 {
@@ -175,22 +175,23 @@ func buildLine(n int) *Directed {
 
 func TestShortestPathLine(t *testing.T) {
 	g := buildLine(5)
-	path, cost, err := g.ShortestPath(0, 4, unitCost)
+	path, cost, err := g.ShortestPathInto(0, 4, unitCost, &SPScratch{})
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
 	if cost != 4 || len(path) != 4 {
 		t.Errorf("cost=%v len=%d, want 4,4", cost, len(path))
 	}
-	verts := g.PathVertices(path)
-	if !reflect.DeepEqual(verts, []int{0, 1, 2, 3, 4}) {
-		t.Errorf("vertices = %v", verts)
+	for i, a := range path {
+		if g.arcs[a].From != i || g.arcs[a].To != i+1 {
+			t.Errorf("arc %d = %+v, want %d->%d", i, g.arcs[a], i, i+1)
+		}
 	}
 }
 
 func TestShortestPathSameVertex(t *testing.T) {
 	g := buildLine(3)
-	path, cost, err := g.ShortestPath(1, 1, unitCost)
+	path, cost, err := g.ShortestPathInto(1, 1, unitCost, &SPScratch{})
 	if err != nil {
 		t.Fatalf("ShortestPath(v,v): %v", err)
 	}
@@ -201,7 +202,7 @@ func TestShortestPathSameVertex(t *testing.T) {
 
 func TestShortestPathUnreachable(t *testing.T) {
 	g := buildLine(3) // arcs only forward
-	if _, _, err := g.ShortestPath(2, 0, unitCost); err != ErrNoPath {
+	if _, _, err := g.ShortestPathInto(2, 0, unitCost, &SPScratch{}); err != ErrNoPath {
 		t.Errorf("err = %v, want ErrNoPath", err)
 	}
 }
@@ -217,7 +218,7 @@ func TestShortestPathForbiddenArc(t *testing.T) {
 		}
 		return 1
 	}
-	path, c, err := g.ShortestPath(0, 2, cost)
+	path, c, err := g.ShortestPathInto(0, 2, cost, &SPScratch{})
 	if err != nil {
 		t.Fatalf("ShortestPath: %v", err)
 	}
@@ -231,7 +232,7 @@ func TestShortestPathForbiddenArc(t *testing.T) {
 		}
 		return 1
 	}
-	if path2, _, err := g.ShortestPath(0, 2, cost2); err != nil || len(path2) != 2 {
+	if path2, _, err := g.ShortestPathInto(0, 2, cost2, &SPScratch{}); err != nil || len(path2) != 2 {
 		t.Errorf("negative-cost arc not excluded: path=%v err=%v", path2, err)
 	}
 }
@@ -248,7 +249,7 @@ func TestShortestPathPrefersCheap(t *testing.T) {
 		}
 		return 1
 	}
-	path, c, err := g.ShortestPath(0, 3, cost)
+	path, c, err := g.ShortestPathInto(0, 3, cost, &SPScratch{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,17 +260,18 @@ func TestShortestPathPrefersCheap(t *testing.T) {
 
 func TestShortestPathOutOfRange(t *testing.T) {
 	g := buildLine(3)
-	if _, _, err := g.ShortestPath(-1, 2, unitCost); err == nil {
+	if _, _, err := g.ShortestPathInto(-1, 2, unitCost, &SPScratch{}); err == nil {
 		t.Error("negative src should error")
 	}
-	if _, _, err := g.ShortestPath(0, 3, unitCost); err == nil {
+	if _, _, err := g.ShortestPathInto(0, 3, unitCost, &SPScratch{}); err == nil {
 		t.Error("dst out of range should error")
 	}
 }
 
 func TestShortestTree(t *testing.T) {
 	g := buildLine(4)
-	dist, via, err := g.ShortestTree(0, unitCost)
+	sc := &SPScratch{}
+	dist, err := g.ShortestTreeInto(0, unitCost, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,11 +279,11 @@ func TestShortestTree(t *testing.T) {
 	if !reflect.DeepEqual(dist, wantDist) {
 		t.Errorf("dist = %v, want %v", dist, wantDist)
 	}
-	if via[0] != -1 {
-		t.Errorf("via[src] = %d, want -1", via[0])
+	if sc.via[0] != -1 {
+		t.Errorf("via[src] = %d, want -1", sc.via[0])
 	}
 	// Backwards tree: unreachable vertices are negative.
-	dist2, _, err := g.ShortestTree(3, unitCost)
+	dist2, err := g.ShortestTreeInto(3, unitCost, sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +301,6 @@ func TestAddArcOutOfRange(t *testing.T) {
 	}
 	if _, err := g.AddArc(-1, 0); err == nil {
 		t.Error("AddArc negative should fail")
-	}
-}
-
-func TestPathVerticesEmpty(t *testing.T) {
-	g := buildLine(2)
-	if v := g.PathVertices(nil); v != nil {
-		t.Errorf("PathVertices(nil) = %v, want nil", v)
 	}
 }
 
@@ -333,14 +328,14 @@ func TestDijkstraMatchesBFSProperty(t *testing.T) {
 			v := queue[0]
 			queue = queue[1:]
 			for _, ai := range g.Out(v) {
-				to := g.Arc(ai).To
+				to := g.arcs[ai].To
 				if distBFS[to] < 0 {
 					distBFS[to] = distBFS[v] + 1
 					queue = append(queue, to)
 				}
 			}
 		}
-		path, cost, err := g.ShortestPath(src, dst, unitCost)
+		path, cost, err := g.ShortestPathInto(src, dst, unitCost, &SPScratch{})
 		if distBFS[dst] < 0 {
 			return err == ErrNoPath
 		}
@@ -352,11 +347,11 @@ func TestDijkstraMatchesBFSProperty(t *testing.T) {
 		}
 		// Contiguity.
 		for i := 0; i+1 < len(path); i++ {
-			if g.Arc(path[i]).To != g.Arc(path[i+1]).From {
+			if g.arcs[path[i]].To != g.arcs[path[i+1]].From {
 				return false
 			}
 		}
-		if len(path) > 0 && (g.Arc(path[0]).From != src || g.Arc(path[len(path)-1]).To != dst) {
+		if len(path) > 0 && (g.arcs[path[0]].From != src || g.arcs[path[len(path)-1]].To != dst) {
 			return false
 		}
 		return true

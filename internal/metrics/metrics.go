@@ -59,28 +59,10 @@ func (c *Counter) Add(n int64) {
 // Value reads the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is an integer value that can go up and down (queue lengths, running
-// jobs). For values computed at scrape time, use Registry.GaugeFunc.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Inc adds one.
-func (g *Gauge) Inc() { g.v.Add(1) }
-
-// Dec subtracts one.
-func (g *Gauge) Dec() { g.v.Add(-1) }
-
-// Value reads the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // FloatGauge is a float64 value that can go up and down. It backs the
 // labeled gauge families (GaugeVec), whose values are not always integers
-// (utilizations, optimality gaps); the unlabeled integer Gauge stays the
-// cheap common case.
+// (utilizations, optimality gaps); an unlabeled gauge is computed at scrape
+// time (Registry.GaugeFunc).
 type FloatGauge struct {
 	v atomic.Uint64 // float64 bits
 }
@@ -127,15 +109,6 @@ func (h *Histogram) snapshot() (counts []int64, sum float64) {
 		counts[i] = h.counts[i].Load()
 	}
 	return counts, h.Sum()
-}
-
-// Count reads the total number of observations.
-func (h *Histogram) Count() int64 {
-	var n int64
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
 }
 
 // Sum reads the total of all observed values.
@@ -284,26 +257,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 		}
 	})
 	return cv
-}
-
-// CounterFunc registers a counter whose value is computed by fn at scrape
-// time — for monotonic counts owned by another subsystem (a store backend's
-// forward counter) that would otherwise need double bookkeeping. fn must be
-// monotonically non-decreasing and safe for concurrent use, and must not
-// call back into the registry.
-func (r *Registry) CounterFunc(name, help string, fn func() int64) {
-	r.register(name, help, "counter", nil, func(w *errWriter, n string) {
-		w.seriesInt(n, nil, nil, fn())
-	})
-}
-
-// Gauge registers and returns a new integer gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(name, help, "gauge", nil, func(w *errWriter, n string) {
-		w.seriesInt(n, nil, nil, g.Value())
-	})
-	return g
 }
 
 // GaugeVec registers and returns a new labeled gauge family.

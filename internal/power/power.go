@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"nocmap/internal/core"
-	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 )
 
@@ -77,23 +76,13 @@ func MinFeasibleFrequency(prep *usecase.Prepared, numCores int, m *core.Mapping,
 	return pts[lo], nil
 }
 
-// soloPrep wraps one use-case as a standalone prepared set.
-func soloPrep(u *traffic.UseCase) *usecase.Prepared {
-	return &usecase.Prepared{
-		UseCases:    []*traffic.UseCase{u},
-		Groups:      [][]int{{0}},
-		GroupOf:     []int{0},
-		NumOriginal: 1,
-	}
-}
-
 // PerUseCaseFrequencies finds, for every use-case of the mapping's design,
 // the minimum NoC frequency at which that use-case alone is feasible on the
 // fixed topology and placement.
 func PerUseCaseFrequencies(m *core.Mapping, numCores int, g Grid) ([]float64, error) {
 	out := make([]float64, len(m.Prep.UseCases))
 	for i, u := range m.Prep.UseCases {
-		f, err := MinFeasibleFrequency(soloPrep(u), numCores, m, g)
+		f, err := MinFeasibleFrequency(usecase.Single(u), numCores, m, g)
 		if err != nil {
 			return nil, fmt.Errorf("use-case %q: %w", u.Name, err)
 		}

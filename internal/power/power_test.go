@@ -99,15 +99,15 @@ func TestMinFeasibleFrequencyMonotoneFeasibility(t *testing.T) {
 	m, n := fixture(t)
 	g := Grid{LoMHz: 25, HiMHz: 1000, StepMHz: 25}
 	heavy := m.Prep.UseCases[1]
-	fmin, err := MinFeasibleFrequency(soloPrep(heavy), n, m, g)
+	fmin, err := MinFeasibleFrequency(usecase.Single(heavy), n, m, g)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Feasible exactly at and above the returned frequency.
-	if !feasibleAt(soloPrep(heavy), n, m, fmin) {
+	if !feasibleAt(usecase.Single(heavy), n, m, fmin) {
 		t.Error("returned frequency not feasible")
 	}
-	if fmin > g.LoMHz && feasibleAt(soloPrep(heavy), n, m, fmin-g.StepMHz) {
+	if fmin > g.LoMHz && feasibleAt(usecase.Single(heavy), n, m, fmin-g.StepMHz) {
 		t.Error("frequency below minimum is feasible — search not tight")
 	}
 }
@@ -117,7 +117,7 @@ func TestMinFeasibleFrequencyInfeasible(t *testing.T) {
 	mega := &traffic.UseCase{Name: "mega", Flows: []traffic.Flow{
 		{Src: 0, Dst: 1, BandwidthMBs: 1e6},
 	}}
-	if _, err := MinFeasibleFrequency(soloPrep(mega), n, m, Grid{LoMHz: 100, HiMHz: 400, StepMHz: 100}); err == nil {
+	if _, err := MinFeasibleFrequency(usecase.Single(mega), n, m, Grid{LoMHz: 100, HiMHz: 400, StepMHz: 100}); err == nil {
 		t.Error("impossible demand accepted")
 	}
 }

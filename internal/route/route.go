@@ -78,9 +78,9 @@ func PathCost(st *tdma.State, path Path, neededSlots int, p CostParams) float64 
 // and returns the cheapest feasible path from src to dst. It reports
 // ErrNoPath via the wrapped graph error if every route is saturated.
 func LeastCost(top *topology.Topology, st *tdma.State, src, dst topology.SwitchID, neededSlots int, p CostParams) (Path, float64, error) {
-	arcs, cost, err := top.Graph().ShortestPath(int(src), int(dst), func(a graph.Arc) float64 {
+	arcs, cost, err := top.Graph().ShortestPathInto(int(src), int(dst), func(a graph.Arc) float64 {
 		return LinkCost(st, a.ID, neededSlots, p)
-	})
+	}, &graph.SPScratch{})
 	if err != nil {
 		return nil, 0, fmt.Errorf("route: %d->%d with %d slots: %w", src, dst, neededSlots, err)
 	}
@@ -89,20 +89,6 @@ func LeastCost(top *topology.Topology, st *tdma.State, src, dst topology.SwitchI
 		path[i] = topology.LinkID(a)
 	}
 	return path, cost, nil
-}
-
-// LeastCostTree computes, from a single source, the least path cost to every
-// switch (negative = unreachable) under the residual-state cost. The mapper
-// uses it to evaluate every candidate placement of an unmapped core in one
-// Dijkstra run.
-func LeastCostTree(top *topology.Topology, st *tdma.State, src topology.SwitchID, neededSlots int, p CostParams) ([]float64, error) {
-	dist, _, err := top.Graph().ShortestTree(int(src), func(a graph.Arc) float64 {
-		return LinkCost(st, a.ID, neededSlots, p)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("route: tree from %d: %w", src, err)
-	}
-	return dist, nil
 }
 
 // dimSteps returns how many steps and in which per-step direction (+1/-1) to
@@ -280,11 +266,12 @@ func (t *Table) minimalFor(src, dst topology.SwitchID) []Path {
 	return minimal
 }
 
-// Scratch holds the reusable working state of repeated candidate queries on
-// one goroutine: the Dijkstra scratch, the cost closure, and the scoring and
-// output buffers. Obtain one with NewScratch; a Scratch is not safe for
-// concurrent use, and the paths a CandidatesInto call returns are valid only
-// until the scratch's next use.
+// Scratch holds the reusable working state of repeated candidate and tree
+// queries on one goroutine: the Dijkstra scratch, the cost closure, and the
+// scoring and output buffers. Obtain one with NewScratch; a Scratch is not
+// safe for concurrent use, and the paths a CandidatesInto call (or the
+// distances a LeastCostTreeInto call) returns are valid only until the
+// scratch's next use.
 type Scratch struct {
 	sp     graph.SPScratch
 	st     *tdma.State
@@ -400,6 +387,20 @@ func (t *Table) leastCostFirst(sc *Scratch, st *tdma.State, src, dst topology.Sw
 	sc.scored[0] = lead
 }
 
+// LeastCostTreeInto computes, from a single source, the least path cost to
+// every switch (negative = unreachable) under the residual-state cost. The
+// mapper uses it to evaluate every candidate placement of an unmapped core
+// in one Dijkstra run. The returned slice is owned by the scratch and
+// overwritten by its next query.
+func (t *Table) LeastCostTreeInto(sc *Scratch, st *tdma.State, src topology.SwitchID, neededSlots int, p CostParams) ([]float64, error) {
+	sc.st, sc.needed, sc.cp = st, neededSlots, p
+	dist, err := t.top.Graph().ShortestTreeInto(int(src), sc.costFn, &sc.sp)
+	if err != nil {
+		return nil, fmt.Errorf("route: tree from %d: %w", src, err)
+	}
+	return dist, nil
+}
+
 func pathEqual(a, b Path) bool {
 	if len(a) != len(b) {
 		return false
@@ -427,13 +428,4 @@ func Contiguous(top *topology.Topology, path Path, src, dst topology.SwitchID) b
 		}
 	}
 	return true
-}
-
-// Ints converts a Path to the []int form used by the tdma package.
-func (p Path) Ints() []int {
-	out := make([]int, len(p))
-	for i, l := range p {
-		out[i] = int(l)
-	}
-	return out
 }

@@ -197,7 +197,7 @@ func TestLeastCostNoPath(t *testing.T) {
 func TestLeastCostTree(t *testing.T) {
 	top := mesh(t, 2, 3)
 	st := state(t, top, 8)
-	dist, err := LeastCostTree(top, st, top.At(0, 0), 1, DefaultCostParams())
+	dist, err := NewTable(top, DefaultCostParams()).LeastCostTreeInto(NewScratch(), st, top.At(0, 0), 1, DefaultCostParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,14 +251,6 @@ func TestCandidatesSkipInfeasible(t *testing.T) {
 	}
 	if cands := CandidatesReference(top, st, 0, 1, 1, DefaultCostParams()); len(cands) != 0 {
 		t.Errorf("saturated mesh candidates = %v, want none", cands)
-	}
-}
-
-func TestPathInts(t *testing.T) {
-	p := Path{3, 1, 2}
-	ints := p.Ints()
-	if len(ints) != 3 || ints[0] != 3 || ints[2] != 2 {
-		t.Errorf("Ints = %v", ints)
 	}
 }
 

@@ -74,9 +74,6 @@ type Config struct {
 	// DefaultTimeout is the per-job deadline applied when a request does not
 	// carry its own; zero means no deadline.
 	DefaultTimeout time.Duration
-	// RetainJobs bounds how many finished jobs stay queryable by ID before
-	// the oldest are forgotten (default 1024). The result cache is unaffected.
-	RetainJobs int
 	// Logger receives the service's structured request/job trail (slog).
 	// Every line a request touches carries its request_id. Nil discards.
 	Logger *slog.Logger
@@ -97,9 +94,6 @@ func (cfg Config) Defaults() Config {
 	}
 	if cfg.CacheEntries <= 0 {
 		cfg.CacheEntries = 128
-	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 1024
 	}
 	return cfg
 }
@@ -152,13 +146,15 @@ func (r *Request) Key() (string, error) {
 	h := sha256.New()
 	fmt.Fprintf(h, "nocmap-request-v1\ndesign %s\nengine %s\n", r.Design.Digest(), r.Engine)
 	p := r.Params
-	// The "false 64" keeps old keys valid: a removed placement-refinement
-	// switch and its default iteration count hashed there.
-	fmt.Fprintf(h, "params %d %s %d %d %d %d %d %s %s %s %d %d %t %t false 64\n",
+	// The 6 before the ablation switches keeps old keys valid: the removed
+	// placement-candidate bound, always 6, hashed there; so did a removed
+	// placement-refinement switch and its default iteration count in the
+	// "false 64".
+	fmt.Fprintf(h, "params %d %s %d %d %d %d %d %s %s %s %d 6 %t %t false 64\n",
 		p.LinkWidthBits, hexf(p.FreqMHz), p.SlotTableSize, p.SlotCycles,
 		p.NIsPerSwitch, p.CoresPerNI, p.MaxMeshDim, p.Topology.CanonicalID(),
 		hexf(p.Cost.HopCost), hexf(p.Cost.LoadWeight), p.Cost.MaxCandidates,
-		p.PlacementCandidates, p.DisableMappedPreference, p.DisableUnifiedSlots)
+		p.DisableMappedPreference, p.DisableUnifiedSlots)
 	o := r.Opts
 	if r.Engine == "greedy" {
 		o = search.Options{}
@@ -742,11 +738,15 @@ func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 	close(j.done)
 }
 
+// retainJobs bounds how many finished jobs stay queryable by ID before the
+// oldest are forgotten. The result cache is unaffected.
+const retainJobs = 1024
+
 // retainLocked records a finished job and evicts the oldest beyond the
 // retention bound.
 func (s *Service) retainLocked(j *Job) {
 	s.jobOrder = append(s.jobOrder, j.ID)
-	for len(s.jobOrder) > s.cfg.RetainJobs {
+	for len(s.jobOrder) > retainJobs {
 		delete(s.jobs, s.jobOrder[0])
 		s.jobOrder = s.jobOrder[1:]
 	}
@@ -858,6 +858,18 @@ type Result struct {
 	// Violations lists analytic verification failures; empty means every
 	// invariant holds.
 	Violations []string `json:"violations,omitempty"`
+}
+
+// Fabric renders the solution's interconnect for humans, e.g.
+// "2x3 mesh (6 switches)" or "3x4 torus (12 switches)", from the summary
+// alone, so a result decoded from the wire renders as the local one does.
+// An empty Topology reads as a mesh.
+func (r *Result) Fabric() string {
+	kind := r.Topology
+	if kind == "" {
+		kind = "mesh"
+	}
+	return fmt.Sprintf("%dx%d %s (%d switches)", r.Rows, r.Cols, kind, r.Switches)
 }
 
 // UseCaseResult summarizes one use-case of the mapped design.

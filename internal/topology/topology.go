@@ -133,9 +133,6 @@ func (t *Topology) NumSwitches() int { return t.Rows * t.Cols }
 // NumLinks reports the directed link count.
 func (t *Topology) NumLinks() int { return len(t.links) }
 
-// MaxCores reports the total core-hosting capacity.
-func (t *Topology) MaxCores() int { return t.NumSwitches() * t.CoresPerSwitch }
-
 // At returns the switch at mesh coordinate (row, col).
 func (t *Topology) At(row, col int) SwitchID { return SwitchID(row*t.Cols + col) }
 

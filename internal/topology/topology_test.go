@@ -129,16 +129,6 @@ func TestTorus(t *testing.T) {
 	}
 }
 
-func TestMaxCores(t *testing.T) {
-	m, err := NewMesh(2, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.MaxCores() != 48 {
-		t.Errorf("MaxCores = %d, want 48", m.MaxCores())
-	}
-}
-
 func TestString(t *testing.T) {
 	m, _ := NewMesh(2, 3, 1)
 	if s := m.String(); s != "2x3 mesh (6 switches)" {
@@ -203,7 +193,7 @@ func TestHopDistanceMatchesGraphProperty(t *testing.T) {
 		}
 		a := rng.Intn(m.NumSwitches())
 		b := rng.Intn(m.NumSwitches())
-		path, cost, err := m.Graph().ShortestPath(a, b, func(graph.Arc) float64 { return 1 })
+		path, cost, err := m.Graph().ShortestPathInto(a, b, func(graph.Arc) float64 { return 1 }, &graph.SPScratch{})
 		if err != nil {
 			return false // meshes are connected
 		}

@@ -161,17 +161,6 @@ func (u *UseCase) TotalBandwidth() float64 {
 	return sum
 }
 
-// MaxBandwidth returns the largest single-flow bandwidth, in MB/s.
-func (u *UseCase) MaxBandwidth() float64 {
-	var max float64
-	for _, f := range u.Flows {
-		if f.BandwidthMBs > max {
-			max = f.BandwidthMBs
-		}
-	}
-	return max
-}
-
 // FlowByPair returns the flow between the given directed pair, if present.
 func (u *UseCase) FlowByPair(k PairKey) (Flow, bool) {
 	for _, f := range u.Flows {

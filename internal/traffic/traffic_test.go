@@ -52,11 +52,8 @@ func TestTotalsAndMax(t *testing.T) {
 	if got := u.TotalBandwidth(); got != 150 {
 		t.Errorf("TotalBandwidth = %v, want 150", got)
 	}
-	if got := u.MaxBandwidth(); got != 100 {
-		t.Errorf("MaxBandwidth = %v, want 100", got)
-	}
 	empty := &UseCase{Name: "e"}
-	if empty.TotalBandwidth() != 0 || empty.MaxBandwidth() != 0 {
+	if empty.TotalBandwidth() != 0 {
 		t.Error("empty use-case totals should be zero")
 	}
 }

@@ -39,14 +39,15 @@ type Prepared struct {
 	NumOriginal int
 }
 
-// IsCompound reports whether use-case i was generated by phase 1.
-func (p *Prepared) IsCompound(i int) bool { return i >= p.NumOriginal }
+// Single returns the prepared set of one standalone use-case: no
+// compounds and one group. It is how the single-use-case methods (the
+// worst-case baseline, per-mode frequency scaling) call the mapper.
+func Single(u *traffic.UseCase) *Prepared {
+	return &Prepared{UseCases: []*traffic.UseCase{u}, Groups: [][]int{{0}}, GroupOf: []int{0}, NumOriginal: 1}
+}
 
 // SameGroup reports whether use-cases i and j must share a configuration.
 func (p *Prepared) SameGroup(i, j int) bool { return p.GroupOf[i] == p.GroupOf[j] }
-
-// GroupMembers returns the indices sharing use-case i's group, including i.
-func (p *Prepared) GroupMembers(i int) []int { return p.Groups[p.GroupOf[i]] }
 
 // Prepare runs phases 1 and 2 on a validated design.
 func Prepare(d *traffic.Design) (*Prepared, error) {
@@ -102,21 +103,4 @@ func Prepare(d *traffic.Design) (*Prepared, error) {
 		}
 	}
 	return p, nil
-}
-
-// ReconfigurableSwitches counts the unordered use-case pairs (i, j) whose
-// transition permits re-configuration (different groups) and those that must
-// be smooth (same group). It quantifies the flexibility Phase 2 discovered.
-func (p *Prepared) ReconfigurableSwitches() (reconfig, smooth int) {
-	n := len(p.UseCases)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			if p.SameGroup(i, j) {
-				smooth++
-			} else {
-				reconfig++
-			}
-		}
-	}
-	return reconfig, smooth
 }

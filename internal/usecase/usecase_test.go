@@ -40,7 +40,7 @@ func TestFig4Grouping(t *testing.T) {
 		t.Fatalf("NumOriginal=%d total=%d, want 8 and 10", p.NumOriginal, len(p.UseCases))
 	}
 	// Generated compounds are U_123 (index 8) and U_45 (index 9).
-	if !p.IsCompound(8) || !p.IsCompound(9) || p.IsCompound(7) {
+	if !p.UseCases[8].Compound || !p.UseCases[9].Compound || p.UseCases[7].Compound {
 		t.Error("compound flags wrong")
 	}
 	// Figure 4 groups: {U1,U2,U3,U_123}, {U4,U5,U_45}, {U6,U7}, {U8}.
@@ -51,8 +51,8 @@ func TestFig4Grouping(t *testing.T) {
 	if !p.SameGroup(0, 8) || p.SameGroup(0, 3) || !p.SameGroup(5, 6) {
 		t.Error("SameGroup answers wrong")
 	}
-	if got := p.GroupMembers(9); !reflect.DeepEqual(got, []int{3, 4, 9}) {
-		t.Errorf("GroupMembers(9) = %v", got)
+	if got := p.Groups[p.GroupOf[9]]; !reflect.DeepEqual(got, []int{3, 4, 9}) {
+		t.Errorf("group of 9 = %v", got)
 	}
 }
 
@@ -72,9 +72,8 @@ func TestPrepareNoSpecsYieldsSingletons(t *testing.T) {
 	if len(p.UseCases) != 2 || len(p.Groups) != 2 {
 		t.Errorf("got %d use-cases, %d groups; want 2 singleton groups", len(p.UseCases), len(p.Groups))
 	}
-	reconfig, smooth := p.ReconfigurableSwitches()
-	if reconfig != 1 || smooth != 0 {
-		t.Errorf("reconfig=%d smooth=%d, want 1,0", reconfig, smooth)
+	if p.SameGroup(0, 1) {
+		t.Error("use-cases without a smooth-switching spec share a group")
 	}
 }
 
@@ -188,18 +187,5 @@ func TestGroupsPartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestReconfigurableSwitchesCounts(t *testing.T) {
-	p, err := Prepare(fig4Design())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reconfig, smooth := p.ReconfigurableSwitches()
-	// 10 use-cases -> 45 pairs. Same-group pairs: C(4,2)+C(3,2)+C(2,2 aka 1)
-	// = 6+3+1 = 10. Reconfigurable = 35.
-	if smooth != 10 || reconfig != 35 {
-		t.Errorf("reconfig=%d smooth=%d, want 35,10", reconfig, smooth)
 	}
 }

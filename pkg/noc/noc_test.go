@@ -3,6 +3,7 @@ package noc_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,6 +88,35 @@ func TestMapResultStableJSON(t *testing.T) {
 	}
 	if string(re) != string(direct) {
 		t.Fatalf("stable encoding violated:\n%s\nvs\n%s", re, direct)
+	}
+}
+
+// TestFabricOfDecodedResult: a result decoded from its JSON encoding, which
+// carries no in-process mapping, renders the same fabric as the local
+// result, and a summary without a topology family reads as a mesh.
+func TestFabricOfDecodedResult(t *testing.T) {
+	res, err := noc.Map(context.Background(), fig5Design(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	if err := res.WriteJSON(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var decoded noc.Result
+	if err := json.Unmarshal([]byte(sb.String()), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%dx%d mesh (%d switches)", res.Rows, res.Cols, res.Switches)
+	if got := res.Fabric(); got != want {
+		t.Fatalf("local Fabric() = %q, want %q", got, want)
+	}
+	if got := decoded.Fabric(); got != want {
+		t.Errorf("decoded Fabric() = %q, want %q", got, want)
+	}
+	decoded.Topology = ""
+	if got := decoded.Fabric(); got != want {
+		t.Errorf("Fabric() without a topology family = %q, want %q", got, want)
 	}
 }
 

@@ -53,15 +53,6 @@ func (r *Result) Truncated() bool { return r.truncated }
 // metadata, not part of the stable Summary encoding.
 func (r *Result) Timings() Timings { return r.timings }
 
-// Fabric renders the solution's interconnect for humans, e.g.
-// "2x3 mesh (6 switches)" or "3x4 torus (12 switches)".
-func (r *Result) Fabric() string {
-	if r.mapping == nil {
-		return r.Summary.Topology
-	}
-	return r.mapping.Topology.String()
-}
-
 // Params returns the architecture parameters the mapping ran with.
 func (r *Result) Params() (Params, error) {
 	if r.mapping == nil {
