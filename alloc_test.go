@@ -1,21 +1,24 @@
 // Allocation regression gates: the annealer's move path (PlacementInto +
 // TryMove + Undo) must run without heap allocations once the session's
-// buffers reach steady state, on every D1-D4 design, and one greedy
-// core.Map and one Evaluator.Evaluate of D4 must each stay under an
-// allocation ceiling. BenchmarkSessionMove
-// reports the same move path with -benchmem, using caller-owned placement
-// buffers.
+// buffers reach steady state, on every D1-D4 design; one greedy core.Map
+// and one Evaluator.Evaluate of D4 must each stay under an allocation
+// ceiling; and one whole anneal of D4, run cold, must stay under a byte
+// and an allocation ceiling. BenchmarkSessionMove reports the same move
+// path with -benchmem, using caller-owned placement buffers.
 package nocmap_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 
 	"nocmap/internal/bench"
 	"nocmap/internal/core"
+	"nocmap/internal/search"
 	"nocmap/internal/usecase"
 )
 
@@ -202,12 +205,14 @@ func TestSessionMoveZeroAlloc(t *testing.T) {
 
 // mapAllocCeiling bounds the allocations of one greedy core.Map of D4: two
 // fabrics (1x3 fails, 2x2 maps) plus the result's mapping and
-// configurations. The measured count is 1314 (go1.24, linux/amd64; 1320–1323
-// under the race detector); the ceiling leaves about 25% headroom for
-// incidental churn while failing long before a return to per-reservation
-// allocation (one copy per granted reservation cost 6228, the allocating
-// reservation path and the map-based templates 47437).
-const mapAllocCeiling = 1650
+// configurations. The measured count is 568 (go1.24, linux/amd64), since
+// the growth steps draw their candidate placements and switch rankings
+// from the scratch arena (1113 when each step allocated them); the
+// ceiling leaves about 25% headroom for incidental churn while failing
+// long before a return to per-step candidate slices, let alone to
+// per-reservation allocation (one copy per granted reservation cost 6228,
+// the allocating reservation path and the map-based templates 47437).
+const mapAllocCeiling = 710
 
 // TestMapAllocs is the greedy allocation gate: the constructive growth loop
 // builds the design's templates once, reserves through the non-allocating
@@ -290,6 +295,61 @@ func TestEvaluateAllocs(t *testing.T) {
 	t.Logf("Evaluate(D4 greedy placement): %.0f allocs/op (ceiling %d), verdict %v", allocs, evaluateAllocCeiling, verdict)
 	if allocs > evaluateAllocCeiling {
 		t.Fatalf("Evaluate(D4 greedy placement) allocates %.0f times per run, ceiling %d", allocs, evaluateAllocCeiling)
+	}
+}
+
+// Ceilings of one cold 300-iteration anneal of D4 (TestAnnealColdChainAllocs).
+// It measures 3,656,272 B in 2,789 allocations (go1.24, linux/amd64): the
+// greedy base, the sessions over it and over every restart probe's start,
+// and their moves. Session records are carved per session with storage
+// fixed by the design, and the anneal scores on the evaluator greedy built.
+// When a recycled record grew a T-sized start buffer and the anneal built
+// the templates a second time, the same run took 5,242,200 B in 12,389
+// allocations. The ceilings leave about 10% headroom.
+const (
+	coldChainBytesCeiling  = 4_000_000
+	coldChainAllocsCeiling = 3_100
+)
+
+// TestAnnealColdChainAllocs is the cold-chain allocation gate: one whole
+// anneal of D4 with no warm-up, as a request runs it, from the greedy base
+// through every session and move. The steady-state gates above never see
+// what a session's first moves allocate. Skipped under
+// NOCMAP_SKIP_ALLOC_GATE and coverage instrumentation, like the other
+// gates, and under the race detector, whose sync.Pool drops a random share
+// of the evaluation arenas the restart probes put back.
+func TestAnnealColdChainAllocs(t *testing.T) {
+	if os.Getenv("NOCMAP_SKIP_ALLOC_GATE") != "" {
+		t.Skip("NOCMAP_SKIP_ALLOC_GATE set")
+	}
+	if testing.CoverMode() != "" {
+		t.Skip("coverage instrumentation allocates inside the measured path")
+	}
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops pooled arenas at random")
+	}
+	d, err := bench.D4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := usecase.Prepare(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := search.DefaultOptions()
+	opts.Iters = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := (search.Anneal{}).Search(context.Background(), prep, d.NumCores(), core.DefaultParams(), opts); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+	t.Logf("anneal(D4, 300 iterations), cold: %d B in %d allocs (ceilings %d B, %d allocs)",
+		bytes, allocs, coldChainBytesCeiling, coldChainAllocsCeiling)
+	if bytes > coldChainBytesCeiling || allocs > coldChainAllocsCeiling {
+		t.Fatalf("cold anneal of D4 allocates %d B in %d allocs, ceilings %d B and %d allocs",
+			bytes, allocs, coldChainBytesCeiling, coldChainAllocsCeiling)
 	}
 }
 

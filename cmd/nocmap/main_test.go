@@ -162,7 +162,7 @@ func (deadlineEngine) Name() string { return "deadline-cli" }
 
 func (deadlineEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts search.Options) (*core.Result, error) {
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, _, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}

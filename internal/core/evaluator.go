@@ -141,13 +141,15 @@ type evalScratch struct {
 	remOut, remIn     [][]int
 	niRemOut, niRemIn [][]int
 	// journal lists the evaluation's live reservations in grant order,
-	// sized once for every reservation the templates can grant, and tape
-	// holds their paths and starts back to back in the same order, so a
-	// LIFO rollback truncates both. configs is the [group][pair] table of
-	// journal positions (journal index + 1; zero where the pair is not
-	// reserved). Only a finished evaluation copies assignments off the tape.
+	// sized once for every reservation the templates can grant; tape holds
+	// their paths back to back in the same order, so a LIFO rollback
+	// truncates both, and sets their start sets (tdma.Words(T) words each)
+	// at their journal index. configs is the [group][pair] table of journal
+	// positions (journal index + 1; zero where the pair is not reserved).
+	// Only a finished evaluation copies assignments off the tape.
 	journal []journalEntry
 	tape    []int
+	sets    []uint64
 	configs [][]int32
 	// res and rec are the reservation primitive's working state: the
 	// route-query scratch (the mapper also ranks placements on its
@@ -157,11 +159,17 @@ type evalScratch struct {
 	rec resRecord
 	// seats counts the cores per NI while Evaluate validates a placement.
 	seats []int
+	// places, ranked and seeds are the mapper's growth-step buffers: a
+	// flow's candidate placements, the switches ranked around a mapped
+	// endpoint and the seed switches of a flow with none mapped. They grow
+	// by append and the arena carries them from fabric to fabric.
+	places        []placement
+	ranked, seeds []switchCand
 }
 
 // journalEntry is one granted reservation of an evaluation: the group, the
-// pair's dense index and where its path and starts lie on the tape (the
-// path at off, its starts right after it). Its slot demand is in pairSlots.
+// pair's dense index, where its path lies on the tape and how many starts
+// its start set holds. Its slot demand is in pairSlots.
 type journalEntry struct {
 	group, idx     int32
 	off            int
@@ -169,21 +177,22 @@ type journalEntry struct {
 }
 
 // grant records the reservation the primitive just claimed in rec as pair
-// idx of group g: its path and starts go onto the tape, its entry onto the
-// journal and its position into the assignment table.
+// idx of group g: its path goes onto the tape, its start set into the
+// journal index's place in sets, its entry onto the journal and its
+// position into the assignment table.
 func (sc *evalScratch) grant(g int, idx int32) {
-	off := len(sc.tape)
-	sc.tape = append(append(sc.tape, sc.rec.path...), sc.rec.start...)
-	sc.journal = append(sc.journal, journalEntry{group: int32(g), idx: idx, off: off,
-		pathLen: int32(len(sc.rec.path)), slots: int32(len(sc.rec.start))})
+	i, w := len(sc.journal), len(sc.rec.start)
+	copy(sc.sets[i*w:(i+1)*w], sc.rec.start)
+	sc.journal = append(sc.journal, journalEntry{group: int32(g), idx: idx, off: len(sc.tape),
+		pathLen: int32(len(sc.rec.path)), slots: sc.rec.slots})
+	sc.tape = append(sc.tape, sc.rec.path...)
 	sc.configs[g][idx] = int32(len(sc.journal))
 }
 
-// reservation returns the path and starts journal entry e holds on the
-// tape.
-func (sc *evalScratch) reservation(e journalEntry) (path, starts []int) {
-	p := e.off + int(e.pathLen)
-	return sc.tape[e.off:p], sc.tape[p : p+int(e.slots)]
+// reservation returns the path and the start set of journal entry i.
+func (sc *evalScratch) reservation(i int) (path []int, starts []uint64) {
+	e, w := sc.journal[i], len(sc.rec.start)
+	return sc.tape[e.off : e.off+int(e.pathLen)], sc.sets[i*w : (i+1)*w]
 }
 
 // forget empties the journal, the tape and the assignment table without
@@ -203,8 +212,8 @@ func (sc *evalScratch) unwind(mark int) {
 	}
 	for i := len(sc.journal) - 1; i >= mark; i-- {
 		e := sc.journal[i]
-		path, starts := sc.reservation(e)
-		sc.states[e.group].Release(0, path, starts)
+		path, starts := sc.reservation(i)
+		sc.states[e.group].Release(path, starts)
 		sc.configs[e.group][e.idx] = 0
 	}
 	sc.tape = sc.tape[:sc.journal[mark].off]
@@ -588,8 +597,9 @@ func (ev *Evaluator) getScratch() *evalScratch {
 
 // newScratch allocates the fabric-independent tables of a scratch arena,
 // sized by the design alone: the tiers, the per-core projections, the
-// assignment table, the journal and the tape. The growth loop carries one
-// arena from fabric to fabric (see attempt); refit adds the rest.
+// assignment table, the journal, the tape, the start sets and the probe
+// record's start set. The growth loop carries one arena from fabric to
+// fabric (see attempt); refit adds the rest.
 func (t *templates) newScratch() *evalScratch {
 	sc := &evalScratch{}
 	numGroups, numPairs := len(t.prep.Groups), len(t.pairList)
@@ -598,24 +608,30 @@ func (t *templates) newScratch() *evalScratch {
 	sc.remOut = grid[int](numGroups, t.numCores)
 	sc.remIn = grid[int](numGroups, t.numCores)
 	sc.configs = grid[int32](numGroups, numPairs)
-	reservations, slots := 0, 0
-	for _, pairs := range t.groupPairs {
-		reservations += len(pairs)
-		for _, pd := range pairs {
-			slots += pd.slots
-		}
-	}
+	reservations, words := t.reservations(), tdma.Words(t.p.SlotTableSize)
 	sc.journal = make([]journalEntry, 0, reservations)
-	// Room for every reservation's bandwidth-driven starts and a path of
-	// the two NI links and two mesh hops; longer paths and latency
-	// escalation grow the tape by append.
-	sc.tape = make([]int, 0, slots+4*reservations)
+	// Room for a path of the two NI links and two mesh hops per
+	// reservation; longer paths grow the tape by append.
+	sc.tape = make([]int, 0, 4*reservations)
+	sc.sets = make([]uint64, reservations*words)
+	sc.rec.start = make([]uint64, words)
 	sc.res.route = route.NewScratch()
 	return sc
 }
 
+// reservations counts the (group, pair) reservations a configuration of
+// the design holds.
+func (t *templates) reservations() int {
+	n := 0
+	for _, pairs := range t.groupPairs {
+		n += len(pairs)
+	}
+	return n
+}
+
 // refit gives sc, whose journal must be empty, the per-fabric tables of the
-// evaluator's fabric: fresh slot-table states and per-NI projections.
+// evaluator's fabric: fresh slot-table states, per-NI projections and a
+// probe path buffer with room for a simple path.
 func (ev *Evaluator) refit(sc *evalScratch) *evalScratch {
 	sc.states = make([]*tdma.State, len(ev.prep.Groups))
 	for g := range sc.states {
@@ -628,8 +644,15 @@ func (ev *Evaluator) refit(sc *evalScratch) *evalScratch {
 	}
 	sc.niRemOut = grid[int](len(sc.states), ev.numNIs())
 	sc.niRemIn = grid[int](len(sc.states), ev.numNIs())
+	if cap(sc.rec.path) < ev.maxPathLen() {
+		sc.rec.path = make([]int, 0, ev.maxPathLen())
+	}
 	return sc
 }
+
+// maxPathLen bounds the links of a simple path on the evaluator's fabric:
+// a mesh link between each two of its switches plus the two NI links.
+func (ev *Evaluator) maxPathLen() int { return ev.top.NumSwitches() + 1 }
 
 // putScratch releases every reservation the evaluation journaled (restoring
 // the states to all-free without an O(links*slots) wipe) and returns the
@@ -645,9 +668,13 @@ func (ev *Evaluator) putScratch(sc *evalScratch) {
 // aliases pooled scratch.
 func (ev *Evaluator) configsOnTape(sc *evalScratch) ([]*Config, error) {
 	asn := make([]Assignment, 0, len(sc.journal))
-	buf := make([]int, 0, len(sc.tape))
+	total := len(sc.tape)
 	for _, e := range sc.journal {
-		path, starts := sc.reservation(e)
+		total += int(e.slots)
+	}
+	buf := make([]int, 0, total)
+	for i := range sc.journal {
+		path, starts := sc.reservation(i)
 		asn, buf = appendAssignment(asn, buf, path, starts)
 	}
 	return ev.configsOf(sc.configs, asn)
@@ -761,27 +788,18 @@ type reserveScratch struct {
 // budget (in slots; negative means none) needs a smaller gap. Both come
 // precomputed from the templates (pairSlots, pairPlan.latSlots). Each
 // candidate's full path is built in rec's path buffer and claimed with one
-// tdma.State.ReserveAligned, so on success the reservation is committed to
-// st and recorded in rec — path and start buffers come from (and are
-// retained by) the record, so callers that keep the reservation beyond the
-// record's next use must copy them. Route queries reuse the scratch, and
-// infeasibility is reported through shared sentinel errors.
+// tdma.State.ReserveAligned into rec's start set, so on success the
+// reservation is committed to st and recorded in rec — path and start set
+// are the record's own storage, so callers that keep the reservation
+// beyond the record's next use must copy them. Route queries reuse the
+// scratch, and infeasibility is reported through shared sentinel errors.
 func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, coreSwitch, coreNI []int,
 	key traffic.PairKey, slots0, latBudget int, rec *resRecord) error {
-	T := ev.p.SlotTableSize
-	if slots0 > T {
+	if slots0 > ev.p.SlotTableSize {
 		return errOverCapacity
 	}
 	srcS, dstS := coreSwitch[key.Src], coreSwitch[key.Dst]
 	egress, ingress := ev.niEgress(coreNI[key.Src]), ev.niIngress(coreNI[key.Dst])
-	if cap(rec.start) < T {
-		// A reservation never holds more than T starts, nor a simple path
-		// more links than the switches plus the two NI links; sizing the
-		// record's buffers once keeps every later probe allocation-free no
-		// matter which pair the recycled record serves.
-		rec.start = make([]int, 0, T)
-		rec.path = make([]int, 0, ev.top.NumSwitches()+1)
-	}
 	var meshCands []route.Path
 	if srcS != dstS {
 		meshCands = ev.paths.CandidatesInto(sc.route, st, topology.SwitchID(srcS), topology.SwitchID(dstS), slots0, ev.p.Cost)
@@ -803,8 +821,8 @@ func (ev *Evaluator) reserveSlotsInto(sc *reserveScratch, st *tdma.State, coreSw
 			path = append(path, int(l))
 		}
 		rec.path = append(path, ingress)
-		var ok bool
-		if rec.start, ok = st.ReserveAligned(rec.path, slots0, latBudget, rec.start); ok {
+		if n := st.ReserveAligned(rec.path, slots0, latBudget, rec.start); n > 0 {
+			rec.slots = int32(n)
 			rec.hops = ev.pathHops(rec.path)
 			return nil
 		}

@@ -51,14 +51,14 @@ func (ev *Evaluator) EvaluateReference(coreSwitch, coreNI []int) (*Result, error
 	at := grid[int32](len(states), len(ev.pairList))
 	var asn []Assignment
 	sc := reserveScratch{route: route.NewScratch()}
-	var rec resRecord
+	rec := resRecord{start: make([]uint64, tdma.Words(ev.p.SlotTableSize))}
 	for pi, key := range ev.pairList {
 		plan := &ev.planOf[pi]
 		for i, g := range plan.groups {
 			if err := ev.reserveSlotsInto(&sc, states[g], coreSwitch, coreNI, key, ev.pairSlots[g][pi], plan.latSlots[i], &rec); err != nil {
 				return nil, fmt.Errorf("core: reference: pair %d->%d, group %d: %w", key.Src, key.Dst, g, err)
 			}
-			asn = append(asn, Assignment{Path: slices.Clone(rec.path), Starts: slices.Clone(rec.start), SlotCount: len(rec.start)})
+			asn = append(asn, Assignment{Path: slices.Clone(rec.path), Starts: tdma.AppendStarts(nil, rec.start), SlotCount: int(rec.slots)})
 			at[g][pi] = int32(len(asn))
 		}
 	}

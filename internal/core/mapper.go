@@ -7,6 +7,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
@@ -26,11 +27,20 @@ func Map(prep *usecase.Prepared, numCores int, p Params) (*Result, error) {
 // (one mesh size) is the unit of cancellation — it is the smallest step
 // after which the partial trace is still meaningful.
 func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Params) (*Result, error) {
+	res, _, err := MapWithEvaluator(ctx, prep, numCores, p)
+	return res, err
+}
+
+// MapWithEvaluator is MapContext that also returns the evaluator of the
+// result's fabric, built over the templates the growth loop built for the
+// design and params. A search that continues from the result scores its
+// candidates on it instead of building the same templates again.
+func MapWithEvaluator(ctx context.Context, prep *usecase.Prepared, numCores int, p Params) (*Result, *Evaluator, error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := validateInput(prep, numCores); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// The flow list, routing plans and demand projections do not depend on
 	// the fabric: build them once and share them across every fabric tried.
@@ -41,7 +51,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 	var lastErr error
 	for _, dim := range topology.GrowthSequence(p.MaxMeshDim) {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if dim.Switches()*p.CoresPerSwitch() < active {
 			attempts = append(attempts, Attempt{Dim: dim, Skipped: true})
@@ -49,7 +59,7 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 		}
 		top, err := p.Topology.ForDim(dim, p.CoresPerSwitch())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ev := tpl.on(top)
 		if fabricHook != nil {
@@ -62,9 +72,9 @@ func MapContext(ctx context.Context, prep *usecase.Prepared, numCores int, p Par
 			continue
 		}
 		attempts = append(attempts, Attempt{Dim: dim})
-		return &Result{Mapping: m, Attempts: attempts, Stats: stats}, nil
+		return &Result{Mapping: m, Attempts: attempts, Stats: stats}, ev, nil
 	}
-	return nil, &InfeasibleError{MaxDim: p.MaxMeshDim, Attempts: attempts, Last: lastErr}
+	return nil, nil, &InfeasibleError{MaxDim: p.MaxMeshDim, Topology: p.Topology.Kind, Attempts: attempts, Last: lastErr}
 }
 
 // fabricHook, when set, observes every per-fabric evaluator the growth loop
@@ -76,13 +86,15 @@ var fabricHook func(*Evaluator)
 // reports for the WC method on the 40-use-case benchmarks).
 type InfeasibleError struct {
 	// MaxDim is the growth-loop cap.
-	MaxDim   int
+	MaxDim int
+	// Topology is the family the growth loop instantiated.
+	Topology topology.Kind
 	Attempts []Attempt
 	Last     error
 }
 
 func (e *InfeasibleError) Error() string {
-	return fmt.Sprintf("core: no feasible mapping up to %dx%d mesh (last: %v)", e.MaxDim, e.MaxDim, e.Last)
+	return fmt.Sprintf("core: no feasible mapping up to %dx%d %s (last: %v)", e.MaxDim, e.MaxDim, e.Topology, e.Last)
 }
 
 func validateInput(prep *usecase.Prepared, numCores int) error {
@@ -147,11 +159,13 @@ type mapper struct {
 }
 
 // resRecord is one reservation: the probe record of the reservation
-// primitive, and a session's live record.
+// primitive, and a session's live record. start is its start set, a bitset
+// of tdma.Words(T) words, and slots the number of starts in it.
 type resRecord struct {
 	group int
 	path  []int
-	start []int
+	start []uint64
+	slots int32
 	// idx and hops serve the session's dense bookkeeping: the pair's index
 	// in the evaluator's pairList and the mesh-hop count of path.
 	idx  int32
@@ -254,15 +268,15 @@ func (ev *Evaluator) configsOf(at [][]int32, asn []Assignment) ([]*Config, error
 	return configs, nil
 }
 
-// appendAssignment copies a reservation's path and starts onto buf, which
-// must have room for both (so earlier copies never move), and appends the
-// assignment over the copies to asn. Both slices are capped: appending to
-// one cannot overwrite the other or a neighbour.
-func appendAssignment(asn []Assignment, buf, path, starts []int) ([]Assignment, []int) {
+// appendAssignment copies a reservation's path and the starts of its start
+// set onto buf, which must have room for both (so earlier copies never
+// move), and appends the assignment over the copies to asn. Both slices are
+// capped: appending to one cannot overwrite the other or a neighbour.
+func appendAssignment(asn []Assignment, buf, path []int, starts []uint64) ([]Assignment, []int) {
 	p := len(buf) + len(path)
-	buf = append(append(buf, path...), starts...)
+	buf = tdma.AppendStarts(append(buf, path...), starts)
 	s := len(buf)
-	return append(asn, Assignment{Path: buf[p-len(path) : p : p], Starts: buf[p:s:s], SlotCount: len(starts)}), buf
+	return append(asn, Assignment{Path: buf[p-len(path) : p : p], Starts: buf[p:s:s], SlotCount: s - p}), buf
 }
 
 // projectedNIUsed returns the projected slot usage of an NI link in group g:
@@ -319,6 +333,8 @@ func (m *mapper) placeAndRoute(pi int32) error {
 	if err != nil {
 		return err
 	}
+	// Neither the placement attempts nor the routing below ranks switches,
+	// so the candidates stay intact in the arena while they are tried.
 	var lastErr error
 	for _, pl := range placements {
 		if err := m.applyPlacement(pl); err != nil {
@@ -350,29 +366,28 @@ func (m *mapper) placeAndRoute(pi int32) error {
 const placementCandidates = 6
 
 // candidatePlacements enumerates (src switch, dst switch) options for the
-// flow's endpoints, cheapest placements first.
+// flow's endpoints, cheapest placements first, into the arena's placement
+// buffer; the next call overwrites them.
 func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
 	src, dst := f.key.Src, f.key.Dst
 	ss, ds := m.coreSwitch[src], m.coreSwitch[dst]
 	g := m.prep.GroupOf[f.uc]
+	out := m.places[:0]
+	defer func() { m.places = out[:0] }()
 	switch {
 	case ss >= 0 && ds >= 0:
-		return []placement{{srcSwitch: ss, dstSwitch: ds, src: src, dst: dst}}, nil
+		return append(out, placement{srcSwitch: ss, dstSwitch: ds, src: src, dst: dst}), nil
 	case ss >= 0:
-		cands := m.rankPlacements(ss, g, dst, -1)
-		out := make([]placement, 0, len(cands))
-		for _, c := range cands {
-			out = append(out, placement{placeDst: true, srcSwitch: ss, dstSwitch: c, src: src, dst: dst})
+		for _, c := range m.rankPlacements(ss, g, dst, -1) {
+			out = append(out, placement{placeDst: true, srcSwitch: ss, dstSwitch: c.s, src: src, dst: dst})
 		}
 		if len(out) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", dst)
 		}
 		return out, nil
 	case ds >= 0:
-		cands := m.rankPlacements(ds, g, src, -1)
-		out := make([]placement, 0, len(cands))
-		for _, c := range cands {
-			out = append(out, placement{placeSrc: true, srcSwitch: c, dstSwitch: ds, src: src, dst: dst})
+		for _, c := range m.rankPlacements(ds, g, src, -1) {
+			out = append(out, placement{placeSrc: true, srcSwitch: c.s, dstSwitch: ds, src: src, dst: dst})
 		}
 		if len(out) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", src)
@@ -386,12 +401,11 @@ func (m *mapper) candidatePlacements(f flowInst) ([]placement, error) {
 		if len(seeds) == 0 {
 			return nil, fmt.Errorf("no switch has NI capacity for core %d", src)
 		}
-		var out []placement
-		for _, s := range seeds {
+		for _, seed := range seeds {
 			// The destination may share the seed switch only if two core
 			// slots are free there.
-			for _, c := range m.rankPlacements(s, g, dst, s) {
-				out = append(out, placement{placeSrc: true, placeDst: true, srcSwitch: s, dstSwitch: c, src: src, dst: dst})
+			for _, c := range m.rankPlacements(seed.s, g, dst, seed.s) {
+				out = append(out, placement{placeSrc: true, placeDst: true, srcSwitch: seed.s, dstSwitch: c.s, src: src, dst: dst})
 				if len(out) >= placementCandidates {
 					return out, nil
 				}
@@ -480,15 +494,16 @@ func byDistance(a, b switchCand) int {
 // scored by least-cost-tree distance from the mapped endpoint's switch under
 // the group's residual state plus the projected NI load penalty. seedShared
 // marks a switch that must keep room for two cores (used when both endpoints
-// are placed at once).
-func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []int {
+// are placed at once). The ranking is the arena's ranked buffer, which the
+// next call overwrites.
+func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared int) []switchCand {
 	// Rank reachability with a 1-slot requirement: per-link feasibility for
 	// the actual reservation is re-checked during routing.
 	dist, err := m.paths.LeastCostTreeInto(m.res.route, m.states[group], topology.SwitchID(from), 1, m.p.Cost)
 	if err != nil {
 		return nil
 	}
-	var cands []switchCand
+	cands := m.ranked[:0]
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		free := m.p.CoresPerSwitch() - m.switchCores[s]
 		need := 1
@@ -511,23 +526,18 @@ func (m *mapper) rankPlacements(from, group int, core traffic.CoreID, seedShared
 		}
 		cands = append(cands, switchCand{s, d + m.attachPenalty(worst)})
 	}
+	m.ranked = cands
 	slices.SortStableFunc(cands, byDistance)
-	if len(cands) > placementCandidates {
-		cands = cands[:placementCandidates]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.s
-	}
-	return out
+	return cands[:min(len(cands), placementCandidates)]
 }
 
 // seedSwitches returns up to n switches that can absorb the core's projected
 // demand, scored by distance to the topology's centre plus the projected NI
 // load penalty (deterministic seed order for flows with no mapped endpoint).
-func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
+// The seeds are the arena's seeds buffer, which the next call overwrites.
+func (m *mapper) seedSwitches(n int, core traffic.CoreID) []switchCand {
 	centre := m.top.Centre()
-	var cands []switchCand
+	cands := m.seeds[:0]
 	for s := 0; s < m.top.NumSwitches(); s++ {
 		if m.switchCores[s] >= m.p.CoresPerSwitch() {
 			continue
@@ -540,15 +550,9 @@ func (m *mapper) seedSwitches(n int, core traffic.CoreID) []int {
 			m.attachPenalty(worst)
 		cands = append(cands, switchCand{s, d})
 	}
+	m.seeds = cands
 	slices.SortStableFunc(cands, byDistance)
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	out := make([]int, len(cands))
-	for i, c := range cands {
-		out[i] = c.s
-	}
-	return out
+	return cands[:min(len(cands), n)]
 }
 
 // applyPlacement tentatively attaches unmapped endpoint cores to their

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"nocmap/internal/route"
@@ -43,12 +44,18 @@ import (
 // A move is undone through one per-group journal, whichever way the group
 // was re-routed: the records it released and the records it granted.
 //
-// The move path performs no heap allocation in steady state: records,
-// their path/start buffers, the journals and every scratch live on the
-// session and are recycled move over move (a group's journal grows to the
-// group's pair count on its first rebuild, and error formatting on cold
-// validation paths is the deliberate exception). BenchmarkSessionMove
-// gates this at 0 allocs/op in CI.
+// A record's storage is fixed by the design: a start set of tdma.Words(T)
+// words and room for a simple path on the fabric. The session carves one
+// record per (group, pair) out of one backing array when it is built, and
+// a move that finds the freelist empty carves a batch more, so no record —
+// fresh, cloned or recycled — ever grows. The move path performs no heap
+// allocation in steady state: records, the journals and every scratch live
+// on the session and are recycled move over move (the first moves that
+// hold more records than one configuration carve them, a group's journal
+// grows to the group's pair count on its first rebuild, and error
+// formatting on cold validation paths is the deliberate exception).
+// TestSessionMoveZeroAlloc gates this at 0 allocs/op after a warm-up, and
+// TestAnnealColdChainAllocs bounds a whole anneal without one.
 //
 // The configurations a session reaches by deltas are always feasible,
 // verified reservations, but they are not guaranteed to be the same
@@ -85,8 +92,8 @@ type Session struct {
 	pending bool
 	pm      pendingMove
 
-	// freeRecs recycles records — and, through them, their path/start
-	// buffers — across moves.
+	// freeRecs recycles records — and, through them, their path and start
+	// set storage — across moves.
 	freeRecs []*resRecord
 
 	// order is the sequence TryMove evaluates the groups in, a permutation
@@ -149,10 +156,12 @@ var (
 )
 
 // newSessionShell builds an empty session with every buffer sized for the
-// evaluator's design; callers fill states, records and the placement.
+// evaluator's design, its freelist holding one record per reservation of a
+// configuration; callers fill states, records and the placement.
 func (ev *Evaluator) newSessionShell() *Session {
 	numGroups := len(ev.prep.Groups)
 	numPairs := len(ev.pairList)
+	reservations := ev.reservations()
 	s := &Session{
 		ev:       ev,
 		cs:       make([]int, ev.numCores),
@@ -163,7 +172,11 @@ func (ev *Evaluator) newSessionShell() *Session {
 		crossOut: make([]int, ev.top.NumSwitches()*numGroups),
 		crossIn:  make([]int, ev.top.NumSwitches()*numGroups),
 		recs:     make([][]*resRecord, numGroups),
+		// A pending move holds at most the live records and as many new
+		// ones.
+		freeRecs: make([]*resRecord, 0, 2*reservations),
 	}
+	s.addRecs(reservations)
 	for g := range s.recs {
 		s.recs[g] = make([]*resRecord, numPairs)
 	}
@@ -232,13 +245,32 @@ func (s *Session) clearBuckets() {
 	}
 }
 
-func (s *Session) getRec() *resRecord {
-	if n := len(s.freeRecs); n > 0 {
-		r := s.freeRecs[n-1]
-		s.freeRecs = s.freeRecs[:n-1]
-		return r
+// recBatch is how many records a move that finds the freelist empty
+// carves at once.
+const recBatch = 16
+
+// addRecs puts n fresh records on the freelist, carved out of one backing
+// array each for the records, their start sets and their path buffers.
+func (s *Session) addRecs(n int) {
+	w, maxPath := tdma.Words(s.ev.p.SlotTableSize), s.ev.maxPathLen()
+	recs := make([]resRecord, n)
+	sets := make([]uint64, n*w)
+	paths := make([]int, n*maxPath)
+	for i := range recs {
+		recs[i].start = sets[i*w : (i+1)*w : (i+1)*w]
+		recs[i].path = paths[i*maxPath : i*maxPath : (i+1)*maxPath]
+		s.freeRecs = append(s.freeRecs, &recs[i])
 	}
-	return &resRecord{}
+}
+
+func (s *Session) getRec() *resRecord {
+	if len(s.freeRecs) == 0 {
+		s.addRecs(recBatch)
+	}
+	n := len(s.freeRecs)
+	r := s.freeRecs[n-1]
+	s.freeRecs = s.freeRecs[:n-1]
+	return r
 }
 
 func (s *Session) putRec(r *resRecord) { s.freeRecs = append(s.freeRecs, r) }
@@ -306,11 +338,16 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 			r := s.getRec()
 			r.group, r.idx = g, idx
 			r.path = append(r.path[:0], a.Path...)
-			r.start = append(r.start[:0], a.Starts...)
 			r.hops = ev.pathHops(r.path)
-			if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
+			if err := s.states[g].Reserve(0, r.path, a.Starts); err != nil {
 				return nil, fmt.Errorf("core: result not reservable (pair %d->%d, group %d): %w", ps.key.Src, ps.key.Dst, g, err)
 			}
+			// Reserve checked every start against the table's range.
+			clear(r.start)
+			for _, st := range a.Starts {
+				r.start[st>>6] |= 1 << (st & 63)
+			}
+			r.slots = int32(onesCount(r.start))
 			s.recs[g][idx] = r
 		}
 	}
@@ -342,9 +379,9 @@ func (s *Session) Clone() (*Session, error) {
 				continue
 			}
 			nr := c.getRec()
-			nr.group, nr.idx, nr.hops = r.group, r.idx, r.hops
+			nr.group, nr.idx, nr.hops, nr.slots = r.group, r.idx, r.hops, r.slots
 			nr.path = append(nr.path[:0], r.path...)
-			nr.start = append(nr.start[:0], r.start...)
+			copy(nr.start, r.start)
 			c.recs[g][idx] = nr
 		}
 	}
@@ -492,7 +529,7 @@ func (s *Session) rerouteGroup(g int, bucket []groupPair) bool {
 	st, recs := s.states[g], s.recs[g]
 	for _, e := range bucket {
 		r := recs[e.idx]
-		st.Release(0, r.path, r.start)
+		st.Release(r.path, r.start)
 		recs[e.idx] = nil
 		pm.oldByGroup[g] = append(pm.oldByGroup[g], r)
 	}
@@ -557,13 +594,13 @@ func (s *Session) rollbackMove() {
 		lst := pm.newByGroup[g]
 		for i := len(lst) - 1; i >= 0; i-- {
 			r := lst[i]
-			s.states[g].Release(0, r.path, r.start)
+			s.states[g].Release(r.path, r.start)
 			s.recs[g][r.idx] = nil
 			s.putRec(r)
 		}
 		pm.newByGroup[g] = lst[:0]
 		for _, r := range pm.oldByGroup[g] {
-			if err := s.states[g].Reserve(0, r.path, r.start); err != nil {
+			if err := s.states[g].ReserveStarts(r.path, r.start); err != nil {
 				panic(fmt.Sprintf("core: internal: session rollback failed: %v", err))
 			}
 			s.recs[g][r.idx] = r
@@ -709,7 +746,7 @@ func (s *Session) Result() *Result {
 		for _, r := range recs {
 			if r != nil {
 				n++
-				total += len(r.path) + len(r.start)
+				total += len(r.path) + int(r.slots)
 			}
 		}
 	}
@@ -766,7 +803,7 @@ func (s *Session) statsFromRecs() Stats {
 			if r == nil {
 				continue
 			}
-			st.SlotsReserved += len(r.start) * len(r.path)
+			st.SlotsReserved += int(r.slots) * len(r.path)
 			bwHops += stats[i].bw * float64(r.hops)
 			bwSum += stats[i].bw
 		}
@@ -775,6 +812,15 @@ func (s *Session) statsFromRecs() Stats {
 		st.AvgMeshHops = bwHops / bwSum
 	}
 	return st
+}
+
+// onesCount counts the starts of a start set.
+func onesCount(set []uint64) int {
+	n := 0
+	for _, x := range set {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 func (ev *Evaluator) niEgress(globalNI int) int  { return ev.meshLinks + 2*globalNI }

@@ -12,9 +12,10 @@ import (
 )
 
 // TestSessionGroupOrderInvariant runs one seeded move sequence on D1–D4 at
-// T = 16 and T = 64 through three sessions that start from the same result
-// and differ only in the order their moves evaluate the groups (identity,
-// reversed, rotated). Each group owns its slot tables, so the order may
+// T = 16, 64 and 128 (start sets of two words) through three sessions that
+// start from the same result and differ only in the order their moves
+// evaluate the groups (identity, reversed, rotated). Each group owns its
+// slot tables, so the order may
 // decide only how soon an infeasible move is rejected: every verdict, every
 // returned Stats and, after every Keep, the whole Result must be equal. The
 // sequences must include moves rejected by a failed from-scratch rebuild,
@@ -22,7 +23,7 @@ import (
 func TestSessionGroupOrderInvariant(t *testing.T) {
 	rebuildRejected := 0
 	for _, design := range []string{"D1", "D2", "D3", "D4"} {
-		for _, slots := range []int{16, 64} {
+		for _, slots := range []int{16, 64, 128} {
 			label := fmt.Sprintf("%s/T=%d", design, slots)
 			d, err := bench.ByName(design)
 			if err != nil {

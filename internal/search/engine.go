@@ -95,12 +95,17 @@ type Options struct {
 	// Base, when set, is this request's own greedy result: core.MapContext
 	// of the same prepared design, core count and params. The engines that
 	// start from the greedy base (the improvement engines, portfolio and
-	// exact) take it through GreedyBase instead of mapping again, and must
+	// exact) take it through GreedyStart instead of mapping again, and must
 	// not modify it. The portfolio hands its base
 	// to every member, and the service hands over the greedy result a
 	// streamed request already served. It is not part of the request: it
 	// changes no result, and it stays out of cache keys and off the wire.
 	Base *core.Result
+	// BaseEvaluator, when set, is the evaluator core.MapWithEvaluator
+	// returned with Base. GreedyStart seeds the search's evaluator cache
+	// with it, so the design's templates are built once per request. Like
+	// Base it changes no result; it is set only together with Base.
+	BaseEvaluator *core.Evaluator
 	// evals, when set, is a shared per-topology evaluator cache. The
 	// portfolio hands one cache to all its annealers so the per-topology
 	// precomputation (validation, flow templates, candidate-path tables)
@@ -115,13 +120,28 @@ type Options struct {
 	Board *IncumbentBoard
 }
 
-// GreedyBase returns the greedy result an engine starts from: Options.Base
-// when set, otherwise core.MapContext of the design.
-func (o Options) GreedyBase(ctx context.Context, prep *usecase.Prepared, numCores int, p core.Params) (*core.Result, error) {
-	if o.Base != nil {
-		return o.Base, nil
+// GreedyStart returns the greedy result an engine starts from, Options.Base
+// when set and otherwise core.MapWithEvaluator of the design, and the
+// evaluator cache the engine scores candidates through: the one the
+// portfolio handed down, or a new one that already holds the evaluator of
+// the result's fabric (Options.BaseEvaluator, or the one the greedy pass
+// just returned), so no evaluator rebuilds the templates greedy built.
+func (o Options) GreedyStart(ctx context.Context, prep *usecase.Prepared, numCores int, p core.Params) (*core.Result, *EvalCache, error) {
+	base, ev := o.Base, o.BaseEvaluator
+	if base == nil {
+		var err error
+		if base, ev, err = core.MapWithEvaluator(ctx, prep, numCores, p); err != nil {
+			return nil, nil, err
+		}
 	}
-	return core.MapContext(ctx, prep, numCores, p)
+	evals := o.evals
+	if evals == nil {
+		evals = NewEvalCache(prep, numCores, p)
+		if ev != nil {
+			evals.adopt(ev)
+		}
+	}
+	return base, evals, nil
 }
 
 // DefaultOptions returns the evaluation defaults: a modest annealing length

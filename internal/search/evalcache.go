@@ -16,8 +16,8 @@ import (
 // the fabric: they are built (and the inputs validated) with the first
 // evaluator, and every later topology derives from it. Evaluators are safe
 // for concurrent use, so handing one to multiple workers is sound.
-// Improve builds one per Search call unless the portfolio hands its own
-// down; the exact engine builds its own through NewEvalCache.
+// Options.GreedyStart builds one per Search call, seeded with the greedy
+// pass's evaluator, unless the portfolio hands its own down.
 type EvalCache struct {
 	prep     *usecase.Prepared
 	numCores int
@@ -31,6 +31,15 @@ type EvalCache struct {
 // NewEvalCache returns an empty evaluator cache over the prepared design.
 func NewEvalCache(prep *usecase.Prepared, numCores int, p core.Params) *EvalCache {
 	return &EvalCache{prep: prep, numCores: numCores, p: p, m: make(map[string]*core.Evaluator)}
+}
+
+// adopt caches ev, an evaluator of the cache's design and params, for its
+// topology and as the template donor of every later one.
+func (c *EvalCache) adopt(ev *core.Evaluator) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.first = ev
+	c.m[ev.Topology().String()] = ev
 }
 
 // For returns the cached evaluator for the topology, constructing it on

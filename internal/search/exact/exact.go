@@ -82,7 +82,7 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 		return nil, err
 	}
 	// The greedy base is the incumbent to beat and the fallback result.
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, evals, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}
@@ -90,7 +90,6 @@ func (bb BranchBound) Search(ctx context.Context, prep *usecase.Prepared, numCor
 
 	best := base
 	incSwitches := base.Mapping.SwitchCount()
-	evals := search.NewEvalCache(prep, numCores, p)
 	baseEv, err := evals.For(base.Mapping.Topology)
 	if err != nil {
 		return nil, err

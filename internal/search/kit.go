@@ -33,15 +33,11 @@ func Improve(ctx context.Context, engine string, prep *usecase.Prepared, numCore
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, evals, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}
 	opts.Emit(engine, StageMapped, base, Counts{})
-	evals := opts.evals
-	if evals == nil {
-		evals = NewEvalCache(prep, numCores, p)
-	}
 	k := &Kit{
 		NumCores: numCores, P: p, Opts: opts,
 		Rng:    rand.New(rand.NewSource(opts.Seed)),

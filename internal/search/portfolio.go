@@ -48,7 +48,7 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	// so the caller's callback never runs concurrently with itself no
 	// matter how the pool schedules.
 	opts.Progress = serializedProgress(opts.Progress)
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, evals, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}
@@ -58,7 +58,6 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	// seeds, and against one shared evaluator cache: the per-topology
 	// precomputation (validation, flow templates, candidate-path tables) is
 	// paid once for the whole pool instead of once per member.
-	evals := NewEvalCache(prep, numCores, p)
 	// With speculation on, members collaborate through a shared incumbent
 	// exchange: strict improvements are published as they happen, and each
 	// member adopts the pool's best before probing smaller fabrics, so

@@ -92,6 +92,46 @@ func TestGreedyMatchesCoreMap(t *testing.T) {
 	}
 }
 
+// TestGreedyStartAdoptsEvaluator: the evaluator cache GreedyStart returns
+// already holds the evaluator of the base's fabric — the one the greedy
+// pass built, or Options.BaseEvaluator — so no engine builds the design's
+// templates a second time; a Base handed over without its evaluator gets
+// an empty cache.
+func TestGreedyStartAdoptsEvaluator(t *testing.T) {
+	prep, n := d1(t)
+	p := core.DefaultParams()
+	ctx := context.Background()
+	base, evals, err := DefaultOptions().GreedyStart(ctx, prep, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev := evals.m[base.Mapping.Topology.String()]; ev == nil || evals.first != ev || ev.Topology() != base.Mapping.Topology {
+		t.Errorf("the greedy pass's evaluator of %v is not the cache's donor", base.Mapping.Topology)
+	}
+
+	res, ev, err := core.MapWithEvaluator(ctx, prep, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Base, opts.BaseEvaluator = res, ev
+	got, evals, err := opts.GreedyStart(ctx, prep, n, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != res {
+		t.Error("GreedyStart did not return Options.Base")
+	}
+	if cached, err := evals.For(res.Mapping.Topology); err != nil || cached != ev {
+		t.Errorf("cache answers %p, %v for the base's fabric, want Options.BaseEvaluator %p", cached, err, ev)
+	}
+
+	opts.BaseEvaluator = nil
+	if _, evals, err := opts.GreedyStart(ctx, prep, n, p); err != nil || evals.first != nil {
+		t.Errorf("a base without its evaluator got a seeded cache (err %v)", err)
+	}
+}
+
 // TestAnnealDeterministic: a fixed seed must reproduce the run exactly —
 // same placement, same statistics.
 func TestAnnealDeterministic(t *testing.T) {

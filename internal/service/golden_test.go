@@ -257,24 +257,30 @@ func TestMapGolden(t *testing.T) {
 	}
 }
 
-// TestMapInfeasibleGolden pins the exact error texts of two infeasible
-// inputs: a flow wider than a link and a latency bound below one slot.
+// TestMapInfeasibleGolden pins the exact error texts of three infeasible
+// inputs: a flow wider than a link, on a mesh and on a torus, and a latency
+// bound below one slot.
 func TestMapInfeasibleGolden(t *testing.T) {
 	const latencyErr = `core: flow 0->1 (40.0 MB/s, use-case "u"): group 0: ` +
 		`flow 0->1: no aligned slots (need 2, latency budget 0 slots) on any of 1 paths`
+	const bandwidthTrace = "1x1 err: no switch has NI capacity for core 0\n1x2 err: no switch has NI capacity for core 0\n" +
+		"1x3 err: no switch has NI capacity for core 0\n2x2 err: no switch has NI capacity for core 0\n" +
+		"2x3 err: no switch has NI capacity for core 0\n3x3 err: no switch has NI capacity for core 0\n"
 	cases := []struct {
 		name  string
+		kind  topology.Kind
 		flow  traffic.Flow
 		max   int
 		err   string
 		trace string
 	}{
-		{"bandwidth", traffic.Flow{Src: 0, Dst: 1, BandwidthMBs: 5000}, 3,
+		{"bandwidth", topology.KindMesh, traffic.Flow{Src: 0, Dst: 1, BandwidthMBs: 5000}, 3,
 			"core: no feasible mapping up to 3x3 mesh (last: no switch has NI capacity for core 0)",
-			"1x1 err: no switch has NI capacity for core 0\n1x2 err: no switch has NI capacity for core 0\n" +
-				"1x3 err: no switch has NI capacity for core 0\n2x2 err: no switch has NI capacity for core 0\n" +
-				"2x3 err: no switch has NI capacity for core 0\n3x3 err: no switch has NI capacity for core 0\n"},
-		{"latency", traffic.Flow{Src: 0, Dst: 1, BandwidthMBs: 40, MaxLatencyNS: 1}, 2,
+			bandwidthTrace},
+		{"bandwidth/torus", topology.KindTorus, traffic.Flow{Src: 0, Dst: 1, BandwidthMBs: 5000}, 3,
+			"core: no feasible mapping up to 3x3 torus (last: no switch has NI capacity for core 0)",
+			bandwidthTrace},
+		{"latency", topology.KindMesh, traffic.Flow{Src: 0, Dst: 1, BandwidthMBs: 40, MaxLatencyNS: 1}, 2,
 			"core: no feasible mapping up to 2x2 mesh (last: " + latencyErr + ")",
 			"1x1 err: " + latencyErr + "\n1x2 err: " + latencyErr + "\n2x2 err: " + latencyErr + "\n"},
 	}
@@ -288,6 +294,7 @@ func TestMapInfeasibleGolden(t *testing.T) {
 			}
 			p := core.DefaultParams()
 			p.MaxMeshDim = tc.max
+			p.Topology.Kind = tc.kind
 			_, err = core.Map(prep, 2, p)
 			var inf *core.InfeasibleError
 			if !errors.As(err, &inf) {

@@ -208,9 +208,12 @@ type Job struct {
 	// re-preparing.
 	prep *usecase.Prepared
 	// base is a streamed job's served greedy result, which the worker
-	// improves from instead of mapping again. finish drops it, so a retained
-	// job does not pin a whole mapping.
-	base *core.Result
+	// improves from instead of mapping again, and baseEval the evaluator
+	// that built it, whose templates the worker's search reuses. finish
+	// drops both, so a retained job pins neither a whole mapping nor the
+	// design's templates.
+	base     *core.Result
+	baseEval *core.Evaluator
 	// stream is the job's append-only event log (every job has one; only
 	// streamed jobs receive interim events before the final one).
 	stream *jobStream
@@ -633,7 +636,7 @@ func (s *Service) run(j *Job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	s.running++
-	base := j.base
+	base, baseEval := j.base, j.baseEval
 	s.mu.Unlock()
 	s.log.Debug("job started", "request_id", j.RequestID, "job", j.ID,
 		"engine", j.req.Engine, "queue_ms", ms(j.started.Sub(j.enqueued)))
@@ -653,7 +656,7 @@ func (s *Service) run(j *Job) {
 		// Streamed jobs publish every strict job-level incumbent improvement
 		// on their event log as it lands (and upgrade the cache in place).
 		req.Opts.Progress = s.streamTap(j)
-		req.Opts.Base = base
+		req.Opts.Base, req.Opts.BaseEvaluator = base, baseEval
 	}
 	req.Opts.Progress = s.met.progressTap(req.Opts.Progress)
 	resp, tm, err := solve(ctx, j.Key, req, j.prep)
@@ -702,7 +705,7 @@ func (s *Service) finish(j *Job, resp *Response, err error, ran bool) {
 		s.store.Evict(j.Key)
 	}
 	s.mu.Lock()
-	j.base = nil
+	j.base, j.baseEval = nil, nil
 	if ran {
 		s.running--
 	}

@@ -207,7 +207,8 @@ func (s *Service) SubmitStream(ctx context.Context, req Request) (JobStatus, err
 // not wait for a worker. When greedy is the requested engine its result is
 // final and is returned for finish. Otherwise it becomes the job's mapped
 // event and the key's interim store entry, and the worker improves from it
-// (search.Options.Base) instead of mapping the design again.
+// (search.Options.Base) on its evaluator (search.Options.BaseEvaluator)
+// instead of mapping the design again.
 func (s *Service) serveGreedy(ctx context.Context, j *Job) (*Response, error) {
 	req := j.req
 	start := time.Now()
@@ -218,7 +219,7 @@ func (s *Service) serveGreedy(ctx context.Context, j *Job) (*Response, error) {
 	j.prep = prep
 	prepMS := ms(time.Since(start))
 	searchStart := time.Now()
-	gres, err := core.MapContext(ctx, prep, req.Design.NumCores(), req.Params)
+	gres, gev, err := core.MapWithEvaluator(ctx, prep, req.Design.NumCores(), req.Params)
 	if err != nil {
 		return nil, err
 	}
@@ -234,7 +235,7 @@ func (s *Service) serveGreedy(ctx context.Context, j *Job) (*Response, error) {
 	cost := costOfResult(first.Result, req.Opts.Weights)
 	s.appendEvent(j, StreamEvent{Stage: StreamMapped, Engine: "greedy", Cost: cost, Response: first})
 	s.storeUpgrade(j.Key, first, cost)
-	j.base = gres
+	j.base, j.baseEval = gres, gev
 	return nil, nil
 }
 

@@ -152,27 +152,29 @@ func TestSubmitStreamLifecycle(t *testing.T) {
 	}
 }
 
-// baseEngine reports the Options.Base each run receives, then anneals.
+// baseEngine reports the Options each run receives, then anneals.
 type baseEngine struct {
 	name string
-	seen chan *core.Result
+	seen chan search.Options
 }
 
 func (e baseEngine) Name() string { return e.name }
 
 func (e baseEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts search.Options) (*core.Result, error) {
-	e.seen <- opts.Base
+	e.seen <- opts
 	return search.Anneal{}.Search(ctx, prep, numCores, p, opts)
 }
 
 // TestStreamHandsOverGreedyBase pins the serve-then-improve handoff: the
 // worker of a streamed job searches from the greedy result the stream
-// already served (Options.Base, summarizing to the first event's bytes),
-// the finished job keeps no reference to it, a synchronous run gets no
-// base, and the streamed anneal ends on the synchronous anneal's bytes.
+// already served (Options.Base, summarizing to the first event's bytes) on
+// the evaluator that built it (Options.BaseEvaluator, of the base's
+// fabric), the finished job keeps no reference to either, a synchronous
+// run gets no base, and the streamed anneal ends on the synchronous
+// anneal's bytes.
 func TestStreamHandsOverGreedyBase(t *testing.T) {
-	seen := make(chan *core.Result, 1)
+	seen := make(chan search.Options, 1)
 	search.Register("stream-base", func() search.Engine { return baseEngine{name: "stream-base", seen: seen} })
 	s := New(Config{Workers: 1})
 	defer s.Close()
@@ -183,9 +185,13 @@ func TestStreamHandsOverGreedyBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	evs := collectStream(t, s, st.ID)
-	base := <-seen
+	opts := <-seen
+	base := opts.Base
 	if base == nil {
 		t.Fatal("the streamed job's engine ran without Options.Base")
+	}
+	if ev := opts.BaseEvaluator; ev == nil || ev.Topology() != base.Mapping.Topology {
+		t.Errorf("Options.BaseEvaluator = %v, want the evaluator of the base's fabric %v", ev, base.Mapping.Topology)
 	}
 	prep, err := usecase.Prepare(req.Design)
 	if err != nil {
@@ -195,16 +201,16 @@ func TestStreamHandsOverGreedyBase(t *testing.T) {
 		t.Errorf("Options.Base summarizes to\n%s\nthe first streamed event is\n%s", got, want)
 	}
 	s.mu.Lock()
-	held := s.jobs[st.ID].base
+	held, heldEval := s.jobs[st.ID].base, s.jobs[st.ID].baseEval
 	s.mu.Unlock()
-	if held != nil {
-		t.Error("the finished job still holds the greedy base")
+	if held != nil || heldEval != nil {
+		t.Error("the finished job still holds the greedy base or its evaluator")
 	}
 	if _, err := s.Map(context.Background(), testRequest("stream-base", testDesign("sync-base"))); err != nil {
 		t.Fatal(err)
 	}
-	if b := <-seen; b != nil {
-		t.Error("a synchronous run got an Options.Base")
+	if o := <-seen; o.Base != nil || o.BaseEvaluator != nil {
+		t.Error("a synchronous run got an Options.Base or Options.BaseEvaluator")
 	}
 
 	streamed := New(Config{Workers: 1})

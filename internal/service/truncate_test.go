@@ -29,7 +29,7 @@ func (e slowedEngine) Name() string { return e.name }
 func (e slowedEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts search.Options) (*core.Result, error) {
 	e.runs.Add(1)
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, _, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}

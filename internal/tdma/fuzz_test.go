@@ -7,7 +7,7 @@ import (
 )
 
 // FuzzState runs random Reserve, Release, FindAlignedInto, ReserveAligned,
-// Reset and Clone sequences against the per-slot refTables model, for
+// ReserveStarts, Reset and Clone sequences against the per-slot refTables model, for
 // tables of 2 to 130 slots (one and several mask words) and paths that may
 // visit a link more than once. After every step the free bits and free
 // counts must match the reference, FindAlignedInto must pick the
@@ -61,8 +61,17 @@ func FuzzState(f *testing.F) {
 					starts[i] = rng.Intn(slots+2) - 1
 				}
 				owner := int32(step)
-				err, want := s.Reserve(owner, path, starts), ref.reserve(owner, path, starts)
-				if (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
+				var err error
+				if rng.Intn(2) == 0 {
+					err = s.Reserve(owner, path, starts)
+				} else {
+					// The in-range starts as a start set, which ReserveStarts
+					// checks in ascending order.
+					set := startSet(s, starts)
+					starts = AppendStarts(nil, set)
+					err = s.ReserveStarts(path, set)
+				}
+				if want := ref.reserve(owner, path, starts); (err == nil) != (want == nil) || (err != nil && err.Error() != want.Error()) {
 					t.Fatalf("T=%d Reserve(%v, %v) = %v, reference %v", slots, path, starts, err, want)
 				}
 				if err == nil {
@@ -74,7 +83,7 @@ func FuzzState(f *testing.F) {
 				}
 				k := rng.Intn(len(live))
 				h := live[k]
-				s.Release(h.owner, h.path, h.starts)
+				s.Release(h.path, startSet(s, h.starts))
 				ref.release(h.owner, h.path, h.starts)
 				live = slices.Delete(live, k, k+1)
 			case op < 10: // ReserveAligned against the escalating reference
@@ -94,8 +103,11 @@ func FuzzState(f *testing.F) {
 						want, wantOK = starts, true
 					}
 				}
-				got, ok := s.ReserveAligned(path, n, budget, nil)
-				if ok != wantOK || (ok && !slices.Equal(got, want)) {
+				set := make([]uint64, Words(slots))
+				k := s.ReserveAligned(path, n, budget, set)
+				ok := k > 0
+				got := AppendStarts(nil, set)
+				if ok != wantOK || (ok && (!slices.Equal(got, want) || k != len(want))) {
 					t.Fatalf("T=%d ReserveAligned(%v, %d, budget %d) = %v, %v; reference %v, %v",
 						slots, path, n, budget, got, ok, want, wantOK)
 				}
@@ -106,13 +118,17 @@ func FuzzState(f *testing.F) {
 					}
 					live = append(live, held{owner, path, got})
 				}
-			case op == 10: // release starts that are free or out of range: a no-op
+			case op == 10: // release free starts and bits past the table: a no-op
 				path := randPath()
-				junk := []int{-1 - rng.Intn(3), slots + rng.Intn(3)}
+				junk := startSet(s, nil)
 				if free := ref.starts(path, true); len(free) > 0 {
-					junk = append(junk, pick(rng, free))
+					st := pick(rng, free)
+					junk[st>>6] |= 1 << (st & 63)
 				}
-				s.Release(0, path, junk)
+				if tail := slots % 64; tail != 0 {
+					junk[len(junk)-1] |= 1 << (tail + rng.Intn(64-tail))
+				}
+				s.Release(path, junk)
 			default: // Reset or Clone
 				if rng.Intn(2) == 0 {
 					s.Reset()

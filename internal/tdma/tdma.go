@@ -46,10 +46,10 @@ type State struct {
 	// Larger tables walk the bits one slot at a time.
 	masks []uint64
 	free  []int // per-link free-slot count, kept in sync by Reserve/Release
-	// starts is FindAlignedInto's scratch bitset of aligned starts on
-	// tables of several words, allocated on first use and never shared
-	// with a clone.
-	starts []uint64
+	// scratch holds two start sets on tables of several words — the
+	// aligned starts of a path and a pick from them — allocated on first
+	// use and never shared with a clone.
+	scratch []uint64
 }
 
 // fullMask returns the all-free mask for a table of `slots` bits.
@@ -128,7 +128,7 @@ func (s *State) Clone() *State {
 	c := *s
 	c.masks = slices.Clone(s.masks)
 	c.free = slices.Clone(s.free)
-	c.starts = nil
+	c.scratch = nil
 	return &c
 }
 
@@ -207,86 +207,129 @@ func (s *State) startMask(path []int) uint64 {
 	return acc
 }
 
+// Words returns the number of 64-bit words of a start set on a table of
+// `slots` slots, ⌈slots/64⌉. A start set is the form a reservation's starts
+// take in ReserveAligned, ReserveStarts and Release: bit s of word s/64 is
+// set iff the reservation starts at slot s, so its size is fixed by T.
+func Words(slots int) int { return (slots + 63) / 64 }
+
+// AppendStarts appends the starts of the start set to buf in ascending
+// order.
+func AppendStarts(buf []int, starts []uint64) []int {
+	for w, x := range starts {
+		for ; x != 0; x &= x - 1 {
+			buf = append(buf, w<<6+bits.TrailingZeros64(x))
+		}
+	}
+	return buf
+}
+
+// scratchSet returns the state's scratch start set i (0 or 1), cleared.
+// The scratch is allocated on first use and never shared with a clone.
+func (s *State) scratchSet(i int) []uint64 {
+	if len(s.scratch) < 2*s.words {
+		s.scratch = make([]uint64, 2*s.words)
+	}
+	set := s.scratch[i*s.words : (i+1)*s.words]
+	clear(set)
+	return set
+}
+
+// alignedWords sets in acc, a cleared set of s.words words, the starts free
+// along the whole path and returns their count: the per-start walk that
+// stands in for startMask on tables of several words.
+func (s *State) alignedWords(path []int, acc []uint64) int {
+	count := 0
+	for st := 0; st < s.slots; st++ {
+		if s.startFree(path, st) {
+			acc[st>>6] |= uint64(1) << (st & 63)
+			count++
+		}
+	}
+	return count
+}
+
 // FindAlignedInto selects n starting slots for a reservation along path,
 // spreading them as evenly as possible around the table to minimize the
 // worst-case waiting gap, and writes them into buf (append semantics from
 // buf[:0]; pass nil to allocate). It returns nil, false if fewer than n
-// aligned starts exist; the path must be non-empty. With a word-sized
-// table (slots <= 64) a probe costs one rotate-AND per link plus a
-// constant number of word operations per chosen start (nearestSet).
-// Larger tables collect the aligned starts into a scratch bitset with the
-// per-start walk and pick from it a word at a time (nearestSetWords). A
-// successful probe performs no heap allocation beyond buf's one-time
-// growth — the evaluation paths reuse one buffer per reservation record.
-// The returned starts are sorted ascending.
+// aligned starts exist; the path must be non-empty. It picks the start set
+// ReserveAligned would claim for n and lists it: with a word-sized table
+// (slots <= 64) a probe costs one rotate-AND per link plus a constant
+// number of word operations per chosen start (nearestSet); larger tables
+// collect the aligned starts into a scratch set with the per-start walk and
+// pick from it a word at a time (nearestSetWords). A successful probe
+// performs no heap allocation beyond buf's one-time growth and the scratch
+// set's first use. The returned starts are sorted ascending.
 func (s *State) FindAlignedInto(path []int, n int, buf []int) ([]int, bool) {
 	if n <= 0 || len(path) == 0 {
 		return nil, false
 	}
-	if s.words > 1 {
-		return s.findAlignedWords(path, n, buf)
+	if s.words == 1 {
+		// The popcount decides feasibility before any slot is materialized —
+		// on loaded fabrics most alignment probes fail, and a failed probe
+		// costs one rotate-AND per link.
+		acc := s.startMask(path)
+		count := bits.OnesCount64(acc)
+		if count < n {
+			return nil, false
+		}
+		chosen := [1]uint64{pickAligned(acc, count, n, s.slots)}
+		return AppendStarts(buf[:0], chosen[:]), true
 	}
-	// The popcount decides feasibility before any slot is materialized —
-	// on loaded fabrics most alignment probes fail, and a failed probe
-	// costs one rotate-AND per link.
-	acc := s.startMask(path)
-	count := bits.OnesCount64(acc)
+	acc, chosen := s.scratchSet(0), s.scratchSet(1)
+	count := s.alignedWords(path, acc)
 	if count < n {
 		return nil, false
 	}
-	return appendStarts(buf[:0], pickAligned(acc, count, n, s.slots)), true
+	pickWords(acc, chosen, count, n, s.slots)
+	return AppendStarts(buf[:0], chosen), true
 }
 
-// ReserveAligned is FindAlignedInto and Reserve in one claim, with the
-// latency escalation of a reservation folded in: it picks n starts along
-// path as FindAlignedInto would, and while their worst-case latency
-// (WorstCaseLatencySlots) exceeds latBudget it retries with one start more,
-// up to every aligned start of the path; a negative latBudget accepts the
-// first pick. The accepted starts are reserved, written into buf (append
-// semantics from buf[:0]) and returned with true. When no count fits, the
-// state is unchanged and buf[:0], false is returned, so callers keep the
-// buffer. On a word-sized table the path's aligned-start mask is computed
-// once for every count tried, and the claim is one word pass per link;
-// larger tables run FindAlignedInto and Reserve per count. A claim
-// performs no heap allocation beyond buf's one-time growth.
-func (s *State) ReserveAligned(path []int, n, latBudget int, buf []int) ([]int, bool) {
+// ReserveAligned is the reservation primitive's one claim: it picks n
+// starts along path as FindAlignedInto would, and while their worst-case
+// latency (WorstCaseLatencySlots) exceeds latBudget it retries with one
+// start more, up to every aligned start of the path; a negative latBudget
+// accepts the first pick. The accepted starts are reserved, written into
+// the start set starts (Words(Slots()) words, overwritten) and their count
+// is returned. When no count fits, the state is unchanged, 0 is returned
+// and starts holds no meaning. The path's aligned starts are collected
+// once for every count tried, and the pick, the latency check and the
+// claim all read the set, so a claim performs no heap allocation beyond
+// the scratch set's first use on a table of several words.
+func (s *State) ReserveAligned(path []int, n, latBudget int, starts []uint64) int {
 	if n <= 0 || len(path) == 0 {
-		return buf[:0], false
+		return 0
 	}
-	if s.words > 1 {
-		for ; n <= s.slots; n++ {
-			starts, ok := s.FindAlignedInto(path, n, buf[:0])
-			if !ok {
-				break // more starts cannot become available
+	if s.words == 1 {
+		acc := s.startMask(path)
+		count := bits.OnesCount64(acc)
+		for ; n <= count; n++ {
+			starts[0] = pickAligned(acc, count, n, s.slots)
+			if latBudget >= 0 && maxGapSet(starts[:1], s.slots)+len(path)+1 > latBudget {
+				continue // spread more starts to shrink the gap
 			}
-			buf = starts
-			if latBudget >= 0 && WorstCaseLatencySlots(starts, len(path), s.slots) > latBudget {
-				continue
+			// Every picked start is free along the whole path iff its bits
+			// are a subset of the aligned-start mask.
+			if starts[0]&^acc != 0 {
+				panic("tdma: internal: picked start is not aligned-free")
 			}
-			if err := s.Reserve(0, path, starts); err != nil {
-				panic(fmt.Sprintf("tdma: internal: reserve after FindAlignedInto: %v", err))
-			}
-			return starts, true
+			s.claimBits(path, starts[0])
+			return n
 		}
-		return buf[:0], false
+		return 0
 	}
-	acc := s.startMask(path)
-	count := bits.OnesCount64(acc)
+	acc := s.scratchSet(0)
+	count := s.alignedWords(path, acc)
 	for ; n <= count; n++ {
-		chosen := pickAligned(acc, count, n, s.slots)
-		buf = appendStarts(buf[:0], chosen)
-		if latBudget >= 0 && WorstCaseLatencySlots(buf, len(path), s.slots) > latBudget {
-			continue // spread more starts to shrink the gap
+		pickWords(acc, starts, count, n, s.slots)
+		if latBudget >= 0 && maxGapSet(starts, s.slots)+len(path)+1 > latBudget {
+			continue
 		}
-		// The all-or-nothing check of Reserve: every chosen start is free
-		// along the whole path iff its bits are a subset of the mask.
-		if chosen&^acc != 0 {
-			panic("tdma: internal: picked start is not aligned-free")
-		}
-		s.claimBits(path, chosen)
-		return buf, true
+		s.claimWords(path, starts)
+		return n
 	}
-	return buf[:0], false
+	return 0
 }
 
 // pickAligned returns, as a bitset, the n starts of the aligned-start mask
@@ -307,56 +350,27 @@ func pickAligned(acc uint64, count, n, slots int) uint64 {
 	return chosen
 }
 
-// appendStarts appends the set bits of m to buf in ascending order.
-func appendStarts(buf []int, m uint64) []int {
-	for ; m != 0; m &= m - 1 {
-		buf = append(buf, bits.TrailingZeros64(m))
-	}
-	return buf
-}
-
-// findAlignedWords is FindAlignedInto on a table of several words: the
-// same even-spacing pick over the scratch bitset of the path's aligned
-// starts.
-func (s *State) findAlignedWords(path []int, n int, buf []int) ([]int, bool) {
-	if len(s.starts) < s.words {
-		s.starts = make([]uint64, s.words)
-	}
-	acc := s.starts[:s.words]
-	clear(acc)
-	count := 0
-	for st := 0; st < s.slots; st++ {
-		if s.startFree(path, st) {
-			acc[st>>6] |= uint64(1) << (st & 63)
-			count++
-		}
-	}
-	if count < n {
-		return nil, false
-	}
-	chosen := buf[:0]
+// pickWords is pickAligned on a table of several words: it writes into
+// chosen the n starts of the aligned-start set acc (which holds count >= n
+// starts) picked for the ideal positions i*T/n, each the start of acc not
+// chosen yet that lies cyclically nearest.
+func pickWords(acc, chosen []uint64, count, n, slots int) {
 	if count == n {
-		for w, x := range acc {
-			for ; x != 0; x &= x - 1 {
-				chosen = append(chosen, w<<6+bits.TrailingZeros64(x))
-			}
-		}
-		return chosen, true
+		copy(chosen, acc)
+		return
 	}
+	clear(chosen)
 	for i := 0; i < n; i++ {
-		best := nearestSetWords(acc, i*s.slots/n, s.slots)
-		acc[best>>6] &^= uint64(1) << (best & 63)
-		chosen = append(chosen, best)
+		best := nearestSetWords(acc, chosen, i*slots/n, slots)
+		chosen[best>>6] |= uint64(1) << (best & 63)
 	}
-	slices.Sort(chosen)
-	return chosen, true
 }
 
-// nearestSetWords is nearestSet on a non-empty bitset of slots bits held
-// in several words: the set bit cyclically nearest to target, the lower
-// index of two at equal distance.
-func nearestSetWords(acc []uint64, target, slots int) int {
-	up, down := nextSetWords(acc, target), prevSetWords(acc, target)
+// nearestSetWords is nearestSet on the starts of acc not in used, a set
+// with at least one such start held in several words: the one cyclically
+// nearest to target, the lower index of two at equal distance.
+func nearestSetWords(acc, used []uint64, target, slots int) int {
+	up, down := nextSetWords(acc, used, target), prevSetWords(acc, used, target)
 	fwd, bwd := up-target, target-down
 	if fwd < 0 {
 		fwd += slots
@@ -373,39 +387,64 @@ func nearestSetWords(acc []uint64, target, slots int) int {
 	return min(up, down)
 }
 
-// nextSetWords returns the first set bit of the non-empty bitset at or
-// after from, wrapping past the last word to bit 0.
-func nextSetWords(acc []uint64, from int) int {
+// nextSetWords returns the first start of acc not in used at or after
+// from, wrapping past the last word to bit 0.
+func nextSetWords(acc, used []uint64, from int) int {
 	w := from >> 6
-	x := acc[w] &^ (uint64(1)<<(from&63) - 1)
+	x := (acc[w] &^ used[w]) &^ (uint64(1)<<(from&63) - 1)
 	for x == 0 {
 		if w++; w == len(acc) {
 			w = 0
 		}
-		x = acc[w]
+		x = acc[w] &^ used[w]
 	}
 	return w<<6 + bits.TrailingZeros64(x)
 }
 
-// prevSetWords returns the last set bit of the non-empty bitset at or
-// before from, wrapping below bit 0 to the last word.
-func prevSetWords(acc []uint64, from int) int {
+// prevSetWords returns the last start of acc not in used at or before
+// from, wrapping below bit 0 to the last word.
+func prevSetWords(acc, used []uint64, from int) int {
 	w := from >> 6
-	x := acc[w] & (uint64(2)<<(from&63) - 1)
+	x := (acc[w] &^ used[w]) & (uint64(2)<<(from&63) - 1)
 	for x == 0 {
 		if w == 0 {
 			w = len(acc)
 		}
 		w--
-		x = acc[w]
+		x = acc[w] &^ used[w]
 	}
 	return w<<6 + 63 - bits.LeadingZeros64(x)
 }
 
-// Reserve claims the aligned slots along path. The starts must be free (as
-// returned by FindAlignedInto); otherwise an error is returned and the state
-// is left unchanged. The owner token is validated (it must be
+// maxGapSet is MaxGap of the start set of a table of `slots` slots.
+func maxGapSet(starts []uint64, slots int) int {
+	first, prev, max := -1, 0, 0
+	for w, x := range starts {
+		for ; x != 0; x &= x - 1 {
+			st := w<<6 + bits.TrailingZeros64(x)
+			if first < 0 {
+				first = st
+			} else if gap := st - prev - 1; gap > max {
+				max = gap
+			}
+			prev = st
+		}
+	}
+	if first < 0 {
+		return slots
+	}
+	if gap := first + slots - prev - 1; gap > max {
+		max = gap
+	}
+	return max
+}
+
+// Reserve claims the aligned slots along path of the starts listed. The
+// starts must be free (as returned by FindAlignedInto); otherwise an error
+// naming the first refused start in the list's order is returned and the
+// state is left unchanged. The owner token is validated (it must be
 // non-negative) but not stored: a State records only which slots are free.
+// It checks the list and claims its start set as ReserveStarts does.
 func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if owner < 0 {
 		return fmt.Errorf("tdma: owner token %d must be non-negative", owner)
@@ -413,51 +452,76 @@ func (s *State) Reserve(owner int32, path []int, starts []int) error {
 	if len(starts) == 0 {
 		return nil
 	}
-	// A word-sized table answers every start's freedom with one startMask;
-	// the checks still run in start order, so the first failing start is
-	// reported.
-	var avail uint64
+	// A word-sized table answers every start's freedom with one startMask.
+	var word [1]uint64
+	set, avail := word[:], uint64(0)
 	if s.words == 1 {
 		avail = s.startMask(path)
+	} else {
+		set = s.scratchSet(1)
 	}
 	for _, st := range starts {
 		if st < 0 || st >= s.slots {
-			return fmt.Errorf("tdma: start slot %d out of range [0,%d)", st, s.slots)
+			return errOutOfRange(st, s.slots)
 		}
-		var free bool
-		if s.words == 1 {
-			free = avail>>st&1 != 0
-		} else {
-			free = s.startFree(path, st)
+		if s.words == 1 && avail>>st&1 == 0 || s.words > 1 && !s.startFree(path, st) {
+			return errNotFree(st)
 		}
-		if !free {
-			return fmt.Errorf("tdma: start slot %d not free along path", st)
-		}
+		set[st>>6] |= uint64(1) << (st & 63)
 	}
+	s.claim(path, set)
+	return nil
+}
+
+// ReserveStarts claims the aligned slots along path of the start set
+// starts (Words(Slots()) words). Every start must be in range and free;
+// otherwise an error naming the lowest refused start is returned and the
+// state is left unchanged.
+func (s *State) ReserveStarts(path []int, starts []uint64) error {
 	if s.words == 1 {
-		// At T = 64 the word form (claimBits) takes little over half the
-		// time of the per-bit walk below (BenchmarkStateReserveRelease,
-		// bitwalk runs).
-		var startBits uint64
-		for _, st := range starts {
-			startBits |= uint64(1) << st
+		// The aligned-start mask holds no bit past the last slot, so the
+		// lowest bit outside it is the lowest refused start.
+		if bad := starts[0] &^ s.startMask(path); bad != 0 {
+			st := bits.TrailingZeros64(bad)
+			if st >= s.slots {
+				return errOutOfRange(st, s.slots)
+			}
+			return errNotFree(st)
 		}
-		s.claimBits(path, startBits)
+		s.claimBits(path, starts[0])
 		return nil
 	}
-	for _, st := range starts {
-		slot := st
-		for _, link := range path {
-			if i, b := s.bit(link, slot); s.masks[i]&b != 0 {
-				s.masks[i] &^= b
-				s.free[link]--
+	for w, x := range starts {
+		for ; x != 0; x &= x - 1 {
+			st := w<<6 + bits.TrailingZeros64(x)
+			if st >= s.slots {
+				return errOutOfRange(st, s.slots)
 			}
-			if slot++; slot == s.slots {
-				slot = 0
+			if !s.startFree(path, st) {
+				return errNotFree(st)
 			}
 		}
 	}
+	s.claimWords(path, starts)
 	return nil
+}
+
+func errOutOfRange(st, slots int) error {
+	return fmt.Errorf("tdma: start slot %d out of range [0,%d)", st, slots)
+}
+
+func errNotFree(st int) error { return fmt.Errorf("tdma: start slot %d not free along path", st) }
+
+// claim reserves the checked start set along path.
+func (s *State) claim(path []int, starts []uint64) {
+	if s.words == 1 {
+		// At T = 64 the word form (claimBits) takes little over half the
+		// time of the per-bit walk (BenchmarkStateReserveRelease, bitwalk
+		// runs).
+		s.claimBits(path, starts[0])
+		return
+	}
+	s.claimWords(path, starts)
 }
 
 // claimBits reserves the starts startBits along path on a word-sized
@@ -476,20 +540,34 @@ func (s *State) claimBits(path []int, startBits uint64) {
 	}
 }
 
-// Release frees the aligned slots of a reservation along path. Only slots
-// that are currently reserved are freed and counted; slots already free and
-// out-of-range starts are left untouched. The State does not know who holds
-// a slot, so the caller must release only a live reservation: its exact
-// path and starts, as passed to a Reserve that succeeded. The owner token is
-// ignored.
-func (s *State) Release(owner int32, path []int, starts []int) {
-	if s.words == 1 {
-		var startBits uint64
-		for _, st := range starts {
-			if st >= 0 && st < s.slots {
-				startBits |= uint64(1) << st
+// claimWords reserves the start set along path on a table of several
+// words, walking each start's aligned slots one bit at a time.
+func (s *State) claimWords(path []int, starts []uint64) {
+	for w, x := range starts {
+		for ; x != 0; x &= x - 1 {
+			slot := w<<6 + bits.TrailingZeros64(x)
+			for _, link := range path {
+				if i, b := s.bit(link, slot); s.masks[i]&b != 0 {
+					s.masks[i] &^= b
+					s.free[link]--
+				}
+				if slot++; slot == s.slots {
+					slot = 0
+				}
 			}
 		}
+	}
+}
+
+// Release frees the aligned slots along path of the start set starts
+// (Words(Slots()) words). Only slots that are currently reserved are freed
+// and counted; slots already free and set bits past the last slot are left
+// untouched. The State does not know who holds a slot, so the caller must
+// release only a live reservation: its exact path and starts, as claimed by
+// a ReserveAligned, ReserveStarts or Reserve that succeeded.
+func (s *State) Release(path []int, starts []uint64) {
+	if s.words == 1 {
+		startBits := starts[0] & fullMask(s.slots)
 		if startBits == 0 {
 			return
 		}
@@ -504,18 +582,20 @@ func (s *State) Release(owner int32, path []int, starts []int) {
 		}
 		return
 	}
-	for _, st := range starts {
-		if st < 0 || st >= s.slots {
-			continue
-		}
-		slot := st
-		for _, link := range path {
-			if i, b := s.bit(link, slot); s.masks[i]&b == 0 {
-				s.masks[i] |= b
-				s.free[link]++
+	for w, x := range starts {
+		for ; x != 0; x &= x - 1 {
+			slot := w<<6 + bits.TrailingZeros64(x)
+			if slot >= s.slots {
+				return
 			}
-			if slot++; slot == s.slots {
-				slot = 0
+			for _, link := range path {
+				if i, b := s.bit(link, slot); s.masks[i]&b == 0 {
+					s.masks[i] |= b
+					s.free[link]++
+				}
+				if slot++; slot == s.slots {
+					slot = 0
+				}
 			}
 		}
 	}

@@ -41,6 +41,18 @@ func TestNewStateValidation(t *testing.T) {
 	}
 }
 
+// startSet returns the start set on s of the listed starts, dropping any
+// out of range.
+func startSet(s *State, starts []int) []uint64 {
+	set := make([]uint64, s.words)
+	for _, st := range starts {
+		if st >= 0 && st < s.slots {
+			set[st>>6] |= 1 << (st & 63)
+		}
+	}
+	return set
+}
+
 // isFree reads the free bit of (link, slot) straight from the masks.
 func isFree(s *State, link, slot int) bool {
 	i, b := s.bit(link, slot)
@@ -111,23 +123,23 @@ func TestReserveConflicts(t *testing.T) {
 
 // TestReleaseOnlyOwn: Release frees exactly the slots of the live
 // reservation it is given, and is a no-op on starts that are already free
-// or out of range.
+// and on set bits past the last slot.
 func TestReleaseOnlyOwn(t *testing.T) {
 	s := mustState(t, 2, 4)
 	ref := newRefTables(2, 4)
 	reserveBoth(t, s, ref, 1, []int{0}, []int{0})
 	reserveBoth(t, s, ref, 2, []int{0, 1}, []int{1, 3})
-	s.Release(1, []int{0}, []int{0})
+	s.Release([]int{0}, startSet(s, []int{0}))
 	ref.release(1, []int{0}, []int{0})
 	checkAgainstRef(t, s, ref, "after releasing a live reservation")
 	if !isFree(s, 0, 0) || isFree(s, 0, 1) || s.FreeSlots(0) != 2 {
 		t.Errorf("Release freed the wrong slots: link 0 mask %#x, free %d", s.masks[0], s.FreeSlots(0))
 	}
 	// Releasing it again, and releasing junk starts, changes nothing.
-	s.Release(1, []int{0}, []int{0})
-	s.Release(2, []int{0, 1}, []int{-3, 99})
-	checkAgainstRef(t, s, ref, "after releasing free and out-of-range starts")
-	s.Release(2, []int{0, 1}, []int{1, 3})
+	s.Release([]int{0}, startSet(s, []int{0}))
+	s.Release([]int{0, 1}, []uint64{1<<4 | 1<<9})
+	checkAgainstRef(t, s, ref, "after releasing free starts and bits past the table")
+	s.Release([]int{0, 1}, startSet(s, []int{1, 3}))
 	ref.release(2, []int{0, 1}, []int{1, 3})
 	checkAgainstRef(t, s, ref, "after releasing everything")
 
@@ -138,7 +150,7 @@ func TestReleaseOnlyOwn(t *testing.T) {
 	if s.FreeSlots(0) != 1 || s.FreeSlots(1) != 1 {
 		t.Errorf("repeated link: free counts %d, %d, want 1, 1", s.FreeSlots(0), s.FreeSlots(1))
 	}
-	s.Release(3, []int{0, 1, 0}, []int{0})
+	s.Release([]int{0, 1, 0}, startSet(s, []int{0}))
 	ref.release(3, []int{0, 1, 0}, []int{0})
 	checkAgainstRef(t, s, ref, "after releasing a path with a repeated link")
 }
@@ -277,10 +289,11 @@ func TestFindAlignedLargeTableZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestReserveAlignedZeroAlloc: at T = 64 (one mask word) and T = 128 (the
-// FindAlignedInto and Reserve sequence) a successful claim allocates
-// nothing once the caller's buffer is sized, with and without a latency
-// budget that makes it escalate the start count.
+// TestReserveAlignedZeroAlloc: at T = 64 (one mask word) and T = 128 (a
+// start set of two words, picked from the state's scratch set) a
+// successful claim and its Release allocate nothing once the scratch set
+// exists, with and without a latency budget that makes the claim escalate
+// the start count.
 func TestReserveAlignedZeroAlloc(t *testing.T) {
 	for _, slots := range []int{64, 128} {
 		s := mustState(t, 3, slots)
@@ -290,14 +303,13 @@ func TestReserveAlignedZeroAlloc(t *testing.T) {
 			}
 		}
 		path := []int{0, 1, 2}
-		buf := make([]int, 0, slots)
+		set := make([]uint64, Words(slots))
 		allocs := testing.AllocsPerRun(100, func() {
 			for _, c := range []struct{ n, budget int }{{1, -1}, {7, -1}, {2, slots / 4}, {40, slots}} {
-				starts, ok := s.ReserveAligned(path, c.n, c.budget, buf)
-				if !ok {
+				if s.ReserveAligned(path, c.n, c.budget, set) == 0 {
 					t.Fatalf("T=%d: claim of %d starts (budget %d) failed", slots, c.n, c.budget)
 				}
-				s.Release(0, path, starts)
+				s.Release(path, set)
 			}
 		})
 		if allocs != 0 {
@@ -533,7 +545,7 @@ func TestReserveReleaseRoundTripProperty(t *testing.T) {
 		}
 		// Release everything; state must be fully free.
 		for _, r := range made {
-			s.Release(r.owner, r.path, r.starts)
+			s.Release(r.path, startSet(s, r.starts))
 			ref.release(r.owner, r.path, r.starts)
 			if !matchesRef(s, ref) {
 				return false
@@ -629,7 +641,7 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 			t.Errorf("after reserve: FreeSlots(%d) = %d, table scan = %d", l, got, want)
 		}
 	}
-	s.Release(7, path, starts)
+	s.Release(path, startSet(s, starts))
 	ref.release(7, path, starts)
 	checkAgainstRef(t, s, ref, "after Release")
 	for l := 0; l < s.NumLinks(); l++ {
@@ -678,7 +690,7 @@ func TestCloneCopiesFreeCounts(t *testing.T) {
 	if c.FreeSlots(0) != s.FreeSlots(0) {
 		t.Fatalf("clone FreeSlots(0) = %d, want %d", c.FreeSlots(0), s.FreeSlots(0))
 	}
-	c.Release(3, path, starts)
+	c.Release(path, startSet(c, starts))
 	if c.FreeSlots(0) != 4 {
 		t.Errorf("clone release: FreeSlots = %d, want 4", c.FreeSlots(0))
 	}
@@ -951,7 +963,7 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 				if len(live) > 0 && rng.Intn(3) == 0 {
 					k := rng.Intn(len(live))
 					h := live[k]
-					s.Release(h.owner, h.path, h.starts)
+					s.Release(h.path, startSet(s, h.starts))
 					ref.release(h.owner, h.path, h.starts)
 					checkAgainstRef(t, s, ref, "after Release")
 					live = append(live[:k], live[k+1:]...)
@@ -959,7 +971,7 @@ func TestDivisionFreeWalksMatchModRef(t *testing.T) {
 			}
 		}
 		for _, h := range live {
-			s.Release(h.owner, h.path, h.starts)
+			s.Release(h.path, startSet(s, h.starts))
 			ref.release(h.owner, h.path, h.starts)
 		}
 		checkAgainstRef(t, s, ref, "after releasing everything")
@@ -1028,25 +1040,38 @@ func BenchmarkReserveAligned(b *testing.B) {
 				r.budget = len(r.path) + 1 + slots/(r.n+1)
 			}
 			if starts, ok := findThenReserve(s, r.path, r.n, r.budget, nil); ok {
-				s.Release(0, r.path, starts)
+				s.Release(r.path, startSet(s, starts))
 				reqs = append(reqs, r)
 			}
 		}
 		buf := make([]int, 0, slots)
+		set := make([]uint64, Words(slots))
 		for _, form := range []struct {
 			name  string
-			claim func(*State, []int, int, int, []int) ([]int, bool)
-		}{{"claim", (*State).ReserveAligned}, {"find+reserve", findThenReserve}} {
+			claim func(s *State, path []int, n, budget int) bool
+		}{
+			{"claim", func(s *State, path []int, n, budget int) bool {
+				return s.ReserveAligned(path, n, budget, set) > 0
+			}},
+			{"find+reserve", func(s *State, path []int, n, budget int) bool {
+				starts, ok := findThenReserve(s, path, n, budget, buf)
+				buf = starts
+				clear(set)
+				for _, st := range starts {
+					set[st>>6] |= 1 << (st & 63)
+				}
+				return ok
+			}},
+		} {
 			b.Run(fmt.Sprintf("T=%d/%s", slots, form.name), func(b *testing.B) {
 				b.ReportAllocs()
 				i := 0
 				for b.Loop() {
 					r := reqs[i%len(reqs)]
-					starts, ok := form.claim(s, r.path, r.n, r.budget, buf)
-					if !ok {
+					if !form.claim(s, r.path, r.n, r.budget) {
 						b.Fatal("claim failed")
 					}
-					s.Release(0, r.path, starts)
+					s.Release(r.path, set)
 					i++
 				}
 			})
@@ -1094,15 +1119,19 @@ func BenchmarkStateReserveRelease(b *testing.B) {
 		}
 		for _, name := range slices.Sorted(maps.Keys(states)) {
 			st := states[name]
+			sets := make([][]uint64, len(reqs))
+			for k, r := range reqs {
+				sets[k] = startSet(st, r.starts)
+			}
 			b.Run(name, func(b *testing.B) {
 				b.ReportAllocs()
 				i := 0
 				for b.Loop() {
-					r := reqs[i%len(reqs)]
-					if err := st.Reserve(0, r.path, r.starts); err != nil {
+					k := i % len(reqs)
+					if err := st.Reserve(0, reqs[k].path, reqs[k].starts); err != nil {
 						b.Fatal(err)
 					}
-					st.Release(0, r.path, r.starts)
+					st.Release(reqs[k].path, sets[k])
 					i++
 				}
 			})

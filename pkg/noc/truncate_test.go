@@ -22,7 +22,7 @@ func (slowedEngine) Name() string { return "slowed-local" }
 
 func (e slowedEngine) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts search.Options) (*core.Result, error) {
-	base, err := opts.GreedyBase(ctx, prep, numCores, p)
+	base, _, err := opts.GreedyStart(ctx, prep, numCores, p)
 	if err != nil {
 		return nil, err
 	}
