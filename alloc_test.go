@@ -354,8 +354,8 @@ func TestAnnealColdChainAllocs(t *testing.T) {
 }
 
 // BenchmarkSessionMove measures the steady-state session move path with
-// caller-owned buffers; run with -benchmem to see the 0 allocs/op the gate
-// above enforces.
+// caller-owned buffers; run with -benchmem to see the 0 allocs/op that
+// TestSessionMoveZeroAlloc enforces.
 func BenchmarkSessionMove(b *testing.B) {
 	for _, design := range allocDesigns {
 		b.Run(design, func(b *testing.B) {

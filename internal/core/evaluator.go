@@ -81,9 +81,8 @@ type templates struct {
 	// the session's capacity prechecks).
 	groupPairs [][]pairDemand
 	// ucPairs lists, per use-case, its distinct pairs with the flow
-	// bandwidth — the iteration computeStats performs over Config maps,
-	// precomputed so sessions can recompute stats without building Configs;
-	// ucPairIdx mirrors it as pair indices.
+	// bandwidth in flow order — the walk statsOf sums over, so no caller
+	// needs Config maps for stats; ucPairIdx mirrors it as pair indices.
 	ucPairs   [][]ucPairStat
 	ucPairIdx [][]int32
 	// pairsOf lists per core the (ascending) indices of the pairs touching
@@ -744,7 +743,7 @@ func (ev *Evaluator) Evaluate(coreSwitch, coreNI []int) (*Result, error) {
 	}
 	mapping := &Mapping{Topology: ev.top, Params: ev.p, Prep: ev.prep, CoreSwitch: cs, CoreNI: cn, Configs: configs}
 	dim := topology.Dim{Rows: ev.top.Rows, Cols: ev.top.Cols}
-	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: computeStats(mapping, sc.states)}, nil
+	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: ev.statsOf(sc.states, nil, sc)}, nil
 }
 
 // attempt runs the constructive pass of the growth loop on the evaluator's
@@ -760,7 +759,7 @@ func (ev *Evaluator) attempt(sc *evalScratch) (*Mapping, Stats, error) {
 		sc.forget()
 		return nil, Stats{}, err
 	}
-	return mapping, computeStats(mapping, m.states), nil
+	return mapping, ev.statsOf(sc.states, nil, sc), nil
 }
 
 // Infeasibility sentinels of the reservation primitive. The move loop of a

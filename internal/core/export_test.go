@@ -14,6 +14,45 @@ import (
 // cross-checks.
 var ComputeStats = computeStats
 
+// computeStats derives summary statistics from a finished mapping's Config
+// maps and slot-table states: the reference the evaluator's statsOf is
+// checked against.
+func computeStats(m *Mapping, states []*tdma.State) Stats {
+	var st Stats
+	for _, s := range states {
+		for l := 0; l < m.TotalLinks(); l++ {
+			if u := 1 - float64(s.FreeSlots(l))/float64(s.Slots()); u > st.MaxLinkUtil {
+				st.MaxLinkUtil = u
+			}
+		}
+	}
+	// Iterate flows in their declared order, not the assignment map's: float
+	// summation is order-sensitive at the last ulp, and run-to-run stats of
+	// one deterministic engine must be bit-identical.
+	var bwHops, bwSum float64
+	for uc, cfg := range m.Configs {
+		for _, f := range m.Prep.UseCases[uc].Flows {
+			a := cfg.Assignments[f.Key()]
+			if a == nil {
+				continue
+			}
+			hops := 0
+			for _, l := range a.Path {
+				if l < m.MeshLinks() {
+					hops++
+				}
+			}
+			st.SlotsReserved += a.SlotCount * len(a.Path)
+			bwHops += f.BandwidthMBs * float64(hops)
+			bwSum += f.BandwidthMBs
+		}
+	}
+	if bwSum > 0 {
+		st.AvgMeshHops = bwHops / bwSum
+	}
+	return st
+}
+
 // EvaluateFresh scores one placement on a throwaway Evaluator: the
 // from-scratch oracle that shared Evaluators and Sessions are checked
 // against.

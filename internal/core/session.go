@@ -339,13 +339,12 @@ func (ev *Evaluator) SessionFrom(res *Result) (*Session, error) {
 			r.group, r.idx = g, idx
 			r.path = append(r.path[:0], a.Path...)
 			r.hops = ev.pathHops(r.path)
-			if err := s.states[g].Reserve(0, r.path, a.Starts); err != nil {
-				return nil, fmt.Errorf("core: result not reservable (pair %d->%d, group %d): %w", ps.key.Src, ps.key.Dst, g, err)
+			err := tdma.StartsInto(r.start, a.Starts, ev.p.SlotTableSize)
+			if err == nil {
+				err = s.states[g].ReserveStarts(r.path, r.start)
 			}
-			// Reserve checked every start against the table's range.
-			clear(r.start)
-			for _, st := range a.Starts {
-				r.start[st>>6] |= 1 << (st & 63)
+			if err != nil {
+				return nil, fmt.Errorf("core: result not reservable (pair %d->%d, group %d): %w", ps.key.Src, ps.key.Dst, g, err)
 			}
 			r.slots = int32(onesCount(r.start))
 			s.recs[g][idx] = r
@@ -778,34 +777,51 @@ func (s *Session) Result() *Result {
 	return &Result{Mapping: mapping, Attempts: []Attempt{{Dim: dim}}, Stats: s.stats}
 }
 
-// statsFromRecs recomputes the summary statistics of the current
-// reservation set — the same quantities computeStats derives from a
-// finished Mapping, without materializing one. The iteration order matches
-// the legacy per-use-case walk exactly, so the floating-point sums are
-// bit-identical to the one-shot path's.
-func (s *Session) statsFromRecs() Stats {
+// statsFromRecs derives the statistics of the session's reservation set.
+func (s *Session) statsFromRecs() Stats { return s.ev.statsOf(s.states, s.recs, nil) }
+
+// statsOf derives the summary statistics of a configuration from its
+// per-group slot-table states and its reservations by group and pair
+// index: a session's records when recs is set, otherwise the [group][pair]
+// journal positions of the arena sc. It walks each use-case's flows in
+// declared order, never a map's: float summation is order-sensitive at the
+// last ulp, and run-to-run stats of one deterministic engine must be
+// bit-identical. Every Result's Stats come from here, whether a session,
+// Evaluate or the growth loop built it. The two lookups share the loop
+// rather than a callback: a session computes stats on every move.
+func (ev *Evaluator) statsOf(states []*tdma.State, recs [][]*resRecord, sc *evalScratch) Stats {
 	var st Stats
-	T := s.ev.p.SlotTableSize
+	T := ev.p.SlotTableSize
 	minFree := T
-	for _, state := range s.states {
+	for _, state := range states {
 		if f := state.MinFree(); f < minFree {
 			minFree = f
 		}
 	}
 	st.MaxLinkUtil = 1 - float64(minFree)/float64(T)
 	var bwHops, bwSum float64
-	for uc := range s.ev.prep.UseCases {
-		g := s.ev.prep.GroupOf[uc]
-		recsG := s.recs[g]
-		stats := s.ev.ucPairs[uc]
-		for i, idx := range s.ev.ucPairIdx[uc] {
-			r := recsG[idx]
-			if r == nil {
-				continue
+	for uc, pairs := range ev.ucPairs {
+		g := ev.prep.GroupOf[uc]
+		for i, idx := range ev.ucPairIdx[uc] {
+			var links int
+			var slots, hops int32
+			if recs != nil {
+				r := recs[g][idx]
+				if r == nil {
+					continue
+				}
+				slots, links, hops = r.slots, len(r.path), r.hops
+			} else {
+				j := int(sc.configs[g][idx]) - 1
+				if j < 0 {
+					continue
+				}
+				path, _ := sc.reservation(j)
+				slots, links, hops = sc.journal[j].slots, len(path), ev.pathHops(path)
 			}
-			st.SlotsReserved += int(r.slots) * len(r.path)
-			bwHops += stats[i].bw * float64(r.hops)
-			bwSum += stats[i].bw
+			st.SlotsReserved += int(slots) * links
+			bwHops += pairs[i].bw * float64(hops)
+			bwSum += pairs[i].bw
 		}
 	}
 	if bwSum > 0 {

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
@@ -9,6 +10,7 @@ import (
 	"nocmap/internal/bench"
 	"nocmap/internal/core"
 	"nocmap/internal/tdma"
+	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 	"nocmap/internal/verify"
@@ -67,7 +69,7 @@ func fuzzDesigns() ([]*fuzzBase, error) {
 
 // replayStats recomputes a result's statistics the one-shot way: its
 // group-shared reservations replayed into fresh slot tables, then the
-// mapper's computeStats.
+// reference computeStats.
 func replayStats(t *testing.T, res *core.Result) core.Stats {
 	t.Helper()
 	m := res.Mapping
@@ -94,6 +96,50 @@ func replayStats(t *testing.T, res *core.Result) core.Stats {
 		states[g] = st
 	}
 	return core.ComputeStats(m, states)
+}
+
+// TestStatsMatchReference holds the stats of the growth loop and of
+// Evaluate, which read the scratch arena's reservation table, to the
+// reference computeStats over the result's Config maps, on both families
+// and on slot tables of and off a power of two.
+func TestStatsMatchReference(t *testing.T) {
+	evaluated := 0
+	for _, name := range []string{"D1", "D2", "D3", "D4"} {
+		d, err := bench.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prep, err := usecase.Prepare(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range []topology.Kind{topology.KindMesh, topology.KindTorus} {
+			for _, slots := range []int{64, 48} {
+				p := core.DefaultParams()
+				p.Topology.Kind, p.SlotTableSize = kind, slots
+				label := fmt.Sprintf("%s/%v/T%d", name, kind, slots)
+				res, ev, err := core.MapWithEvaluator(context.Background(), prep, d.NumCores(), p)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if want := replayStats(t, res); res.Stats != want {
+					t.Fatalf("%s: growth stats %+v, reference %+v", label, res.Stats, want)
+				}
+				again, err := ev.Evaluate(res.Mapping.CoreSwitch, res.Mapping.CoreNI)
+				if err != nil {
+					continue // a constructive result need not re-route under a fixed placement
+				}
+				if want := replayStats(t, again); again.Stats != want {
+					t.Fatalf("%s: Evaluate stats %+v, reference %+v", label, again.Stats, want)
+				}
+				evaluated++
+			}
+		}
+	}
+	if evaluated == 0 {
+		t.Fatal("no growth placement re-evaluated; the Evaluate half checked nothing")
+	}
+	t.Logf("%d of 16 growth placements re-evaluated", evaluated)
 }
 
 // checkCommitted asserts the invariants of a session's committed state.

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"nocmap/internal/bench"
+	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
+	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
 )
 
@@ -94,7 +97,7 @@ func TestTapeAssignmentsIndependent(t *testing.T) {
 func checkScratchFree(t *testing.T, what string, ev *Evaluator, sc *evalScratch) {
 	t.Helper()
 	for g, st := range sc.states {
-		for l := 0; l < st.NumLinks(); l++ {
+		for l := 0; l < ev.totalLinks; l++ {
 			if free := st.FreeSlots(l); free != ev.p.SlotTableSize {
 				t.Fatalf("%s: group %d link %d has %d of %d slots free", what, g, l, free, ev.p.SlotTableSize)
 			}
@@ -158,5 +161,69 @@ func TestFailedAttemptLeavesScratchFree(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, res.Mapping) {
 		t.Error("the carried arena mapped D4 on 2x2 differently from core.Map")
+	}
+}
+
+// TestSessionFromRejectsBadStarts: a result whose start lists a session
+// cannot claim is an error naming the pair and its group, never a panic.
+// The slot tables span one word (T=64) and two (T=128), and the bad starts
+// lie inside the table's last word, past it and below zero.
+func TestSessionFromRejectsBadStarts(t *testing.T) {
+	pr, n := d4Prep(t)
+	for _, T := range []int{64, 128} {
+		p := DefaultParams()
+		p.SlotTableSize = T
+		cases := []struct {
+			name string
+			// corrupt breaks the result and returns the pair whose replay
+			// must fail and the error's tdma text.
+			corrupt func(m *Mapping, first, second traffic.PairKey) (traffic.PairKey, string)
+		}{
+			{"out of range", func(m *Mapping, first, _ traffic.PairKey) (traffic.PairKey, string) {
+				a := m.Configs[0].Assignments[first]
+				a.Starts = append(a.Starts, T)
+				return first, fmt.Sprintf("start slot %d out of range [0,%d)", T, T)
+			}},
+			{"past the last word", func(m *Mapping, first, _ traffic.PairKey) (traffic.PairKey, string) {
+				a := m.Configs[0].Assignments[first]
+				a.Starts = append(a.Starts, 64*tdma.Words(T)+3)
+				return first, fmt.Sprintf("start slot %d out of range [0,%d)", 64*tdma.Words(T)+3, T)
+			}},
+			{"negative", func(m *Mapping, first, _ traffic.PairKey) (traffic.PairKey, string) {
+				a := m.Configs[0].Assignments[first]
+				a.Starts = append([]int{-1}, a.Starts...)
+				return first, fmt.Sprintf("start slot -1 out of range [0,%d)", T)
+			}},
+			{"listed twice", func(m *Mapping, first, _ traffic.PairKey) (traffic.PairKey, string) {
+				a := m.Configs[0].Assignments[first]
+				a.Starts = append(a.Starts, a.Starts[0])
+				return first, fmt.Sprintf("start slot %d not free along path", a.Starts[0])
+			}},
+			{"claimed by two pairs", func(m *Mapping, first, second traffic.PairKey) (traffic.PairKey, string) {
+				a, b := m.Configs[0].Assignments[first], m.Configs[0].Assignments[second]
+				b.Path, b.Starts = slices.Clone(a.Path), slices.Clone(a.Starts)
+				return second, "not free along path"
+			}},
+		}
+		for _, tc := range cases {
+			t.Run(fmt.Sprintf("T%d/%s", T, tc.name), func(t *testing.T) {
+				res := mustMap(t, pr, n, p)
+				ev, err := NewEvaluator(pr, n, res.Mapping.Topology, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The first use-case's first two pairs replay first in its group.
+				first, second := ev.ucPairs[0][0].key, ev.ucPairs[0][1].key
+				bad, text := tc.corrupt(res.Mapping, first, second)
+				_, err = ev.SessionFrom(res)
+				if err == nil {
+					t.Fatal("SessionFrom accepted the corrupted result")
+				}
+				want := fmt.Sprintf("core: result not reservable (pair %d->%d, group %d): tdma: ", bad.Src, bad.Dst, pr.GroupOf[0])
+				if msg := err.Error(); !strings.HasPrefix(msg, want) || !strings.Contains(msg, text) {
+					t.Fatalf("error %q, want prefix %q and %q", msg, want, text)
+				}
+			})
+		}
 	}
 }

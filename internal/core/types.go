@@ -17,7 +17,6 @@ import (
 	"fmt"
 
 	"nocmap/internal/route"
-	"nocmap/internal/tdma"
 	"nocmap/internal/topology"
 	"nocmap/internal/traffic"
 	"nocmap/internal/usecase"
@@ -140,17 +139,6 @@ type Assignment struct {
 	SlotCount int
 }
 
-// MeshHops counts the mesh links of the path (excludes NI links).
-func (a *Assignment) MeshHops(meshLinks int) int {
-	n := 0
-	for _, l := range a.Path {
-		if l < meshLinks {
-			n++
-		}
-	}
-	return n
-}
-
 // Config is the NoC configuration of one use-case: one assignment per flow,
 // keyed by the flow's directed core pair. Use-cases in one smooth-switching
 // group have identical assignments for their shared pairs.
@@ -258,35 +246,4 @@ type Result struct {
 // Dim returns the mesh dimensions of the solution.
 func (r *Result) Dim() topology.Dim {
 	return topology.Dim{Rows: r.Mapping.Topology.Rows, Cols: r.Mapping.Topology.Cols}
-}
-
-// computeStats derives summary statistics from a finished mapping.
-func computeStats(m *Mapping, states []*tdma.State) Stats {
-	var st Stats
-	for _, s := range states {
-		for l := 0; l < s.NumLinks(); l++ {
-			if u := s.Utilization(l); u > st.MaxLinkUtil {
-				st.MaxLinkUtil = u
-			}
-		}
-	}
-	// Iterate flows in their declared order, not the assignment map's: float
-	// summation is order-sensitive at the last ulp, and run-to-run stats of
-	// one deterministic engine must be bit-identical.
-	var bwHops, bwSum float64
-	for uc, cfg := range m.Configs {
-		for _, f := range m.Prep.UseCases[uc].Flows {
-			a := cfg.Assignments[f.Key()]
-			if a == nil {
-				continue
-			}
-			st.SlotsReserved += a.SlotCount * len(a.Path)
-			bwHops += f.BandwidthMBs * float64(a.MeshHops(m.MeshLinks()))
-			bwSum += f.BandwidthMBs
-		}
-	}
-	if bwSum > 0 {
-		st.AvgMeshHops = bwHops / bwSum
-	}
-	return st
 }

@@ -58,11 +58,11 @@ type Options struct {
 	// them concurrently, one per cloned evaluation session, accepting the
 	// best improving candidate (with a Metropolis draw on the least-bad one
 	// when nothing improves). Iters still counts candidate evaluations, so
-	// runs at different SpecK spend comparable search effort. 0 and 1 run
-	// the serial chain — the speculative path is never entered, and results
-	// are identical to previous releases. Values above 64 are rejected:
-	// past that the replay synchronization outweighs any conceivable core
-	// count.
+	// runs at different SpecK spend comparable search effort, and a run
+	// depends only on (Seed, SpecK, Iters). 0 and 1 run the serial chain.
+	// Values above 64 are rejected. No request, SDK option or flag sets
+	// it: only perfbench's anneal_spec2 trace probe and tests do, and it
+	// goes when that probe does.
 	SpecK int
 	// Restarts is how many random placements the improvement engines
 	// (anneal, ga, pso, abc) try per smaller-than-greedy mesh size when
@@ -111,13 +111,6 @@ type Options struct {
 	// precomputation (validation, flow templates, candidate-path tables)
 	// happens once across the whole pool.
 	evals *EvalCache
-	// Board, when set, is a shared incumbent exchange: engines publish
-	// strict improvements and may adopt better incumbents between phases.
-	// The portfolio wires one up for its members when SpecK > 1 — the
-	// exchange makes member results depend on scheduling, which the serial
-	// portfolio's determinism guarantee forbids. It is exported so engine
-	// subpackages (population, exact) publish to the same board when raced.
-	Board *IncumbentBoard
 }
 
 // GreedyStart returns the greedy result an engine starts from, Options.Base

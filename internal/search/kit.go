@@ -98,14 +98,6 @@ func (k *Kit) run(ctx context.Context, base *core.Result, improve Improver) {
 		if ctx.Err() != nil {
 			return
 		}
-		// Adopt a better incumbent from a shared exchange before committing
-		// restart effort: a size some other engine already beat is not
-		// worth probing.
-		if k.Opts.Board != nil {
-			if res, cost, ok := k.Opts.Board.Best(); ok && cost < k.bestCost-store.CostEps {
-				k.best, k.bestCost = res, cost
-			}
-		}
 		if dim.Switches() >= k.best.Mapping.SwitchCount() {
 			continue
 		}
@@ -216,14 +208,11 @@ func (k *Kit) shuffledPlacement(seats []int, attached []int) (cs, cn []int) {
 	return cs, cn
 }
 
-// Consider makes r the incumbent when it scores strictly better, publishing
-// it to Options.Board and emitting one StageImproved event.
+// Consider makes r the incumbent when it scores strictly better, emitting
+// one StageImproved event.
 func (k *Kit) Consider(r *core.Result) {
 	if c := k.Opts.Weights.Of(r); c < k.bestCost-store.CostEps {
 		k.best, k.bestCost = r, c
-		if k.Opts.Board != nil {
-			k.Opts.Board.Publish(r, c)
-		}
 		k.Opts.Emit(k.engine, StageImproved, r, k.Counts)
 	}
 }

@@ -10,9 +10,9 @@
 // The engines run on the search.Kit the annealer uses: search.Improve
 // supplies the greedy base as feasibility anchor and first incumbent, the
 // restart probes of every smaller fabric that could still seat the
-// attached cores, and the incumbent bookkeeping (Options.Board
-// publication, one StageImproved event per strict improvement); the Kit's
-// swap/relocate proposal is the engines' random move. This package adds
+// attached cores, and the incumbent bookkeeping (one StageImproved event
+// per strict improvement); the Kit's swap/relocate proposal is the
+// engines' random move. This package adds
 // only the population and its evolution step on each fabric. By
 // construction no engine returns a result worse than greedy's under the
 // configured cost weights. All randomness flows from the Kit's seeded PRNG

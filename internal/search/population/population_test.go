@@ -174,39 +174,3 @@ func TestProgressEvents(t *testing.T) {
 		})
 	}
 }
-
-// TestBoardPublication: with a shared incumbent board wired up, a strict
-// improvement over the published incumbent must land on the board.
-func TestBoardPublication(t *testing.T) {
-	prep, n := d1(t)
-	p := core.DefaultParams()
-	board := &search.IncumbentBoard{}
-	opts := testOptions(5)
-	opts.Board = board
-	eng, err := search.New("ga")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.Search(context.Background(), prep, n, p, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := search.DefaultCostWeights()
-	greedy, err := core.Map(prep, n, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Of(res) >= w.Of(greedy)-1e-12 {
-		t.Skip("run found no strict improvement to publish")
-	}
-	bres, bcost, ok := board.Best()
-	if !ok {
-		t.Fatal("engine improved on greedy but published nothing")
-	}
-	if bcost > w.Of(res)+1e-9 {
-		t.Fatalf("board cost %.3f worse than final result %.3f", bcost, w.Of(res))
-	}
-	if bres == nil {
-		t.Fatal("board incumbent result is nil")
-	}
-}

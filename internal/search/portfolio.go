@@ -22,13 +22,6 @@ type Portfolio struct{}
 // Name implements Engine.
 func (Portfolio) Name() string { return "portfolio" }
 
-// job is one engine run of the portfolio.
-type job struct {
-	order  int
-	engine Engine
-	opts   Options
-}
-
 // Search implements Engine.
 func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores int,
 	p core.Params, opts Options) (*core.Result, error) {
@@ -58,36 +51,18 @@ func (pf Portfolio) Search(ctx context.Context, prep *usecase.Prepared, numCores
 	// seeds, and against one shared evaluator cache: the per-topology
 	// precomputation (validation, flow templates, candidate-path tables) is
 	// paid once for the whole pool instead of once per member.
-	// With speculation on, members collaborate through a shared incumbent
-	// exchange: strict improvements are published as they happen, and each
-	// member adopts the pool's best before probing smaller fabrics, so
-	// restarts seed from good placements instead of re-exploring sizes the
-	// pool already beat. The exchange trades the serial portfolio's
-	// scheduling-independence for cross-member pruning, so it is wired up
-	// only when the caller opted into speculation.
-	var board *IncumbentBoard
-	if opts.SpecK > 1 {
-		board = &IncumbentBoard{}
-		board.Publish(base, opts.Weights.Of(base))
-	}
-	var jobs []job
-	for i := 0; i < opts.Seeds; i++ {
+	results := make([]outcome, opts.Seeds)
+	var wg sync.WaitGroup
+	for i := range results {
 		o := opts
 		o.Seed = opts.Seed + int64(i)*7919 // distinct deterministic streams
 		o.Base = base
 		o.evals = evals
-		o.Board = board
-		jobs = append(jobs, job{order: i + 1, engine: Anneal{}, opts: o})
-	}
-
-	results := make([]outcome, len(jobs))
-	var wg sync.WaitGroup
-	for i, j := range jobs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := j.engine.Search(ctx, prep, numCores, p, j.opts)
-			results[i] = outcome{order: j.order, res: res, err: err}
+			res, err := Anneal{}.Search(ctx, prep, numCores, p, o)
+			results[i] = outcome{order: i + 1, res: res, err: err}
 		}()
 	}
 	wg.Wait()

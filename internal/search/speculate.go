@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"nocmap/internal/core"
 	"nocmap/internal/store"
@@ -288,44 +287,4 @@ func (k *Kit) probeSpec(ctx context.Context, ev *core.Evaluator, seats []int, at
 		}
 	}
 	return nil
-}
-
-// IncumbentBoard is a shared best-so-far exchange: engines publish strict
-// improvements and adopt the pool's best between phases. Publication is a
-// compare-and-swap loop on an atomic pointer — lock-free, safe from any
-// number of workers. The portfolio wires one up for its speculative
-// members; engine subpackages publish to Options.Board when one is set.
-type IncumbentBoard struct {
-	best atomic.Pointer[incumbent]
-}
-
-// incumbent is one published result with its score under the portfolio's
-// cost weights.
-type incumbent struct {
-	res  *core.Result
-	cost float64
-}
-
-// Publish installs the result if it is strictly better (beyond the float
-// tolerance) than the current incumbent. Returns whether it won.
-func (b *IncumbentBoard) Publish(r *core.Result, cost float64) bool {
-	for {
-		cur := b.best.Load()
-		if cur != nil && cost >= cur.cost-store.CostEps {
-			return false
-		}
-		if b.best.CompareAndSwap(cur, &incumbent{res: r, cost: cost}) {
-			return true
-		}
-	}
-}
-
-// Best returns the current incumbent and its cost; ok is false when nothing
-// was published yet.
-func (b *IncumbentBoard) Best() (r *core.Result, cost float64, ok bool) {
-	cur := b.best.Load()
-	if cur == nil {
-		return nil, 0, false
-	}
-	return cur.res, cur.cost, true
 }

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -33,8 +35,8 @@ func prepared(t *testing.T, name string) (*usecase.Prepared, int) {
 // combination below. The guarantee is empirical, not structural: the two
 // chains consume their PRNG streams differently after the first batch, so
 // an arbitrary seed can end anywhere; these pins detect regressions in the
-// speculative machinery itself (selection, replay, board adoption), which
-// would shift whole cohorts of seeds, not one.
+// speculative machinery itself (selection, replay), which would shift
+// whole cohorts of seeds, not one.
 var propertySeeds = []int64{1, 3, 4, 6, 7, 9}
 
 // TestSpeculativeNeverWorseThanSerial is the speculation property test:
@@ -79,47 +81,71 @@ func TestSpeculativeNeverWorseThanSerial(t *testing.T) {
 	}
 }
 
-// TestSpeculativeDeterministic: the speculative trajectory must depend
-// only on (Seed, SpecK, Iters) — never on goroutine scheduling. Identical
-// options must reproduce the identical placement and counters.
+// TestSpeculativeDeterministic: a speculative run must depend only on
+// (Seed, SpecK, Iters), never on goroutine scheduling. Identical options
+// must reproduce the identical stats, placement and counters, for one
+// anneal and for a portfolio whose members anneal in speculative batches
+// side by side. The counters are the StageDone totals of each annealer,
+// keyed by its seed.
 func TestSpeculativeDeterministic(t *testing.T) {
-	prep, n := prepared(t, "D1")
-	p := core.DefaultParams()
-	run := func() (*core.Result, Counts) {
-		opts := DefaultOptions()
-		opts.Seed = 7
-		opts.SpecK = 4
-		var done Counts
-		opts.Progress = func(e Event) {
-			if e.Stage == StageDone {
-				done = e.Counts
+	cases := []struct {
+		name, design string
+		engine       Engine
+		runs, slots  int
+		seed         int64
+		seeds        int
+	}{
+		{name: "anneal", design: "D1", engine: Anneal{}, runs: 2, seed: 7},
+		{name: "portfolio", design: "D4", engine: Portfolio{}, runs: 5, slots: 32, seed: 3, seeds: 4},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			prep, n := prepared(t, tc.design)
+			p := core.DefaultParams()
+			if tc.slots > 0 {
+				p.SlotTableSize = tc.slots
 			}
-		}
-		res, err := (Anneal{}).Search(context.Background(), prep, n, p, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, done
-	}
-	a, ca := run()
-	b, cb := run()
-	if a.Stats != b.Stats {
-		t.Fatalf("speculative anneal not deterministic: %+v vs %+v", a.Stats, b.Stats)
-	}
-	for c := range a.Mapping.CoreSwitch {
-		if a.Mapping.CoreSwitch[c] != b.Mapping.CoreSwitch[c] || a.Mapping.CoreNI[c] != b.Mapping.CoreNI[c] {
-			t.Fatalf("speculative placements diverge at core %d", c)
-		}
-	}
-	if ca != cb {
-		t.Fatalf("speculative counters not deterministic: %+v vs %+v", ca, cb)
-	}
-	if ca.Speculated == 0 || ca.SpecAccepted == 0 {
-		t.Fatalf("speculative run reported no speculation activity: %+v", ca)
-	}
-	if ca.Moves != ca.Speculated {
-		t.Fatalf("every candidate of a speculative run rides a batch: moves %d != speculated %d",
-			ca.Moves, ca.Speculated)
+			run := func() (*core.Result, map[int64]Counts) {
+				opts := DefaultOptions()
+				opts.Seed, opts.Seeds, opts.SpecK = tc.seed, tc.seeds, 4
+				done := map[int64]Counts{}
+				opts.Progress = func(e Event) {
+					if e.Stage == StageDone && e.Engine == "anneal" {
+						done[e.Seed] = e.Counts
+					}
+				}
+				res, err := tc.engine.Search(context.Background(), prep, n, p, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, done
+			}
+			a, ca := run()
+			if len(ca) != max(tc.seeds, 1) {
+				t.Fatalf("want %d annealer done events, got %d", max(tc.seeds, 1), len(ca))
+			}
+			for _, c := range ca {
+				if c.Speculated == 0 || c.SpecAccepted == 0 {
+					t.Fatalf("speculative run reported no speculation activity: %+v", c)
+				}
+				if c.Moves != c.Speculated {
+					t.Fatalf("every candidate of a speculative run rides a batch: moves %d != speculated %d",
+						c.Moves, c.Speculated)
+				}
+			}
+			for r := 1; r < tc.runs; r++ {
+				b, cb := run()
+				if a.Stats != b.Stats {
+					t.Fatalf("run %d: stats differ: %+v vs %+v", r, a.Stats, b.Stats)
+				}
+				if !slices.Equal(a.Mapping.CoreSwitch, b.Mapping.CoreSwitch) || !slices.Equal(a.Mapping.CoreNI, b.Mapping.CoreNI) {
+					t.Fatalf("run %d: placements differ", r)
+				}
+				if !maps.Equal(ca, cb) {
+					t.Fatalf("run %d: counters differ: %+v vs %+v", r, ca, cb)
+				}
+			}
+		})
 	}
 }
 
@@ -162,11 +188,11 @@ func TestSpeculativeValidateRejectsWidth(t *testing.T) {
 	}
 }
 
-// TestSpeculativeStress hammers the concurrent machinery — speculative
-// batches inside portfolio members publishing to the shared incumbent
-// board — and is the designated prey for `go test -race`: clones evaluate
-// in parallel, the board CASes under contention, and the serialized
-// progress callback funnels every member through one mutex.
+// TestSpeculativeStress hammers the concurrent machinery, speculative
+// batches inside concurrent portfolio members, and is the designated prey
+// for `go test -race`: clones evaluate in parallel within each member, the
+// members share one evaluator cache, and the serialized progress callback
+// funnels every member through one mutex.
 func TestSpeculativeStress(t *testing.T) {
 	prep, n := prepared(t, "D2")
 	p := core.DefaultParams()

@@ -150,9 +150,6 @@ func (s *State) Reset() {
 	}
 }
 
-// NumLinks reports how many links the state covers.
-func (s *State) NumLinks() int { return s.numLinks }
-
 // Slots reports the slot-table size T.
 func (s *State) Slots() int { return s.slots }
 
@@ -162,11 +159,6 @@ func (s *State) Slots() int { return s.slots }
 // Dijkstra relaxation) independent of the slot-table size.
 func (s *State) FreeSlots(link int) int {
 	return s.free[link]
-}
-
-// Utilization returns the fraction of reserved slots on a link in [0,1].
-func (s *State) Utilization(link int) float64 {
-	return 1 - float64(s.FreeSlots(link))/float64(s.slots)
 }
 
 // bit locates slot of link in the masks: the word index and the bit.
@@ -222,6 +214,25 @@ func AppendStarts(buf []int, starts []uint64) []int {
 		}
 	}
 	return buf
+}
+
+// StartsInto writes the start list of a table of slots slots into set
+// (Words(slots) words), the inverse of AppendStarts. A start out of range,
+// or listed twice and so claimed twice, is an error naming the first such
+// start in list order.
+func StartsInto(set []uint64, starts []int, slots int) error {
+	clear(set)
+	for _, st := range starts {
+		if st < 0 || st >= slots {
+			return errOutOfRange(st, slots)
+		}
+		w, b := st>>6, uint64(1)<<(st&63)
+		if set[w]&b != 0 {
+			return errNotFree(st)
+		}
+		set[w] |= b
+	}
+	return nil
 }
 
 // scratchSet returns the state's scratch start set i (0 or 1), cleared.

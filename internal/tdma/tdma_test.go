@@ -28,15 +28,12 @@ func TestNewStateValidation(t *testing.T) {
 		t.Error("zero slots accepted")
 	}
 	s := mustState(t, 3, 8)
-	if s.NumLinks() != 3 || s.Slots() != 8 {
-		t.Errorf("dims = %d,%d", s.NumLinks(), s.Slots())
+	if s.numLinks != 3 || s.Slots() != 8 {
+		t.Errorf("dims = %d,%d", s.numLinks, s.Slots())
 	}
 	for l := 0; l < 3; l++ {
 		if s.FreeSlots(l) != 8 {
 			t.Errorf("link %d not fully free", l)
-		}
-		if s.Utilization(l) != 0 {
-			t.Errorf("utilization = %v", s.Utilization(l))
 		}
 	}
 }
@@ -636,7 +633,7 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 		t.Fatal("second FindAlignedInto failed")
 	}
 	reserveBoth(t, s, ref, 8, path2, starts2)
-	for l := 0; l < s.NumLinks(); l++ {
+	for l := 0; l < s.numLinks; l++ {
 		if got, want := s.FreeSlots(l), countFree(s, l); got != want {
 			t.Errorf("after reserve: FreeSlots(%d) = %d, table scan = %d", l, got, want)
 		}
@@ -644,7 +641,7 @@ func TestFreeSlotsMatchesTableScan(t *testing.T) {
 	s.Release(path, startSet(s, starts))
 	ref.release(7, path, starts)
 	checkAgainstRef(t, s, ref, "after Release")
-	for l := 0; l < s.NumLinks(); l++ {
+	for l := 0; l < s.numLinks; l++ {
 		if got, want := s.FreeSlots(l), countFree(s, l); got != want {
 			t.Errorf("after release: FreeSlots(%d) = %d, table scan = %d", l, got, want)
 		}

@@ -7,8 +7,8 @@ import (
 )
 
 // Benchmark returns one of the paper's SoC benchmark stand-ins by name:
-// D1/D2 (set-top boxes with 2 and 5 use-cases) or D3/D4 (TV processors
-// with 3 and 8 use-cases).
+// D1/D2 (set-top boxes with 4 and 20 use-cases) or D3/D4 (TV processors
+// with 8 and 20 use-cases).
 func Benchmark(name string) (*Design, error) { return bench.ByName(name) }
 
 // SyntheticClasses lists the class names Synthetic accepts: "Sp" (spread

@@ -173,8 +173,8 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 
 // BuildMapRequest translates a design plus options into the wire form of
 // POST /v1/map. Local-only options (WithProgress, WithWeights, WithParams,
-// WithRestarts, WithSpeculation) are rejected: the service computes with its
-// own configuration so results stay cacheable across callers.
+// WithRestarts) are rejected: the service computes with its own
+// configuration so results stay cacheable across callers.
 func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 	cfg := newConfig(opts)
 	var mr MapRequest
@@ -187,8 +187,6 @@ func BuildMapRequest(d *Design, opts ...Option) (MapRequest, error) {
 		return mr, fmt.Errorf("noc: WithParams is local-only; use the individual overrides (WithFrequencyMHz, WithSlotTableSize, ...)")
 	case cfg.restarts != nil:
 		return mr, fmt.Errorf("noc: WithRestarts is local-only; the service runs with its default restart count")
-	case cfg.speculate != nil:
-		return mr, fmt.Errorf("noc: WithSpeculation is local-only; the service sizes its own concurrency")
 	case cfg.budget < 0:
 		return mr, fmt.Errorf("noc: budget %v invalid", cfg.budget)
 	}

@@ -36,7 +36,6 @@ type config struct {
 	paramsSet  bool
 	weightsSet bool
 	restarts   *int
-	speculate  *int
 }
 
 func newConfig(opts []Option) *config {
@@ -136,16 +135,6 @@ func WithRestarts(n int) Option {
 // result so far; the daemon serves that as Truncated and never stores it.
 func WithBudget(d time.Duration) Option {
 	return func(c *config) { c.budget = d }
-}
-
-// WithSpeculation sets the speculative evaluation width of the annealing
-// engines: each step proposes k candidate moves and scores them
-// concurrently on cloned evaluation sessions, accepting the best improving
-// one. 0 and 1 keep the serial chain (and its exact results); widths above
-// the machine's core count add synchronization without extra throughput.
-// Local mapping only: the service sizes its own concurrency.
-func WithSpeculation(k int) Option {
-	return func(c *config) { c.opts.SpecK = k; c.speculate = &k }
 }
 
 // WithWeights replaces the cost weights scoring candidate mappings. Local
